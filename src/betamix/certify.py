@@ -18,10 +18,10 @@ import numpy as np
 
 from .mixtures import (
     ContinuousEvaluator,
-    ContinuousMixture,
     DiscreteMixture,
     discrete_derivs_grid,
     discrete_density_grid,
+    eval_derivs_continuous,
 )
 from .quadrature import QuadratureConfig
 from .special import DomainError
@@ -47,7 +47,7 @@ class ConcavityCertificate:
     grid (so it should be <= 0 up to noise for a log-concave density).
     criterion records which test decided the verdict: the curvature margin,
     or log-density second differences for continuous orders 1 < M <= 2
-    where the second-derivative kernel is unavailable.
+    where f'' is not evaluated.
     """
 
     verdict: str
@@ -108,42 +108,39 @@ def margin_eq10(mix, x: float, quad: QuadratureConfig | None = None) -> float:
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"margin_eq10 requires 0 < x < 1, got {x!r}")
-    xa = np.array([x])
     if isinstance(mix, DiscreteMixture):
-        f, d1, d2 = discrete_derivs_grid(mix, xa)
+        f, d1, d2 = discrete_derivs_grid(mix, np.array([x]))
     else:
-        ev = ContinuousEvaluator(mix, quad)
-        d2 = ev.d2(xa)
-        f = ev.density(xa)
-        d1 = ev.d1(xa)
+        res = eval_derivs_continuous(mix, x, quad)  # DomainError for M <= 2
+        f, d1, d2 = np.array([[res.value], [res.d1], [res.d2]])
     return float(margin_grid(f, d1, d2, float(mix.M))[0])
 
 
-def _midpoint_spot_checks(density_fn, eps, rng):
+def midpoint_check(density_fn, count: int, eps: float, tol: float, rng):
     """Randomized checks of the defining inequality f(lx+(1-l)y) >= f(x)^l f(y)^(1-l).
 
-    Returns (n_checks, n_failures, first_witness_triple_or_None).
+    Draws count points x, then y, in [eps, 1-eps] and count weights l from
+    rng, evaluates density_fn once over all 3*count points, and counts the
+    triples where f at the midpoint falls below the right side by more than
+    tol relative. Returns (n_failures, first witness (x, y, l) or None).
     """
-    x = eps + (1.0 - 2.0 * eps) * rng.random(_MIDPOINT_CHECKS)
-    y = eps + (1.0 - 2.0 * eps) * rng.random(_MIDPOINT_CHECKS)
-    lam = rng.random(_MIDPOINT_CHECKS)
+    x = eps + (1.0 - 2.0 * eps) * rng.random(count)
+    y = eps + (1.0 - 2.0 * eps) * rng.random(count)
+    lam = rng.random(count)
     mid = lam * x + (1.0 - lam) * y
-    fx = density_fn(x)
-    fy = density_fn(y)
-    fm = density_fn(mid)
+    fx, fy, fm = np.split(density_fn(np.concatenate([x, y, mid])), 3)
     applicable = (fx > 0.0) & (fy > 0.0)
     rhs = np.zeros_like(fx)
     rhs[applicable] = np.exp(
-        lam[applicable] * np.log(fx[applicable])
-        + (1.0 - lam[applicable]) * np.log(fy[applicable])
+        lam[applicable] * np.log(fx[applicable]) + (1.0 - lam[applicable]) * np.log(fy[applicable])
     )
-    bad = applicable & (fm < rhs - _MIDPOINT_SLACK * rhs)
+    bad = applicable & (fm < rhs - tol * rhs)
     failures = int(np.count_nonzero(bad))
     witness = None
     if failures:
         i = int(np.flatnonzero(bad)[0])
         witness = (float(x[i]), float(y[i]), float(lam[i]))
-    return _MIDPOINT_CHECKS, failures, witness
+    return failures, witness
 
 
 def certify(
@@ -193,9 +190,7 @@ def certify(
         density_fn = lambda pts: ev.density(pts, strict=False)
         if mix.M > 2.0:
             criterion = CRITERION_EQ10
-            f = ev.density(xs, strict=False)
-            d1 = ev.d1(xs, strict=False)
-            d2 = ev.d2(xs, strict=False)
+            f, d1, d2 = ev.derivs(xs, strict=False)
             margins = margin_grid(f, d1, d2, mix.M)
         else:
             criterion = CRITERION_SECOND_DIFF
@@ -220,7 +215,7 @@ def certify(
         grid_ok = float(np.max(second_diff)) <= tol
 
     rng = np.random.default_rng(seed)
-    n_checks, n_failures, witness = _midpoint_spot_checks(density_fn, eps, rng)
+    n_failures, witness = midpoint_check(density_fn, _MIDPOINT_CHECKS, eps, _MIDPOINT_SLACK, rng)
 
     notes = []
     if ev is not None and ev.last_gap > ev.config.abs_tol:
@@ -239,7 +234,7 @@ def certify(
         min_margin_eq10=min_margin,
         min_logcurv=min_logcurv,
         worst_x=worst_x,
-        midpoint_checks=n_checks,
+        midpoint_checks=_MIDPOINT_CHECKS,
         midpoint_failures=n_failures,
         witness=witness,
         notes=tuple(notes),

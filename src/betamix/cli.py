@@ -61,8 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--r", type=float, default=None, help="geometric weight ratio (demo)")
     common.add_argument("--s", type=float, default=None, help="kernel index (demo)")
     common.add_argument("--n", type=float, default=None, help="count (lemmas draws, sample size)")
-    common.add_argument("--q", type=float, default=None, help="window width (reserved)")
-    common.add_argument("--k", type=float, default=None, help="window index (reserved)")
     common.add_argument("--grid-points", type=int, default=None, help="evaluation grid size")
     common.add_argument("--eps", type=float, default=1e-6, help="grid endpoint inset")
     common.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
@@ -158,13 +156,7 @@ def cmd_eval(args) -> int:
     if isinstance(mix, DiscreteMixture):
         f, d1, d2 = discrete_derivs_grid(mix, xs)
     else:
-        ev = ContinuousEvaluator(mix, quad)
-        f = ev.density(xs)
-        d1 = ev.d1(xs)
-        if mix.M > 2.0:
-            d2 = ev.d2(xs)
-        else:
-            d2 = np.full_like(f, math.nan)
+        f, d1, d2 = ContinuousEvaluator(mix, quad).derivs(xs)  # d2 is nan for M <= 2
     with np.errstate(divide="ignore", invalid="ignore"):
         log_f = np.where(f > 0.0, np.log(np.where(f > 0.0, f, 1.0)), -np.inf)
         log_d2 = np.where(f > 0.0, (f * d2 - d1 * d1) / (f * f), math.nan)

@@ -8,7 +8,8 @@ Three layers live here:
   (quadrature over closed-form intervals) and the discrete form (exact
   arbitrary-precision integers, zero tolerance);
 * the coefficient-level inequalities that tie log-concave weights to the
-  curvature margin, plus a brute-force midpoint oracle for the certifier.
+  curvature margin, plus a brute-force midpoint oracle for the certifier
+  (the certifier's own midpoint check, run over many more triples).
 
 Seeded random generators for log-concave weight vectors and concave
 piecewise-linear mixing functions round out the module; they drive both
@@ -20,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixtures import (
-    ContinuousMixture,
-    DiscreteMixture,
-    QuadratureError,
-    _refinement_gap,
-    density_grid,
-    is_log_concave_weights,
-)
-from .quadrature import QuadratureConfig, panel_nodes
+from .certify import midpoint_check
+from .mixtures import ContinuousMixture, DiscreteMixture, density_grid, is_log_concave_weights
+from .quadrature import QuadratureConfig, check_refinement, panel_nodes
 from .special import DomainError, int_binom_exact, log_abs_gen_binom_ext
 
 CONTINUOUS_WHICH = ("ineq4", "ineq5", "ineq6")
@@ -218,19 +213,12 @@ def lemma2_continuous(
     lo, hi, clipped = _window_interval(M, n, q, which)
     if lo > hi:
         return LemmaCase(M, n, q, which, 0.0, 0.0, clipped=True)
-    lhs_fn, rhs_fn = _lemma2_integrands(M, n, which)
+    nodes = [panel_nodes([lo, hi], cfg) for cfg in (config, config.refined())]
     results = []
-    for fn in (lhs_fn, rhs_fn):
-        vals = []
-        for cfg in (config, config.refined()):
-            s, w = panel_nodes([lo, hi], cfg)
-            vals.append(float(np.dot(w, fn(s))))
-        if _refinement_gap(vals[0], vals[1]) > config.abs_tol:
-            raise QuadratureError(
-                f"lemma integrand quadrature did not converge for {which} "
-                f"(M={M}, n={n}, q={q})"
-            )
-        results.append(vals[1])
+    for fn in _lemma2_integrands(M, n, which):
+        coarse, fine = (float(np.dot(w, fn(s))) for s, w in nodes)
+        check_refinement(coarse, fine, config, f"{which} integrand (M={M}, n={n}, q={q})")
+        results.append(fine)
     return LemmaCase(M, n, q, which, results[0], results[1], clipped=clipped)
 
 
@@ -370,24 +358,8 @@ def brute_force_logconcavity(mix, samples: int = 1000, seed: int = 0, tol: float
     enter. Returns {"ok": bool, "witness": (x, y, lam) or None}.
     """
     rng = np.random.default_rng(seed)
-    eps = 1e-9
-    x = eps + (1.0 - 2.0 * eps) * rng.random(samples)
-    y = eps + (1.0 - 2.0 * eps) * rng.random(samples)
-    lam = rng.random(samples)
-    mid = lam * x + (1.0 - lam) * y
-    pts = np.concatenate([x, y, mid])
-    dens = density_grid(mix, pts)
-    fx, fy, fm = dens[:samples], dens[samples : 2 * samples], dens[2 * samples :]
-    applicable = (fx > 0.0) & (fy > 0.0)
-    rhs = np.zeros_like(fx)
-    rhs[applicable] = np.exp(
-        lam[applicable] * np.log(fx[applicable]) + (1.0 - lam[applicable]) * np.log(fy[applicable])
-    )
-    bad = applicable & (fm < rhs - tol * rhs)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        return {"ok": False, "witness": (float(x[i]), float(y[i]), float(lam[i]))}
-    return {"ok": True, "witness": None}
+    failures, witness = midpoint_check(lambda pts: density_grid(mix, pts), samples, 1e-9, tol, rng)
+    return {"ok": failures == 0, "witness": witness}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ The continuous density replaces the sum by an integral against a mixing
 function alpha(s) = exp(l(s)) with l piecewise linear on a knot grid over
 [0, M] and alpha = 0 outside. All integrals are evaluated in log space and
 recombined by max-shifted exponentiation, on panels that split at every
-knot (and at every shifted knot for the difference kernels).
+knot. The derivatives come from the same density table: at fixed x the
+normalized integrand is a posterior over s, and f' and f'' follow from its
+mean and variance, so one exponentiation serves f, f' and f''.
 """
 
 import json
@@ -23,18 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureConfig, panel_nodes
-from .special import DomainError, log_abs_gen_binom_ext, log_gen_binom_grid
+from .quadrature import QuadratureConfig, check_refinement, panel_nodes
+from .quadrature import QuadratureError  # noqa: F401  (re-exported)
+from .special import DomainError, log_gen_binom_grid
+from .special import log_abs_gen_binom_ext  # noqa: F401  (perfbench/spans.py wraps this name here)
 
 _NEG_INF = float("-inf")
 
 
 class DegenerateMixtureError(ValueError):
     """The operation needs a mixture that is not identically zero."""
-
-
-class QuadratureError(RuntimeError):
-    """Adjacent quadrature refinements disagreed by more than abs_tol."""
 
 
 # ---------------------------------------------------------------------------
@@ -223,51 +223,64 @@ def eval_derivs_discrete(mix: DiscreteMixture, x: float) -> EvalResult:
 # continuous evaluation
 
 
-def _signed_logsumexp_rows(log_terms, signs, weights):
-    """sum_k signs_k * weights_k * exp(log_terms_k) per column, stably.
-
-    log_terms has shape (k, nx); returns an (nx,) array.
-    """
-    m = np.max(log_terms, axis=0)
-    finite = np.isfinite(m)
-    out = np.zeros(log_terms.shape[1])
-    if np.any(finite):
-        lt = log_terms[:, finite] - m[finite]
-        acc = np.einsum("k,kj->j", signs * weights, np.exp(lt))
-        out[finite] = np.exp(m[finite]) * acc
-    return out
-
-
 class _KernelTable:
-    """Quadrature nodes plus the x-independent part of one log-space integrand."""
+    """Quadrature nodes plus the x-independent part of the density integrand.
 
-    __slots__ = ("s", "w", "log_k", "sign", "x_pow")
+    The integrand is exp(log_k(s)) (1-x)^s x^(M-s) with log_k = log alpha +
+    log C(M, s); nodes where it vanishes identically are dropped. At fixed
+    x, the integrand normalized to mass one is a posterior over the mixing
+    index s, and s is centred on the middle of the node range before its
+    moments are formed, so the variance is not a difference of two large
+    numbers.
+    """
 
-    def __init__(self, s, w, log_k, sign, x_pow):
+    __slots__ = ("s", "w", "log_k", "M", "centre")
+
+    def __init__(self, s, w, log_k, M):
         keep = np.isfinite(log_k)
         self.s = s[keep]
         self.w = w[keep]
         self.log_k = log_k[keep]
-        self.sign = sign[keep]
-        self.x_pow = x_pow[keep]
+        self.M = M
+        self.centre = 0.5 * (self.s.min() + self.s.max()) if self.s.size else 0.0
 
-    def integrate(self, x: np.ndarray, block: int = 128) -> np.ndarray:
-        """integral kernel(s) * (1-x)^s * x^(x_pow) ds over an array of x in (0,1)."""
-        out = np.empty(x.shape)
-        if self.s.size == 0:
-            out.fill(0.0)
-            return out
-        log_x = np.log(x)
-        log_1mx = np.log1p(-x)
-        for start in range(0, x.size, block):
-            sl = slice(start, min(start + block, x.size))
-            log_terms = (
-                self.log_k[:, None]
-                + self.s[:, None] * log_1mx[None, sl]
-                + self.x_pow[:, None] * log_x[None, sl]
-            )
-            out[sl] = _signed_logsumexp_rows(log_terms, self.sign, self.w)
-        return out
+    def integrate(self, x: np.ndarray, moments: bool = False, block: int = 128):
+        """Density over an array of x in (0, 1).
+
+        With moments, returns (f, mean, var): the density plus the mean and
+        variance of the posterior over s at each x, all from one
+        exponentiation per block of x.
+        """
+        f = np.zeros(x.shape)
+        mean = np.zeros(x.shape)
+        var = np.zeros(x.shape)
+        if self.s.size:
+            log_x = np.log(x)
+            log_1mx = np.log1p(-x)
+            x_pow = self.M - self.s
+            ds = self.s - self.centre
+            rows = (self.w, self.w * ds, self.w * ds * ds) if moments else (self.w,)
+            for start in range(0, x.size, block):
+                sl = slice(start, start + block)
+                # one row per x, so each sum over s runs over contiguous memory
+                # in the same order whatever the number of points
+                terms = (
+                    self.log_k[None, :]
+                    + self.s[None, :] * log_1mx[sl, None]
+                    + x_pow[None, :] * log_x[sl, None]
+                )
+                top = np.max(terms, axis=1)
+                live = np.isfinite(top)
+                terms -= np.where(live, top, 0.0)[:, None]
+                np.exp(terms, out=terms)
+                z = [np.einsum("jk,k->j", terms, row) for row in rows]
+                f[sl] = np.where(live, np.exp(top) * z[0], 0.0)
+                if moments:
+                    with np.errstate(invalid="ignore", divide="ignore"):
+                        mu = z[1] / z[0]
+                        mean[sl] = self.centre + mu
+                        var[sl] = z[2] / z[0] - mu * mu
+        return (f, mean, var) if moments else f
 
 
 def _active_breakpoints(mix: ContinuousMixture) -> list[np.ndarray]:
@@ -300,145 +313,90 @@ def _density_table(mix: ContinuousMixture, config: QuadratureConfig) -> _KernelT
         s = np.empty(0)
         w = np.empty(0)
     log_k = mix.log_alpha_at(s) + log_gen_binom_grid(mix.M, s)
-    return _KernelTable(s, w, log_k, np.ones_like(s), mix.M - s)
+    return _KernelTable(s, w, log_k, mix.M)
 
 
-def _signed_log_difference(log_parts: list[np.ndarray], coeffs: list[float]):
-    """Signed log of sum_j coeffs_j * exp(log_parts_j), elementwise."""
-    stacked = np.stack(log_parts)
-    m = np.max(stacked, axis=0)
-    finite = np.isfinite(m)
-    d = np.zeros(m.shape)
-    if np.any(finite):
-        terms = np.exp(stacked[:, finite] - m[finite])
-        d[finite] = np.einsum("j,jk->k", np.asarray(coeffs, dtype=float), terms)
-    sign = np.sign(d)
-    with np.errstate(divide="ignore"):
-        log_abs = np.where(finite & (d != 0.0), m + np.log(np.abs(d)), _NEG_INF)
-    return log_abs, sign
+def _derivs_from_moments(M: float, x: np.ndarray, f, mean, var):
+    """(f, f', f'') from the density and the posterior mean m and variance V of s.
 
-
-def _diff_table(mix: ContinuousMixture, config: QuadratureConfig, order: int) -> _KernelTable:
-    """Table for the order-th derivative kernel (order in {1, 2}).
-
-    order 1: [alpha(s) - alpha(s+1)] * C(M-1, s), s over [-1, M]
-    order 2: [alpha(s) - 2 alpha(s+1) + alpha(s+2)] * C(M-2, s), s over [-2, M]
-
-    Panels split wherever s, s+1 (or s+2) crosses a knot or the support
-    boundary, and panels where every shifted copy of alpha vanishes are
-    dropped entirely.
+    d/dx log[(1-x)^s x^(M-s)] = u(s) = (M(1-x) - s)/t with t = x(1-x), so
+    f'/f = E[u] = (M(1-x) - m)/t and f''/f = E[u^2 + u'] =
+    V/t^2 + E[u]^2 - (M-m)/x^2 - m/(1-x)^2.
     """
-    M = mix.M
-    lo = -float(order)
-    pts = [mix.knots - shift for shift in range(order + 1)]
-    bps = np.unique(np.concatenate([np.concatenate(pts), [lo, M]]))
-    bps = bps[(bps >= lo - 1e-15) & (bps <= M + 1e-15)]
-    mids = 0.5 * (bps[:-1] + bps[1:])
-    live = np.zeros(mids.shape, dtype=bool)
-    for shift in range(order + 1):
-        live |= np.isfinite(mix.log_alpha_at(mids + shift))
-    nodes = []
-    weights = []
-    for a, b, ok in zip(bps[:-1], bps[1:], live):
-        if not ok:
-            continue
-        s, w = panel_nodes([a, b], config)
-        nodes.append(s)
-        weights.append(w)
-    if nodes:
-        s = np.concatenate(nodes)
-        w = np.concatenate(weights)
-    else:
-        s = np.empty(0)
-        w = np.empty(0)
-
-    if order == 1:
-        parts = [mix.log_alpha_at(s), mix.log_alpha_at(s + 1.0)]
-        coeffs = [1.0, -1.0]
-        log_b = log_gen_binom_grid(M - 1.0, s)
-        sign_b = np.ones_like(s)
-        x_pow = M - 1.0 - s
-    else:
-        parts = [mix.log_alpha_at(s), mix.log_alpha_at(s + 1.0), mix.log_alpha_at(s + 2.0)]
-        coeffs = [1.0, -2.0, 1.0]
-        log_b, sign_b = log_abs_gen_binom_ext(M - 2.0, s)
-        x_pow = M - 2.0 - s
-    log_d, sign_d = _signed_log_difference(parts, coeffs)
-    return _KernelTable(s, w, log_d + log_b, sign_d * sign_b, x_pow)
+    t = x * (1.0 - x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eu = (M * (1.0 - x) - mean) / t
+        curv = var / (t * t) + eu * eu - (M - mean) / (x * x) - mean / ((1.0 - x) * (1.0 - x))
+    # at x = 0 or 1 the integrals vanish, and so do their derivatives here
+    return f, np.where(f > 0.0, f * eu, 0.0), np.where(f > 0.0, f * curv, 0.0)
 
 
-def _refinement_gap(coarse, fine) -> float:
-    """Disagreement between two refinement levels, per value.
-
-    Measured as |fine - coarse| / max(1, |fine|), so the configured abs_tol
-    acts as an absolute tolerance for order-one integrals and degrades to a
-    relative one for large magnitudes (a pure absolute criterion is below
-    floating-point resolution once the value exceeds ~1e6).
-    """
-    coarse = np.atleast_1d(coarse)
-    fine = np.atleast_1d(fine)
-    if fine.size == 0:
-        return 0.0
-    return float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
+def _require_d2(mix: ContinuousMixture) -> None:
+    if not mix.M > 2.0:
+        raise DomainError(
+            "second derivative of a continuous mixture needs M > 2 "
+            f"(got M = {mix.M!r}); use log-density second differences instead"
+        )
 
 
 class ContinuousEvaluator:
     """Reusable evaluator for one continuous mixture.
 
-    Precomputes quadrature tables at the configured resolution and at
-    double resolution; every evaluation returns the refined value after
-    checking that the pair agrees to within config.abs_tol (raising
-    QuadratureError otherwise, or recording the gap when strict=False).
+    Precomputes the density quadrature table at the configured resolution
+    and at double resolution; every evaluation returns the refined value
+    after checking that the pair agrees to within config.abs_tol, per kind
+    of value (raising QuadratureError otherwise, or recording the largest
+    gap in last_gap when strict=False).
     """
 
     def __init__(self, mix: ContinuousMixture, config: QuadratureConfig | None = None):
         self.mix = mix
         self.config = config if config is not None else QuadratureConfig()
-        self._tables = {}
+        self._tables = None
         self.last_gap = 0.0
 
-    def _table_pair(self, kind: str):
-        pair = self._tables.get(kind)
-        if pair is None:
-            fine = self.config.refined()
-            if kind == "density":
-                pair = (_density_table(self.mix, self.config), _density_table(self.mix, fine))
-            elif kind == "d1":
-                pair = (_diff_table(self.mix, self.config, 1), _diff_table(self.mix, fine, 1))
-            else:
-                pair = (_diff_table(self.mix, self.config, 2), _diff_table(self.mix, fine, 2))
-            self._tables[kind] = pair
-        return pair
-
-    def _eval(self, kind: str, x: np.ndarray, factor: float, strict: bool) -> np.ndarray:
-        coarse, fine = self._table_pair(kind)
-        v_coarse = factor * coarse.integrate(x)
-        v_fine = factor * fine.integrate(x)
-        gap = _refinement_gap(v_coarse, v_fine)
-        self.last_gap = max(self.last_gap, gap)
-        if strict and gap > self.config.abs_tol:
-            raise QuadratureError(
-                f"{kind} quadrature refinements differ by {gap:.3e} "
-                f"(abs_tol {self.config.abs_tol:.3e})"
+    def _table_pair(self):
+        if self._tables is None:
+            self._tables = (
+                _density_table(self.mix, self.config),
+                _density_table(self.mix, self.config.refined()),
             )
-        return v_fine
+        return self._tables
+
+    def _checked(self, kind: str, coarse, fine, strict: bool) -> np.ndarray:
+        gap = check_refinement(coarse, fine, self.config, kind, strict)
+        self.last_gap = max(self.last_gap, gap)
+        return fine
 
     def density(self, x, strict: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return self._eval("density", x, 1.0, strict)
+        coarse, fine = (table.integrate(x) for table in self._table_pair())
+        return self._checked("density", coarse, fine, strict)
+
+    def derivs(self, x, strict: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(f, f', f'') over an array of x in (0, 1), in one pass per table.
+
+        Each of the three is refinement-checked on its own. f'' is kept to
+        M > 2, as in d2: for 1 < M <= 2 it comes back as nan, unchecked.
+        """
+        x = np.asarray(x, dtype=float)
+        coarse, fine = (
+            _derivs_from_moments(self.mix.M, x, *table.integrate(x, moments=True))
+            for table in self._table_pair()
+        )
+        out = [self._checked(kind, c, v, strict) for kind, c, v in zip(("density", "d1"), coarse, fine)]
+        if self.mix.M > 2.0:
+            out.append(self._checked("d2", coarse[2], fine[2], strict))
+        else:
+            out.append(np.full(x.shape, math.nan))
+        return tuple(out)
 
     def d1(self, x, strict: bool = True) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self._eval("d1", x, self.mix.M, strict)
+        return self.derivs(x, strict)[1]
 
     def d2(self, x, strict: bool = True) -> np.ndarray:
-        if not self.mix.M > 2.0:
-            raise DomainError(
-                "second derivative of a continuous mixture needs M > 2 "
-                f"(got M = {self.mix.M!r}); use log-density second differences instead"
-            )
-        x = np.asarray(x, dtype=float)
-        return self._eval("d2", x, self.mix.M * (self.mix.M - 1.0), strict)
+        _require_d2(self.mix)
+        return self.derivs(x, strict)[2]
 
 
 def eval_density_continuous(
@@ -456,11 +414,8 @@ def eval_derivs_continuous(
     """Density plus analytic f', f'' at x in (0, 1); requires M > 2."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"eval_derivs_continuous requires 0 < x < 1, got {x!r}")
-    ev = ContinuousEvaluator(mix, quad)
-    xa = np.array([x])
-    d2 = ev.d2(xa)  # raises DomainError for M <= 2 before any work
-    f = ev.density(xa)
-    d1 = ev.d1(xa)
+    _require_d2(mix)
+    f, d1, d2 = ContinuousEvaluator(mix, quad).derivs(np.array([x]))
     return EvalResult.from_linear(float(f[0]), float(d1[0]), float(d2[0]))
 
 
@@ -507,8 +462,7 @@ def normalization(mix, quad: QuadratureConfig | None = None) -> float:
             if np.isfinite(m):
                 total += math.exp(m) * float(np.dot(w, np.exp(la - m)))
         values.append(total)
-    if _refinement_gap(values[0], values[1]) > config.abs_tol:
-        raise QuadratureError("normalization quadrature did not converge")
+    check_refinement(values[0], values[1], config, "normalization")
     return values[1] / (mix.M + 1.0)
 
 
@@ -557,8 +511,7 @@ def cdf(mix, x: float, quad: QuadratureConfig | None = None) -> float:
         elif np.any(interior):
             dens[interior] = evaluator.density(t[interior])
         values.append(float(np.dot(w, dens)))
-    if _refinement_gap(values[0], values[1]) > config.abs_tol:
-        raise QuadratureError("cdf quadrature did not converge")
+    check_refinement(values[0], values[1], config, "cdf")
     return values[1]
 
 

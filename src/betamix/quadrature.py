@@ -1,5 +1,6 @@
-"""Composite panel quadrature over subdivided intervals."""
+"""Composite panel quadrature over subdivided intervals, with its accuracy check."""
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -9,6 +10,10 @@ GAUSS_LEGENDRE = "composite-Gauss-Legendre"
 SIMPSON = "composite-Simpson"
 
 _RULES = (GAUSS_LEGENDRE, SIMPSON)
+
+
+class QuadratureError(RuntimeError):
+    """Adjacent quadrature refinements disagreed by more than abs_tol."""
 
 
 @dataclass(frozen=True)
@@ -42,18 +47,25 @@ class QuadratureConfig:
         return replace(self, panels_per_unit=2 * self.panels_per_unit)
 
 
+@functools.cache
 def reference_rule(config: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of one panel mapped to the reference interval [0, 1]."""
+    """Nodes and weights of one panel mapped to the reference interval [0, 1].
+
+    Built once per configuration; the returned arrays are read-only.
+    """
     n = config.nodes_per_panel
     if config.rule == GAUSS_LEGENDRE:
         t, w = np.polynomial.legendre.leggauss(n)
-        return 0.5 * (t + 1.0), 0.5 * w
-    # composite Simpson inside the panel: n odd points, spacing h = 1/(n-1)
-    t = np.linspace(0.0, 1.0, n)
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= 1.0 / (3.0 * (n - 1))
+        t, w = 0.5 * (t + 1.0), 0.5 * w
+    else:
+        # composite Simpson inside the panel: n odd points, spacing h = 1/(n-1)
+        t = np.linspace(0.0, 1.0, n)
+        w = np.full(n, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        w *= 1.0 / (3.0 * (n - 1))
+    t.flags.writeable = False
+    w.flags.writeable = False
     return t, w
 
 
@@ -80,3 +92,23 @@ def panel_nodes(breakpoints, config: QuadratureConfig) -> tuple[np.ndarray, np.n
     if not all_nodes:
         return np.empty(0), np.empty(0)
     return np.concatenate(all_nodes), np.concatenate(all_weights)
+
+
+def check_refinement(coarse, fine, config: QuadratureConfig, what: str, strict: bool = True) -> float:
+    """Gap between an integral at config's resolution and at config.refined().
+
+    The gap is max |fine - coarse| / max(1, |fine|) over the values, so
+    abs_tol acts as an absolute tolerance for order-one integrals and
+    degrades to a relative one for large magnitudes (a pure absolute
+    criterion is below floating-point resolution once the value exceeds
+    ~1e6). Raises QuadratureError when strict and the gap exceeds
+    config.abs_tol; otherwise returns the gap.
+    """
+    coarse = np.atleast_1d(coarse)
+    fine = np.atleast_1d(fine)
+    gap = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine)))) if fine.size else 0.0
+    if strict and gap > config.abs_tol:
+        raise QuadratureError(
+            f"{what} quadrature refinements differ by {gap:.3e} (abs_tol {config.abs_tol:.3e})"
+        )
+    return gap

@@ -86,3 +86,44 @@ def piecewise_linear_log_alpha(knots, log_vals, s):
         t = (s[inside] - a) / (b - a)
         out[inside] = np.exp((1.0 - t) * la + t * lb)
     return out
+
+
+def continuous_derivs_quad(M, knots, log_alpha, x):
+    """(f, f', f'') of a continuous mixture at x by adaptive scipy quadrature.
+
+    The integrand alpha(s) C(M,s) (1-x)^s x^(M-s) is differentiated in x
+    under the integral sign: d/dx multiplies it by u = (M-s)/x - s/(1-x)
+    and d2/dx2 by u^2 - (M-s)/x^2 - s/(1-x)^2. Each active knot interval
+    is integrated separately, after a common shift of the log integrand.
+    """
+    from scipy.integrate import quad
+
+    lx, l1x = math.log(x), math.log1p(-x)
+    segments = [
+        (a, b, la, lb)
+        for a, b, la, lb in zip(knots[:-1], knots[1:], log_alpha[:-1], log_alpha[1:])
+        if np.isfinite(la) and np.isfinite(lb)
+    ]
+
+    def log_integrand(s, a, b, la, lb):
+        return (la + (lb - la) * (s - a) / (b - a) + gammaln(M + 1.0) - gammaln(s + 1.0)
+                - gammaln(M - s + 1.0) + s * l1x + (M - s) * lx)
+
+    shift = max(
+        float(np.max(log_integrand(np.linspace(a, b, 513), a, b, la, lb))) for a, b, la, lb in segments
+    )
+
+    def u(s):
+        return (M - s) / x - s / (1.0 - x)
+
+    def u2_du(s):
+        return u(s) ** 2 - (M - s) / x**2 - s / (1.0 - x) ** 2
+
+    totals = np.zeros(3)
+    for a, b, la, lb in segments:
+        def base(s):
+            return math.exp(log_integrand(s, a, b, la, lb) - shift)
+
+        for j, factor in enumerate((lambda s: 1.0, u, u2_du)):
+            totals[j] += quad(lambda s: base(s) * factor(s), a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+    return tuple(math.exp(shift) * totals)

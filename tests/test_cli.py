@@ -206,3 +206,10 @@ def test_repeated_runs_identical(violated_file, tmp_path):
     assert main(["certify", "--input", violated_file, "--seed", "7", "--out", str(a)]) == 1
     assert main(["certify", "--input", violated_file, "--seed", "7", "--out", str(b)]) == 1
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--q", "--k"])
+def test_removed_window_flags_rejected(uniform_file, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--input", uniform_file, flag, "1"])
+    assert exc.value.code == 2

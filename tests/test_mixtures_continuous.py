@@ -21,8 +21,16 @@ from betamix import (
     sample,
 )
 from betamix.mixtures import ContinuousEvaluator, discrete_density_grid
+from betamix.quadrature import reference_rule
 
-from oracles import binom_ext_oracle, central_d1, central_d2, ks_distance, piecewise_linear_log_alpha
+from oracles import (
+    binom_ext_oracle,
+    central_d1,
+    central_d2,
+    continuous_derivs_quad,
+    ks_distance,
+    piecewise_linear_log_alpha,
+)
 
 NEG_INF = float("-inf")
 
@@ -152,10 +160,42 @@ def test_derivatives_with_dead_zones():
             assert abs(d2 - fd2) <= 1e-5 * max(abs(fd2), M * (M - 1) * f3[1])
 
 
+@pytest.mark.parametrize(
+    "mix",
+    [
+        ContinuousMixture(2.05, [0.0, 1.0, 2.05], [0.0, 0.3, -0.2]),
+        ContinuousMixture(2.3, [0.0, 0.8, 1.6, 2.3], [NEG_INF, 0.1, 0.5, -0.4]),
+        ContinuousMixture(3.5, [0.0, 2.0, 3.0, 3.5], [0.2, 0.9, NEG_INF, NEG_INF]),
+        ContinuousMixture(5.5, [0.0, 1.0, 3.0, 4.5, 5.5], [NEG_INF, 0.2, 0.6, 0.1, NEG_INF]),
+        random_concave_mixture(np.random.default_rng(8), M=12.0),
+    ],
+    ids=["M2.05", "dead-prefix", "dead-suffix", "dead-both-ends", "M12"],
+)
+def test_derivatives_against_quad_oracle_near_endpoints(mix):
+    # close to 0 and 1 central differences cannot resolve f' and f''; the
+    # oracle integrates the x-differentiated integrand directly
+    M = mix.M
+    xs = np.array([1e-6, 1e-4, 1.0 - 1e-4])
+    f, d1, d2 = ContinuousEvaluator(mix).derivs(xs)
+    for i, x in enumerate(xs):
+        rf, r1, r2 = continuous_derivs_quad(M, mix.knots, mix.log_alpha, x)
+        t = x * (1.0 - x)
+        assert f[i] == pytest.approx(rf, rel=1e-12)
+        assert abs(d1[i] - r1) <= 1e-11 * rf * M / t
+        assert abs(d2[i] - r2) <= 1e-11 * rf * M * M / (t * t)
+        res = eval_derivs_continuous(mix, float(x))
+        assert (res.value, res.d1, res.d2) == (f[i], d1[i], d2[i])
+
+
 def test_derivs_require_order_above_two():
     mix = flat_mixture(1.8)
     with pytest.raises(DomainError):
         eval_derivs_continuous(mix, 0.5)
+    ev = ContinuousEvaluator(mix)
+    with pytest.raises(DomainError):
+        ev.d2(np.array([0.5]))
+    f, d1, d2 = ev.derivs(np.array([0.3, 0.5]))
+    assert np.all(f > 0.0) and np.all(np.isfinite(d1)) and np.all(np.isnan(d2))
 
 
 def test_eval_domain_checks():
@@ -311,6 +351,14 @@ def test_quadrature_config_validation():
     assert QuadratureConfig().refined().panels_per_unit == 16
 
 
+def test_reference_rule_built_once_and_read_only():
+    config = QuadratureConfig(nodes_per_panel=7)
+    t, w = reference_rule(config)
+    assert reference_rule(QuadratureConfig(nodes_per_panel=7))[0] is t
+    assert not t.flags.writeable and not w.flags.writeable
+    assert float(np.sum(w)) == pytest.approx(1.0, rel=1e-14)
+
+
 def test_simpson_rule_agrees_with_gauss():
     mix = ContinuousMixture(3.0, [0.0, 1.2, 3.0], [0.2, 0.7, -0.9])
     simpson = QuadratureConfig(rule="composite-Simpson", panels_per_unit=24, nodes_per_panel=9)
@@ -328,3 +376,7 @@ def test_evaluations_order_independent():
     batch = ev.density(xs)
     single = np.array([ev.density(np.array([x]))[0] for x in xs])
     np.testing.assert_array_equal(batch, single)
+    batch = np.array(ev.derivs(xs))
+    single = np.array([[v[0] for v in ev.derivs(np.array([x]))] for x in xs]).T
+    np.testing.assert_array_equal(batch, single)
+    np.testing.assert_array_equal(batch[0], ev.density(xs))
