@@ -33,7 +33,6 @@ VERDICT_VIOLATED = "violated"
 VERDICT_DEGENERATE = "degenerate-zero"
 
 CRITERION_EQ10 = "curvature-margin"
-CRITERION_SECOND_DIFF = "log-second-difference"
 
 _MIDPOINT_CHECKS = 64
 _MIDPOINT_SLACK = 1e-10
@@ -45,9 +44,8 @@ class ConcavityCertificate:
 
     min_logcurv is the largest second derivative of log f observed on the
     grid (so it should be <= 0 up to noise for a log-concave density).
-    criterion records which test decided the verdict: the curvature margin,
-    or log-density second differences for continuous orders 1 < M <= 2
-    where f'' is not evaluated.
+    criterion records which test decided the verdict; the curvature margin
+    is the only one for now, for both kinds of mixture at every order.
     """
 
     verdict: str
@@ -111,7 +109,7 @@ def margin_eq10(mix, x: float, quad: QuadratureConfig | None = None) -> float:
     if isinstance(mix, DiscreteMixture):
         f, d1, d2 = discrete_derivs_grid(mix, np.array([x]))
     else:
-        res = eval_derivs_continuous(mix, x, quad)  # DomainError for M <= 2
+        res = eval_derivs_continuous(mix, x, quad)
         f, d1, d2 = np.array([[res.value], [res.d1], [res.d2]])
     return float(margin_grid(f, d1, d2, float(mix.M))[0])
 
@@ -181,21 +179,13 @@ def certify(
     xs = np.linspace(eps, 1.0 - eps, grid_points)
     ev = None
     if isinstance(mix, DiscreteMixture):
-        criterion = CRITERION_EQ10
         f, d1, d2 = discrete_derivs_grid(mix, xs)
-        margins = margin_grid(f, d1, d2, float(mix.M))
         density_fn = lambda pts: discrete_density_grid(mix, pts)
     else:
         ev = ContinuousEvaluator(mix, quad)
+        f, d1, d2 = ev.derivs(xs, strict=False)
         density_fn = lambda pts: ev.density(pts, strict=False)
-        if mix.M > 2.0:
-            criterion = CRITERION_EQ10
-            f, d1, d2 = ev.derivs(xs, strict=False)
-            margins = margin_grid(f, d1, d2, mix.M)
-        else:
-            criterion = CRITERION_SECOND_DIFF
-            f = ev.density(xs, strict=False)
-            margins = None
+    margins = margin_grid(f, d1, d2, float(mix.M))
 
     with np.errstate(divide="ignore"):
         log_f = np.where(f > 0.0, np.log(np.maximum(f, _FLOOR)), -np.inf)
@@ -203,16 +193,9 @@ def certify(
     second_diff = log_f[:-2] - 2.0 * log_f[1:-1] + log_f[2:]
     min_logcurv = float(np.max(second_diff) / (h * h))
 
-    if criterion == CRITERION_EQ10:
-        i_worst = int(np.argmin(margins))
-        min_margin = float(margins[i_worst])
-        worst_x = float(xs[i_worst])
-        grid_ok = min_margin >= -tol
-    else:
-        i_worst = int(np.argmax(second_diff))
-        min_margin = None
-        worst_x = float(xs[i_worst + 1])
-        grid_ok = float(np.max(second_diff)) <= tol
+    i_worst = int(np.argmin(margins))
+    min_margin = float(margins[i_worst])
+    worst_x = float(xs[i_worst])
 
     rng = np.random.default_rng(seed)
     n_failures, witness = midpoint_check(density_fn, _MIDPOINT_CHECKS, eps, _MIDPOINT_SLACK, rng)
@@ -220,17 +203,17 @@ def certify(
     notes = []
     if ev is not None and ev.last_gap > ev.config.abs_tol:
         notes.append(
-            f"quadrature refinements disagreed by {ev.last_gap:.3e} "
+            f"quadrature: Gauss and Kronrod values disagreed by {ev.last_gap:.3e} "
             f"(abs_tol {ev.config.abs_tol:.3e})"
         )
 
-    verdict = VERDICT_CERTIFIED if (grid_ok and n_failures == 0) else VERDICT_VIOLATED
+    verdict = VERDICT_CERTIFIED if (min_margin >= -tol and n_failures == 0) else VERDICT_VIOLATED
     return ConcavityCertificate(
         verdict=verdict,
         grid_points=grid_points,
         eps=eps,
         tol=tol,
-        criterion=criterion,
+        criterion=CRITERION_EQ10,
         min_margin_eq10=min_margin,
         min_logcurv=min_logcurv,
         worst_x=worst_x,

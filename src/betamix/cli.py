@@ -65,27 +65,33 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--eps", type=float, default=1e-6, help="grid endpoint inset")
     common.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
     common.add_argument("--quad-panels", type=int, default=8, help="quadrature panels per unit")
-    common.add_argument("--quad-nodes", type=int, default=16, help="quadrature nodes per panel")
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     common.add_argument("--out", help="output path (default: stdout)")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("eval", parents=[common], help="tabulate f, f', f'' over a grid")
-    sub.add_parser("certify", parents=[common], help="emit a log-concavity certificate")
-    lemmas = sub.add_parser("lemmas", parents=[common], help="run the inequality sweeps")
-    lemmas.add_argument(
+    commands = {
+        "eval": "tabulate f, f', f'' over a grid",
+        "certify": "emit a log-concavity certificate",
+        "lemmas": "run the inequality sweeps",
+        "demo": "sharpness and kernel-failure demos",
+        "sample": "draw from the normalized density",
+    }
+    # allow_abbrev=False: a prefix of a flag is an error, not that flag
+    parsers = {
+        name: sub.add_parser(name, parents=[common], allow_abbrev=False, help=text)
+        for name, text in commands.items()
+    }
+    parsers["lemmas"].add_argument(
         "--negate",
         action="store_true",
         help="debug: flip every inequality direction (harness self-test; must exit 1)",
     )
-    sub.add_parser("demo", parents=[common], help="sharpness and kernel-failure demos")
-    sub.add_parser("sample", parents=[common], help="draw from the normalized density")
     return parser
 
 
 def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(panels_per_unit=args.quad_panels, nodes_per_panel=args.quad_nodes)
+    return QuadratureConfig(panels_per_unit=args.quad_panels)
 
 
 def _flag_string(args) -> str:
@@ -156,7 +162,7 @@ def cmd_eval(args) -> int:
     if isinstance(mix, DiscreteMixture):
         f, d1, d2 = discrete_derivs_grid(mix, xs)
     else:
-        f, d1, d2 = ContinuousEvaluator(mix, quad).derivs(xs)  # d2 is nan for M <= 2
+        f, d1, d2 = ContinuousEvaluator(mix, quad).derivs(xs)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_f = np.where(f > 0.0, np.log(np.where(f > 0.0, f, 1.0)), -np.inf)
         log_d2 = np.where(f > 0.0, (f * d2 - d1 * d1) / (f * f), math.nan)

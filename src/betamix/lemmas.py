@@ -23,7 +23,7 @@ import numpy as np
 
 from .certify import midpoint_check
 from .mixtures import ContinuousMixture, DiscreteMixture, density_grid, is_log_concave_weights
-from .quadrature import QuadratureConfig, check_refinement, panel_nodes
+from .quadrature import QuadratureConfig, check_gauss_kronrod, panel_nodes
 from .special import DomainError, int_binom_exact, log_abs_gen_binom_ext
 
 CONTINUOUS_WHICH = ("ineq4", "ineq5", "ineq6")
@@ -213,12 +213,13 @@ def lemma2_continuous(
     lo, hi, clipped = _window_interval(M, n, q, which)
     if lo > hi:
         return LemmaCase(M, n, q, which, 0.0, 0.0, clipped=True)
-    nodes = [panel_nodes([lo, hi], cfg) for cfg in (config, config.refined())]
+    s, wk, wg = panel_nodes([lo, hi], config)
     results = []
     for fn in _lemma2_integrands(M, n, which):
-        coarse, fine = (float(np.dot(w, fn(s))) for s, w in nodes)
-        check_refinement(coarse, fine, config, f"{which} integrand (M={M}, n={n}, q={q})")
-        results.append(fine)
+        vals = fn(s)
+        kronrod, gauss = float(np.dot(wk, vals)), float(np.dot(wg, vals))
+        check_gauss_kronrod(gauss, kronrod, config, f"{which} integrand (M={M}, n={n}, q={q})")
+        results.append(kronrod)
     return LemmaCase(M, n, q, which, results[0], results[1], clipped=clipped)
 
 

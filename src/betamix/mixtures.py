@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
-from .quadrature import QuadratureConfig, check_refinement, panel_nodes
+from .quadrature import QuadratureConfig, check_gauss_kronrod, panel_nodes
 from .quadrature import QuadratureError  # noqa: F401  (re-exported)
 from .special import DomainError, log_gen_binom_grid
 from .special import log_abs_gen_binom_ext  # noqa: F401  (perfbench/spans.py wraps this name here)
@@ -227,39 +228,44 @@ class _KernelTable:
     """Quadrature nodes plus the x-independent part of the density integrand.
 
     The integrand is exp(log_k(s)) (1-x)^s x^(M-s) with log_k = log alpha +
-    log C(M, s); nodes where it vanishes identically are dropped. At fixed
-    x, the integrand normalized to mass one is a posterior over the mixing
-    index s, and s is centred on the middle of the node range before its
-    moments are formed, so the variance is not a difference of two large
-    numbers.
+    log C(M, s); nodes where it vanishes identically are dropped. wk and wg
+    are the Kronrod and the embedded Gauss weights of the same nodes. At
+    fixed x, the integrand normalized to mass one is a posterior over the
+    mixing index s, and s is centred on the middle of the node range before
+    its moments are formed, so the variance is not a difference of two
+    large numbers.
     """
 
-    __slots__ = ("s", "w", "log_k", "M", "centre")
+    __slots__ = ("s", "wk", "wg", "log_k", "M", "centre")
 
-    def __init__(self, s, w, log_k, M):
+    def __init__(self, s, wk, wg, log_k, M):
         keep = np.isfinite(log_k)
         self.s = s[keep]
-        self.w = w[keep]
+        self.wk = wk[keep]
+        self.wg = wg[keep]
         self.log_k = log_k[keep]
         self.M = M
         self.centre = 0.5 * (self.s.min() + self.s.max()) if self.s.size else 0.0
 
-    def integrate(self, x: np.ndarray, moments: bool = False, block: int = 128):
-        """Density over an array of x in (0, 1).
+    def integrate(self, x: np.ndarray, moments: bool = False, block: int = 128) -> np.ndarray:
+        """Kronrod and Gauss results over an array of x in (0, 1).
 
-        With moments, returns (f, mean, var): the density plus the mean and
-        variance of the posterior over s at each x, all from one
-        exponentiation per block of x.
+        Returns an array whose first axis holds the Kronrod result, then the
+        Gauss one. Each result is the density or, with moments, the triple
+        (f, mean, var): the density plus the mean and variance of the
+        posterior over s at each x. One exponentiation per block of x serves
+        every one of them.
         """
-        f = np.zeros(x.shape)
-        mean = np.zeros(x.shape)
-        var = np.zeros(x.shape)
+        kinds = 3 if moments else 1
+        out = np.zeros((2, kinds, x.size))
         if self.s.size:
             log_x = np.log(x)
             log_1mx = np.log1p(-x)
             x_pow = self.M - self.s
             ds = self.s - self.centre
-            rows = (self.w, self.w * ds, self.w * ds * ds) if moments else (self.w,)
+            rows = [self.wk, self.wg]
+            if moments:
+                rows = [r for w in rows for r in (w, w * ds, w * ds * ds)]
             for start in range(0, x.size, block):
                 sl = slice(start, start + block)
                 # one row per x, so each sum over s runs over contiguous memory
@@ -273,14 +279,14 @@ class _KernelTable:
                 live = np.isfinite(top)
                 terms -= np.where(live, top, 0.0)[:, None]
                 np.exp(terms, out=terms)
-                z = [np.einsum("jk,k->j", terms, row) for row in rows]
-                f[sl] = np.where(live, np.exp(top) * z[0], 0.0)
+                z = np.reshape([np.einsum("jk,k->j", terms, row) for row in rows], (2, kinds, -1))
+                out[:, 0, sl] = np.where(live, np.exp(top) * z[:, 0], 0.0)
                 if moments:
                     with np.errstate(invalid="ignore", divide="ignore"):
-                        mu = z[1] / z[0]
-                        mean[sl] = self.centre + mu
-                        var[sl] = z[2] / z[0] - mu * mu
-        return (f, mean, var) if moments else f
+                        mu = z[:, 1] / z[:, 0]
+                        out[:, 1, sl] = self.centre + mu
+                        out[:, 2, sl] = z[:, 2] / z[:, 0] - mu * mu
+        return out if moments else out[:, 0]
 
 
 def _active_breakpoints(mix: ContinuousMixture) -> list[np.ndarray]:
@@ -300,20 +306,10 @@ def _active_breakpoints(mix: ContinuousMixture) -> list[np.ndarray]:
 
 
 def _density_table(mix: ContinuousMixture, config: QuadratureConfig) -> _KernelTable:
-    nodes = []
-    weights = []
-    for run in _active_breakpoints(mix):
-        s, w = panel_nodes(run, config)
-        nodes.append(s)
-        weights.append(w)
-    if nodes:
-        s = np.concatenate(nodes)
-        w = np.concatenate(weights)
-    else:
-        s = np.empty(0)
-        w = np.empty(0)
+    runs = [panel_nodes(run, config) for run in _active_breakpoints(mix)]
+    s, wk, wg = (np.concatenate(column) for column in zip(*runs)) if runs else (np.empty(0),) * 3
     log_k = mix.log_alpha_at(s) + log_gen_binom_grid(mix.M, s)
-    return _KernelTable(s, w, log_k, mix.M)
+    return _KernelTable(s, wk, wg, log_k, mix.M)
 
 
 def _derivs_from_moments(M: float, x: np.ndarray, f, mean, var):
@@ -331,20 +327,12 @@ def _derivs_from_moments(M: float, x: np.ndarray, f, mean, var):
     return f, np.where(f > 0.0, f * eu, 0.0), np.where(f > 0.0, f * curv, 0.0)
 
 
-def _require_d2(mix: ContinuousMixture) -> None:
-    if not mix.M > 2.0:
-        raise DomainError(
-            "second derivative of a continuous mixture needs M > 2 "
-            f"(got M = {mix.M!r}); use log-density second differences instead"
-        )
-
-
 class ContinuousEvaluator:
     """Reusable evaluator for one continuous mixture.
 
-    Precomputes the density quadrature table at the configured resolution
-    and at double resolution; every evaluation returns the refined value
-    after checking that the pair agrees to within config.abs_tol, per kind
+    Builds one density quadrature table on the G10/K21 panels of config.
+    Every evaluation returns the Kronrod value after checking that the
+    embedded Gauss value agrees with it to within config.abs_tol, per kind
     of value (raising QuadratureError otherwise, or recording the largest
     gap in last_gap when strict=False).
     """
@@ -352,50 +340,34 @@ class ContinuousEvaluator:
     def __init__(self, mix: ContinuousMixture, config: QuadratureConfig | None = None):
         self.mix = mix
         self.config = config if config is not None else QuadratureConfig()
-        self._tables = None
+        self._table = _density_table(mix, self.config)
         self.last_gap = 0.0
 
-    def _table_pair(self):
-        if self._tables is None:
-            self._tables = (
-                _density_table(self.mix, self.config),
-                _density_table(self.mix, self.config.refined()),
-            )
-        return self._tables
-
-    def _checked(self, kind: str, coarse, fine, strict: bool) -> np.ndarray:
-        gap = check_refinement(coarse, fine, self.config, kind, strict)
+    def _checked(self, kind: str, gauss, kronrod, strict: bool) -> np.ndarray:
+        gap = check_gauss_kronrod(gauss, kronrod, self.config, kind, strict)
         self.last_gap = max(self.last_gap, gap)
-        return fine
+        return kronrod
 
     def density(self, x, strict: bool = True) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        coarse, fine = (table.integrate(x) for table in self._table_pair())
-        return self._checked("density", coarse, fine, strict)
+        kronrod, gauss = self._table.integrate(np.asarray(x, dtype=float))
+        return self._checked("density", gauss, kronrod, strict)
 
     def derivs(self, x, strict: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(f, f', f'') over an array of x in (0, 1), in one pass per table.
+        """(f, f', f'') over an array of x in (0, 1), in one pass over the table.
 
-        Each of the three is refinement-checked on its own. f'' is kept to
-        M > 2, as in d2: for 1 < M <= 2 it comes back as nan, unchecked.
+        Each of the three is checked against its Gauss value on its own.
         """
         x = np.asarray(x, dtype=float)
-        coarse, fine = (
-            _derivs_from_moments(self.mix.M, x, *table.integrate(x, moments=True))
-            for table in self._table_pair()
+        kronrod, gauss = (
+            _derivs_from_moments(self.mix.M, x, *m) for m in self._table.integrate(x, moments=True)
         )
-        out = [self._checked(kind, c, v, strict) for kind, c, v in zip(("density", "d1"), coarse, fine)]
-        if self.mix.M > 2.0:
-            out.append(self._checked("d2", coarse[2], fine[2], strict))
-        else:
-            out.append(np.full(x.shape, math.nan))
-        return tuple(out)
+        kinds = ("density", "d1", "d2")
+        return tuple(self._checked(kind, g, k, strict) for kind, g, k in zip(kinds, gauss, kronrod))
 
     def d1(self, x, strict: bool = True) -> np.ndarray:
         return self.derivs(x, strict)[1]
 
     def d2(self, x, strict: bool = True) -> np.ndarray:
-        _require_d2(self.mix)
         return self.derivs(x, strict)[2]
 
 
@@ -411,10 +383,9 @@ def eval_density_continuous(
 def eval_derivs_continuous(
     mix: ContinuousMixture, x: float, quad: QuadratureConfig | None = None
 ) -> EvalResult:
-    """Density plus analytic f', f'' at x in (0, 1); requires M > 2."""
+    """Density plus analytic f', f'' at x in (0, 1)."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"eval_derivs_continuous requires 0 < x < 1, got {x!r}")
-    _require_d2(mix)
     f, d1, d2 = ContinuousEvaluator(mix, quad).derivs(np.array([x]))
     return EvalResult.from_linear(float(f[0]), float(d1[0]), float(d2[0]))
 
@@ -451,68 +422,45 @@ def normalization(mix, quad: QuadratureConfig | None = None) -> float:
         raise DegenerateMixtureError("normalization of the identically-zero mixture")
     if isinstance(mix, DiscreteMixture):
         return float(np.sum(mix.weights) / (mix.M + 1))
-    config = quad if quad is not None else QuadratureConfig()
-    values = []
-    for cfg in (config, config.refined()):
-        total = 0.0
-        for run in _active_breakpoints(mix):
-            s, w = panel_nodes(run, cfg)
-            la = mix.log_alpha_at(s)
-            m = np.max(la)
-            if np.isfinite(m):
-                total += math.exp(m) * float(np.dot(w, np.exp(la - m)))
-        values.append(total)
-    check_refinement(values[0], values[1], config, "normalization")
-    return values[1] / (mix.M + 1.0)
+    return _alpha_integral(mix, quad, "normalization") / (mix.M + 1.0)
 
 
-def _graded_x_breakpoints(x: float) -> list[float]:
-    """Breakpoints over [0, x] geometrically refined toward 0 and 1.
+def _alpha_integral(mix: ContinuousMixture, quad: QuadratureConfig | None, what: str, factor=None):
+    """Kronrod value of integral alpha(s) factor(s) ds, checked against Gauss.
 
-    Continuous-mixture densities decay only logarithmically at the
-    endpoints (f ~ c/|log x|), so their derivatives are singular there
-    and uniform panels converge too slowly; geometric grading restores
-    spectral convergence per panel.
+    factor defaults to 1. Each active run of alpha is integrated after
+    shifting out its largest log value.
     """
-    pts = {0.0, x}
-    t = 1e-12
-    while t < min(x, 0.1):
-        pts.add(t)
-        t *= 4.0
-    if x > 0.9:
-        t = 1e-12
-        while t < min(1.0 - 1e-300, 0.1) and 1.0 - t > 0.9:
-            if 1.0 - t < x:
-                pts.add(1.0 - t)
-            t *= 4.0
-    return sorted(pts)
+    config = quad if quad is not None else QuadratureConfig()
+    kronrod = gauss = 0.0
+    for run in _active_breakpoints(mix):
+        s, wk, wg = panel_nodes(run, config)
+        la = mix.log_alpha_at(s)
+        m = np.max(la)
+        vals = np.exp(la - m) if factor is None else np.exp(la - m) * factor(s)
+        kronrod += math.exp(m) * float(np.dot(wk, vals))
+        gauss += math.exp(m) * float(np.dot(wg, vals))
+    check_gauss_kronrod(gauss, kronrod, config, what)
+    return kronrod
 
 
 def cdf(mix, x: float, quad: QuadratureConfig | None = None) -> float:
-    """integral of the density over [0, x], monotone nondecreasing in x."""
+    """integral of the density over [0, x], monotone nondecreasing in x.
+
+    Each kernel integrates in closed form: the integral over [0, x] of
+    C(M, s) (1-t)^s t^(M-s) dt is I_x(M-s+1, s+1)/(M+1), with I the
+    regularized incomplete Beta function. So the discrete CDF is an exact
+    sum, and the continuous one a single quadrature over s.
+    """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"cdf requires 0 <= x <= 1, got {x!r}")
     if x == 0.0:
         return 0.0
-    config = quad if quad is not None else QuadratureConfig()
+    M = mix.M
     if isinstance(mix, DiscreteMixture):
-        evaluator = None
-        breakpoints = [0.0, x]
-    else:
-        evaluator = ContinuousEvaluator(mix, config)
-        breakpoints = _graded_x_breakpoints(x)
-    values = []
-    for cfg in (config, config.refined()):
-        t, w = panel_nodes(breakpoints, cfg)
-        interior = (t > 0.0) & (t < 1.0)
-        dens = np.zeros(t.shape)
-        if isinstance(mix, DiscreteMixture):
-            dens = discrete_density_grid(mix, t)
-        elif np.any(interior):
-            dens[interior] = evaluator.density(t[interior])
-        values.append(float(np.dot(w, dens)))
-    check_refinement(values[0], values[1], config, "cdf")
-    return values[1]
+        i = np.arange(M + 1, dtype=float)
+        return float(np.dot(mix.weights, betainc(M - i + 1.0, i + 1.0, x)) / (M + 1))
+    return _alpha_integral(mix, quad, "cdf", lambda s: betainc(M - s + 1.0, s + 1.0, x)) / (M + 1.0)
 
 
 def sample(

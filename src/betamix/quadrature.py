@@ -1,114 +1,134 @@
-"""Composite panel quadrature over subdivided intervals, with its accuracy check."""
+"""Composite panel quadrature with an embedded error estimate.
+
+Every panel carries the 21-point Gauss-Kronrod rule, whose nodes include
+those of the 10-point Gauss rule (QUADPACK's G10/K21 pair: Piessens et al.
+1983; Kronrod extension per Laurie 1997, Math. Comp. 66). One evaluation
+of the integrand at the 21 nodes gives both values: the Kronrod value is
+the result, and its distance from the Gauss value is the accuracy check.
+"""
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-GAUSS_LEGENDRE = "composite-Gauss-Legendre"
-SIMPSON = "composite-Simpson"
-
-_RULES = (GAUSS_LEGENDRE, SIMPSON)
+# nonnegative abscissae of K21 on [-1, 1], descending; the entries at odd
+# positions, counted from 0 (0.9739..., 0.8650..., ...), are the G10 abscissae
+_XK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_WK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
 
 
 class QuadratureError(RuntimeError):
-    """Adjacent quadrature refinements disagreed by more than abs_tol."""
+    """The embedded Gauss and Kronrod values disagreed by more than abs_tol."""
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Rule, resolution and tolerance governing every continuous integral.
+    """Resolution and tolerance governing every continuous integral.
 
-    panels_per_unit is the number of panels per unit length of the
-    integration variable; abs_tol is the maximum allowed difference
-    between the integral at this resolution and at double resolution.
+    panels_per_unit is the number of G10/K21 panels per unit length of the
+    integration variable; abs_tol is the maximum allowed difference between
+    the Kronrod and the embedded Gauss value of an integral.
     """
 
-    rule: str = GAUSS_LEGENDRE
     panels_per_unit: int = 8
-    nodes_per_panel: int = 16
     abs_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.rule not in _RULES:
-            raise ValueError(f"unknown quadrature rule {self.rule!r}; expected one of {_RULES}")
         if self.panels_per_unit < 1:
             raise ValueError("panels_per_unit must be a positive integer")
-        if self.nodes_per_panel < 1:
-            raise ValueError("nodes_per_panel must be a positive integer")
-        if self.rule == SIMPSON and (self.nodes_per_panel < 3 or self.nodes_per_panel % 2 == 0):
-            raise ValueError("composite Simpson needs an odd nodes_per_panel >= 3")
         if not self.abs_tol > 0.0:
             raise ValueError("abs_tol must be positive")
 
-    def refined(self) -> "QuadratureConfig":
-        """Same rule with doubled panel density (used for the accuracy check)."""
-        return replace(self, panels_per_unit=2 * self.panels_per_unit)
-
 
 @functools.cache
-def reference_rule(config: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of one panel mapped to the reference interval [0, 1].
+def reference_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K21 nodes on [0, 1] with their Kronrod and Gauss weights.
 
-    Built once per configuration; the returned arrays are read-only.
+    The Gauss weights are zero at the eleven Kronrod-only nodes. Built once;
+    the returned arrays are read-only.
     """
-    n = config.nodes_per_panel
-    if config.rule == GAUSS_LEGENDRE:
-        t, w = np.polynomial.legendre.leggauss(n)
-        t, w = 0.5 * (t + 1.0), 0.5 * w
-    else:
-        # composite Simpson inside the panel: n odd points, spacing h = 1/(n-1)
-        t = np.linspace(0.0, 1.0, n)
-        w = np.full(n, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        w *= 1.0 / (3.0 * (n - 1))
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
+    xk = np.array(_XK)
+    t = 0.5 * (1.0 + np.concatenate([-xk[:-1], xk[::-1]]))
+    wk = 0.5 * np.concatenate([_WK[:-1], _WK[::-1]])
+    wg_half = np.zeros(len(_XK))
+    wg_half[1::2] = _WG
+    wg = 0.5 * np.concatenate([wg_half[:-1], wg_half[::-1]])
+    for a in (t, wk, wg):
+        a.flags.writeable = False
+    return t, wk, wg
 
 
-def panel_nodes(breakpoints, config: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Composite nodes/weights over consecutive segments of `breakpoints`.
+def panel_nodes(breakpoints, config: QuadratureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite nodes and weights over consecutive segments of `breakpoints`.
 
     Each segment [b_i, b_{i+1}] is split into ceil(length * panels_per_unit)
     panels carrying a copy of the reference rule. Zero-length segments are
-    skipped. Returns flat (nodes, weights) arrays.
+    skipped. Returns flat (nodes, kronrod weights, gauss weights) arrays.
     """
-    t, w = reference_rule(config)
-    all_nodes = []
-    all_weights = []
+    t, wk, wg = reference_rule()
+    parts = []
     bps = np.asarray(breakpoints, dtype=float)
     for a, b in zip(bps[:-1], bps[1:]):
         if not b > a:
             continue
         n_panels = max(1, math.ceil((b - a) * config.panels_per_unit))
         edges = np.linspace(a, b, n_panels + 1)
-        lo = edges[:-1]
-        h = np.diff(edges)
-        all_nodes.append((lo[:, None] + h[:, None] * t[None, :]).ravel())
-        all_weights.append((h[:, None] * w[None, :]).ravel())
-    if not all_nodes:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(all_nodes), np.concatenate(all_weights)
+        lo = edges[:-1, None]
+        h = np.diff(edges)[:, None]
+        parts.append([(lo + h * t).ravel(), (h * wk).ravel(), (h * wg).ravel()])
+    if not parts:
+        return np.empty(0), np.empty(0), np.empty(0)
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def check_refinement(coarse, fine, config: QuadratureConfig, what: str, strict: bool = True) -> float:
-    """Gap between an integral at config's resolution and at config.refined().
+def check_gauss_kronrod(gauss, kronrod, config: QuadratureConfig, what: str, strict: bool = True):
+    """Gap between the Gauss and the Kronrod values of one or more integrals.
 
-    The gap is max |fine - coarse| / max(1, |fine|) over the values, so
+    The gap is max |kronrod - gauss| / max(1, |kronrod|) over the values, so
     abs_tol acts as an absolute tolerance for order-one integrals and
     degrades to a relative one for large magnitudes (a pure absolute
     criterion is below floating-point resolution once the value exceeds
     ~1e6). Raises QuadratureError when strict and the gap exceeds
     config.abs_tol; otherwise returns the gap.
     """
-    coarse = np.atleast_1d(coarse)
-    fine = np.atleast_1d(fine)
-    gap = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine)))) if fine.size else 0.0
+    gauss = np.atleast_1d(gauss)
+    kronrod = np.atleast_1d(kronrod)
+    gap = float(np.max(np.abs(kronrod - gauss) / np.maximum(1.0, np.abs(kronrod)), initial=0.0))
     if strict and gap > config.abs_tol:
         raise QuadratureError(
-            f"{what} quadrature refinements differ by {gap:.3e} (abs_tol {config.abs_tol:.3e})"
+            f"{what}: Gauss and Kronrod quadratures differ by {gap:.3e} (abs_tol {config.abs_tol:.3e})"
         )
     return gap

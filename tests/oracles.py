@@ -46,6 +46,18 @@ def riemann(fn, a, b, n=1_000_000):
     return float(np.mean(fn(s)) * (b - a))
 
 
+def riemann_cdf(density_fn, x, n=20_000, lo=1e-12):
+    """integral of a vectorized density over [0, x], as a midpoint sum in u = log t.
+
+    The substitution t = e^u resolves the logarithmic endpoint behaviour of
+    continuous-mixture densities at 0. The part below lo is dropped: the
+    densities are bounded, so it is at most lo times their maximum.
+    """
+    du = (math.log(x) - math.log(lo)) / n
+    t = np.exp(math.log(lo) + (np.arange(n) + 0.5) * du)
+    return float(np.sum(density_fn(t) * t) * du)
+
+
 def direct_bernstein_sum(weights, M, x):
     """Textbook summation of the discrete mixture density."""
     return sum(

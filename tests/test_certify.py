@@ -211,13 +211,15 @@ def test_certify_continuous_mixture():
     assert cert.min_margin_eq10 >= -1e-9
 
 
-def test_certify_continuous_low_order_fallback():
+def test_certify_continuous_low_order():
+    # orders 1 < M <= 2 are decided on the curvature margin like any other
     mix = ContinuousMixture(1.7, [0.0, 0.8, 1.7], [0.0, 0.3, 0.0])
     cert = certify(mix, grid_points=256)
-    assert cert.criterion == "log-second-difference"
+    assert cert.criterion == "curvature-margin"
     assert cert.verdict == "certified"
-    assert cert.min_margin_eq10 is None
+    assert cert.min_margin_eq10 >= -1e-9
     assert cert.min_logcurv <= 0.0
+    assert cert.notes == ()
 
 
 def test_certify_continuous_violation_by_convex_mixing():

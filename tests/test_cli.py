@@ -208,7 +208,7 @@ def test_repeated_runs_identical(violated_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("flag", ["--q", "--k"])
+@pytest.mark.parametrize("flag", ["--q", "--k", "--quad-nodes", "--grid"])
 def test_removed_window_flags_rejected(uniform_file, flag):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--input", uniform_file, flag, "1"])

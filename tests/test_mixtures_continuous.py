@@ -11,6 +11,7 @@ from betamix import (
     QuadratureConfig,
     QuadratureError,
     cdf,
+    certify,
     eval_density_continuous,
     eval_derivs_continuous,
     is_log_concave_weights,
@@ -30,6 +31,7 @@ from oracles import (
     continuous_derivs_quad,
     ks_distance,
     piecewise_linear_log_alpha,
+    riemann_cdf,
 )
 
 NEG_INF = float("-inf")
@@ -168,8 +170,10 @@ def test_derivatives_with_dead_zones():
         ContinuousMixture(3.5, [0.0, 2.0, 3.0, 3.5], [0.2, 0.9, NEG_INF, NEG_INF]),
         ContinuousMixture(5.5, [0.0, 1.0, 3.0, 4.5, 5.5], [NEG_INF, 0.2, 0.6, 0.1, NEG_INF]),
         random_concave_mixture(np.random.default_rng(8), M=12.0),
+        ContinuousMixture(1.25, [0.0, 0.5, 1.0, 1.25], [NEG_INF, 0.2, 0.1, -0.3]),
+        ContinuousMixture(1.9, [0.0, 0.9, 1.9], [0.1, 0.4, -0.5]),
     ],
-    ids=["M2.05", "dead-prefix", "dead-suffix", "dead-both-ends", "M12"],
+    ids=["M2.05", "dead-prefix", "dead-suffix", "dead-both-ends", "M12", "M1.25-dead-prefix", "M1.9"],
 )
 def test_derivatives_against_quad_oracle_near_endpoints(mix):
     # close to 0 and 1 central differences cannot resolve f' and f''; the
@@ -187,15 +191,16 @@ def test_derivatives_against_quad_oracle_near_endpoints(mix):
         assert (res.value, res.d1, res.d2) == (f[i], d1[i], d2[i])
 
 
-def test_derivs_require_order_above_two():
+def test_derivs_at_order_at_most_two():
+    # the posterior-moment form gives f'' at every order M > 1
     mix = flat_mixture(1.8)
-    with pytest.raises(DomainError):
-        eval_derivs_continuous(mix, 0.5)
     ev = ContinuousEvaluator(mix)
-    with pytest.raises(DomainError):
-        ev.d2(np.array([0.5]))
-    f, d1, d2 = ev.derivs(np.array([0.3, 0.5]))
-    assert np.all(f > 0.0) and np.all(np.isfinite(d1)) and np.all(np.isnan(d2))
+    xs = np.array([0.3, 0.5])
+    f, d1, d2 = ev.derivs(xs)
+    assert np.all(f > 0.0) and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
+    np.testing.assert_array_equal(ev.d2(xs), d2)
+    res = eval_derivs_continuous(mix, 0.5)
+    assert (res.value, res.d1, res.d2) == (f[1], d1[1], d2[1])
 
 
 def test_eval_domain_checks():
@@ -219,11 +224,33 @@ def test_cdf_endpoints_and_uniform():
     assert np.all(np.diff(vals) >= -1e-14)
 
 
+def test_cdf_against_riemann_oracle():
+    mix = ContinuousMixture(3.0, [0.0, 1.5, 3.0], [0.0, 0.5, -1.0])
+    density = ContinuousEvaluator(mix).density
+    mass = normalization(mix)
+    for x in (1e-6, 0.3, 0.9):
+        assert abs(cdf(mix, x) - riemann_cdf(density, x, n=100_000)) <= 2e-8 * mass
+
+
 def test_quadrature_failure_surfaces():
-    mix = ContinuousMixture(3.0, [0.0, 1.5, 3.0], [0.0, 1.0, -2.0])
-    crude = QuadratureConfig(panels_per_unit=1, nodes_per_panel=1, abs_tol=1e-12)
+    mix = ContinuousMixture(3.0, [0.0, 1.5, 3.0], [0.0, 20.0, -20.0])
+    crude = QuadratureConfig(panels_per_unit=1, abs_tol=1e-12)
     with pytest.raises(QuadratureError):
         eval_density_continuous(mix, 0.41, quad=crude)
+
+
+def test_narrow_bump_fails_gauss_kronrod_check():
+    # a knot interval 1/20 long gets one panel at the default 8 per unit;
+    # a coarse/fine panel pair shares that panel and cannot see its error
+    x, w, drop = 0.37, 0.05, 40.0
+    peak = math.log(drop / (2.0 * w * (1.0 - math.exp(-drop))))
+    mix = ContinuousMixture(
+        2.0, [0.0, 1.0 - w, 1.0, 1.0 + w, 2.0], [-60.0, peak - drop, peak, peak - drop, -60.0]
+    )
+    with pytest.raises(QuadratureError):
+        eval_density_continuous(mix, x)
+    cert = certify(mix, grid_points=64)
+    assert any(note.startswith("quadrature:") for note in cert.notes)
 
 
 def test_discrete_continuous_agreement():
@@ -341,31 +368,32 @@ def test_log_concavity_checker_continuous():
 
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
-        QuadratureConfig(rule="trapezoid")
-    with pytest.raises(ValueError):
         QuadratureConfig(panels_per_unit=0)
     with pytest.raises(ValueError):
-        QuadratureConfig(rule="composite-Simpson", nodes_per_panel=4)
-    with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=0.0)
-    assert QuadratureConfig().refined().panels_per_unit == 16
 
 
 def test_reference_rule_built_once_and_read_only():
-    config = QuadratureConfig(nodes_per_panel=7)
-    t, w = reference_rule(config)
-    assert reference_rule(QuadratureConfig(nodes_per_panel=7))[0] is t
-    assert not t.flags.writeable and not w.flags.writeable
-    assert float(np.sum(w)) == pytest.approx(1.0, rel=1e-14)
+    t, wk, wg = reference_rule()
+    assert reference_rule()[0] is t
+    assert not (t.flags.writeable or wk.flags.writeable or wg.flags.writeable)
 
 
-def test_simpson_rule_agrees_with_gauss():
-    mix = ContinuousMixture(3.0, [0.0, 1.2, 3.0], [0.2, 0.7, -0.9])
-    simpson = QuadratureConfig(rule="composite-Simpson", panels_per_unit=24, nodes_per_panel=9)
-    for x in (0.3, 0.8):
-        a = eval_density_continuous(mix, x)
-        b = eval_density_continuous(mix, x, quad=simpson)
-        assert a == pytest.approx(b, rel=1e-9)
+def test_gauss_kronrod_rule():
+    t, wk, wg = reference_rule()
+    assert t.size == wk.size == wg.size == 21
+    np.testing.assert_array_equal(t + t[::-1], 1.0)
+    np.testing.assert_array_equal(wk, wk[::-1])
+    np.testing.assert_array_equal(wg, wg[::-1])
+    assert np.count_nonzero(wg) == 10 and np.all(wk > 0.0)
+    assert float(np.sum(wk)) == pytest.approx(1.0, rel=1e-15)
+    assert float(np.sum(wg)) == pytest.approx(1.0, rel=1e-15)
+    # K21 integrates polynomials of degree 31 exactly, G10 those of degree 19
+    for k in range(32):
+        assert float(wk @ t**k) == pytest.approx(1.0 / (k + 1), rel=1e-14)
+    for k in range(20):
+        assert float(wg @ t**k) == pytest.approx(1.0 / (k + 1), rel=1e-14)
+    assert abs(float(wg @ t**20) - 1.0 / 21) > 1e-12
 
 
 def test_evaluations_order_independent():

@@ -14,7 +14,7 @@ from betamix import (
 )
 from betamix.mixtures import discrete_density_grid, discrete_derivs_grid
 
-from oracles import central_d1, central_d2, direct_bernstein_sum, ks_distance
+from oracles import central_d1, central_d2, direct_bernstein_sum, ks_distance, riemann_cdf
 
 
 def test_uniform_weights_binomial_identity():
@@ -172,6 +172,14 @@ def test_cdf_basics():
     assert cdf(mix, 0.0) == 0.0
     assert cdf(mix, 1.0) == pytest.approx(normalization(mix), rel=1e-12)
     assert cdf(mix, 0.3) == pytest.approx(0.3, rel=1e-12)
+
+
+def test_cdf_against_riemann_oracle():
+    mix = DiscreteMixture(3, [0.2, 1.0, 0.0, 2.0])
+    density = lambda t: direct_bernstein_sum(mix.weights, mix.M, t)
+    mass = normalization(mix)
+    for x in (0.05, 0.3, 0.62, 0.9):
+        assert abs(cdf(mix, x) - riemann_cdf(density, x, n=200_000)) <= 2e-9 * mass
 
 
 def test_cdf_monotone():
