@@ -27,6 +27,7 @@ from .quadrature import QuadratureConfig
 from .special import DomainError
 
 _FLOOR = 1e-300
+_TINY = np.finfo(float).tiny
 
 VERDICT_CERTIFIED = "certified"
 VERDICT_VIOLATED = "violated"
@@ -187,11 +188,15 @@ def certify(
         density_fn = lambda pts: ev.density(pts, strict=False)
     margins = margin_grid(f, d1, d2, float(mix.M))
 
-    with np.errstate(divide="ignore"):
-        log_f = np.where(f > 0.0, np.log(np.maximum(f, _FLOOR)), -np.inf)
+    # f below the smallest normal double has underflowed, to 0 or to a
+    # subnormal with too few digits for a log second difference
+    normal = np.isfinite(f) & (f >= _TINY)
+    log_f = np.where(normal, np.log(np.where(normal, f, 1.0)), -np.inf)
+    with np.errstate(invalid="ignore"):
+        second_diff = log_f[:-2] - 2.0 * log_f[1:-1] + log_f[2:]
     h = xs[1] - xs[0]
-    second_diff = log_f[:-2] - 2.0 * log_f[1:-1] + log_f[2:]
-    min_logcurv = float(np.max(second_diff) / (h * h))
+    finite = np.isfinite(second_diff)
+    min_logcurv = float(np.max(second_diff[finite]) / (h * h)) if finite.any() else math.nan
 
     i_worst = int(np.argmin(margins))
     min_margin = float(margins[i_worst])
@@ -201,6 +206,9 @@ def certify(
     n_failures, witness = midpoint_check(density_fn, _MIDPOINT_CHECKS, eps, _MIDPOINT_SLACK, rng)
 
     notes = []
+    underflowed = grid_points - int(np.count_nonzero(normal))
+    if underflowed:
+        notes.append(f"density underflowed to 0 at {underflowed} of {grid_points} grid points")
     if ev is not None and ev.last_gap > ev.config.abs_tol:
         notes.append(
             f"quadrature: Gauss and Kronrod values disagreed by {ev.last_gap:.3e} "

@@ -6,9 +6,9 @@ The discrete density
 
 is a Bernstein-form polynomial whose standard-order coefficients are the
 weight vector read backwards (weight i multiplies the basis element of
-index M-i), evaluated by de Casteljau recursion. Its derivatives are the
-order-(M-1) and order-(M-2) Bernstein forms built from first and second
-weight differences.
+index M-i), evaluated by de Casteljau recursion, in place over blocks of
+x sized to stay in cache. Its derivatives are the order-(M-1) and
+order-(M-2) Bernstein forms built from first and second weight differences.
 
 The continuous density replaces the sum by an integral against a mixing
 function alpha(s) = exp(l(s)) with l piecewise linear on a knot grid over
@@ -170,15 +170,40 @@ class EvalResult:
 # discrete evaluation
 
 
+# Bytes per de Casteljau buffer. A block of x columns runs through every
+# step while its coefficients stay in the per-core L2 cache (2 MiB on the
+# machine this was tuned on): budgets from 256 KiB to 1 MiB measured alike,
+# 512 KiB best. A fixed column count instead is slow at low orders.
+_BLOCK_BYTES = 512 * 1024
+
+
 def _decasteljau(coeffs: np.ndarray, x) -> np.ndarray:
-    """Evaluate the Bernstein-form polynomial with standard-order coeffs at x."""
+    """Evaluate the Bernstein-form polynomial with standard-order coeffs at x.
+
+    x is walked in blocks of columns; within a block each step overwrites
+    the coefficient buffer in place. Every value is the same two products
+    and one sum, b[i] * (1-x) + b[i+1] * x, as in the one-shot recurrence,
+    so the result does not depend on the block width.
+    """
     x = np.asarray(x, dtype=float)
-    b = np.repeat(coeffs[:, None], x.size, axis=1)
-    one_minus = 1.0 - x.ravel()
     xr = x.ravel()
-    for _ in range(len(coeffs) - 1):
-        b = b[:-1] * one_minus + b[1:] * xr
-    return b[0].reshape(x.shape)
+    n = len(coeffs)
+    out = np.empty(xr.size)
+    width = max(1, min(xr.size, _BLOCK_BYTES // (8 * n)))
+    buf = np.empty((n, width))
+    scratch = np.empty((n - 1, width))
+    for lo in range(0, xr.size, width):
+        xb = xr[lo : lo + width]
+        om = 1.0 - xb
+        b = buf[:, : xb.size]
+        t = scratch[:, : xb.size]
+        b[...] = coeffs[:, None]
+        for m in range(n - 1, 0, -1):
+            np.multiply(b[1 : m + 1], xb, out=t[:m])
+            np.multiply(b[:m], om, out=b[:m])
+            np.add(b[:m], t[:m], out=b[:m])
+        out[lo : lo + xb.size] = b[0]
+    return out.reshape(x.shape)
 
 
 def discrete_density_grid(mix: DiscreteMixture, x) -> np.ndarray:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's evaluation paths:
 binomials come from Pascal's triangle or scipy's gammaln, integrals from
 brute-force midpoint Riemann sums, derivatives from central differences,
-and densities from the direct textbook summation.
+densities from the direct textbook summation, and Bernstein forms from the
+one-shot de Casteljau recurrence.
 """
 
 import math
@@ -63,6 +64,36 @@ def direct_bernstein_sum(weights, M, x):
     return sum(
         weights[i] * math.comb(M, i) * (1.0 - x) ** i * x ** (M - i) for i in range(M + 1)
     )
+
+
+def decasteljau_oneshot(coeffs, x):
+    """de Casteljau over all points at once, one fresh array per step.
+
+    The reference for the blocked, in-place evaluator: each step forms
+    b[:-1] * (1-x) + b[1:] * x over every point, so the two must agree bit
+    for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    b = np.repeat(coeffs[:, None], x.size, axis=1)
+    one_minus = 1.0 - x.ravel()
+    xr = x.ravel()
+    for _ in range(len(coeffs) - 1):
+        b = b[:-1] * one_minus + b[1:] * xr
+    return b[0].reshape(x.shape)
+
+
+def discrete_derivs_oneshot(weights, M, x):
+    """(g, g', g'') from the weight differences, each by decasteljau_oneshot."""
+    w = np.asarray(weights, dtype=float)
+    g = decasteljau_oneshot(w[::-1], x)
+    d1w = M * (w[:-1] - w[1:])
+    d1 = decasteljau_oneshot(d1w[::-1], x)
+    if M >= 2:
+        d2w = M * (M - 1) * (w[:-2] - 2.0 * w[1:-1] + w[2:])
+        d2 = decasteljau_oneshot(d2w[::-1], x)
+    else:
+        d2 = np.zeros_like(g)
+    return g, d1, d2
 
 
 def central_d1(fn, x, h=1e-5):

@@ -72,6 +72,24 @@ def test_certify_degenerate_zero():
     assert cert.min_margin_eq10 is None
 
 
+def test_certify_notes_underflowed_density():
+    # w = e_200 at M = 400 is one log-concave Beta kernel, but its density
+    # underflows at the 16 grid points nearest the ends (14 to 0, 2 to
+    # subnormals); the certificate says so and takes the log-curvature over
+    # the rest, where (log f)'' = -200/x^2 - 200/(1-x)^2 <= -1600
+    w = np.zeros(401)
+    w[200] = 1.0
+    cert = certify(DiscreteMixture(400, w))
+    assert cert.verdict == "certified"
+    assert cert.notes == ("density underflowed to 0 at 16 of 1024 grid points",)
+    assert -1600.1 < cert.min_logcurv < -1600.0
+    # w = e_0 at M = 60: x^60 underflows at x = 1e-6 only; the note is the
+    # one change to its certificate
+    cert = certify(DiscreteMixture(60, np.eye(61)[0]))
+    assert cert.notes == ("density underflowed to 0 at 1 of 1024 grid points",)
+    assert cert.min_logcurv == pytest.approx(-60.11762317071039, rel=1e-12)
+
+
 def test_certify_random_log_concave_batch():
     rng = np.random.default_rng(100)
     for _ in range(25):

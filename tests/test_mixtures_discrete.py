@@ -12,9 +12,18 @@ from betamix import (
     random_log_concave_weights,
     sample,
 )
+from betamix import mixtures
 from betamix.mixtures import discrete_density_grid, discrete_derivs_grid
 
-from oracles import central_d1, central_d2, direct_bernstein_sum, ks_distance, riemann_cdf
+from oracles import (
+    central_d1,
+    central_d2,
+    decasteljau_oneshot,
+    direct_bernstein_sum,
+    discrete_derivs_oneshot,
+    ks_distance,
+    riemann_cdf,
+)
 
 
 def test_uniform_weights_binomial_identity():
@@ -81,6 +90,44 @@ def test_nonnegativity():
         w = rng.uniform(0.0, 1.0, M + 1)
         xs = rng.uniform(0.0, 1.0, 64)
         assert np.all(discrete_density_grid(DiscreteMixture(M, w), xs) >= 0.0)
+
+
+# the largest point count per order; the one-shot reference costs
+# O(M^2 * points), so M = 400 stops at the certify grid of 1024 points
+@pytest.mark.parametrize(
+    "M, weights, top",
+    [
+        (1, [0.3, 2.0], 4096),
+        (2, [1.0, 0.0, 4.0], 4096),
+        (16, np.random.default_rng(15).uniform(0.0, 3.0, 17), 4096),
+        (60, np.random.default_rng(16).uniform(0.0, 3.0, 61), 4096),
+        (60, np.eye(61)[0], 4096),
+        (400, 0.5 ** np.arange(401), 1024),
+    ],
+    ids=["M1", "M2", "M16", "M60", "M60-e0", "M400-geom0.5"],
+)
+def test_blocked_decasteljau_matches_oneshot_bitwise(M, weights, top):
+    # every block edge of g, g' and g'' (n = M+1, M, M-1 coefficients)
+    widths = {max(1, mixtures._BLOCK_BYTES // (8 * n)) for n in (M + 1, M, M - 1) if n >= 1}
+    counts = sorted({0, 1, top} | {c for w in widths for c in (w - 1, w, w + 1)})
+    x = np.random.default_rng(M).uniform(0.0, 1.0, max(counts))
+    x[:2] = 0.0, 1.0
+    # the one-shot recurrence treats every point on its own, so one call
+    # over all points is the reference for every prefix
+    ref = discrete_derivs_oneshot(weights, M, x)
+    mix = DiscreteMixture(M, weights)
+    for count in counts:
+        got = discrete_derivs_grid(mix, x[:count])
+        for a, b in zip(got, ref):
+            assert a.shape == (count,)
+            assert np.array_equal(a, b[:count])
+    assert np.array_equal(discrete_density_grid(mix, x[:top]), ref[0][:top])
+    for point in (0.0, 1.0, 0.37):
+        got = discrete_derivs_grid(mix, np.float64(point))
+        for a, b in zip(got, discrete_derivs_oneshot(weights, M, np.float64(point))):
+            assert a.shape == ()
+            assert np.array_equal(a, b)
+    assert discrete_density_grid(mix, 0.0) == decasteljau_oneshot(mix.weights[::-1], 0.0) == weights[-1]
 
 
 def test_derivs_uniform_vanish():
