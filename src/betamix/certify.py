@@ -198,7 +198,13 @@ def certify(
     finite = np.isfinite(second_diff)
     min_logcurv = float(np.max(second_diff[finite]) / (h * h)) if finite.any() else math.nan
 
-    i_worst = int(np.argmin(margins))
+    # where f*f falls below the floor the margin's denominator is the floor,
+    # not f^2, so the margin there says nothing; the worst point is taken
+    # over the other points, or over all when none is left
+    pool = np.flatnonzero(np.isfinite(f) & (f * f >= _FLOOR))
+    if pool.size == 0:
+        pool = np.arange(grid_points)
+    i_worst = int(pool[np.argmin(margins[pool])])
     min_margin = float(margins[i_worst])
     worst_x = float(xs[i_worst])
 
@@ -209,6 +215,11 @@ def certify(
     underflowed = grid_points - int(np.count_nonzero(normal))
     if underflowed:
         notes.append(f"density underflowed to 0 at {underflowed} of {grid_points} grid points")
+    if pool.size < grid_points:
+        left_out = grid_points - pool.size
+        notes.append(
+            f"margin minimum leaves out {left_out} of {grid_points} grid points where f*f < {_FLOOR:g}"
+        )
     if ev is not None and ev.last_gap > ev.config.abs_tol:
         notes.append(
             f"quadrature: Gauss and Kronrod values disagreed by {ev.last_gap:.3e} "

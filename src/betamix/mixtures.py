@@ -6,9 +6,10 @@ The discrete density
 
 is a Bernstein-form polynomial whose standard-order coefficients are the
 weight vector read backwards (weight i multiplies the basis element of
-index M-i), evaluated by de Casteljau recursion, in place over blocks of
-x sized to stay in cache. Its derivatives are the order-(M-1) and
-order-(M-2) Bernstein forms built from first and second weight differences.
+index M-i), evaluated by de Casteljau recursion in flat steps over tiled
+x, one block loop for g, g' and g'', with blocks of x sized to stay in
+cache. Its derivatives are the order-(M-1) and order-(M-2) Bernstein forms
+built from first and second weight differences.
 
 The continuous density replaces the sum by an integral against a mixing
 function alpha(s) = exp(l(s)) with l piecewise linear on a knot grid over
@@ -170,61 +171,64 @@ class EvalResult:
 # discrete evaluation
 
 
-# Bytes per de Casteljau buffer. A block of x columns runs through every
-# step while its coefficients stay in the per-core L2 cache (2 MiB on the
-# machine this was tuned on): budgets from 256 KiB to 1 MiB measured alike,
-# 512 KiB best. A fixed column count instead is slow at low orders.
+# Bytes per de Casteljau buffer; a call holds four (coefficients, scratch,
+# x tile, 1-x tile). A block of x columns runs through every step of every
+# polynomial while the four stay near the per-core L2 cache (2 MiB on the
+# machine this was tuned on): 256 KiB and 512 KiB measured alike, 1 MiB an
+# eighth slower, and 128 KiB a fifth slower, its narrower blocks paying the
+# per-step call cost more often. A fixed column count is slow at low orders.
 _BLOCK_BYTES = 512 * 1024
 
 
-def _decasteljau(coeffs: np.ndarray, x) -> np.ndarray:
-    """Evaluate the Bernstein-form polynomial with standard-order coeffs at x.
+def _decasteljau(coeff_sets, x) -> list[np.ndarray]:
+    """Evaluate at x the Bernstein-form polynomial of each standard-order coeffs vector.
 
-    x is walked in blocks of columns; within a block each step overwrites
-    the coefficient buffer in place. Every value is the same two products
-    and one sum, b[i] * (1-x) + b[i+1] * x, as in the one-shot recurrence,
-    so the result does not depend on the block width.
+    Flat steps over tiled x, one block loop for every polynomial: x is walked
+    in blocks of w columns, and each block fills x and 1-x once, tiled over
+    the rows of the flat (row-major n x w) coefficient buffer, so that one
+    recurrence step is three contiguous ufuncs over m*w values. All the
+    polynomials share the buffers and the tiles. Every value is the same two
+    products and one sum, b[i] * (1-x) + b[i+1] * x, as in the one-shot
+    recurrence, so the results depend neither on the block width nor on
+    which polynomials share the loop.
     """
     x = np.asarray(x, dtype=float)
     xr = x.ravel()
-    n = len(coeffs)
-    out = np.empty(xr.size)
+    n = max(len(c) for c in coeff_sets)
+    outs = [np.empty(xr.size) for _ in coeff_sets]
     width = max(1, min(xr.size, _BLOCK_BYTES // (8 * n)))
-    buf = np.empty((n, width))
-    scratch = np.empty((n - 1, width))
+    b, scratch, xt, omt = np.empty((4, n * width))
     for lo in range(0, xr.size, width):
         xb = xr[lo : lo + width]
-        om = 1.0 - xb
-        b = buf[:, : xb.size]
-        t = scratch[:, : xb.size]
-        b[...] = coeffs[:, None]
-        for m in range(n - 1, 0, -1):
-            np.multiply(b[1 : m + 1], xb, out=t[:m])
-            np.multiply(b[:m], om, out=b[:m])
-            np.add(b[:m], t[:m], out=b[:m])
-        out[lo : lo + xb.size] = b[0]
-    return out.reshape(x.shape)
+        w = xb.size
+        tile = (n - 1) * w
+        xt[:tile].reshape(n - 1, w)[...] = xb
+        np.subtract(1.0, xt[:tile], out=omt[:tile])
+        for coeffs, out in zip(coeff_sets, outs):
+            b[: len(coeffs) * w].reshape(len(coeffs), w)[...] = coeffs[:, None]
+            for m in range(len(coeffs) - 1, 0, -1):
+                k = m * w
+                np.multiply(b[w : k + w], xt[:k], out=scratch[:k])
+                np.multiply(b[:k], omt[:k], out=b[:k])
+                np.add(b[:k], scratch[:k], out=b[:k])
+            out[lo : lo + w] = b[:w]
+    return [out.reshape(x.shape) for out in outs]
 
 
 def discrete_density_grid(mix: DiscreteMixture, x) -> np.ndarray:
     """g(x) over an array of points in [0, 1]."""
-    return _decasteljau(mix.weights[::-1], x)
+    return _decasteljau([mix.weights[::-1]], x)[0]
 
 
 def discrete_derivs_grid(mix: DiscreteMixture, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g, g', g'') over an array of points, all by de Casteljau."""
+    """(g, g', g'') over an array of points, all by de Casteljau in one block loop."""
     w = mix.weights
     M = mix.M
-    x = np.asarray(x, dtype=float)
-    g = _decasteljau(w[::-1], x)
-    d1w = M * (w[:-1] - w[1:])
-    d1 = _decasteljau(d1w[::-1], x)
+    coeff_sets = [w[::-1], (M * (w[:-1] - w[1:]))[::-1]]
     if M >= 2:
-        d2w = M * (M - 1) * (w[:-2] - 2.0 * w[1:-1] + w[2:])
-        d2 = _decasteljau(d2w[::-1], x)
-    else:
-        d2 = np.zeros_like(g)
-    return g, d1, d2
+        coeff_sets.append((M * (M - 1) * (w[:-2] - 2.0 * w[1:-1] + w[2:]))[::-1])
+    g, d1, *d2 = _decasteljau(coeff_sets, x)
+    return g, d1, d2[0] if d2 else np.zeros_like(g)
 
 
 def eval_density_discrete(mix: DiscreteMixture, x: float) -> float:

@@ -81,13 +81,38 @@ def test_certify_notes_underflowed_density():
     w[200] = 1.0
     cert = certify(DiscreteMixture(400, w))
     assert cert.verdict == "certified"
-    assert cert.notes == ("density underflowed to 0 at 16 of 1024 grid points",)
+    assert cert.notes == (
+        "density underflowed to 0 at 16 of 1024 grid points",
+        "margin minimum leaves out 98 of 1024 grid points where f*f < 1e-300",
+    )
     assert -1600.1 < cert.min_logcurv < -1600.0
-    # w = e_0 at M = 60: x^60 underflows at x = 1e-6 only; the note is the
-    # one change to its certificate
+    # w = e_0 at M = 60: x^60 underflows at x = 1e-6 only, and f*f falls
+    # below the floor at the 4 grid points below x = 10^-2.5; the notes are
+    # the one change to its certificate
     cert = certify(DiscreteMixture(60, np.eye(61)[0]))
-    assert cert.notes == ("density underflowed to 0 at 1 of 1024 grid points",)
+    assert cert.notes == (
+        "density underflowed to 0 at 1 of 1024 grid points",
+        "margin minimum leaves out 4 of 1024 grid points where f*f < 1e-300",
+    )
     assert cert.min_logcurv == pytest.approx(-60.11762317071039, rel=1e-12)
+
+
+def test_certify_worst_point_skips_underflowed_margins():
+    # w = e_200 at M = 400: the margin 200/x^2 + 200/(1-x)^2 - u^2/400, with
+    # u = 200/x - 200/(1-x), is smallest (1600) at x = 1/2; the points where
+    # f*f < 1e-300 carry a floored margin of 0 and must not be the worst point
+    w = np.zeros(401)
+    w[200] = 1.0
+    cert = certify(DiscreteMixture(400, w))
+    x = cert.worst_x
+    assert abs(x - 0.5) < 1e-3
+    u = 200.0 / x - 200.0 / (1.0 - x)
+    assert cert.min_margin_eq10 == pytest.approx(200.0 / x**2 + 200.0 / (1.0 - x) ** 2 - u * u / 400.0, rel=1e-9)
+    # when no point is resolved, the worst point is taken over all of them
+    cert = certify(DiscreteMixture(2, [1e-200, 2e-200, 1e-200]))
+    assert cert.verdict == "certified"
+    assert cert.min_margin_eq10 == 0.0
+    assert not any(note.startswith("margin minimum") for note in cert.notes)
 
 
 def test_certify_random_log_concave_batch():

@@ -103,8 +103,11 @@ def test_nonnegativity():
         (60, np.random.default_rng(16).uniform(0.0, 3.0, 61), 4096),
         (60, np.eye(61)[0], 4096),
         (400, 0.5 ** np.arange(401), 1024),
+        # 1024 = 5 * 204 + 4 points at 512 KiB: the last block is ragged, so the x
+        # tile is refilled cut short
+        (320, np.pad(np.random.default_rng(17).uniform(0.0, 3.0, 309), 6), 1024),
     ],
-    ids=["M1", "M2", "M16", "M60", "M60-e0", "M400-geom0.5"],
+    ids=["M1", "M2", "M16", "M60", "M60-e0", "M400-geom0.5", "M320-zeroed"],
 )
 def test_blocked_decasteljau_matches_oneshot_bitwise(M, weights, top):
     # every block edge of g, g' and g'' (n = M+1, M, M-1 coefficients)
