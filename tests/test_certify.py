@@ -18,6 +18,8 @@ from betamix import (
     sharpness_check,
 )
 
+from oracles import continuous_derivs_quad
+
 
 def test_margin_zero_for_uniform_weights():
     mix = DiscreteMixture(2, [1.0, 1.0, 1.0])
@@ -263,6 +265,25 @@ def test_certify_continuous_low_order():
     assert cert.min_margin_eq10 >= -1e-9
     assert cert.min_logcurv <= 0.0
     assert cert.notes == ()
+
+
+@pytest.mark.parametrize(
+    "M, knots, log_alpha",
+    [
+        (1.25, [0.0, 0.5, 1.25], [-math.inf, 0.0, -0.3]),
+        (1.7, [0.0, 0.4, 0.8, 1.7], [0.0, 0.3, 0.35, 0.0]),
+        (2.0, [0.0, 1.0, 2.0], [-0.5, 0.2, -0.4]),
+    ],
+)
+def test_certify_low_order_margin_against_quad_oracle(M, knots, log_alpha):
+    # at 1 < M <= 2 the certificate's Eq. 10 margin is the normalized margin
+    # of the scipy quad oracle's f, f', f'' at its worst point
+    cert = certify(ContinuousMixture(M, knots, log_alpha), grid_points=512)
+    assert cert.verdict == "certified"
+    assert cert.criterion == "curvature-margin"
+    f, d1, d2 = continuous_derivs_quad(M, np.array(knots), np.array(log_alpha), cert.worst_x)
+    first, second = (M - 1.0) / M * (d1 / f) ** 2, d2 / f
+    assert abs(cert.min_margin_eq10 - (first - second)) <= 1e-9 * (abs(first) + abs(second))
 
 
 def test_certify_continuous_violation_by_convex_mixing():

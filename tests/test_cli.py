@@ -1,9 +1,26 @@
+import argparse
+import builtins
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
-from betamix.cli import main
+import betamix.cli
+from betamix.cli import build_parser, main
+from betamix.lemmas import LemmaCase
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+# the flags each command reads; every other flag is rejected
+COMMAND_FLAGS = {
+    "eval": ["--input", "--grid-points", "--eps", "--quad-panels", "--format", "--out"],
+    "certify": ["--input", "--grid-points", "--eps", "--tol", "--quad-panels", "--seed", "--out"],
+    "lemmas": ["--M", "--n", "--seed", "--quad-panels", "--format", "--out"],
+    "demo": ["--M", "--r", "--s", "--grid-points", "--out"],
+    "sample": ["--input", "--n", "--grid-points", "--seed", "--quad-panels", "--out"],
+}
 
 
 @pytest.fixture
@@ -144,9 +161,13 @@ def test_lemmas_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_lemmas_negate_self_test(tmp_path):
+def test_lemmas_negate_self_test(tmp_path, monkeypatch):
+    # a sweep whose every case fails must make the command exit 1
+    monkeypatch.setattr(LemmaCase, "holds", lambda self, tol=0.0: False)
     out = tmp_path / "neg.csv"
-    assert main(["lemmas", "--M", "3", "--n", "2", "--negate", "--out", str(out)]) == 1
+    assert main(["lemmas", "--M", "3", "--n", "2", "--out", str(out)]) == 1
+    _, rows = _data_rows(out.read_text())
+    assert rows and all(row.endswith(",0") for row in rows)
 
 
 def test_demo_sharpness(capsys):
@@ -213,3 +234,130 @@ def test_removed_window_flags_rejected(uniform_file, flag):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--input", uniform_file, flag, "1"])
     assert exc.value.code == 2
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_command_accepts_exactly_the_flags_it_reads():
+    commands = _subparsers(build_parser())
+    assert set(commands) == set(COMMAND_FLAGS)
+    accepted = {
+        name: {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+        for name, sub in commands.items()
+    }
+    assert accepted == {name: set(flags) for name, flags in COMMAND_FLAGS.items()}
+    assert sum(map(len, accepted.values())) == 30
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--input", "f", "--format", "json"],
+        ["certify", "--input", "f", "--format", "csv"],
+        ["demo", "--M", "10", "--r", "2", "--eps", "1e-3"],
+        ["eval", "--input", "f", "--tol", "1"],
+        ["lemmas", "--input", "f"],
+        ["sample", "--input", "f", "--n", "2.5"],
+        ["lemmas", "--n", "1.5"],
+        ["lemmas", "--M", "2.9"],
+        ["eval"],
+        ["demo", "--r", "2"],
+    ],
+    ids=" ".join,
+)
+def test_flags_outside_the_command_and_fractional_counts_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: betamix" in capsys.readouterr().err
+
+
+def _recorded_flags(text):
+    (line,) = [l for l in text.splitlines() if l.startswith("# command: ")]
+    name, *flags = line[len("# command: "):].split(" ")
+    return name, flags
+
+
+def test_header_and_meta_list_exactly_the_command_flags(uniform_file, tmp_path):
+    out = tmp_path / "out"
+    runs = {
+        "eval": ["--input", uniform_file, "--grid-points", "3"],
+        "certify": ["--input", uniform_file, "--grid-points", "8"],
+        "lemmas": ["--M", "2", "--n", "1"],
+        "demo": ["--M", "2", "--s", "-0.5"],
+        "sample": ["--input", uniform_file, "--n", "4", "--grid-points", "16"],
+    }
+    for name, argv in runs.items():
+        assert main([name, *argv, "--out", str(out)]) == 0
+        text = out.read_text()
+        if name == "certify":
+            flags = json.loads(text)["meta"]["flags"].split(" ")
+        else:
+            recorded, flags = _recorded_flags(text)
+            assert recorded == name
+        # every flag the command reads but --out, defaults included; demo's
+        # unset --r is left out
+        expected = [f for f in COMMAND_FLAGS[name] if f != "--out" and (name, f) != ("demo", "--r")]
+        assert [f.split("=")[0] for f in flags] == expected
+    for name, argv in (("eval", runs["eval"]), ("lemmas", runs["lemmas"])):
+        assert main([name, *argv, "--format", "json", "--out", str(out)]) == 0
+        meta_flags = json.loads(out.read_text())["meta"]["flags"].split(" ")
+        assert [f.split("=")[0] for f in meta_flags] == [f for f in COMMAND_FLAGS[name] if f != "--out"]
+
+    main(["lemmas", "--M", "2", "--n", "1", "--out", str(out)])
+    assert "# command: lemmas --M=2 --n=1 --seed=0 --quad-panels=8 --format=csv\n" in out.read_text()
+    main(["sample", "--input", uniform_file, "--n", "4", "--out", str(out)])
+    expected = f"# command: sample --input={uniform_file} --n=4 --grid-points=4096 --seed=0 --quad-panels=8\n"
+    assert expected in out.read_text()
+
+
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
+    # every argv the benchmark's cli-batch and probe operations run must parse,
+    # so no benchmark operation can start exiting 2
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    parsed = []
+    monkeypatch.setattr(betamix.cli, "main", lambda argv: parsed.append(build_parser().parse_args(argv)))
+    paths = {"discrete": "discrete.json", "continuous": "continuous.json"}
+    ops = workloads.cli_script(paths, str(tmp_path), 1) + workloads.probe_ops(str(tmp_path / "probe"))
+    for op in ops:
+        op.call()
+    assert len(parsed) == len(ops) == 11
+    assert {args.command for args in parsed} == set(COMMAND_FLAGS)
+
+
+def test_input_read_once_and_digest_names_parsed_bytes(geometric_file, tmp_path, monkeypatch):
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--input", geometric_file, "--grid-points", "3", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert opened.count(geometric_file) == 1
+    with real_open(geometric_file, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert json.loads(out.read_text())["meta"]["input_sha256"] == digest
+    for command in (["sample", "--n", "5"], ["certify", "--grid-points", "8"]):
+        opened.clear()
+        assert main([command[0], "--input", geometric_file, *command[1:], "--out", str(out)]) == 0
+        assert opened.count(geometric_file) == 1
+        assert digest in out.read_text()
+
+
+def test_demo_sharpness_needs_integer_order(capsys):
+    assert main(["demo", "--M", "10.7", "--r", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "integer --M" in captured.err
+    assert captured.out == ""
+    # the kernel-failure demo keeps the real order
+    assert main(["demo", "--M", "10.7", "--s", "-0.5"]) == 0
+    assert "kernel-failure M=10.699999999999999 s=-0.5 " in capsys.readouterr().out

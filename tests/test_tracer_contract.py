@@ -5,12 +5,14 @@ a traced run and looks each one up by name; a renamed or removed entry point
 fails here rather than only under `perfbench/run.py --trace 1`.
 """
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 import betamix
+import betamix.cli
 from betamix import DiscreteMixture
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -47,3 +49,39 @@ def test_tracer_wraps_discrete_certify(spans):
     }
     layers = {span[1] for span in tracer.spans}
     assert layers == {"certify", "mixtures.discrete"}
+
+
+def test_tracer_wraps_cli_commands(spans, tmp_path):
+    # the command handlers reach the wrapped layers through betamix.cli's own
+    # names, which the tracer replaces
+    M, grid = 40, 64
+    mix_path = tmp_path / "mix.json"
+    mix_path.write_text(json.dumps({"M": M, "weights": [1.0] * (M + 1)}))
+    demo, table = tmp_path / "demo.txt", tmp_path / "eval.csv"
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert betamix.cli.main(["demo", "--M", "10", "--r", "2", "--s", "-0.5", "--out", str(demo)]) == 0
+        assert betamix.cli.main(["eval", "--input", str(mix_path), "--grid-points", str(grid),
+                                 "--out", str(table)]) == 0
+    assert not hasattr(betamix.cli.main, "__wrapped__")
+
+    counts = tracer.counts
+    assert counts["cli"] == {"commands": 2, "bytes_out": demo.stat().st_size + table.stat().st_size}
+    # the sharpness demo evaluates the order-10 geometric mixture on its
+    # default 1024 points, which the tracer counts in the certify layer
+    assert counts["certify"] == {"calls": 1, "grid_points": 1024}
+    tri = lambda n: n * (n - 1) // 2
+    derivs_ops = lambda order, points: points * (tri(order + 1) + tri(order) + tri(order - 1))
+    assert counts["mixtures.discrete"] == {
+        "calls": 2,
+        "points": 1024 + grid,
+        "bernstein_ops": derivs_ops(10, 1024) + derivs_ops(M, grid),
+    }
+    names = {span[0] for span in tracer.spans}
+    assert {
+        "betamix.cli.main",
+        "betamix.cli.sharpness_check",
+        "betamix.cli.find_kernel_failure",
+        "betamix.cli.kernel_log_curvature",
+        "betamix.cli.discrete_derivs_grid",
+    } <= names
