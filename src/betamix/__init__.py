@@ -48,7 +48,6 @@ from .mixtures import (
     normalization,
     sample,
 )
-from .quadrature import QuadratureConfig
 from .special import DomainError, gen_binom, gen_binom_ext, int_binom_exact, log_gamma
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "EvalResult",
     "LemmaCase",
     "MajorizationInstance",
-    "QuadratureConfig",
     "QuadratureError",
     "brute_force_logconcavity",
     "cdf",

@@ -23,7 +23,7 @@ from .mixtures import (
     discrete_density_grid,
     eval_derivs_continuous,
 )
-from .quadrature import QuadratureConfig
+from .quadrature import ABS_TOL
 from .special import DomainError
 
 _FLOOR = 1e-300
@@ -99,7 +99,18 @@ def margin_grid(f, d1, d2, M) -> np.ndarray:
     return num / np.maximum(f * f, _FLOOR)
 
 
-def margin_eq10(mix, x: float, quad: QuadratureConfig | None = None) -> float:
+def _unit_scaled(mix: DiscreteMixture) -> tuple[DiscreteMixture, int]:
+    """(scaled, k): mix with its weights divided by 2^k, the largest landing in [1, 2).
+
+    The normalized margin is scale-free, and a power of two scales every de
+    Casteljau value exactly (within the normal range), so the margin keeps
+    its digits while f'^2 and f*f can no longer overflow.
+    """
+    k = int(np.frexp(np.max(mix.weights))[1]) - 1
+    return DiscreteMixture(mix.M, np.ldexp(mix.weights, -k)), k
+
+
+def margin_eq10(mix, x: float) -> float:
     """Normalized curvature margin at one point x in (0, 1).
 
     Nonnegative exactly when ((M-1)/M) f'^2 >= f f''; the normalization by
@@ -108,11 +119,17 @@ def margin_eq10(mix, x: float, quad: QuadratureConfig | None = None) -> float:
     if not 0.0 < x < 1.0:
         raise DomainError(f"margin_eq10 requires 0 < x < 1, got {x!r}")
     if isinstance(mix, DiscreteMixture):
-        f, d1, d2 = discrete_derivs_grid(mix, np.array([x]))
+        f, d1, d2 = discrete_derivs_grid(_unit_scaled(mix)[0], np.array([x]))
     else:
-        res = eval_derivs_continuous(mix, x, quad)
+        res = eval_derivs_continuous(mix, x)
         f, d1, d2 = np.array([[res.value], [res.d1], [res.d2]])
     return float(margin_grid(f, d1, d2, float(mix.M))[0])
+
+
+def check_eps(eps: float) -> None:
+    """Reject a grid inset eps unless 0 < eps < 0.5 and 1 - eps is below 1 in floating point."""
+    if not (0.0 < eps < 0.5 and 1.0 - eps < 1.0):
+        raise ValueError(f"eps must lie in (0, 0.5) with 1 - eps < 1 in floating point, got {eps!r}")
 
 
 def midpoint_check(density_fn, count: int, eps: float, tol: float, rng):
@@ -147,7 +164,6 @@ def certify(
     grid_points: int = 1024,
     eps: float = 1e-6,
     tol: float = 1e-9,
-    quad: QuadratureConfig | None = None,
     seed: int = 0,
 ) -> ConcavityCertificate:
     """Certify log-concavity of the mixture density on [eps, 1-eps].
@@ -160,8 +176,7 @@ def certify(
     """
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 0.5)")
+    check_eps(eps)
     if mix.is_zero:
         return ConcavityCertificate(
             verdict=VERDICT_DEGENERATE,
@@ -180,13 +195,18 @@ def certify(
     xs = np.linspace(eps, 1.0 - eps, grid_points)
     ev = None
     if isinstance(mix, DiscreteMixture):
-        f, d1, d2 = discrete_derivs_grid(mix, xs)
+        scaled, k = _unit_scaled(mix)
+        f_margin, d1, d2 = discrete_derivs_grid(scaled, xs)
+        # mix's own density, exactly, so that the log-density checks and the
+        # underflow count are those of the input, not of its scaled copy
+        f = np.ldexp(f_margin, k)
         density_fn = lambda pts: discrete_density_grid(mix, pts)
     else:
-        ev = ContinuousEvaluator(mix, quad)
+        ev = ContinuousEvaluator(mix)
         f, d1, d2 = ev.derivs(xs, strict=False)
+        f_margin = f
         density_fn = lambda pts: ev.density(pts, strict=False)
-    margins = margin_grid(f, d1, d2, float(mix.M))
+    margins = margin_grid(f_margin, d1, d2, float(mix.M))
 
     # f below the smallest normal double has underflowed, to 0 or to a
     # subnormal with too few digits for a log second difference
@@ -201,7 +221,7 @@ def certify(
     # where f*f falls below the floor the margin's denominator is the floor,
     # not f^2, so the margin there says nothing; the worst point is taken
     # over the other points, or over all when none is left
-    pool = np.flatnonzero(np.isfinite(f) & (f * f >= _FLOOR))
+    pool = np.flatnonzero(np.isfinite(f_margin) & (f_margin * f_margin >= _FLOOR))
     if pool.size == 0:
         pool = np.arange(grid_points)
     i_worst = int(pool[np.argmin(margins[pool])])
@@ -220,10 +240,9 @@ def certify(
         notes.append(
             f"margin minimum leaves out {left_out} of {grid_points} grid points where f*f < {_FLOOR:g}"
         )
-    if ev is not None and ev.last_gap > ev.config.abs_tol:
+    if ev is not None and ev.last_gap > ABS_TOL:
         notes.append(
-            f"quadrature: Gauss and Kronrod values disagreed by {ev.last_gap:.3e} "
-            f"(abs_tol {ev.config.abs_tol:.3e})"
+            f"quadrature: Gauss and Kronrod values disagreed by {ev.last_gap:.3e} (abs_tol {ABS_TOL:.3e})"
         )
 
     verdict = VERDICT_CERTIFIED if (min_margin >= -tol and n_failures == 0) else VERDICT_VIOLATED
@@ -258,7 +277,7 @@ def sharpness_check(M: int, r: float, grid_points: int = 1024) -> float:
     mix = DiscreteMixture(int(M), weights)
     eps = 1e-6
     xs = np.linspace(eps, 1.0 - eps, grid_points)
-    f, d1, d2 = discrete_derivs_grid(mix, xs)
+    f, d1, d2 = discrete_derivs_grid(_unit_scaled(mix)[0], xs)
     return float(np.max(np.abs(margin_grid(f, d1, d2, float(M)))))
 
 

@@ -4,14 +4,13 @@ Each command accepts only the flags it reads; defaults are in brackets, and
 --out defaults to stdout:
 
     eval     --input (required), --grid-points [1024], --eps [1e-6],
-             --quad-panels [8], --format [csv], --out
-    certify  --input (required), --grid-points [1024], --eps [1e-6],
-             --tol [1e-9], --quad-panels [8], --seed [0], --out
-    lemmas   --M [12], --n [50], --seed [0], --quad-panels [8],
              --format [csv], --out
+    certify  --input (required), --grid-points [1024], --eps [1e-6],
+             --tol [1e-9], --seed [0], --out
+    lemmas   --M [12], --n [50], --seed [0], --format [csv], --out
     demo     --M (required), --r, --s, --grid-points [1024], --out
     sample   --input (required), --n [100000], --grid-points [4096],
-             --seed [0], --quad-panels [8], --out
+             --seed [0], --out
 
 Data goes to stdout (or --out); diagnostics go to stderr. Every output file
 starts with header comments carrying the tool version, the command's flags
@@ -33,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .certify import certify, find_kernel_failure, kernel_log_curvature, sharpness_check
+from .certify import check_eps, certify, find_kernel_failure, kernel_log_curvature, sharpness_check
 from .lemmas import continuous_lemma_sweep, discrete_lemma_sweep
 from .mixtures import (
     ContinuousEvaluator,
@@ -45,7 +44,6 @@ from .mixtures import (
     mixture_to_json,
     sample,
 )
-from .quadrature import QuadratureConfig
 from .special import DomainError
 
 EXIT_OK = 0
@@ -59,10 +57,6 @@ _FMT = "{:.17g}"
 
 def _fmt(v) -> str:
     return _FMT.format(float(v))
-
-
-def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(panels_per_unit=args.quad_panels)
 
 
 def _header_lines(meta) -> list[str]:
@@ -93,16 +87,20 @@ def _csv_cells(values) -> list:
     return list(map(_FMT.format, values))
 
 
+def _json_cell(v):
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _write_table(args, meta, columns: dict) -> None:
     """Write equal-length columns, keyed by name, as a CSV or JSON table.
 
     CSV cells are bools as 1/0, strings as they are and numbers as {:.17g};
-    JSON rows keep each value's own type.
+    JSON rows keep each value's own type, with a non-finite number as null.
     """
     if args.format == "json":
-        rows = [list(row) for row in zip(*columns.values())]
+        rows = [[_json_cell(v) for v in row] for row in zip(*columns.values())]
         payload = {"meta": meta, "columns": list(columns), "rows": rows}
-        _write(args, json.dumps(payload, indent=2) + "\n")
+        _write(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
         cells = [_csv_cells(values) for values in columns.values()]
         _write_lines(args, meta, [",".join(columns), *map(",".join, zip(*cells))])
@@ -118,11 +116,12 @@ def _read_mixture(path):
 def cmd_eval(args, mix, meta) -> int:
     if args.grid_points < 2:
         raise ValueError("--grid-points must be at least 2")
+    check_eps(args.eps)
     xs = np.linspace(args.eps, 1.0 - args.eps, args.grid_points)
     if isinstance(mix, DiscreteMixture):
         f, d1, d2 = discrete_derivs_grid(mix, xs)
     else:
-        f, d1, d2 = ContinuousEvaluator(mix, _quad_config(args)).derivs(xs)
+        f, d1, d2 = ContinuousEvaluator(mix).derivs(xs)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_f = np.where(f > 0.0, np.log(np.where(f > 0.0, f, 1.0)), -np.inf)
         log_d2 = np.where(f > 0.0, (f * d2 - d1 * d1) / (f * f), math.nan)
@@ -132,14 +131,7 @@ def cmd_eval(args, mix, meta) -> int:
 
 
 def cmd_certify(args, mix, meta) -> int:
-    cert = certify(
-        mix,
-        grid_points=args.grid_points,
-        eps=args.eps,
-        tol=args.tol,
-        quad=_quad_config(args),
-        seed=args.seed,
-    )
+    cert = certify(mix, grid_points=args.grid_points, eps=args.eps, tol=args.tol, seed=args.seed)
     payload = cert.to_json(input_echo=mixture_to_json(mix))
     payload["meta"] = meta
     _write(args, json.dumps(payload, indent=2) + "\n")
@@ -153,7 +145,7 @@ def cmd_certify(args, mix, meta) -> int:
 def cmd_lemmas(args, mix, meta) -> int:
     cases = discrete_lemma_sweep(max_M=args.M)
     tols = [0.0] * len(cases)
-    cont = continuous_lemma_sweep(count=args.n, seed=args.seed, quad=_quad_config(args))
+    cont = continuous_lemma_sweep(count=args.n, seed=args.seed)
     cases.extend(cont)
     tols.extend([1e-7] * len(cont))
 
@@ -195,7 +187,7 @@ def cmd_demo(args, mix, meta) -> int:
 
 
 def cmd_sample(args, mix, meta) -> int:
-    draws = sample(mix, args.n, seed=args.seed, grid_points=args.grid_points, quad=_quad_config(args))
+    draws = sample(mix, args.n, seed=args.seed, grid_points=args.grid_points)
     _write_lines(args, meta, map(_FMT.format, draws.tolist()))
     return EXIT_OK
 
@@ -218,7 +210,6 @@ _HELP = {
     "grid-points": "evaluation grid size",
     "eps": "grid endpoint inset",
     "tol": "certification tolerance",
-    "quad-panels": "quadrature panels per unit",
     "seed": "random seed",
     "format": "output format",
     "out": "output path (default: stdout)",
@@ -228,15 +219,15 @@ _FORMATS = ("csv", "json")
 COMMANDS = {
     "eval": Command(cmd_eval, "tabulate f, f', f'' over a grid", {
         "input": (str, REQUIRED), "grid-points": (int, 1024), "eps": (float, 1e-6),
-        "quad-panels": (int, 8), "format": (_FORMATS, "csv"), "out": (str, None),
+        "format": (_FORMATS, "csv"), "out": (str, None),
     }),
     "certify": Command(cmd_certify, "emit a log-concavity certificate", {
         "input": (str, REQUIRED), "grid-points": (int, 1024), "eps": (float, 1e-6),
-        "tol": (float, 1e-9), "quad-panels": (int, 8), "seed": (int, 0), "out": (str, None),
+        "tol": (float, 1e-9), "seed": (int, 0), "out": (str, None),
     }),
     "lemmas": Command(cmd_lemmas, "run the inequality sweeps", {
-        "M": (int, 12), "n": (int, 50), "seed": (int, 0), "quad-panels": (int, 8),
-        "format": (_FORMATS, "csv"), "out": (str, None),
+        "M": (int, 12), "n": (int, 50), "seed": (int, 0), "format": (_FORMATS, "csv"),
+        "out": (str, None),
     }),
     "demo": Command(cmd_demo, "sharpness and kernel-failure demos", {
         "M": (float, REQUIRED), "r": (float, None), "s": (float, None),
@@ -244,7 +235,7 @@ COMMANDS = {
     }),
     "sample": Command(cmd_sample, "draw from the normalized density", {
         "input": (str, REQUIRED), "n": (int, 100000), "grid-points": (int, 4096),
-        "seed": (int, 0), "quad-panels": (int, 8), "out": (str, None),
+        "seed": (int, 0), "out": (str, None),
     }),
 }
 

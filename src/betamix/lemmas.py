@@ -23,7 +23,7 @@ import numpy as np
 
 from .certify import midpoint_check
 from .mixtures import ContinuousMixture, DiscreteMixture, density_grid, is_log_concave_weights
-from .quadrature import QuadratureConfig, check_gauss_kronrod, panel_nodes
+from .quadrature import check_gauss_kronrod, panel_nodes
 from .special import DomainError, int_binom_exact, log_abs_gen_binom_ext
 
 CONTINUOUS_WHICH = ("ineq4", "ineq5", "ineq6")
@@ -191,9 +191,7 @@ def _lemma2_integrands(M: float, n: float, which: str):
     return lhs, rhs
 
 
-def lemma2_continuous(
-    M: float, n: float, q: float, which: str, quad: QuadratureConfig | None = None
-) -> LemmaCase:
+def lemma2_continuous(M: float, n: float, q: float, which: str) -> LemmaCase:
     """Evaluate one of the three window-restricted integral inequalities.
 
     The binomial factors use the extension beyond their positivity domain
@@ -209,16 +207,15 @@ def lemma2_continuous(
         raise DomainError(f"lemma2_continuous requires n > -2, got {n!r}")
     if which not in CONTINUOUS_WHICH:
         raise ValueError(f"which must be one of {CONTINUOUS_WHICH}, got {which!r}")
-    config = quad if quad is not None else QuadratureConfig()
     lo, hi, clipped = _window_interval(M, n, q, which)
     if lo > hi:
         return LemmaCase(M, n, q, which, 0.0, 0.0, clipped=True)
-    s, wk, wg = panel_nodes([lo, hi], config)
+    s, wk, wg = panel_nodes([lo, hi])
     results = []
     for fn in _lemma2_integrands(M, n, which):
         vals = fn(s)
         kronrod, gauss = float(np.dot(wk, vals)), float(np.dot(wg, vals))
-        check_gauss_kronrod(gauss, kronrod, config, f"{which} integrand (M={M}, n={n}, q={q})")
+        check_gauss_kronrod(gauss, kronrod, f"{which} integrand (M={M}, n={n}, q={q})")
         results.append(kronrod)
     return LemmaCase(M, n, q, which, results[0], results[1], clipped=clipped)
 
@@ -427,9 +424,7 @@ def random_concave_mixture(
     return ContinuousMixture(M, knots, levels)
 
 
-def continuous_lemma_sweep(
-    count: int = 50, seed: int = 0, quad: QuadratureConfig | None = None
-) -> list[LemmaCase]:
+def continuous_lemma_sweep(count: int = 50, seed: int = 0) -> list[LemmaCase]:
     """Randomized sweep of the three continuous inequalities.
 
     Draws M in (1, 20], n in (-2, 2M-2] and q in (0, 2M]; each draw is
@@ -442,5 +437,5 @@ def continuous_lemma_sweep(
         n = -2.0 + 2.0 * M * (1.0 - rng.random())
         q = 2.0 * M * (1.0 - rng.random())
         for which in CONTINUOUS_WHICH:
-            cases.append(lemma2_continuous(M, n, q, which, quad))
+            cases.append(lemma2_continuous(M, n, q, which))
     return cases

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .quadrature import QuadratureConfig, check_gauss_kronrod, panel_nodes
+from .quadrature import check_gauss_kronrod, panel_nodes
 from .quadrature import QuadratureError  # noqa: F401  (re-exported)
 from .special import DomainError, log_gen_binom_grid
 from .special import log_abs_gen_binom_ext  # noqa: F401  (perfbench/spans.py wraps this name here)
@@ -318,24 +318,22 @@ class _KernelTable:
         return out if moments else out[:, 0]
 
 
-def _active_breakpoints(mix: ContinuousMixture) -> list[np.ndarray]:
-    """Knot sequences of the maximal active runs of the mixing function."""
+def _active_breakpoints(mix: ContinuousMixture) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(knots, log alpha at those knots) of each maximal active run of the mixing function."""
     active = mix.segment_active()
     runs = []
     start = None
-    for j, flag in enumerate(active):
+    for j, flag in enumerate(list(active) + [False]):
         if flag and start is None:
             start = j
         if not flag and start is not None:
-            runs.append(mix.knots[start : j + 1])
+            runs.append((mix.knots[start : j + 1], mix.log_alpha[start : j + 1]))
             start = None
-    if start is not None:
-        runs.append(mix.knots[start:])
     return runs
 
 
-def _density_table(mix: ContinuousMixture, config: QuadratureConfig) -> _KernelTable:
-    runs = [panel_nodes(run, config) for run in _active_breakpoints(mix)]
+def _density_table(mix: ContinuousMixture) -> _KernelTable:
+    runs = [panel_nodes(knots, log_alpha) for knots, log_alpha in _active_breakpoints(mix)]
     s, wk, wg = (np.concatenate(column) for column in zip(*runs)) if runs else (np.empty(0),) * 3
     log_k = mix.log_alpha_at(s) + log_gen_binom_grid(mix.M, s)
     return _KernelTable(s, wk, wg, log_k, mix.M)
@@ -359,21 +357,22 @@ def _derivs_from_moments(M: float, x: np.ndarray, f, mean, var):
 class ContinuousEvaluator:
     """Reusable evaluator for one continuous mixture.
 
-    Builds one density quadrature table on the G10/K21 panels of config.
-    Every evaluation returns the Kronrod value after checking that the
-    embedded Gauss value agrees with it to within config.abs_tol, per kind
-    of value (raising QuadratureError otherwise, or recording the largest
-    gap in last_gap when strict=False).
+    Builds one density quadrature table on G10/K21 panels whose count per
+    knot interval follows from the interval's length and from the drop of
+    log alpha across it (see quadrature.panel_nodes). Every evaluation
+    returns the Kronrod value after checking that the embedded Gauss value
+    agrees with it to within quadrature.ABS_TOL, per kind of value (raising
+    QuadratureError otherwise, or recording the largest gap in last_gap
+    when strict=False).
     """
 
-    def __init__(self, mix: ContinuousMixture, config: QuadratureConfig | None = None):
+    def __init__(self, mix: ContinuousMixture):
         self.mix = mix
-        self.config = config if config is not None else QuadratureConfig()
-        self._table = _density_table(mix, self.config)
+        self._table = _density_table(mix)
         self.last_gap = 0.0
 
     def _checked(self, kind: str, gauss, kronrod, strict: bool) -> np.ndarray:
-        gap = check_gauss_kronrod(gauss, kronrod, self.config, kind, strict)
+        gap = check_gauss_kronrod(gauss, kronrod, kind, strict)
         self.last_gap = max(self.last_gap, gap)
         return kronrod
 
@@ -400,22 +399,18 @@ class ContinuousEvaluator:
         return self.derivs(x, strict)[2]
 
 
-def eval_density_continuous(
-    mix: ContinuousMixture, x: float, quad: QuadratureConfig | None = None
-) -> float:
+def eval_density_continuous(mix: ContinuousMixture, x: float) -> float:
     """Continuous-mixture density at a single x in (0, 1), by quadrature."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"eval_density_continuous requires 0 < x < 1, got {x!r}")
-    return float(ContinuousEvaluator(mix, quad).density(np.array([x]))[0])
+    return float(ContinuousEvaluator(mix).density(np.array([x]))[0])
 
 
-def eval_derivs_continuous(
-    mix: ContinuousMixture, x: float, quad: QuadratureConfig | None = None
-) -> EvalResult:
+def eval_derivs_continuous(mix: ContinuousMixture, x: float) -> EvalResult:
     """Density plus analytic f', f'' at x in (0, 1)."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"eval_derivs_continuous requires 0 < x < 1, got {x!r}")
-    f, d1, d2 = ContinuousEvaluator(mix, quad).derivs(np.array([x]))
+    f, d1, d2 = ContinuousEvaluator(mix).derivs(np.array([x]))
     return EvalResult.from_linear(float(f[0]), float(d1[0]), float(d2[0]))
 
 
@@ -423,7 +418,7 @@ def eval_derivs_continuous(
 # integral quantities and sampling
 
 
-def density_grid(mix, x, quad: QuadratureConfig | None = None) -> np.ndarray:
+def density_grid(mix, x) -> np.ndarray:
     """Density over an array of x in [0, 1] for either mixture kind.
 
     Endpoint values are the limits: (w_M, w_0) for discrete mixtures and 0
@@ -435,11 +430,11 @@ def density_grid(mix, x, quad: QuadratureConfig | None = None) -> np.ndarray:
     out = np.zeros(x.shape)
     interior = (x > 0.0) & (x < 1.0)
     if np.any(interior):
-        out[interior] = ContinuousEvaluator(mix, quad).density(x[interior])
+        out[interior] = ContinuousEvaluator(mix).density(x[interior])
     return out
 
 
-def normalization(mix, quad: QuadratureConfig | None = None) -> float:
+def normalization(mix) -> float:
     """Total mass of the density over [0, 1].
 
     Exactly sum(weights)/(M+1) for discrete mixtures (each Beta kernel
@@ -451,29 +446,28 @@ def normalization(mix, quad: QuadratureConfig | None = None) -> float:
         raise DegenerateMixtureError("normalization of the identically-zero mixture")
     if isinstance(mix, DiscreteMixture):
         return float(np.sum(mix.weights) / (mix.M + 1))
-    return _alpha_integral(mix, quad, "normalization") / (mix.M + 1.0)
+    return _alpha_integral(mix, "normalization") / (mix.M + 1.0)
 
 
-def _alpha_integral(mix: ContinuousMixture, quad: QuadratureConfig | None, what: str, factor=None):
+def _alpha_integral(mix: ContinuousMixture, what: str, factor=None):
     """Kronrod value of integral alpha(s) factor(s) ds, checked against Gauss.
 
     factor defaults to 1. Each active run of alpha is integrated after
     shifting out its largest log value.
     """
-    config = quad if quad is not None else QuadratureConfig()
     kronrod = gauss = 0.0
-    for run in _active_breakpoints(mix):
-        s, wk, wg = panel_nodes(run, config)
+    for knots, log_alpha in _active_breakpoints(mix):
+        s, wk, wg = panel_nodes(knots, log_alpha)
         la = mix.log_alpha_at(s)
         m = np.max(la)
         vals = np.exp(la - m) if factor is None else np.exp(la - m) * factor(s)
         kronrod += math.exp(m) * float(np.dot(wk, vals))
         gauss += math.exp(m) * float(np.dot(wg, vals))
-    check_gauss_kronrod(gauss, kronrod, config, what)
+    check_gauss_kronrod(gauss, kronrod, what)
     return kronrod
 
 
-def cdf(mix, x: float, quad: QuadratureConfig | None = None) -> float:
+def cdf(mix, x: float) -> float:
     """integral of the density over [0, x], monotone nondecreasing in x.
 
     Each kernel integrates in closed form: the integral over [0, x] of
@@ -489,16 +483,10 @@ def cdf(mix, x: float, quad: QuadratureConfig | None = None) -> float:
     if isinstance(mix, DiscreteMixture):
         i = np.arange(M + 1, dtype=float)
         return float(np.dot(mix.weights, betainc(M - i + 1.0, i + 1.0, x)) / (M + 1))
-    return _alpha_integral(mix, quad, "cdf", lambda s: betainc(M - s + 1.0, s + 1.0, x)) / (M + 1.0)
+    return _alpha_integral(mix, "cdf", lambda s: betainc(M - s + 1.0, s + 1.0, x)) / (M + 1.0)
 
 
-def sample(
-    mix,
-    count: int,
-    seed: int,
-    grid_points: int = 4096,
-    quad: QuadratureConfig | None = None,
-) -> np.ndarray:
+def sample(mix, count: int, seed: int, grid_points: int = 4096) -> np.ndarray:
     """Deterministic inverse-CDF draws from the normalized density.
 
     The CDF is tabulated on a uniform grid of `grid_points` points and
@@ -508,10 +496,12 @@ def sample(
     """
     if count < 1:
         raise ValueError("count must be a positive integer")
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2")
     if mix.is_zero:
         raise DegenerateMixtureError("cannot sample the identically-zero mixture")
     xs = np.linspace(0.0, 1.0, grid_points)
-    dens = density_grid(mix, xs, quad)
+    dens = density_grid(mix, xs)
     increments = 0.5 * (dens[:-1] + dens[1:]) * np.diff(xs)
     cdf_tab = np.concatenate([[0.0], np.cumsum(increments)])
     cdf_tab /= cdf_tab[-1]

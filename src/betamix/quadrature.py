@@ -9,7 +9,6 @@ the result, and its distance from the Gauss value is the accuracy check.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,27 +49,22 @@ _WG = (
 )
 
 
+# Panels per unit length of the integration variable; the floor of the
+# resolution wherever the integrand varies slowly.
+PANELS_PER_UNIT = 8
+# Largest drop of the log integrand's linear part across one panel: an
+# interval whose log values differ by d gets at least d / LOG_DROP_PER_PANEL
+# panels, so no panel spans more than a factor e^4 of the mixing function.
+LOG_DROP_PER_PANEL = 4.0
+# Log drops are capped near the usable range of a double (about e^-745 to
+# e^709), which bounds the slope term at 200 panels per interval.
+LOG_DROP_CAP = 800.0
+# Largest allowed gap between the Kronrod and the embedded Gauss value.
+ABS_TOL = 1e-10
+
+
 class QuadratureError(RuntimeError):
-    """The embedded Gauss and Kronrod values disagreed by more than abs_tol."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Resolution and tolerance governing every continuous integral.
-
-    panels_per_unit is the number of G10/K21 panels per unit length of the
-    integration variable; abs_tol is the maximum allowed difference between
-    the Kronrod and the embedded Gauss value of an integral.
-    """
-
-    panels_per_unit: int = 8
-    abs_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.panels_per_unit < 1:
-            raise ValueError("panels_per_unit must be a positive integer")
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
+    """The embedded Gauss and Kronrod values disagreed by more than ABS_TOL."""
 
 
 @functools.cache
@@ -91,20 +85,29 @@ def reference_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, wk, wg
 
 
-def panel_nodes(breakpoints, config: QuadratureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def panel_nodes(breakpoints, log_values=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Composite nodes and weights over consecutive segments of `breakpoints`.
 
-    Each segment [b_i, b_{i+1}] is split into ceil(length * panels_per_unit)
-    panels carrying a copy of the reference rule. Zero-length segments are
-    skipped. Returns flat (nodes, kronrod weights, gauss weights) arrays.
+    A segment [a, b] is split into max(ceil(PANELS_PER_UNIT * (b - a)),
+    ceil(min(|l_b - l_a|, LOG_DROP_CAP) / LOG_DROP_PER_PANEL)) equal panels,
+    each carrying a copy of the reference rule, where l_a and l_b are the
+    entries of `log_values` (the log of the integrand's varying factor at
+    each breakpoint; omitted, only the length counts). So a steep mixing
+    function gets panels fine enough for its own slope, with no setting to
+    tune. Zero-length segments are skipped. Returns flat (nodes, kronrod
+    weights, gauss weights) arrays.
     """
     t, wk, wg = reference_rule()
     parts = []
-    bps = np.asarray(breakpoints, dtype=float)
-    for a, b in zip(bps[:-1], bps[1:]):
+    # Python floats: a difference of two huge log values overflows to inf,
+    # which the cap absorbs, without a numpy overflow warning
+    bps = np.asarray(breakpoints, dtype=float).tolist()
+    logs = [0.0] * len(bps) if log_values is None else np.asarray(log_values, dtype=float).tolist()
+    for a, b, la, lb in zip(bps[:-1], bps[1:], logs[:-1], logs[1:]):
         if not b > a:
             continue
-        n_panels = max(1, math.ceil((b - a) * config.panels_per_unit))
+        drop = min(abs(lb - la), LOG_DROP_CAP)
+        n_panels = max(math.ceil((b - a) * PANELS_PER_UNIT), math.ceil(drop / LOG_DROP_PER_PANEL))
         edges = np.linspace(a, b, n_panels + 1)
         lo = edges[:-1, None]
         h = np.diff(edges)[:, None]
@@ -114,21 +117,21 @@ def panel_nodes(breakpoints, config: QuadratureConfig) -> tuple[np.ndarray, np.n
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def check_gauss_kronrod(gauss, kronrod, config: QuadratureConfig, what: str, strict: bool = True):
+def check_gauss_kronrod(gauss, kronrod, what: str, strict: bool = True):
     """Gap between the Gauss and the Kronrod values of one or more integrals.
 
     The gap is max |kronrod - gauss| / max(1, |kronrod|) over the values, so
-    abs_tol acts as an absolute tolerance for order-one integrals and
+    ABS_TOL acts as an absolute tolerance for order-one integrals and
     degrades to a relative one for large magnitudes (a pure absolute
     criterion is below floating-point resolution once the value exceeds
-    ~1e6). Raises QuadratureError when strict and the gap exceeds
-    config.abs_tol; otherwise returns the gap.
+    ~1e6). Raises QuadratureError when strict and the gap exceeds ABS_TOL;
+    otherwise returns the gap.
     """
     gauss = np.atleast_1d(gauss)
     kronrod = np.atleast_1d(kronrod)
     gap = float(np.max(np.abs(kronrod - gauss) / np.maximum(1.0, np.abs(kronrod)), initial=0.0))
-    if strict and gap > config.abs_tol:
+    if strict and gap > ABS_TOL:
         raise QuadratureError(
-            f"{what}: Gauss and Kronrod quadratures differ by {gap:.3e} (abs_tol {config.abs_tol:.3e})"
+            f"{what}: Gauss and Kronrod quadratures differ by {gap:.3e} (abs_tol {ABS_TOL:.3e})"
         )
     return gap

@@ -110,11 +110,37 @@ def test_certify_worst_point_skips_underflowed_margins():
     assert abs(x - 0.5) < 1e-3
     u = 200.0 / x - 200.0 / (1.0 - x)
     assert cert.min_margin_eq10 == pytest.approx(200.0 / x**2 + 200.0 / (1.0 - x) ** 2 - u * u / 400.0, rel=1e-9)
-    # when no point is resolved, the worst point is taken over all of them
-    cert = certify(DiscreteMixture(2, [1e-200, 2e-200, 1e-200]))
+    # when no point is resolved, the worst point is taken over all of them:
+    # alpha = e^-700 gives f near 1e-304, so f*f < 1e-300 everywhere
+    cert = certify(ContinuousMixture(2.0, [0.0, 2.0], [-700.0, -700.0]))
     assert cert.verdict == "certified"
     assert cert.min_margin_eq10 == 0.0
     assert not any(note.startswith("margin minimum") for note in cert.notes)
+    # tiny discrete weights are scaled up before the margin is formed, so
+    # their margin is resolved, and is that of the unscaled weights
+    tiny = certify(DiscreteMixture(2, [1e-200, 2e-200, 1e-200]))
+    assert tiny.notes == ()
+    assert tiny.min_margin_eq10 == pytest.approx(certify(DiscreteMixture(2, [1.0, 2.0, 1.0])).min_margin_eq10, rel=1e-12)
+
+
+def test_certify_large_weights_margin_finite():
+    # w_i = 2^i at M = 1000: g = (2 - x)^1000 is finite, but g'^2 and g*g
+    # overflow unless the weights are scaled first; the margin is 0 (geometric
+    # weights), and what is left is rounding at the tight input
+    mix = DiscreteMixture(1000, 2.0 ** np.arange(1001))
+    cert = certify(mix, grid_points=64)
+    assert math.isfinite(cert.min_margin_eq10) and abs(cert.min_margin_eq10) < 1e-7
+    assert math.isfinite(margin_eq10(mix, 0.3))
+    assert sharpness_check(1000, 2.0, grid_points=64) < 1e-7
+
+
+def test_certify_rejects_eps_outside_the_grid_range():
+    # at or below 2^-54, 1 - eps rounds to 1 and the grid would end at x = 1
+    mix = DiscreteMixture(2, [1.0, 2.0, 4.0])
+    for eps in (0.0, -1e-3, 0.5, 1e-17, 2.0**-54):
+        with pytest.raises(ValueError):
+            certify(mix, eps=eps)
+    assert certify(mix, eps=2.0**-52).certified
 
 
 def test_certify_random_log_concave_batch():

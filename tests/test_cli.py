@@ -3,6 +3,7 @@ import builtins
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 
 # the flags each command reads; every other flag is rejected
 COMMAND_FLAGS = {
-    "eval": ["--input", "--grid-points", "--eps", "--quad-panels", "--format", "--out"],
-    "certify": ["--input", "--grid-points", "--eps", "--tol", "--quad-panels", "--seed", "--out"],
-    "lemmas": ["--M", "--n", "--seed", "--quad-panels", "--format", "--out"],
+    "eval": ["--input", "--grid-points", "--eps", "--format", "--out"],
+    "certify": ["--input", "--grid-points", "--eps", "--tol", "--seed", "--out"],
+    "lemmas": ["--M", "--n", "--seed", "--format", "--out"],
     "demo": ["--M", "--r", "--s", "--grid-points", "--out"],
-    "sample": ["--input", "--n", "--grid-points", "--seed", "--quad-panels", "--out"],
+    "sample": ["--input", "--n", "--grid-points", "--seed", "--out"],
 }
 
 
@@ -107,6 +108,33 @@ def test_eval_json_format(uniform_file, tmp_path):
     assert payload["columns"][0] == "x"
     assert len(payload["rows"]) == 4
     assert payload["meta"]["tool_version"]
+
+
+def test_eval_json_writes_non_finite_cells_as_null(tmp_path):
+    # w = e_200 at M = 400: f underflows to 0 at the grid ends, where log f is
+    # -inf and (log f)'' is nan; a strict parser must still read the file
+    path = tmp_path / "e200.json"
+    path.write_text(json.dumps({"M": 400, "weights": np.eye(401)[200].tolist()}))
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--input", str(path), "--grid-points", "64", "--format", "json", "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"bare {token} in JSON output")
+
+    rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
+    assert sum(cell is None for row in rows for cell in row) == 8
+    csv = tmp_path / "eval.csv"
+    assert main(["eval", "--input", str(path), "--grid-points", "64", "--out", str(csv)]) == 0
+    assert ",0,0,0,-inf,nan" in csv.read_text()
+
+
+@pytest.mark.parametrize("eps", ["1e-17", "0", "0.5", "-0.1"])
+def test_eval_and_certify_reject_eps_outside_the_grid_range(uniform_file, eps, capsys):
+    # 1 - 1e-17 == 1.0, so that grid would end at x = 1
+    for command in ("eval", "certify"):
+        assert main([command, "--input", uniform_file, "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert "eps" in captured.err and captured.out == ""
 
 
 def test_certify_exit_codes(uniform_file, violated_file, zero_file, tmp_path):
@@ -207,6 +235,10 @@ def test_sample_deterministic_and_degenerate(uniform_file, zero_file, tmp_path, 
     assert len(draws) == 200
     assert all(0.0 < d < 1.0 for d in draws)
     assert main(["sample", "--input", zero_file, "--n", "10"]) == 4
+    capsys.readouterr()
+    assert main(["sample", "--input", uniform_file, "--n", "3", "--grid-points", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "grid_points" in captured.err and captured.out == ""
 
 
 def test_sample_ks_downstream(uniform_file, tmp_path):
@@ -249,7 +281,7 @@ def test_each_command_accepts_exactly_the_flags_it_reads():
         for name, sub in commands.items()
     }
     assert accepted == {name: set(flags) for name, flags in COMMAND_FLAGS.items()}
-    assert sum(map(len, accepted.values())) == 30
+    assert sum(map(len, accepted.values())) == 26
 
 
 @pytest.mark.parametrize(
@@ -308,10 +340,46 @@ def test_header_and_meta_list_exactly_the_command_flags(uniform_file, tmp_path):
         assert [f.split("=")[0] for f in meta_flags] == [f for f in COMMAND_FLAGS[name] if f != "--out"]
 
     main(["lemmas", "--M", "2", "--n", "1", "--out", str(out)])
-    assert "# command: lemmas --M=2 --n=1 --seed=0 --quad-panels=8 --format=csv\n" in out.read_text()
+    assert "# command: lemmas --M=2 --n=1 --seed=0 --format=csv\n" in out.read_text()
     main(["sample", "--input", uniform_file, "--n", "4", "--out", str(out)])
-    expected = f"# command: sample --input={uniform_file} --n=4 --grid-points=4096 --seed=0 --quad-panels=8\n"
+    expected = f"# command: sample --input={uniform_file} --n=4 --grid-points=4096 --seed=0\n"
     assert expected in out.read_text()
+
+
+def _documented_flags(entries, pattern):
+    """{command: [(flag, default as written, or None)]} from (command, text) pairs.
+
+    pattern captures a flag and the text of the bracket after it, if any;
+    the default is that text up to its first comma or semicolon.
+    """
+    return {
+        name: [(flag, re.split("[,;]", inside)[0] or None) for flag, inside in re.findall(pattern, text)]
+        for name, text in entries
+    }
+
+
+def test_docs_list_exactly_the_command_table():
+    # README's command-line table and the module docstring name, per command,
+    # the same flags in the same order as COMMANDS, with the same defaults
+    with open(os.path.join(os.path.dirname(PERFBENCH), "README.md"), encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `(\w+)` +\| (.*) \|$", fh.read(), flags=re.M)
+    doc = betamix.cli.__doc__
+    block = doc[doc.index("Each command accepts") : doc.index("\n\n", doc.index("    eval"))]
+    entries = re.findall(r"^    (\w+) +(.*(?:\n {13}.*)*)", block, flags=re.M)
+    documented = (
+        _documented_flags(rows, r"`--([\w-]+)`(?: \(([^)]*)\))?"),
+        _documented_flags(entries, r"--([\w-]+)(?: [\[(]([^\])]*)[\])])?"),
+    )
+    for listed in documented:
+        assert list(listed) == list(betamix.cli.COMMANDS)
+        for name, command in betamix.cli.COMMANDS.items():
+            assert [flag for flag, _ in listed[name]] == list(command.flags), name
+            for flag, text in listed[name]:
+                kind, default = command.flags[flag]
+                if default is betamix.cli.REQUIRED or default is None:
+                    assert text == ("required" if default is betamix.cli.REQUIRED else None), (name, flag)
+                else:
+                    assert (str if isinstance(kind, tuple) else kind)(text) == default, (name, flag)
 
 
 def test_benchmark_command_lines_parse(monkeypatch, tmp_path):

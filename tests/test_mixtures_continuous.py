@@ -8,7 +8,6 @@ from betamix import (
     ContinuousMixture,
     DiscreteMixture,
     DomainError,
-    QuadratureConfig,
     QuadratureError,
     cdf,
     certify,
@@ -22,7 +21,7 @@ from betamix import (
     sample,
 )
 from betamix.mixtures import ContinuousEvaluator, discrete_density_grid
-from betamix.quadrature import reference_rule
+from betamix.quadrature import LOG_DROP_CAP, LOG_DROP_PER_PANEL, PANELS_PER_UNIT, panel_nodes, reference_rule
 
 from oracles import (
     binom_ext_oracle,
@@ -76,9 +75,7 @@ def test_delta_limit_single_bump():
             [0.0, 1.0 - w, 1.0, 1.0 + w, 2.0],
             [-60.0, peak - drop, peak, peak - drop, -60.0],
         )
-        # panel density must track the bump's log-slope drop/w
-        quad = QuadratureConfig(panels_per_unit=int(20.0 / w))
-        errors.append(abs(eval_density_continuous(mix, x, quad=quad) - target))
+        errors.append(abs(eval_density_continuous(mix, x) - target))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 1e-3
 
@@ -233,24 +230,39 @@ def test_cdf_against_riemann_oracle():
 
 
 def test_quadrature_failure_surfaces():
-    mix = ContinuousMixture(3.0, [0.0, 1.5, 3.0], [0.0, 20.0, -20.0])
-    crude = QuadratureConfig(panels_per_unit=1, abs_tol=1e-12)
+    # the panels follow log alpha only: at x = 1e-100 the factor x^(M-s)
+    # tilts the integrand by 230 per unit of s, far more than 8 panels per
+    # unit resolve, so the Gauss and Kronrod values part
     with pytest.raises(QuadratureError):
-        eval_density_continuous(mix, 0.41, quad=crude)
+        eval_density_continuous(ContinuousMixture(3.0, [0.0, 3.0], [0.0, 0.0]), 1e-100)
+    # a log drop past the cap gets only the capped 200 panels
+    cert = certify(ContinuousMixture(3.0, [0.0, 1.0, 3.0], [0.0, -1e6, -1e6 - 1.0]), grid_points=64)
+    assert any(note.startswith("quadrature:") for note in cert.notes)
 
 
-def test_narrow_bump_fails_gauss_kronrod_check():
-    # a knot interval 1/20 long gets one panel at the default 8 per unit;
-    # a coarse/fine panel pair shares that panel and cannot see its error
+def test_narrow_bump_passes_gauss_kronrod_check():
+    # a knot interval 1/20 long with a log drop of 40 gets 10 panels, one
+    # per factor e^4 of alpha, where its length alone would give one
     x, w, drop = 0.37, 0.05, 40.0
     peak = math.log(drop / (2.0 * w * (1.0 - math.exp(-drop))))
     mix = ContinuousMixture(
         2.0, [0.0, 1.0 - w, 1.0, 1.0 + w, 2.0], [-60.0, peak - drop, peak, peak - drop, -60.0]
     )
-    with pytest.raises(QuadratureError):
-        eval_density_continuous(mix, x)
+    ref = continuous_derivs_quad(mix.M, mix.knots, mix.log_alpha, x)[0]
+    assert eval_density_continuous(mix, x) == pytest.approx(ref, rel=1e-12)
     cert = certify(mix, grid_points=64)
-    assert any(note.startswith("quadrature:") for note in cert.notes)
+    assert not any(note.startswith("quadrature:") for note in cert.notes)
+
+
+def test_panel_count_follows_length_and_capped_log_drop():
+    size = reference_rule()[0].size
+    assert panel_nodes([0.0, 0.5, 2.0])[0].size == size * (4 + 12)
+    assert panel_nodes([0.0, 0.5, 2.0], [0.0, -1.0, 99.0])[0].size == size * (4 + 25)
+    # |log drop| = 1e6 over an interval of length 2: ceil(8 * 2) + 200 bounds it
+    for drop in (1e6, 1e300, -1e300):
+        n_panels = panel_nodes([0.0, 2.0], [0.0, drop])[0].size // size
+        assert n_panels == LOG_DROP_CAP / LOG_DROP_PER_PANEL <= math.ceil(PANELS_PER_UNIT * 2.0) + 200
+    assert panel_nodes([0.0, 2.0], [1e308, -1e308])[0].size == size * 200
 
 
 def test_discrete_continuous_agreement():
@@ -274,7 +286,7 @@ def test_discrete_continuous_agreement():
         knots.extend([M - w, M])
         levels.extend([peak - drop, peak])
         mix = ContinuousMixture(float(M), knots, levels)
-        ev = ContinuousEvaluator(mix, QuadratureConfig(panels_per_unit=int(20.0 / w)))
+        ev = ContinuousEvaluator(mix)
         errors.append(float(np.max(np.abs(ev.density(xs) - target))))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 5e-3
@@ -364,13 +376,6 @@ def test_log_concavity_checker_continuous():
     rng = np.random.default_rng(5)
     for _ in range(20):
         assert is_log_concave_weights(random_concave_mixture(rng))
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(panels_per_unit=0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
 
 
 def test_reference_rule_built_once_and_read_only():

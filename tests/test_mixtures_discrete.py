@@ -254,6 +254,15 @@ def test_sample_deterministic():
     assert not np.array_equal(a, c)
 
 
+def test_sample_rejects_a_one_point_grid():
+    # one grid point leaves a 0/0 CDF table and no draw to interpolate
+    mix = DiscreteMixture(2, [1.0, 2.0, 4.0])
+    for grid_points in (1, 0):
+        with pytest.raises(ValueError):
+            sample(mix, 3, seed=0, grid_points=grid_points)
+    assert np.all(sample(mix, 3, seed=0, grid_points=2) > 0.0)
+
+
 def test_sample_spike_matches_beta_moment():
     w = np.zeros(6)
     w[2] = 1.0  # Beta(4, 3), mean 4/7
