@@ -35,7 +35,6 @@ from .mixtures import (
     DegenerateMixtureError,
     DiscreteMixture,
     EvalResult,
-    QuadratureError,
     cdf,
     eval_density_continuous,
     eval_density_discrete,
@@ -48,6 +47,7 @@ from .mixtures import (
     normalization,
     sample,
 )
+from .quadrature import QuadratureError
 from .special import DomainError, gen_binom, gen_binom_ext, int_binom_exact, log_gamma
 
 __all__ = [

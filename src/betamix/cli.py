@@ -38,12 +38,12 @@ from .mixtures import (
     ContinuousEvaluator,
     DegenerateMixtureError,
     DiscreteMixture,
-    QuadratureError,
     discrete_derivs_grid,
     mixture_from_json,
     mixture_to_json,
     sample,
 )
+from .quadrature import QuadratureError
 from .special import DomainError
 
 EXIT_OK = 0
@@ -122,9 +122,16 @@ def cmd_eval(args, mix, meta) -> int:
         f, d1, d2 = discrete_derivs_grid(mix, xs)
     else:
         f, d1, d2 = ContinuousEvaluator(mix).derivs(xs)
+    # (log f)'' from f, f' and f'' divided by the power of two that puts f in
+    # [0.5, 1) at each point: exact, and the same as evaluating on weights so
+    # scaled. f*f and f*f'' then stay in range wherever the ratio is finite,
+    # and the ratio keeps its bits where they already did. A subnormal f has
+    # too few digits for a ratio and reads nan, as an underflowed one does.
+    normal = f >= np.finfo(float).tiny
+    fs, d1s, d2s = (np.ldexp(v, -np.frexp(np.where(normal, f, 1.0))[1]) for v in (f, d1, d2))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_f = np.where(f > 0.0, np.log(np.where(f > 0.0, f, 1.0)), -np.inf)
-        log_d2 = np.where(f > 0.0, (f * d2 - d1 * d1) / (f * f), math.nan)
+        log_d2 = np.where(normal, (fs * d2s - d1s * d1s) / (fs * fs), math.nan)
     columns = {"x": xs, "f": f, "d1": d1, "d2": d2, "log_f": log_f, "log_d2": log_d2}
     _write_table(args, meta, {name: col.tolist() for name, col in columns.items()})
     return EXIT_OK

@@ -15,7 +15,8 @@ The continuous density replaces the sum by an integral against a mixing
 function alpha(s) = exp(l(s)) with l piecewise linear on a knot grid over
 [0, M] and alpha = 0 outside. All integrals are evaluated in log space and
 recombined by max-shifted exponentiation, on panels that split at every
-knot. The derivatives come from the same density table: at fixed x the
+knot; the density at x reads the coarsest table that resolves the tilt of
+its kernel in s. The derivatives come from the same table: at fixed x the
 normalized integrand is a posterior over s, and f' and f'' follow from its
 mean and variance, so one exponentiation serves f, f' and f''.
 """
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .quadrature import check_gauss_kronrod, panel_nodes
-from .quadrature import QuadratureError  # noqa: F401  (re-exported)
+from .quadrature import check_gauss_kronrod, log_drop_panels, panel_nodes
 from .special import DomainError, log_gen_binom_grid
 from .special import log_abs_gen_binom_ext  # noqa: F401  (perfbench/spans.py wraps this name here)
 
@@ -332,11 +332,21 @@ def _active_breakpoints(mix: ContinuousMixture) -> list[tuple[np.ndarray, np.nda
     return runs
 
 
-def _density_table(mix: ContinuousMixture) -> _KernelTable:
-    runs = [panel_nodes(knots, log_alpha) for knots, log_alpha in _active_breakpoints(mix)]
+def _density_table(mix: ContinuousMixture, per_unit: int) -> _KernelTable:
+    runs = [panel_nodes(knots, la, per_unit) for knots, la in _active_breakpoints(mix)]
     s, wk, wg = (np.concatenate(column) for column in zip(*runs)) if runs else (np.empty(0),) * 3
     log_k = mix.log_alpha_at(s) + log_gen_binom_grid(mix.M, s)
     return _KernelTable(s, wk, wg, log_k, mix.M)
+
+
+def _tilt_tiers(x: np.ndarray) -> np.ndarray:
+    """Panels per unit of s that resolve the kernel (1-x)^s x^(M-s) at each x.
+
+    Its log moves by the tilt log x - log(1-x) per unit of s. At x = 0 or 1
+    the tilt is infinite, and the point reads the capped tier.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return log_drop_panels(np.log(x) - np.log1p(-x))
 
 
 def _derivs_from_moments(M: float, x: np.ndarray, f, mean, var):
@@ -357,19 +367,35 @@ def _derivs_from_moments(M: float, x: np.ndarray, f, mean, var):
 class ContinuousEvaluator:
     """Reusable evaluator for one continuous mixture.
 
-    Builds one density quadrature table on G10/K21 panels whose count per
-    knot interval follows from the interval's length and from the drop of
-    log alpha across it (see quadrature.panel_nodes). Every evaluation
-    returns the Kronrod value after checking that the embedded Gauss value
-    agrees with it to within quadrature.ABS_TOL, per kind of value (raising
+    Each x is integrated on the coarsest density table that resolves its
+    kernel (1-x)^s x^(M-s), whose log moves by the tilt |log x - log(1-x)|
+    per unit of s: per knot interval, at least log_drop_panels(tilt) G10/K21
+    panels per unit length, and at least as many as the drop of log alpha
+    across the interval needs (see quadrature.panel_nodes). Most of (0, 1)
+    reads one panel per unit. A tier's table is built the first time a
+    point needs it and kept, and a point's value depends on that point
+    alone, not on the others evaluated with it. Every evaluation returns
+    the Kronrod value after checking that the embedded Gauss value agrees
+    with it to within quadrature.ABS_TOL, per kind of value (raising
     QuadratureError otherwise, or recording the largest gap in last_gap
     when strict=False).
     """
 
     def __init__(self, mix: ContinuousMixture):
         self.mix = mix
-        self._table = _density_table(mix)
+        self._tables: dict[int, _KernelTable] = {}
         self.last_gap = 0.0
+
+    def _integrate(self, x: np.ndarray, moments: bool) -> np.ndarray:
+        """_KernelTable.integrate over x, each point on its own tier's table."""
+        tiers = _tilt_tiers(x)
+        out = np.empty((2, 3, x.size) if moments else (2, x.size))
+        for tier in np.unique(tiers).tolist():
+            if tier not in self._tables:
+                self._tables[tier] = _density_table(self.mix, tier)
+            group = np.flatnonzero(tiers == tier)
+            out[..., group] = self._tables[tier].integrate(x[group], moments)
+        return out
 
     def _checked(self, kind: str, gauss, kronrod, strict: bool) -> np.ndarray:
         gap = check_gauss_kronrod(gauss, kronrod, kind, strict)
@@ -377,17 +403,17 @@ class ContinuousEvaluator:
         return kronrod
 
     def density(self, x, strict: bool = True) -> np.ndarray:
-        kronrod, gauss = self._table.integrate(np.asarray(x, dtype=float))
+        kronrod, gauss = self._integrate(np.asarray(x, dtype=float), moments=False)
         return self._checked("density", gauss, kronrod, strict)
 
     def derivs(self, x, strict: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(f, f', f'') over an array of x in (0, 1), in one pass over the table.
+        """(f, f', f'') over an array of x in (0, 1), in one pass over each point's table.
 
         Each of the three is checked against its Gauss value on its own.
         """
         x = np.asarray(x, dtype=float)
         kronrod, gauss = (
-            _derivs_from_moments(self.mix.M, x, *m) for m in self._table.integrate(x, moments=True)
+            _derivs_from_moments(self.mix.M, x, *m) for m in self._integrate(x, moments=True)
         )
         kinds = ("density", "d1", "d2")
         return tuple(self._checked(kind, g, k, strict) for kind, g, k in zip(kinds, gauss, kronrod))

@@ -8,7 +8,6 @@ the result, and its distance from the Gauss value is the accuracy check.
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -49,15 +48,19 @@ _WG = (
 )
 
 
-# Panels per unit length of the integration variable; the floor of the
-# resolution wherever the integrand varies slowly.
+# Panels per unit length of the integration variable where the caller knows
+# nothing else about the integrand (the mixing-function integrals behind
+# normalization and cdf, and the lemma integrands). The density at a point x
+# sets its own floor from the x-tilt of its kernel instead: see
+# mixtures.ContinuousEvaluator.
 PANELS_PER_UNIT = 8
 # Largest drop of the log integrand's linear part across one panel: an
 # interval whose log values differ by d gets at least d / LOG_DROP_PER_PANEL
 # panels, so no panel spans more than a factor e^4 of the mixing function.
 LOG_DROP_PER_PANEL = 4.0
 # Log drops are capped near the usable range of a double (about e^-745 to
-# e^709), which bounds the slope term at 200 panels per interval.
+# e^709), which bounds the slope term at 200 panels per interval, and a
+# tilt per unit length at 200 panels per unit.
 LOG_DROP_CAP = 800.0
 # Largest allowed gap between the Kronrod and the embedded Gauss value.
 ABS_TOL = 1e-10
@@ -85,29 +88,44 @@ def reference_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, wk, wg
 
 
-def panel_nodes(breakpoints, log_values=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def log_drop_panels(drop) -> np.ndarray:
+    """Panels that cut a log drop, or each of an array of them, into steps of LOG_DROP_PER_PANEL.
+
+    At least one. The drop is capped at LOG_DROP_CAP, so an infinite (or nan)
+    drop reads the cap.
+    """
+    capped = np.fmin(np.abs(drop), LOG_DROP_CAP)
+    return np.maximum(1, np.ceil(capped / LOG_DROP_PER_PANEL)).astype(int)
+
+
+def panel_nodes(
+    breakpoints, log_values=None, per_unit: int = PANELS_PER_UNIT
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Composite nodes and weights over consecutive segments of `breakpoints`.
 
-    A segment [a, b] is split into max(ceil(PANELS_PER_UNIT * (b - a)),
-    ceil(min(|l_b - l_a|, LOG_DROP_CAP) / LOG_DROP_PER_PANEL)) equal panels,
-    each carrying a copy of the reference rule, where l_a and l_b are the
-    entries of `log_values` (the log of the integrand's varying factor at
-    each breakpoint; omitted, only the length counts). So a steep mixing
-    function gets panels fine enough for its own slope, with no setting to
-    tune. Zero-length segments are skipped. Returns flat (nodes, kronrod
-    weights, gauss weights) arrays.
+    A segment [a, b] is split into max(ceil(per_unit * (b - a)),
+    log_drop_panels(l_b - l_a)) equal panels, each carrying a copy of the
+    reference rule, where l_a and l_b are the entries of `log_values` (the
+    log of the integrand's varying factor at each breakpoint; omitted, only
+    the length counts). per_unit is the floor for a log integrand that moves
+    by up to per_unit * LOG_DROP_PER_PANEL per unit length for a reason the
+    breakpoints do not show, such as the x-tilt of the density kernel. So a
+    steep mixing function gets panels fine enough for its own slope, with no
+    setting to tune. Zero-length segments are skipped. Returns flat (nodes,
+    kronrod weights, gauss weights) arrays.
     """
     t, wk, wg = reference_rule()
+    bps = np.asarray(breakpoints, dtype=float)
+    drops = np.zeros(bps.size - 1)
+    if log_values is not None:
+        # a difference of two huge log values overflows to inf, which the cap absorbs
+        with np.errstate(over="ignore"):
+            drops = np.diff(np.asarray(log_values, dtype=float))
+    counts = np.maximum(np.ceil(np.diff(bps) * per_unit).astype(int), log_drop_panels(drops))
     parts = []
-    # Python floats: a difference of two huge log values overflows to inf,
-    # which the cap absorbs, without a numpy overflow warning
-    bps = np.asarray(breakpoints, dtype=float).tolist()
-    logs = [0.0] * len(bps) if log_values is None else np.asarray(log_values, dtype=float).tolist()
-    for a, b, la, lb in zip(bps[:-1], bps[1:], logs[:-1], logs[1:]):
+    for a, b, n_panels in zip(bps[:-1].tolist(), bps[1:].tolist(), counts.tolist()):
         if not b > a:
             continue
-        drop = min(abs(lb - la), LOG_DROP_CAP)
-        n_panels = max(math.ceil((b - a) * PANELS_PER_UNIT), math.ceil(drop / LOG_DROP_PER_PANEL))
         edges = np.linspace(a, b, n_panels + 1)
         lo = edges[:-1, None]
         h = np.diff(edges)[:, None]

@@ -122,10 +122,36 @@ def test_eval_json_writes_non_finite_cells_as_null(tmp_path):
         raise ValueError(f"bare {token} in JSON output")
 
     rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
-    assert sum(cell is None for row in rows for cell in row) == 8
+    # two points at each end, where f is 0; (log f)'' is finite wherever f is
+    # positive, even where f*f underflows
+    assert sum(cell is None for row in rows for cell in row) == 4
+    assert all(row[1] == 0.0 for row in rows if None in row)
     csv = tmp_path / "eval.csv"
     assert main(["eval", "--input", str(path), "--grid-points", "64", "--out", str(csv)]) == 0
     assert ",0,0,0,-inf,nan" in csv.read_text()
+
+
+def test_eval_log_curvature_where_f_squared_leaves_the_double_range(tmp_path):
+    # w_i = 2^i at M = 1000 gives f = (2-x)^1000, up to 1e301, so f*f
+    # overflows; w = e_200 at M = 400 gives f down to 6e-243, so f*f
+    # underflows. (log f)'' is finite and known in closed form at every point
+    cases = [
+        ([2.0**i for i in range(1001)], 8, lambda x: -1000.0 / (2.0 - x) ** 2),
+        (np.eye(401)[200].tolist(), 64, lambda x: -200.0 / x**2 - 200.0 / (1.0 - x) ** 2),
+    ]
+    for weights, grid, exact in cases:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"M": len(weights) - 1, "weights": weights}))
+        out = tmp_path / "eval.csv"
+        argv = ["eval", "--input", str(path), "--grid-points", str(grid), "--out", str(out)]
+        assert main(argv) == 0
+        _, rows = _data_rows(out.read_text())
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        x, f, log_d2 = table[:, [0, 1, 5]].T
+        positive = f > 0.0
+        assert np.count_nonzero(positive) >= grid - 4
+        np.testing.assert_allclose(log_d2[positive], exact(x[positive]), rtol=1e-10)
+        assert np.all(np.isnan(log_d2[~positive]))
 
 
 @pytest.mark.parametrize("eps", ["1e-17", "0", "0.5", "-0.1"])

@@ -8,7 +8,6 @@ from betamix import (
     ContinuousMixture,
     DiscreteMixture,
     DomainError,
-    QuadratureError,
     cdf,
     certify,
     eval_density_continuous,
@@ -20,8 +19,16 @@ from betamix import (
     random_concave_mixture,
     sample,
 )
-from betamix.mixtures import ContinuousEvaluator, discrete_density_grid
-from betamix.quadrature import LOG_DROP_CAP, LOG_DROP_PER_PANEL, PANELS_PER_UNIT, panel_nodes, reference_rule
+from betamix import mixtures
+from betamix.mixtures import ContinuousEvaluator, _tilt_tiers, discrete_density_grid
+from betamix.quadrature import (
+    LOG_DROP_CAP,
+    LOG_DROP_PER_PANEL,
+    PANELS_PER_UNIT,
+    QuadratureError,
+    panel_nodes,
+    reference_rule,
+)
 
 from oracles import (
     binom_ext_oracle,
@@ -229,14 +236,26 @@ def test_cdf_against_riemann_oracle():
         assert abs(cdf(mix, x) - riemann_cdf(density, x, n=100_000)) <= 2e-8 * mass
 
 
+def test_tiny_x_resolved_by_its_tilt_tier():
+    # at x = 1e-100 the factor x^(M-s) tilts the integrand by 230 per unit of
+    # s; the point reads a table of 58 panels per unit, which resolves it
+    mix = ContinuousMixture(3.0, [0.0, 3.0], [0.0, 0.0])
+    x = 1e-100
+    rf, r1, r2 = continuous_derivs_quad(mix.M, mix.knots, mix.log_alpha, x)
+    res = eval_derivs_continuous(mix, x)
+    assert res.value == pytest.approx(rf, rel=1e-12)
+    assert abs(res.d1 - r1) <= 1e-11 * rf * mix.M / x
+    assert abs(res.d2 - r2) <= 1e-11 * rf * mix.M**2 / x**2
+    assert eval_density_continuous(mix, x) == res.value
+
+
 def test_quadrature_failure_surfaces():
-    # the panels follow log alpha only: at x = 1e-100 the factor x^(M-s)
-    # tilts the integrand by 230 per unit of s, far more than 8 panels per
-    # unit resolve, so the Gauss and Kronrod values part
+    # a log drop past the cap gets only the capped 200 panels: strict
+    # evaluation raises, and certify records the gap in a note
+    mix = ContinuousMixture(3.0, [0.0, 1.0, 3.0], [0.0, -1e6, -1e6 - 1.0])
     with pytest.raises(QuadratureError):
-        eval_density_continuous(ContinuousMixture(3.0, [0.0, 3.0], [0.0, 0.0]), 1e-100)
-    # a log drop past the cap gets only the capped 200 panels
-    cert = certify(ContinuousMixture(3.0, [0.0, 1.0, 3.0], [0.0, -1e6, -1e6 - 1.0]), grid_points=64)
+        ContinuousEvaluator(mix).derivs(np.linspace(1e-6, 1.0 - 1e-6, 64))
+    cert = certify(mix, grid_points=64)
     assert any(note.startswith("quadrature:") for note in cert.notes)
 
 
@@ -263,6 +282,80 @@ def test_panel_count_follows_length_and_capped_log_drop():
         n_panels = panel_nodes([0.0, 2.0], [0.0, drop])[0].size // size
         assert n_panels == LOG_DROP_CAP / LOG_DROP_PER_PANEL <= math.ceil(PANELS_PER_UNIT * 2.0) + 200
     assert panel_nodes([0.0, 2.0], [1e308, -1e308])[0].size == size * 200
+
+
+def _tier_edge(tilt):
+    # the x below 1/2 at which log((1-x)/x) equals tilt
+    return 1.0 / (1.0 + math.exp(tilt))
+
+
+def test_tilt_tiers_follow_the_kernel_tilt():
+    xs = np.array([0.5, 0.1, 1e-3, 1e-5, 1e-6, 1e-8, 1e-100, 0.0, 1.0, 1.0 - 1e-6])
+    cap = math.ceil(LOG_DROP_CAP / LOG_DROP_PER_PANEL)
+    assert _tilt_tiers(xs).tolist() == [1, 1, 2, 3, 4, 5, 58, cap, cap, 4]
+    for tilt in (4.0, 8.0, 12.0):
+        x = _tier_edge(tilt)
+        tier = round(tilt / LOG_DROP_PER_PANEL)
+        inside = np.array([x * (1.0 + 1e-9), 1.0 - x * (1.0 + 1e-9)])
+        outside = np.array([x * (1.0 - 1e-9), 1.0 - x * (1.0 - 1e-9)])
+        assert _tilt_tiers(inside).tolist() == [tier, tier]
+        assert _tilt_tiers(outside).tolist() == [tier + 1, tier + 1]
+    # a tier is a per-unit floor of the panel count; the log drop still counts
+    size = reference_rule()[0].size
+    assert panel_nodes([0.0, 0.5, 2.0], per_unit=1)[0].size == size * (1 + 2)
+    assert panel_nodes([0.0, 0.5, 2.0], [0.0, -1.0, 99.0], per_unit=3)[0].size == size * (2 + 25)
+
+
+def test_derivs_batch_across_tiers_equals_per_point():
+    mix = ContinuousMixture(6.5, [0.0, 1.0, 4.0, 6.5], [-0.5, 0.3, 0.1, -1.2])
+    xs = np.array([0.5, 1e-8, 0.3, 1e-100, 2e-3, 1.0 - 1e-5, 1e-6, 0.97, 1.0 - 1e-8, 4e-4])
+    assert set(_tilt_tiers(xs).tolist()) >= {1, 2, 3, 4, 5}
+    ev = ContinuousEvaluator(mix)
+    f, d1, d2 = ev.derivs(xs)
+    dens = ev.density(xs)
+    for i, x in enumerate(xs):
+        one = ContinuousEvaluator(mix).derivs(xs[i : i + 1])
+        np.testing.assert_array_equal(np.ravel(one), [f[i], d1[i], d2[i]])
+        res = eval_derivs_continuous(mix, float(x))
+        assert (res.value, res.d1, res.d2) == (f[i], d1[i], d2[i])
+        assert eval_density_continuous(mix, float(x)) == dens[i]
+
+
+@pytest.mark.parametrize("M", [1.25, 12.0, 64.0, 200.0])
+def test_tier_edges_against_quad_oracle(M):
+    # just inside and just past each tier edge, on both sides of 1/2
+    mix = random_concave_mixture(np.random.default_rng([11, int(4 * M)]), M)
+    xs = np.array([
+        side(_tier_edge(tilt) * (1.0 + rel))
+        for tilt in (4.0, 8.0, 12.0)
+        for rel in (-1e-9, 1e-9)
+        for side in (lambda x: x, lambda x: 1.0 - x)
+    ])
+    f, d1, d2 = ContinuousEvaluator(mix).derivs(xs)
+    for i, x in enumerate(xs):
+        rf, r1, r2 = continuous_derivs_quad(M, mix.knots, mix.log_alpha, x)
+        t = x * (1.0 - x)
+        assert f[i] == pytest.approx(rf, rel=1e-12)
+        assert abs(d1[i] - r1) <= 1e-11 * rf * M / t
+        assert abs(d2[i] - r2) <= 1e-11 * rf * M * M / (t * t)
+
+
+def test_evaluator_builds_each_tier_table_once(monkeypatch):
+    built = []
+    original = mixtures._density_table
+
+    def counting(mix, per_unit):
+        built.append(per_unit)
+        return original(mix, per_unit)
+
+    monkeypatch.setattr(mixtures, "_density_table", counting)
+    mix = ContinuousMixture(3.0, [0.0, 1.5, 3.0], [0.0, 0.5, -1.0])
+    ev = ContinuousEvaluator(mix)
+    assert built == []
+    ev.derivs(np.array([0.5, 1e-6, 0.4]))
+    ev.density(np.array([0.2, 1e-6, 1e-3]))
+    ev.derivs(np.array([0.6, 1.0 - 1e-3, 1e-3, 1e-6]))
+    assert built == [1, 4, 2]
 
 
 def test_discrete_continuous_agreement():
