@@ -2,7 +2,7 @@
 
 The central quantity is the normalized margin
 
-    [ ((M-1)/M) f'(x)^2 - f(x) f''(x) ] / max(f(x)^2, floor)
+    [ ((M-1)/M) f'(x)^2 - f(x) f''(x) ] / f(x)^2
 
 which is nonnegative on (0, 1) whenever the mixing weights are
 log-concave, vanishes identically for geometric weight sequences, and is
@@ -26,7 +26,6 @@ from .mixtures import (
 from .quadrature import ABS_TOL
 from .special import DomainError
 
-_FLOOR = 1e-300
 _TINY = np.finfo(float).tiny
 
 VERDICT_CERTIFIED = "certified"
@@ -92,11 +91,25 @@ class ConcavityCertificate:
         }
 
 
-def margin_grid(f, d1, d2, M) -> np.ndarray:
-    """Normalized curvature margin from density/derivative arrays."""
+def density_scaled(f, *values) -> tuple[np.ndarray, ...]:
+    """f and each of values divided, point by point, by the power of two that puts f in [0.5, 1).
+
+    Exact, and the same as evaluating on weights so scaled: a ratio of
+    products of two of them keeps its bits, while the products can no
+    longer overflow or underflow where the ratio is finite. Where f is not
+    a normal double (0, a subnormal with too few digits, inf or nan) every
+    result reads nan.
+    """
     f = np.asarray(f, dtype=float)
-    num = ((M - 1.0) / M) * d1 * d1 - f * d2
-    return num / np.maximum(f * f, _FLOOR)
+    normal = np.isfinite(f) & (f >= _TINY)
+    k = np.frexp(np.where(normal, f, 1.0))[1]
+    return tuple(np.where(normal, np.ldexp(v, -k), math.nan) for v in (f, *values))
+
+
+def margin_grid(f, d1, d2, M) -> np.ndarray:
+    """Normalized curvature margin from density/derivative arrays; nan where f is not normal."""
+    fs, d1s, d2s = density_scaled(f, d1, d2)
+    return (((M - 1.0) / M) * d1s * d1s - fs * d2s) / (fs * fs)
 
 
 def _unit_scaled(mix: DiscreteMixture) -> tuple[DiscreteMixture, int]:
@@ -104,7 +117,7 @@ def _unit_scaled(mix: DiscreteMixture) -> tuple[DiscreteMixture, int]:
 
     The normalized margin is scale-free, and a power of two scales every de
     Casteljau value exactly (within the normal range), so the margin keeps
-    its digits while f'^2 and f*f can no longer overflow.
+    its digits while the de Casteljau values can no longer overflow.
     """
     k = int(np.frexp(np.max(mix.weights))[1]) - 1
     return DiscreteMixture(mix.M, np.ldexp(mix.weights, -k)), k
@@ -114,7 +127,8 @@ def margin_eq10(mix, x: float) -> float:
     """Normalized curvature margin at one point x in (0, 1).
 
     Nonnegative exactly when ((M-1)/M) f'^2 >= f f''; the normalization by
-    f^2 makes the value a curvature-like, weight-scale-free quantity.
+    f^2 makes the value a curvature-like, weight-scale-free quantity. nan
+    where f underflows.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"margin_eq10 requires 0 < x < 1, got {x!r}")
@@ -218,15 +232,14 @@ def certify(
     finite = np.isfinite(second_diff)
     min_logcurv = float(np.max(second_diff[finite]) / (h * h)) if finite.any() else math.nan
 
-    # where f*f falls below the floor the margin's denominator is the floor,
-    # not f^2, so the margin there says nothing; the worst point is taken
-    # over the other points, or over all when none is left
-    pool = np.flatnonzero(np.isfinite(f_margin) & (f_margin * f_margin >= _FLOOR))
-    if pool.size == 0:
-        pool = np.arange(grid_points)
-    i_worst = int(pool[np.argmin(margins[pool])])
-    min_margin = float(margins[i_worst])
-    worst_x = float(xs[i_worst])
+    # the margin is nan where f underflowed; the worst point is taken over
+    # the others, and with none left nothing was computed
+    pool = np.flatnonzero(np.isfinite(margins))
+    min_margin, worst_x = None, math.nan
+    if pool.size:
+        i_worst = int(pool[np.argmin(margins[pool])])
+        min_margin = float(margins[i_worst])
+        worst_x = float(xs[i_worst])
 
     rng = np.random.default_rng(seed)
     n_failures, witness = midpoint_check(density_fn, _MIDPOINT_CHECKS, eps, _MIDPOINT_SLACK, rng)
@@ -235,17 +248,17 @@ def certify(
     underflowed = grid_points - int(np.count_nonzero(normal))
     if underflowed:
         notes.append(f"density underflowed to 0 at {underflowed} of {grid_points} grid points")
-    if pool.size < grid_points:
-        left_out = grid_points - pool.size
-        notes.append(
-            f"margin minimum leaves out {left_out} of {grid_points} grid points where f*f < {_FLOOR:g}"
-        )
     if ev is not None and ev.last_gap > ABS_TOL:
         notes.append(
             f"quadrature: Gauss and Kronrod values disagreed by {ev.last_gap:.3e} (abs_tol {ABS_TOL:.3e})"
         )
 
-    verdict = VERDICT_CERTIFIED if (min_margin >= -tol and n_failures == 0) else VERDICT_VIOLATED
+    if min_margin is None:
+        verdict = VERDICT_DEGENERATE
+    elif min_margin >= -tol and n_failures == 0:
+        verdict = VERDICT_CERTIFIED
+    else:
+        verdict = VERDICT_VIOLATED
     return ConcavityCertificate(
         verdict=verdict,
         grid_points=grid_points,
@@ -268,6 +281,7 @@ def sharpness_check(M: int, r: float, grid_points: int = 1024) -> float:
     Geometric weights make the density c(1 + lambda*x)^M, for which the
     curvature margin vanishes identically, so the returned maximum is a
     sharpness (and floating-point stability) measure; contract: <= 1e-8.
+    Points where the density underflows carry no margin and are left out.
     """
     if not (isinstance(M, (int, np.integer)) and M >= 1):
         raise DomainError(f"sharpness_check needs a positive integer order, got {M!r}")
@@ -278,7 +292,8 @@ def sharpness_check(M: int, r: float, grid_points: int = 1024) -> float:
     eps = 1e-6
     xs = np.linspace(eps, 1.0 - eps, grid_points)
     f, d1, d2 = discrete_derivs_grid(_unit_scaled(mix)[0], xs)
-    return float(np.max(np.abs(margin_grid(f, d1, d2, float(M)))))
+    margins = margin_grid(f, d1, d2, float(M))
+    return float(np.max(np.abs(margins), initial=0.0, where=np.isfinite(margins)))
 
 
 def kernel_log_curvature(M: float, s: float, x: float) -> float:

@@ -32,7 +32,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .certify import check_eps, certify, find_kernel_failure, kernel_log_curvature, sharpness_check
+from .certify import (check_eps, certify, density_scaled, find_kernel_failure,
+                      kernel_log_curvature, sharpness_check)
 from .lemmas import continuous_lemma_sweep, discrete_lemma_sweep
 from .mixtures import (
     ContinuousEvaluator,
@@ -122,16 +123,10 @@ def cmd_eval(args, mix, meta) -> int:
         f, d1, d2 = discrete_derivs_grid(mix, xs)
     else:
         f, d1, d2 = ContinuousEvaluator(mix).derivs(xs)
-    # (log f)'' from f, f' and f'' divided by the power of two that puts f in
-    # [0.5, 1) at each point: exact, and the same as evaluating on weights so
-    # scaled. f*f and f*f'' then stay in range wherever the ratio is finite,
-    # and the ratio keeps its bits where they already did. A subnormal f has
-    # too few digits for a ratio and reads nan, as an underflowed one does.
-    normal = f >= np.finfo(float).tiny
-    fs, d1s, d2s = (np.ldexp(v, -np.frexp(np.where(normal, f, 1.0))[1]) for v in (f, d1, d2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_f = np.where(f > 0.0, np.log(np.where(f > 0.0, f, 1.0)), -np.inf)
-        log_d2 = np.where(normal, (fs * d2s - d1s * d1s) / (fs * fs), math.nan)
+    # (log f)'' on the per-point scale of the margin: nan where f underflows
+    fs, d1s, d2s = density_scaled(f, d1, d2)
+    log_d2 = (fs * d2s - d1s * d1s) / (fs * fs)
+    log_f = np.where(f > 0.0, np.log(np.where(f > 0.0, f, 1.0)), -np.inf)
     columns = {"x": xs, "f": f, "d1": d1, "d2": d2, "log_f": log_f, "log_d2": log_d2}
     _write_table(args, meta, {name: col.tolist() for name, col in columns.items()})
     return EXIT_OK

@@ -224,6 +224,11 @@ def lemma2_continuous(M: float, n: float, q: float, which: str) -> LemmaCase:
 # discrete form, exact arithmetic
 
 
+def _window_top(n: int, k: int, which: str) -> int:
+    """Last summation index i of a discrete inequality's window, which starts at k."""
+    return n - k + 1 if which == "ineq2p2" else n - k
+
+
 def lemma2_discrete(M: int, n: int, k: int, which: str) -> LemmaCase:
     """Exact-integer evaluation of one window-restricted binomial sum inequality."""
     if not (isinstance(M, (int, np.integer)) and M >= 1):
@@ -235,7 +240,7 @@ def lemma2_discrete(M: int, n: int, k: int, which: str) -> LemmaCase:
     if which not in DISCRETE_WHICH:
         raise ValueError(f"which must be one of {DISCRETE_WHICH}, got {which!r}")
     M, n, k = int(M), int(n), int(k)
-    hi = n - k + 1 if which == "ineq2p2" else n - k
+    hi = _window_top(n, k, which)
     lhs = sum(int_binom_exact(M - 1, i) * int_binom_exact(M - 1, n - i) for i in range(k, hi + 1))
     if which == "ineq2p3":
         rhs = sum(
@@ -262,8 +267,7 @@ def discrete_lemma_sweep(max_M: int = 12, k_min: int = -1, min_M: int = 2) -> li
         for n in range(0, 2 * M - 1):
             for k in range(k_min, (n + 1) // 2 + 1):
                 for which in DISCRETE_WHICH:
-                    hi = n - k + 1 if which == "ineq2p2" else n - k
-                    if hi < k:
+                    if _window_top(n, k, which) < k:
                         continue
                     cases.append(lemma2_discrete(M, n, k, which))
     return cases
@@ -286,6 +290,12 @@ def _warn_if_not_log_concave(weights, M):
                       stacklevel=3)
 
 
+# index shifts (a, b, c, d) of each coefficient-level inequality: over i + j
+# = n, lhs sums w_{i+a} w_{j+b} C(M-1, i) C(M-1, j) and rhs sums
+# w_{i+c} w_{j+d} C(M, i) C(M-2, j)
+_CORE_SHIFTS = {13: (0, 0, 0, 0), 14: (0, 1, 0, 1), 15: (1, 1, 0, 2)}
+
+
 def core_inequalities_discrete(weights, M: int, n: int, which: int) -> tuple[float, float]:
     """Both sides of one coefficient-level inequality (which in {13, 14, 15}).
 
@@ -293,27 +303,21 @@ def core_inequalities_discrete(weights, M: int, n: int, which: int) -> tuple[flo
     lhs <= rhs for 14; a non-log-concave input is reported by warning, not
     an error. Binomials are exact integers; weights enter as floats.
     """
-    if which not in (13, 14, 15):
+    if which not in _CORE_SHIFTS:
         raise ValueError(f"which must be 13, 14 or 15, got {which!r}")
     if not 0 <= n <= 2 * M - 2:
         raise DomainError(f"n must satisfy 0 <= n <= 2M-2, got n={n!r}, M={M!r}")
     w = np.asarray(weights, dtype=float)
     _warn_if_not_log_concave(w, M)
+    a, b, c, d = _CORE_SHIFTS[which]
     lhs = 0.0
     rhs = 0.0
     for i in range(-2, n + 3):
         j = n - i
         cl = int_binom_exact(M - 1, i) * int_binom_exact(M - 1, j)
         cr = int_binom_exact(M, i) * int_binom_exact(M - 2, j)
-        if which == 13:
-            lhs += _weight_at(w, i) * _weight_at(w, j) * cl
-            rhs += _weight_at(w, i) * _weight_at(w, j) * cr
-        elif which == 14:
-            lhs += _weight_at(w, i) * _weight_at(w, j + 1) * cl
-            rhs += _weight_at(w, i) * _weight_at(w, j + 1) * cr
-        else:
-            lhs += _weight_at(w, i + 1) * _weight_at(w, j + 1) * cl
-            rhs += _weight_at(w, i) * _weight_at(w, j + 2) * cr
+        lhs += _weight_at(w, i + a) * _weight_at(w, j + b) * cl
+        rhs += _weight_at(w, i + c) * _weight_at(w, j + d) * cr
     return lhs, rhs
 
 

@@ -15,10 +15,12 @@ The continuous density replaces the sum by an integral against a mixing
 function alpha(s) = exp(l(s)) with l piecewise linear on a knot grid over
 [0, M] and alpha = 0 outside. All integrals are evaluated in log space and
 recombined by max-shifted exponentiation, on panels that split at every
-knot; the density at x reads the coarsest table that resolves the tilt of
-its kernel in s. The derivatives come from the same table: at fixed x the
-normalized integrand is a posterior over s, and f' and f'' follow from its
-mean and variance, so one exponentiation serves f, f' and f''.
+knot, laid out over the whole knot grid in one call: the intervals where
+alpha vanishes get none. The density at x reads the coarsest table that
+resolves the tilt of its kernel in s. The derivatives come from the same
+table: at fixed x the normalized integrand is a posterior over s, and f'
+and f'' follow from its mean and variance, so one exponentiation serves f,
+f' and f''.
 """
 
 import json
@@ -257,24 +259,19 @@ class _KernelTable:
     """Quadrature nodes plus the x-independent part of the density integrand.
 
     The integrand is exp(log_k(s)) (1-x)^s x^(M-s) with log_k = log alpha +
-    log C(M, s); nodes where it vanishes identically are dropped. wk and wg
-    are the Kronrod and the embedded Gauss weights of the same nodes. At
-    fixed x, the integrand normalized to mass one is a posterior over the
-    mixing index s, and s is centred on the middle of the node range before
-    its moments are formed, so the variance is not a difference of two
-    large numbers.
+    log C(M, s); the nodes cover only the knot intervals where alpha does
+    not vanish, so log_k is finite at every one. wk and wg are the Kronrod
+    and the embedded Gauss weights of the same nodes. At fixed x, the
+    integrand normalized to mass one is a posterior over the mixing index
+    s, and s is centred on the middle of the node range before its moments
+    are formed, so the variance is not a difference of two large numbers.
     """
 
     __slots__ = ("s", "wk", "wg", "log_k", "M", "centre")
 
     def __init__(self, s, wk, wg, log_k, M):
-        keep = np.isfinite(log_k)
-        self.s = s[keep]
-        self.wk = wk[keep]
-        self.wg = wg[keep]
-        self.log_k = log_k[keep]
-        self.M = M
-        self.centre = 0.5 * (self.s.min() + self.s.max()) if self.s.size else 0.0
+        self.s, self.wk, self.wg, self.log_k, self.M = s, wk, wg, log_k, M
+        self.centre = 0.5 * (s.min() + s.max()) if s.size else 0.0
 
     def integrate(self, x: np.ndarray, moments: bool = False, block: int = 128) -> np.ndarray:
         """Kronrod and Gauss results over an array of x in (0, 1).
@@ -318,23 +315,8 @@ class _KernelTable:
         return out if moments else out[:, 0]
 
 
-def _active_breakpoints(mix: ContinuousMixture) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(knots, log alpha at those knots) of each maximal active run of the mixing function."""
-    active = mix.segment_active()
-    runs = []
-    start = None
-    for j, flag in enumerate(list(active) + [False]):
-        if flag and start is None:
-            start = j
-        if not flag and start is not None:
-            runs.append((mix.knots[start : j + 1], mix.log_alpha[start : j + 1]))
-            start = None
-    return runs
-
-
 def _density_table(mix: ContinuousMixture, per_unit: int) -> _KernelTable:
-    runs = [panel_nodes(knots, la, per_unit) for knots, la in _active_breakpoints(mix)]
-    s, wk, wg = (np.concatenate(column) for column in zip(*runs)) if runs else (np.empty(0),) * 3
+    s, wk, wg = panel_nodes(mix.knots, mix.log_alpha, per_unit)
     log_k = mix.log_alpha_at(s) + log_gen_binom_grid(mix.M, s)
     return _KernelTable(s, wk, wg, log_k, mix.M)
 
@@ -478,17 +460,15 @@ def normalization(mix) -> float:
 def _alpha_integral(mix: ContinuousMixture, what: str, factor=None):
     """Kronrod value of integral alpha(s) factor(s) ds, checked against Gauss.
 
-    factor defaults to 1. Each active run of alpha is integrated after
-    shifting out its largest log value.
+    factor defaults to 1. alpha is shifted by its largest log value at the
+    nodes; alpha = 0 everywhere leaves no nodes and gives 0.
     """
-    kronrod = gauss = 0.0
-    for knots, log_alpha in _active_breakpoints(mix):
-        s, wk, wg = panel_nodes(knots, log_alpha)
-        la = mix.log_alpha_at(s)
-        m = np.max(la)
-        vals = np.exp(la - m) if factor is None else np.exp(la - m) * factor(s)
-        kronrod += math.exp(m) * float(np.dot(wk, vals))
-        gauss += math.exp(m) * float(np.dot(wg, vals))
+    s, wk, wg = panel_nodes(mix.knots, mix.log_alpha)
+    la = mix.log_alpha_at(s)
+    m = np.max(la, initial=_NEG_INF)
+    vals = np.exp(la - m) if factor is None else np.exp(la - m) * factor(s)
+    kronrod = math.exp(m) * float(np.dot(wk, vals))
+    gauss = math.exp(m) * float(np.dot(wg, vals))
     check_gauss_kronrod(gauss, kronrod, what)
     return kronrod
 

@@ -111,28 +111,32 @@ def panel_nodes(
     by up to per_unit * LOG_DROP_PER_PANEL per unit length for a reason the
     breakpoints do not show, such as the x-tilt of the density kernel. So a
     steep mixing function gets panels fine enough for its own slope, with no
-    setting to tune. Zero-length segments are skipped. Returns flat (nodes,
-    kronrod weights, gauss weights) arrays.
+    setting to tune. A segment of zero length, or with a -inf log value at
+    either end (where the integrand vanishes), gets no panels. Panel j of
+    [a, b] starts at j * (b - a) / n + a and the last ends at b, the edges
+    np.linspace(a, b, n + 1) gives. Returns flat (nodes, kronrod weights,
+    gauss weights) arrays.
     """
     t, wk, wg = reference_rule()
     bps = np.asarray(breakpoints, dtype=float)
-    drops = np.zeros(bps.size - 1)
+    a, b = bps[:-1], bps[1:]
+    live = b > a
+    drops = np.zeros(a.size)
     if log_values is not None:
-        # a difference of two huge log values overflows to inf, which the cap absorbs
-        with np.errstate(over="ignore"):
-            drops = np.diff(np.asarray(log_values, dtype=float))
-    counts = np.maximum(np.ceil(np.diff(bps) * per_unit).astype(int), log_drop_panels(drops))
-    parts = []
-    for a, b, n_panels in zip(bps[:-1].tolist(), bps[1:].tolist(), counts.tolist()):
-        if not b > a:
-            continue
-        edges = np.linspace(a, b, n_panels + 1)
-        lo = edges[:-1, None]
-        h = np.diff(edges)[:, None]
-        parts.append([(lo + h * t).ravel(), (h * wk).ravel(), (h * wg).ravel()])
-    if not parts:
-        return np.empty(0), np.empty(0), np.empty(0)
-    return tuple(np.concatenate(column) for column in zip(*parts))
+        lv = np.asarray(log_values, dtype=float)
+        live &= np.isfinite(lv[:-1]) & np.isfinite(lv[1:])
+        # a difference of two huge log values overflows to inf, which the cap
+        # absorbs; two -inf values give nan on a segment that gets no panels
+        with np.errstate(over="ignore", invalid="ignore"):
+            drops = np.diff(lv)
+    counts = live * np.maximum(np.ceil((b - a) * per_unit).astype(int), log_drop_panels(drops))
+    seg = np.repeat(np.arange(a.size), counts)
+    j = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    step = (b - a)[seg] / counts[seg]
+    lo = j * step + a[seg]
+    hi = np.where(j + 1 == counts[seg], b[seg], (j + 1) * step + a[seg])
+    h = (hi - lo)[:, None]
+    return (lo[:, None] + h * t).ravel(), (h * wk).ravel(), (h * wg).ravel()
 
 
 def check_gauss_kronrod(gauss, kronrod, what: str, strict: bool = True):

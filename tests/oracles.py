@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's evaluation paths:
 binomials come from Pascal's triangle or scipy's gammaln, integrals from
 brute-force midpoint Riemann sums, derivatives from central differences,
-densities from the direct textbook summation, and Bernstein forms from the
-one-shot de Casteljau recurrence.
+densities from the direct textbook summation, Bernstein forms from the
+one-shot de Casteljau recurrence, and quadrature panels one interval at a
+time.
 """
 
 import math
@@ -57,6 +58,30 @@ def riemann_cdf(density_fn, x, n=20_000, lo=1e-12):
     du = (math.log(x) - math.log(lo)) / n
     t = np.exp(math.log(lo) + (np.arange(n) + 0.5) * du)
     return float(np.sum(density_fn(t) * t) * du)
+
+
+def panel_nodes_per_interval(rule, breakpoints, log_values=None, per_unit=8):
+    """Composite nodes and weights built one knot interval at a time.
+
+    The reference for the vectorised panel builder. rule is (t, wk, wg), the
+    nodes on [0, 1] and their two weight sets. An interval [a, b] of positive
+    length whose log values are both finite gets n = max(ceil(per_unit *
+    (b - a)), ceil(min(|l_b - l_a|, 800) / 4), 1) panels, whose edges are
+    np.linspace(a, b, n + 1); every other interval gets none.
+    """
+    t, wk, wg = rule
+    bps = [float(v) for v in breakpoints]
+    lv = [0.0] * len(bps) if log_values is None else [float(v) for v in log_values]
+    parts = [[np.empty(0)] * 3]
+    for a, b, la, lb in zip(bps[:-1], bps[1:], lv[:-1], lv[1:]):
+        if not (b > a and math.isfinite(la) and math.isfinite(lb)):
+            continue
+        drop_panels = max(1, math.ceil(min(abs(lb - la), 800.0) / 4.0))
+        edges = np.linspace(a, b, max(math.ceil((b - a) * per_unit), drop_panels) + 1)
+        lo = edges[:-1, None]
+        h = np.diff(edges)[:, None]
+        parts.append([(lo + h * t).ravel(), (h * wk).ravel(), (h * wg).ravel()])
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def direct_bernstein_sum(weights, M, x):

@@ -83,26 +83,18 @@ def test_certify_notes_underflowed_density():
     w[200] = 1.0
     cert = certify(DiscreteMixture(400, w))
     assert cert.verdict == "certified"
-    assert cert.notes == (
-        "density underflowed to 0 at 16 of 1024 grid points",
-        "margin minimum leaves out 98 of 1024 grid points where f*f < 1e-300",
-    )
+    assert cert.notes == ("density underflowed to 0 at 16 of 1024 grid points",)
     assert -1600.1 < cert.min_logcurv < -1600.0
-    # w = e_0 at M = 60: x^60 underflows at x = 1e-6 only, and f*f falls
-    # below the floor at the 4 grid points below x = 10^-2.5; the notes are
-    # the one change to its certificate
+    # w = e_0 at M = 60: x^60 underflows at x = 1e-6 only
     cert = certify(DiscreteMixture(60, np.eye(61)[0]))
-    assert cert.notes == (
-        "density underflowed to 0 at 1 of 1024 grid points",
-        "margin minimum leaves out 4 of 1024 grid points where f*f < 1e-300",
-    )
+    assert cert.notes == ("density underflowed to 0 at 1 of 1024 grid points",)
     assert cert.min_logcurv == pytest.approx(-60.11762317071039, rel=1e-12)
 
 
 def test_certify_worst_point_skips_underflowed_margins():
     # w = e_200 at M = 400: the margin 200/x^2 + 200/(1-x)^2 - u^2/400, with
     # u = 200/x - 200/(1-x), is smallest (1600) at x = 1/2; the points where
-    # f*f < 1e-300 carry a floored margin of 0 and must not be the worst point
+    # f underflowed carry no margin and must not be the worst point
     w = np.zeros(401)
     w[200] = 1.0
     cert = certify(DiscreteMixture(400, w))
@@ -110,17 +102,28 @@ def test_certify_worst_point_skips_underflowed_margins():
     assert abs(x - 0.5) < 1e-3
     u = 200.0 / x - 200.0 / (1.0 - x)
     assert cert.min_margin_eq10 == pytest.approx(200.0 / x**2 + 200.0 / (1.0 - x) ** 2 - u * u / 400.0, rel=1e-9)
-    # when no point is resolved, the worst point is taken over all of them:
-    # alpha = e^-700 gives f near 1e-304, so f*f < 1e-300 everywhere
+    # alpha = e^-700 gives f near 1e-304, so f*f underflows everywhere, but
+    # the margin is formed on each point's own scale and is that of alpha = 1
     cert = certify(ContinuousMixture(2.0, [0.0, 2.0], [-700.0, -700.0]))
+    unit = certify(ContinuousMixture(2.0, [0.0, 2.0], [0.0, 0.0]))
     assert cert.verdict == "certified"
-    assert cert.min_margin_eq10 == 0.0
-    assert not any(note.startswith("margin minimum") for note in cert.notes)
+    assert cert.min_margin_eq10 == pytest.approx(3.57, abs=0.01)
+    assert cert.min_margin_eq10 == pytest.approx(unit.min_margin_eq10, rel=1e-12)
     # tiny discrete weights are scaled up before the margin is formed, so
     # their margin is resolved, and is that of the unscaled weights
     tiny = certify(DiscreteMixture(2, [1e-200, 2e-200, 1e-200]))
     assert tiny.notes == ()
     assert tiny.min_margin_eq10 == pytest.approx(certify(DiscreteMixture(2, [1.0, 2.0, 1.0])).min_margin_eq10, rel=1e-12)
+
+
+def test_certify_density_underflowed_everywhere_is_degenerate():
+    # alpha = e^-800 is not identically zero, but f < 1e-340 at every grid
+    # point, so no margin can be formed (a margin floored at f*f = 1e-300
+    # read 0.0 there and called it certified)
+    cert = certify(ContinuousMixture(2.0, [0.0, 2.0], [-800.0, -800.0]))
+    assert cert.verdict == "degenerate-zero"
+    assert cert.min_margin_eq10 is None and math.isnan(cert.worst_x)
+    assert cert.notes == ("density underflowed to 0 at 1024 of 1024 grid points",)
 
 
 def test_certify_large_weights_margin_finite():
@@ -130,6 +133,11 @@ def test_certify_large_weights_margin_finite():
     mix = DiscreteMixture(1000, 2.0 ** np.arange(1001))
     cert = certify(mix, grid_points=64)
     assert math.isfinite(cert.min_margin_eq10) and abs(cert.min_margin_eq10) < 1e-7
+    # near x = 1 the smallest weights dominate and f*f of the scaled weights
+    # underflows; the margin, formed on each point's own scale, still covers
+    # all 1024 points of the default grid
+    cert = certify(mix)
+    assert cert.notes == () and abs(cert.min_margin_eq10) < 1e-7
     assert math.isfinite(margin_eq10(mix, 0.3))
     assert sharpness_check(1000, 2.0, grid_points=64) < 1e-7
 

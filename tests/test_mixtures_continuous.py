@@ -36,6 +36,7 @@ from oracles import (
     central_d2,
     continuous_derivs_quad,
     ks_distance,
+    panel_nodes_per_interval,
     piecewise_linear_log_alpha,
     riemann_cdf,
 )
@@ -229,11 +230,22 @@ def test_cdf_endpoints_and_uniform():
 
 
 def test_cdf_against_riemann_oracle():
-    mix = ContinuousMixture(3.0, [0.0, 1.5, 3.0], [0.0, 0.5, -1.0])
-    density = ContinuousEvaluator(mix).density
-    mass = normalization(mix)
-    for x in (1e-6, 0.3, 0.9):
-        assert abs(cdf(mix, x) - riemann_cdf(density, x, n=100_000)) <= 2e-8 * mass
+    mixes = [
+        ContinuousMixture(3.0, [0.0, 1.5, 3.0], [0.0, 0.5, -1.0]),
+        # a -inf knot at 1.5 splits the support into [0, 1] and [2.5, 4]
+        ContinuousMixture(4.0, [0.0, 1.0, 1.5, 2.5, 4.0], [0.0, 0.5, NEG_INF, -0.5, -1.0]),
+    ]
+    for mix in mixes:
+        density = ContinuousEvaluator(mix).density
+        mass = normalization(mix)
+        for x in (1e-6, 0.3, 0.9):
+            assert abs(cdf(mix, x) - riemann_cdf(density, x, n=100_000)) <= 2e-8 * mass
+
+
+def test_cdf_of_zero_mixture_is_zero():
+    mix = ContinuousMixture(2.0, [0.0, 1.0, 2.0], [NEG_INF, NEG_INF, NEG_INF])
+    for x in (0.0, 0.5, 1.0):
+        assert cdf(mix, x) == 0.0
 
 
 def test_tiny_x_resolved_by_its_tilt_tier():
@@ -282,6 +294,51 @@ def test_panel_count_follows_length_and_capped_log_drop():
         n_panels = panel_nodes([0.0, 2.0], [0.0, drop])[0].size // size
         assert n_panels == LOG_DROP_CAP / LOG_DROP_PER_PANEL <= math.ceil(PANELS_PER_UNIT * 2.0) + 200
     assert panel_nodes([0.0, 2.0], [1e308, -1e308])[0].size == size * 200
+
+
+# knot grids with -inf knots (alone and in pairs), zero-length segments and
+# capped log drops
+PANEL_GRIDS = [
+    ([0.0, 0.5, 2.0], None),
+    ([0.0, 0.5, 2.0], [0.0, -1.0, 99.0]),
+    ([0.0, 2.0], [1e308, -1e308]),
+    ([0.0, 1.0, 1.0, 2.5, 2.5, 4.0], [0.0, -3.0, 7.0, 1.0, 2.0, -1.0]),
+    ([0.0, 1.0, 1.5, 2.5, 4.0], [0.0, 0.5, NEG_INF, -0.5, -1.0]),
+    ([0.0, 0.25, 1.0, 3.0, 3.5, 6.0, 6.5], [NEG_INF, 0.0, -2.0, NEG_INF, NEG_INF, 1e308, -1e308]),
+    ([0.0, 1.0, 2.0], [NEG_INF, NEG_INF, NEG_INF]),
+]
+
+
+def _random_panel_grid(rng):
+    knots = np.cumsum(rng.choice([0.0, 0.125, 0.3, 1.7, 5.0], size=8))
+    log_alpha = rng.normal(0.0, 40.0, size=8)
+    log_alpha[rng.random(8) < 0.3] = NEG_INF
+    return knots, log_alpha
+
+
+@pytest.mark.parametrize("per_unit", [1, 2, 3, 4, 8, 58, 200])
+def test_panel_nodes_match_the_per_interval_builder(per_unit):
+    rng = np.random.default_rng(per_unit)
+    grids = PANEL_GRIDS + [_random_panel_grid(rng) for _ in range(20)]
+    for knots, log_alpha in grids:
+        got = panel_nodes(knots, log_alpha, per_unit)
+        want = panel_nodes_per_interval(reference_rule(), knots, log_alpha, per_unit)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w, strict=True)
+
+
+def test_panel_nodes_whole_grid_equals_concatenated_runs():
+    # each maximal run of intervals with finite log values, built on its own
+    rng = np.random.default_rng(5)
+    for knots, log_alpha in PANEL_GRIDS[4:] + [_random_panel_grid(rng) for _ in range(20)]:
+        knots, log_alpha = np.asarray(knots), np.asarray(log_alpha)
+        finite = np.flatnonzero(np.isfinite(log_alpha))
+        cuts = np.flatnonzero(np.diff(finite) > 1) + 1
+        runs = [panel_nodes(knots[r[0] : r[-1] + 1], log_alpha[r[0] : r[-1] + 1], 3)
+                for r in np.split(finite, cuts) if r.size > 1]
+        whole = panel_nodes(knots, log_alpha, 3)
+        for column, part in zip(whole, zip(*runs) if runs else [[np.empty(0)]] * 3):
+            np.testing.assert_array_equal(column, np.concatenate(part), strict=True)
 
 
 def _tier_edge(tilt):

@@ -13,7 +13,7 @@ import pytest
 
 import betamix
 import betamix.cli
-from betamix import DiscreteMixture
+from betamix import ContinuousMixture, DiscreteMixture, mixtures
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -85,3 +85,29 @@ def test_tracer_wraps_cli_commands(spans, tmp_path):
         "betamix.cli.kernel_log_curvature",
         "betamix.cli.discrete_derivs_grid",
     } <= names
+
+
+def test_tracer_counts_one_panel_call_per_continuous_table(spans, monkeypatch):
+    # a -inf knot splits alpha into two runs, [0, 2] and [3, 6]; each tier
+    # table is still built by one panel_nodes call over the whole knot grid
+    knots = [0.0, 1.0, 2.0, 2.5, 3.0, 6.0]
+    mix = ContinuousMixture(6.0, knots, [0.0, 0.4, -0.5, float("-inf"), -1.0, -2.5])
+    plain = betamix.certify(mix, grid_points=64)
+    tables = []
+    original = mixtures._density_table
+
+    def recording(mix, per_unit):
+        tables.append(original(mix, per_unit))
+        return tables[-1]
+
+    monkeypatch.setattr(mixtures, "_density_table", recording)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        traced = betamix.certify(mix, grid_points=64)
+    assert traced == plain
+    assert len(tables) >= 2
+    assert tracer.counts["quadrature"] == {
+        "panel_calls": len(tables),
+        "rule_builds": len(tables),
+        "nodes": sum(table.s.size for table in tables),
+    }
