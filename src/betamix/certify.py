@@ -7,8 +7,9 @@ The central quantity is the normalized margin
 which is nonnegative on (0, 1) whenever the mixing weights are
 log-concave, vanishes identically for geometric weight sequences, and is
 scale-free in the weights. A certificate records the worst margin over a
-grid together with log-density second differences and randomized
-midpoint-definition spot checks.
+grid together with the largest log-curvature (log f)'' on the same grid,
+formed from the same f, f' and f'', and randomized midpoint-definition
+spot checks.
 """
 
 import math
@@ -19,14 +20,13 @@ import numpy as np
 from .mixtures import (
     ContinuousEvaluator,
     DiscreteMixture,
+    density_scaled,
     discrete_derivs_grid,
     discrete_density_grid,
-    eval_derivs_continuous,
+    log_curvature,
 )
 from .quadrature import ABS_TOL
 from .special import DomainError
-
-_TINY = np.finfo(float).tiny
 
 VERDICT_CERTIFIED = "certified"
 VERDICT_VIOLATED = "violated"
@@ -42,10 +42,12 @@ _MIDPOINT_SLACK = 1e-10
 class ConcavityCertificate:
     """Grid verdict with the minimum curvature margin and worst point.
 
-    min_logcurv is the largest second derivative of log f observed on the
-    grid (so it should be <= 0 up to noise for a log-concave density).
-    criterion records which test decided the verdict; the curvature margin
-    is the only one for now, for both kinds of mixture at every order.
+    min_logcurv is the largest (log f)'' = (f f'' - f'^2)/f^2 on the grid,
+    formed from the same f, f' and f'' as the margin, at the points that
+    have one (so it is <= 0 for a log-concave density). criterion records
+    which test decided the verdict; the curvature margin is the only one
+    for now, for both kinds of mixture at every order. A degenerate
+    certificate computes nothing past its verdict and keeps the defaults.
     """
 
     verdict: str
@@ -53,12 +55,12 @@ class ConcavityCertificate:
     eps: float
     tol: float
     criterion: str
-    min_margin_eq10: float | None
-    min_logcurv: float
-    worst_x: float
-    midpoint_checks: int
-    midpoint_failures: int
-    witness: tuple[float, float, float] | None
+    min_margin_eq10: float | None = None
+    min_logcurv: float = math.nan
+    worst_x: float = math.nan
+    midpoint_checks: int = 0
+    midpoint_failures: int = 0
+    witness: tuple[float, float, float] | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -91,36 +93,21 @@ class ConcavityCertificate:
         }
 
 
-def density_scaled(f, *values) -> tuple[np.ndarray, ...]:
-    """f and each of values divided, point by point, by the power of two that puts f in [0.5, 1).
-
-    Exact, and the same as evaluating on weights so scaled: a ratio of
-    products of two of them keeps its bits, while the products can no
-    longer overflow or underflow where the ratio is finite. Where f is not
-    a normal double (0, a subnormal with too few digits, inf or nan) every
-    result reads nan.
-    """
-    f = np.asarray(f, dtype=float)
-    normal = np.isfinite(f) & (f >= _TINY)
-    k = np.frexp(np.where(normal, f, 1.0))[1]
-    return tuple(np.where(normal, np.ldexp(v, -k), math.nan) for v in (f, *values))
-
-
 def margin_grid(f, d1, d2, M) -> np.ndarray:
     """Normalized curvature margin from density/derivative arrays; nan where f is not normal."""
     fs, d1s, d2s = density_scaled(f, d1, d2)
     return (((M - 1.0) / M) * d1s * d1s - fs * d2s) / (fs * fs)
 
 
-def _unit_scaled(mix: DiscreteMixture) -> tuple[DiscreteMixture, int]:
-    """(scaled, k): mix with its weights divided by 2^k, the largest landing in [1, 2).
+def _unit_scaled(mix: DiscreteMixture) -> DiscreteMixture:
+    """mix with its weights divided by the power of two that puts the largest in [1, 2).
 
     The normalized margin is scale-free, and a power of two scales every de
     Casteljau value exactly (within the normal range), so the margin keeps
     its digits while the de Casteljau values can no longer overflow.
     """
     k = int(np.frexp(np.max(mix.weights))[1]) - 1
-    return DiscreteMixture(mix.M, np.ldexp(mix.weights, -k)), k
+    return DiscreteMixture(mix.M, np.ldexp(mix.weights, -k))
 
 
 def margin_eq10(mix, x: float) -> float:
@@ -133,10 +120,9 @@ def margin_eq10(mix, x: float) -> float:
     if not 0.0 < x < 1.0:
         raise DomainError(f"margin_eq10 requires 0 < x < 1, got {x!r}")
     if isinstance(mix, DiscreteMixture):
-        f, d1, d2 = discrete_derivs_grid(_unit_scaled(mix)[0], np.array([x]))
+        f, d1, d2 = discrete_derivs_grid(_unit_scaled(mix), np.array([x]))
     else:
-        res = eval_derivs_continuous(mix, x)
-        f, d1, d2 = np.array([[res.value], [res.d1], [res.d2]])
+        f, d1, d2 = ContinuousEvaluator(mix).derivs(np.array([x]))
     return float(margin_grid(f, d1, d2, float(mix.M))[0])
 
 
@@ -182,8 +168,9 @@ def certify(
 ) -> ConcavityCertificate:
     """Certify log-concavity of the mixture density on [eps, 1-eps].
 
-    Evaluates the curvature margin on a uniform grid, log-density second
-    differences on the same grid, plus randomized midpoint spot checks.
+    Evaluates the curvature margin and the log-curvature on a uniform grid,
+    both from one evaluation of f, f' and f'', plus randomized midpoint
+    spot checks.
     "certified" means no violation was detected at this resolution and
     tolerance; evaluation problems are recorded in notes rather than
     raised.
@@ -192,60 +179,36 @@ def certify(
         raise ValueError("grid_points must be at least 3")
     check_eps(eps)
     if mix.is_zero:
-        return ConcavityCertificate(
-            verdict=VERDICT_DEGENERATE,
-            grid_points=grid_points,
-            eps=eps,
-            tol=tol,
-            criterion=CRITERION_EQ10,
-            min_margin_eq10=None,
-            min_logcurv=math.nan,
-            worst_x=math.nan,
-            midpoint_checks=0,
-            midpoint_failures=0,
-            witness=None,
-        )
+        return ConcavityCertificate(VERDICT_DEGENERATE, grid_points, eps, tol, CRITERION_EQ10)
 
     xs = np.linspace(eps, 1.0 - eps, grid_points)
     ev = None
     if isinstance(mix, DiscreteMixture):
-        scaled, k = _unit_scaled(mix)
-        f_margin, d1, d2 = discrete_derivs_grid(scaled, xs)
-        # mix's own density, exactly, so that the log-density checks and the
-        # underflow count are those of the input, not of its scaled copy
-        f = np.ldexp(f_margin, k)
+        f, d1, d2 = discrete_derivs_grid(_unit_scaled(mix), xs)
         density_fn = lambda pts: discrete_density_grid(mix, pts)
     else:
         ev = ContinuousEvaluator(mix)
         f, d1, d2 = ev.derivs(xs, strict=False)
-        f_margin = f
         density_fn = lambda pts: ev.density(pts, strict=False)
-    margins = margin_grid(f_margin, d1, d2, float(mix.M))
+    margins = margin_grid(f, d1, d2, float(mix.M))
+    logcurv = log_curvature(f, d1, d2)
 
-    # f below the smallest normal double has underflowed, to 0 or to a
-    # subnormal with too few digits for a log second difference
-    normal = np.isfinite(f) & (f >= _TINY)
-    log_f = np.where(normal, np.log(np.where(normal, f, 1.0)), -np.inf)
-    with np.errstate(invalid="ignore"):
-        second_diff = log_f[:-2] - 2.0 * log_f[1:-1] + log_f[2:]
-    h = xs[1] - xs[0]
-    finite = np.isfinite(second_diff)
-    min_logcurv = float(np.max(second_diff[finite]) / (h * h)) if finite.any() else math.nan
-
-    # the margin is nan where f underflowed; the worst point is taken over
-    # the others, and with none left nothing was computed
+    # the margin is nan where f underflowed, and those points are counted as
+    # such; the worst point and the largest log-curvature are taken over the
+    # others, and with none left nothing was computed
     pool = np.flatnonzero(np.isfinite(margins))
-    min_margin, worst_x = None, math.nan
+    min_margin, min_logcurv, worst_x = None, math.nan, math.nan
     if pool.size:
         i_worst = int(pool[np.argmin(margins[pool])])
         min_margin = float(margins[i_worst])
+        min_logcurv = float(np.max(logcurv[pool]))
         worst_x = float(xs[i_worst])
 
     rng = np.random.default_rng(seed)
     n_failures, witness = midpoint_check(density_fn, _MIDPOINT_CHECKS, eps, _MIDPOINT_SLACK, rng)
 
     notes = []
-    underflowed = grid_points - int(np.count_nonzero(normal))
+    underflowed = grid_points - pool.size
     if underflowed:
         notes.append(f"density underflowed to 0 at {underflowed} of {grid_points} grid points")
     if ev is not None and ev.last_gap > ABS_TOL:
@@ -291,7 +254,7 @@ def sharpness_check(M: int, r: float, grid_points: int = 1024) -> float:
     mix = DiscreteMixture(int(M), weights)
     eps = 1e-6
     xs = np.linspace(eps, 1.0 - eps, grid_points)
-    f, d1, d2 = discrete_derivs_grid(_unit_scaled(mix)[0], xs)
+    f, d1, d2 = discrete_derivs_grid(_unit_scaled(mix), xs)
     margins = margin_grid(f, d1, d2, float(M))
     return float(np.max(np.abs(margins), initial=0.0, where=np.isfinite(margins)))
 

@@ -32,14 +32,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .certify import (check_eps, certify, density_scaled, find_kernel_failure,
-                      kernel_log_curvature, sharpness_check)
+from .certify import check_eps, certify, find_kernel_failure, kernel_log_curvature, sharpness_check
 from .lemmas import continuous_lemma_sweep, discrete_lemma_sweep
 from .mixtures import (
     ContinuousEvaluator,
     DegenerateMixtureError,
     DiscreteMixture,
     discrete_derivs_grid,
+    log_curvature,
     mixture_from_json,
     mixture_to_json,
     sample,
@@ -123,9 +123,7 @@ def cmd_eval(args, mix, meta) -> int:
         f, d1, d2 = discrete_derivs_grid(mix, xs)
     else:
         f, d1, d2 = ContinuousEvaluator(mix).derivs(xs)
-    # (log f)'' on the per-point scale of the margin: nan where f underflows
-    fs, d1s, d2s = density_scaled(f, d1, d2)
-    log_d2 = (fs * d2s - d1s * d1s) / (fs * fs)
+    log_d2 = log_curvature(f, d1, d2)
     log_f = np.where(f > 0.0, np.log(np.where(f > 0.0, f, 1.0)), -np.inf)
     columns = {"x": xs, "f": f, "d1": d1, "d2": d2, "log_f": log_f, "log_d2": log_d2}
     _write_table(args, meta, {name: col.tolist() for name, col in columns.items()})

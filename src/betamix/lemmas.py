@@ -277,10 +277,17 @@ def discrete_lemma_sweep(max_M: int = 12, k_min: int = -1, min_M: int = 2) -> li
 # coefficient-level inequalities for weight vectors
 
 
-def _weight_at(weights: np.ndarray, i: int) -> float:
-    if 0 <= i < weights.shape[0]:
-        return float(weights[i])
-    return 0.0
+def _weights_at(weights: np.ndarray, shift: int = 0):
+    """i -> w_(i+shift), with 0 outside the weight vector."""
+    return lambda i: float(weights[i + shift]) if 0 <= i + shift < weights.shape[0] else 0.0
+
+
+def _pair_sum(p, q, Mp: int, Mq: int, n: int) -> float:
+    """Sum over i + j = n (i from -2 to n+2) of p(i) q(j) C(Mp, i) C(Mq, j), binomials multiplied exactly."""
+    total = 0.0
+    for i in range(-2, n + 3):
+        total += p(i) * q(n - i) * (int_binom_exact(Mp, i) * int_binom_exact(Mq, n - i))
+    return total
 
 
 def _warn_if_not_log_concave(weights, M):
@@ -309,16 +316,8 @@ def core_inequalities_discrete(weights, M: int, n: int, which: int) -> tuple[flo
         raise DomainError(f"n must satisfy 0 <= n <= 2M-2, got n={n!r}, M={M!r}")
     w = np.asarray(weights, dtype=float)
     _warn_if_not_log_concave(w, M)
-    a, b, c, d = _CORE_SHIFTS[which]
-    lhs = 0.0
-    rhs = 0.0
-    for i in range(-2, n + 3):
-        j = n - i
-        cl = int_binom_exact(M - 1, i) * int_binom_exact(M - 1, j)
-        cr = int_binom_exact(M, i) * int_binom_exact(M - 2, j)
-        lhs += _weight_at(w, i + a) * _weight_at(w, j + b) * cl
-        rhs += _weight_at(w, i + c) * _weight_at(w, j + d) * cr
-    return lhs, rhs
+    a, b, c, d = (_weights_at(w, k) for k in _CORE_SHIFTS[which])
+    return _pair_sum(a, b, M - 1, M - 1, n), _pair_sum(c, d, M, M - 2, n)
 
 
 def coefficient_inequality_12(weights, M: int, n: int) -> tuple[float, float]:
@@ -332,21 +331,15 @@ def coefficient_inequality_12(weights, M: int, n: int) -> tuple[float, float]:
     """
     if not 0 <= n <= 2 * M - 2:
         raise DomainError(f"n must satisfy 0 <= n <= 2M-2, got n={n!r}, M={M!r}")
-    w = np.asarray(weights, dtype=float)
+    w = _weights_at(np.asarray(weights, dtype=float))
 
     def d1(i):
-        return _weight_at(w, i) - _weight_at(w, i + 1)
+        return w(i) - w(i + 1)
 
     def d2(i):
-        return _weight_at(w, i) - 2.0 * _weight_at(w, i + 1) + _weight_at(w, i + 2)
+        return w(i) - 2.0 * w(i + 1) + w(i + 2)
 
-    lhs = 0.0
-    rhs = 0.0
-    for i in range(-2, n + 3):
-        j = n - i
-        lhs += d1(i) * d1(j) * int_binom_exact(M - 1, i) * int_binom_exact(M - 1, j)
-        rhs += _weight_at(w, i) * d2(j) * int_binom_exact(M, i) * int_binom_exact(M - 2, j)
-    return lhs, rhs
+    return _pair_sum(d1, d1, M - 1, M - 1, n), _pair_sum(w, d2, M, M - 2, n)
 
 
 # ---------------------------------------------------------------------------

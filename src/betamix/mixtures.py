@@ -35,6 +35,7 @@ from .special import DomainError, log_gen_binom_grid
 from .special import log_abs_gen_binom_ext  # noqa: F401  (perfbench/spans.py wraps this name here)
 
 _NEG_INF = float("-inf")
+_TINY = np.finfo(float).tiny
 
 
 class DegenerateMixtureError(ValueError):
@@ -132,9 +133,16 @@ class ContinuousMixture:
         return not bool(np.any(self.segment_active()))
 
     def log_alpha_at(self, s) -> np.ndarray:
-        """l(s) = log alpha(s), vectorized; -inf outside the active support."""
+        """l(s) = log alpha(s), vectorized; -inf outside the active support.
+
+        s is read on the knot interval to its right and on the one to its
+        left, and the larger value is kept: off the knots the two are the
+        same interval, and a knot reads its own value whenever either
+        interval beside it is live.
+        """
         s = np.asarray(s, dtype=float)
-        idx = np.clip(np.searchsorted(self.knots, s, side="right") - 1, 0, len(self.knots) - 2)
+        sides = [np.searchsorted(self.knots, s, side=side) for side in ("right", "left")]
+        idx = np.clip(np.stack(sides) - 1, 0, len(self.knots) - 2)
         s0 = self.knots[idx]
         s1 = self.knots[idx + 1]
         l0 = self.log_alpha[idx]
@@ -144,7 +152,28 @@ class ContinuousMixture:
         with np.errstate(invalid="ignore"):
             val = (1.0 - t) * l0 + t * l1
         inside = (s >= 0.0) & (s <= self.M) & active
-        return np.where(inside, val, _NEG_INF)
+        return np.fmax(*np.where(inside, val, _NEG_INF))
+
+
+def density_scaled(f, *values) -> tuple[np.ndarray, ...]:
+    """f and each of values divided, point by point, by the power of two that puts f in [0.5, 1).
+
+    Exact, and the same as evaluating on weights so scaled: a ratio of
+    products of two of them keeps its bits, while the products can no
+    longer overflow or underflow where the ratio is finite. Where f is not
+    a normal double (0, a subnormal with too few digits, inf or nan) every
+    result reads nan.
+    """
+    f = np.asarray(f, dtype=float)
+    normal = np.isfinite(f) & (f >= _TINY)
+    k = np.frexp(np.where(normal, f, 1.0))[1]
+    return tuple(np.where(normal, np.ldexp(v, -k), math.nan) for v in (f, *values))
+
+
+def log_curvature(f, d1, d2) -> np.ndarray:
+    """(log f)'' = (f f'' - f'^2)/f^2 on the per-point scale of density_scaled; nan where f is not normal."""
+    fs, d1s, d2s = density_scaled(f, d1, d2)
+    return (fs * d2s - d1s * d1s) / (fs * fs)
 
 
 @dataclass(frozen=True)
@@ -152,7 +181,9 @@ class EvalResult:
     """Density value with first/second derivatives and their log-domain forms.
 
     log_d1 is the score (log f)' = f'/f and log_d2 the log-curvature
-    (log f)'' = (f*f'' - f'^2)/f^2; both are nan where f vanishes.
+    (log f)'' = (f*f'' - f'^2)/f^2, both formed on f's per-point scale
+    (density_scaled), so neither overflows nor underflows where it is
+    finite; both are nan where f is not a normal double.
     """
 
     value: float
@@ -165,7 +196,8 @@ class EvalResult:
     @classmethod
     def from_linear(cls, f: float, d1: float, d2: float) -> "EvalResult":
         if f > 0.0:
-            return cls(f, d1, d2, math.log(f), d1 / f, (f * d2 - d1 * d1) / (f * f))
+            fs, d1s = density_scaled(f, d1)
+            return cls(f, d1, d2, math.log(f), float(d1s / fs), float(log_curvature(f, d1, d2)))
         return cls(f, d1, d2, _NEG_INF, math.nan, math.nan)
 
 
@@ -255,6 +287,10 @@ def eval_derivs_discrete(mix: DiscreteMixture, x: float) -> EvalResult:
 # continuous evaluation
 
 
+# points of x per exponentiation in _KernelTable.integrate
+_KERNEL_BLOCK = 128
+
+
 class _KernelTable:
     """Quadrature nodes plus the x-independent part of the density integrand.
 
@@ -273,7 +309,7 @@ class _KernelTable:
         self.s, self.wk, self.wg, self.log_k, self.M = s, wk, wg, log_k, M
         self.centre = 0.5 * (s.min() + s.max()) if s.size else 0.0
 
-    def integrate(self, x: np.ndarray, moments: bool = False, block: int = 128) -> np.ndarray:
+    def integrate(self, x: np.ndarray, moments: bool = False) -> np.ndarray:
         """Kronrod and Gauss results over an array of x in (0, 1).
 
         Returns an array whose first axis holds the Kronrod result, then the
@@ -292,8 +328,8 @@ class _KernelTable:
             rows = [self.wk, self.wg]
             if moments:
                 rows = [r for w in rows for r in (w, w * ds, w * ds * ds)]
-            for start in range(0, x.size, block):
-                sl = slice(start, start + block)
+            for start in range(0, x.size, _KERNEL_BLOCK):
+                sl = slice(start, start + _KERNEL_BLOCK)
                 # one row per x, so each sum over s runs over contiguous memory
                 # in the same order whatever the number of points
                 terms = (
@@ -519,7 +555,11 @@ def sample(mix, count: int, seed: int, grid_points: int = 4096) -> np.ndarray:
 # log-concavity of the mixing weights
 
 
-def is_log_concave_weights(mix, rel_tol: float = 1e-12) -> bool:
+# relative slack of the weight and slope comparisons in is_log_concave_weights
+_LOG_CONCAVE_REL_TOL = 1e-12
+
+
+def is_log_concave_weights(mix) -> bool:
     """Whether the mixing weights/function satisfy the log-concavity hypothesis.
 
     Discrete: contiguous support and w_i^2 >= w_{i-1} w_{i+1} on it.
@@ -536,7 +576,7 @@ def is_log_concave_weights(mix, rel_tol: float = 1e-12) -> bool:
         w = mix.weights[idx[0] : idx[-1] + 1]
         if w.size < 3:
             return True
-        return bool(np.all(w[1:-1] ** 2 >= w[:-2] * w[2:] * (1.0 - rel_tol)))
+        return bool(np.all(w[1:-1] ** 2 >= w[:-2] * w[2:] * (1.0 - _LOG_CONCAVE_REL_TOL)))
     active = mix.segment_active()
     idx = np.flatnonzero(active)
     if idx.size == 0:
@@ -548,7 +588,7 @@ def is_log_concave_weights(mix, rel_tol: float = 1e-12) -> bool:
     slopes = np.diff(la) / np.diff(knots)
     if slopes.size < 2:
         return True
-    slack = rel_tol * np.maximum(1.0, np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:])))
+    slack = _LOG_CONCAVE_REL_TOL * np.maximum(1.0, np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:])))
     return bool(np.all(np.diff(slopes) <= slack))
 
 

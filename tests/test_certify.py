@@ -13,10 +13,12 @@ from betamix import (
     find_kernel_failure,
     kernel_log_curvature,
     margin_eq10,
+    mixture_to_json,
     random_concave_mixture,
     random_log_concave_weights,
     sharpness_check,
 )
+from betamix.cli import main
 
 from oracles import continuous_derivs_quad
 
@@ -85,10 +87,11 @@ def test_certify_notes_underflowed_density():
     assert cert.verdict == "certified"
     assert cert.notes == ("density underflowed to 0 at 16 of 1024 grid points",)
     assert -1600.1 < cert.min_logcurv < -1600.0
-    # w = e_0 at M = 60: x^60 underflows at x = 1e-6 only
+    # w = e_0 at M = 60: x^60 underflows at x = 1e-6 only; (log f)'' = -60/x^2
+    # is largest at the last grid point
     cert = certify(DiscreteMixture(60, np.eye(61)[0]))
     assert cert.notes == ("density underflowed to 0 at 1 of 1024 grid points",)
-    assert cert.min_logcurv == pytest.approx(-60.11762317071039, rel=1e-12)
+    assert cert.min_logcurv == pytest.approx(-60.0 / (1.0 - 1e-6) ** 2, rel=1e-12)
 
 
 def test_certify_worst_point_skips_underflowed_margins():
@@ -195,17 +198,54 @@ def test_margin_scaling_invariance():
     assert certify(mix).verdict == certify(scaled).verdict
 
 
-def test_margin_implies_second_difference():
-    # wherever the grid margin is nonnegative, log-density second
-    # differences on the same grid must be nonpositive up to tolerance
+def test_margin_implies_nonpositive_log_curvature():
+    # (log f)'' = -margin - (f'/f)^2/M, so wherever the grid margin is
+    # nonnegative the log-curvature on the same grid is nonpositive
     rng = np.random.default_rng(103)
     for _ in range(10):
         M = int(rng.integers(2, 40))
         mix = DiscreteMixture(M, random_log_concave_weights(rng, M))
         cert = certify(mix)
         assert cert.min_margin_eq10 >= -1e-9
-        h = (1.0 - 2.0 * cert.eps) / (cert.grid_points - 1)
-        assert cert.min_logcurv * h * h <= 1e-9
+        assert cert.min_logcurv <= 0.0
+
+
+@pytest.mark.parametrize(
+    "M, weights, exact",
+    [
+        # f = x^M: (log f)'' = -M/x^2, largest at x = 1 - eps
+        (30, np.eye(31)[0], -30.0 / (1.0 - 1e-6) ** 2),
+        (60, np.eye(61)[0], -60.0 / (1.0 - 1e-6) ** 2),
+        # w_i = 0.5^i: f = ((1+x)/2)^M, (log f)'' = -M/(1+x)^2, largest at x = 1 - eps
+        (400, 0.5 ** np.arange(401), -400.0 / (2.0 - 1e-6) ** 2),
+    ],
+    ids=["e0-M30", "e0-M60", "half-pow-M400"],
+)
+def test_min_logcurv_of_tight_inputs_in_closed_form(M, weights, exact):
+    cert = certify(DiscreteMixture(M, weights))
+    assert cert.min_logcurv == pytest.approx(exact, rel=1e-12)
+
+
+def _eval_log_d2(mix, grid_points, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(mixture_to_json(mix)))
+    out = tmp_path / "eval.json"
+    argv = ["eval", "--input", str(path), "--grid-points", str(grid_points), "--format", "json"]
+    assert main(argv + ["--out", str(out)]) == 0
+    table = json.loads(out.read_text())
+    return [row[table["columns"].index("log_d2")] for row in table["rows"]]
+
+
+def test_min_logcurv_is_the_largest_eval_log_curvature(tmp_path):
+    # certify and eval form (log f)'' by the same formula on the same grid
+    rng = np.random.default_rng(107)
+    mixes = [
+        DiscreteMixture(25, random_log_concave_weights(rng, 25)),
+        random_concave_mixture(rng, m_range=(2.5, 12.0)),
+    ]
+    for mix in mixes:
+        log_d2 = _eval_log_d2(mix, 256, tmp_path)
+        assert certify(mix, grid_points=256).min_logcurv == max(v for v in log_d2 if v is not None)
 
 
 @pytest.mark.parametrize("M", [2, 10, 100])

@@ -105,6 +105,17 @@ def test_partial_dead_zone():
     assert eval_density_continuous(mix, x) == pytest.approx(ref, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "log_alpha, expected",
+    [([0.0, 0.0, NEG_INF], 0.0), ([NEG_INF, 0.0, 0.0], 0.0), ([NEG_INF, 0.0, NEG_INF], NEG_INF)],
+    ids=["dead-right", "dead-left", "dead-both"],
+)
+def test_log_alpha_at_a_knot_reads_either_live_side(log_alpha, expected):
+    mix = ContinuousMixture(2.0, [0.0, 1.0, 2.0], log_alpha)
+    assert mix.log_alpha_at(1.0) == expected
+    assert mix.log_alpha_at(np.array([1.0]))[0] == expected
+
+
 def test_flat_mixing_derivative_is_boundary_only():
     # alpha(s) - alpha(s+1) vanishes on [0, M-1] for constant alpha, so f'
     # reduces to the two boundary strips; finite differences confirm.

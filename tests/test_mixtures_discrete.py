@@ -184,6 +184,23 @@ def test_eval_result_log_fields():
     )
 
 
+@pytest.mark.parametrize(
+    "M, weights, x, exact",
+    [
+        # f ~ 1e-223, so f*f underflows (a ZeroDivisionError unscaled)
+        (400, np.eye(401)[200], 0.02, lambda x: -200.0 / x**2 - 200.0 / (1.0 - x) ** 2),
+        # f = (2-x)^1000 ~ 1e176, so f*f overflows (nan unscaled)
+        (1000, 2.0 ** np.arange(1001), 0.5, lambda x: -1000.0 / (2.0 - x) ** 2),
+    ],
+    ids=["e200-M400", "two-pow-M1000"],
+)
+def test_eval_result_log_curvature_at_large_orders(M, weights, x, exact):
+    res = eval_derivs_discrete(DiscreteMixture(M, weights), x)
+    assert res.log_d2 == pytest.approx(exact(x), rel=1e-10)
+    assert res.log_d1 == pytest.approx(res.d1 / res.value, rel=1e-14)
+    assert res.log_value == pytest.approx(np.log(res.value), rel=1e-14)
+
+
 def test_zero_mixture_is_legal():
     mix = DiscreteMixture(2, [0.0, 0.0, 0.0])
     assert mix.is_zero
