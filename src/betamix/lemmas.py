@@ -23,7 +23,7 @@ import numpy as np
 
 from .certify import midpoint_check
 from .mixtures import ContinuousMixture, DiscreteMixture, density_grid, is_log_concave_weights
-from .quadrature import check_gauss_kronrod, panel_nodes
+from .quadrature import kronrod_integral, panel_nodes
 from .special import DomainError, int_binom_exact, log_abs_gen_binom_ext
 
 CONTINUOUS_WHICH = ("ineq4", "ineq5", "ineq6")
@@ -211,12 +211,8 @@ def lemma2_continuous(M: float, n: float, q: float, which: str) -> LemmaCase:
     if lo > hi:
         return LemmaCase(M, n, q, which, 0.0, 0.0, clipped=True)
     s, wk, wg = panel_nodes([lo, hi])
-    results = []
-    for fn in _lemma2_integrands(M, n, which):
-        vals = fn(s)
-        kronrod, gauss = float(np.dot(wk, vals)), float(np.dot(wg, vals))
-        check_gauss_kronrod(gauss, kronrod, f"{which} integrand (M={M}, n={n}, q={q})")
-        results.append(kronrod)
+    what = f"{which} integrand (M={M}, n={n}, q={q})"
+    results = [kronrod_integral(wk, wg, fn(s), what) for fn in _lemma2_integrands(M, n, which)]
     return LemmaCase(M, n, q, which, results[0], results[1], clipped=clipped)
 
 

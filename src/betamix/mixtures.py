@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .quadrature import check_gauss_kronrod, log_drop_panels, panel_nodes
+from .quadrature import check_gauss_kronrod, kronrod_integral, log_drop_panels, panel_nodes
 from .special import DomainError, log_gen_binom_grid
 from .special import log_abs_gen_binom_ext  # noqa: F401  (perfbench/spans.py wraps this name here)
 
@@ -309,17 +309,23 @@ class _KernelTable:
         self.s, self.wk, self.wg, self.log_k, self.M = s, wk, wg, log_k, M
         self.centre = 0.5 * (s.min() + s.max()) if s.size else 0.0
 
-    def integrate(self, x: np.ndarray, moments: bool = False) -> np.ndarray:
-        """Kronrod and Gauss results over an array of x in (0, 1).
+    def integrate(self, x: np.ndarray, moments: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Kronrod result over an array of x in (0, 1), with its Gauss-Kronrod gap at each x.
 
-        Returns an array whose first axis holds the Kronrod result, then the
-        Gauss one. Each result is the density or, with moments, the triple
-        (f, mean, var): the density plus the mean and variance of the
-        posterior over s at each x. One exponentiation per block of x serves
-        every one of them.
+        The result is the density or, with moments, the triple (f, mean,
+        var): the density plus the mean and variance of the posterior over s
+        at each x, all from one exponentiation per block of x. The gap is
+        the largest Kronrod-Gauss distance of the posterior's mass relative
+        to itself (before the shift by exp(top), so defined where f
+        underflows), its mean relative to M and its variance relative to
+        M^2: the scales that bound f, f' and f'' relative to f, f M/t and
+        f M^2/t^2, with t = x(1-x). It is 0 where the integrand vanishes at
+        every node.
         """
         kinds = 3 if moments else 1
-        out = np.zeros((2, kinds, x.size))
+        # Kronrod sums in z[0], Gauss sums in z[1], each point's on its own scale exp(top)
+        z = np.zeros((2, kinds, x.size))
+        top = np.full(x.size, _NEG_INF)
         if self.s.size:
             log_x = np.log(x)
             log_1mx = np.log1p(-x)
@@ -337,18 +343,22 @@ class _KernelTable:
                     + self.s[None, :] * log_1mx[sl, None]
                     + x_pow[None, :] * log_x[sl, None]
                 )
-                top = np.max(terms, axis=1)
-                live = np.isfinite(top)
-                terms -= np.where(live, top, 0.0)[:, None]
+                top[sl] = np.max(terms, axis=1)
+                terms -= np.where(np.isfinite(top[sl]), top[sl], 0.0)[:, None]
                 np.exp(terms, out=terms)
-                z = np.reshape([np.einsum("jk,k->j", terms, row) for row in rows], (2, kinds, -1))
-                out[:, 0, sl] = np.where(live, np.exp(top) * z[:, 0], 0.0)
-                if moments:
-                    with np.errstate(invalid="ignore", divide="ignore"):
-                        mu = z[:, 1] / z[:, 0]
-                        out[:, 1, sl] = self.centre + mu
-                        out[:, 2, sl] = z[:, 2] / z[:, 0] - mu * mu
-        return out if moments else out[:, 0]
+                z[..., sl] = np.reshape([np.einsum("jk,k->j", terms, row) for row in rows], (2, kinds, -1))
+        live = np.isfinite(top)
+        mass = z[:, 0]
+        out = [np.where(live, np.exp(top) * mass[0], 0.0)]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            gap = np.abs(mass[0] - mass[1]) / mass[0]
+            if moments:
+                mu = z[:, 1] / mass
+                var = z[:, 2] / mass - mu * mu
+                out += [self.centre + mu[0], var[0]]
+                gap = np.maximum(gap, np.abs(mu[0] - mu[1]) / self.M)
+                gap = np.maximum(gap, np.abs(var[0] - var[1]) / self.M**2)
+        return (np.array(out) if moments else out[0]), np.where(live, gap, 0.0)
 
 
 def _density_table(mix: ContinuousMixture, per_unit: int) -> _KernelTable:
@@ -393,54 +403,41 @@ class ContinuousEvaluator:
     reads one panel per unit. A tier's table is built the first time a
     point needs it and kept, and a point's value depends on that point
     alone, not on the others evaluated with it. Every evaluation returns
-    the Kronrod value after checking that the embedded Gauss value agrees
-    with it to within quadrature.ABS_TOL, per kind of value (raising
-    QuadratureError otherwise, or recording the largest gap in last_gap
-    when strict=False).
+    Kronrod values, after checking each point's Gauss-Kronrod gap on the
+    scales of _KernelTable.integrate; a gap above quadrature.REL_TOL raises
+    QuadratureError.
     """
 
     def __init__(self, mix: ContinuousMixture):
         self.mix = mix
         self._tables: dict[int, _KernelTable] = {}
-        self.last_gap = 0.0
 
     def _integrate(self, x: np.ndarray, moments: bool) -> np.ndarray:
-        """_KernelTable.integrate over x, each point on its own tier's table."""
+        """Checked _KernelTable.integrate over x, each point on its own tier's table."""
         tiers = _tilt_tiers(x)
-        out = np.empty((2, 3, x.size) if moments else (2, x.size))
+        out = np.empty((3, x.size) if moments else x.size)
+        gap = np.empty(x.size)
         for tier in np.unique(tiers).tolist():
             if tier not in self._tables:
                 self._tables[tier] = _density_table(self.mix, tier)
             group = np.flatnonzero(tiers == tier)
-            out[..., group] = self._tables[tier].integrate(x[group], moments)
+            out[..., group], gap[group] = self._tables[tier].integrate(x[group], moments)
+        check_gauss_kronrod(gap, "density and derivatives" if moments else "density")
         return out
 
-    def _checked(self, kind: str, gauss, kronrod, strict: bool) -> np.ndarray:
-        gap = check_gauss_kronrod(gauss, kronrod, kind, strict)
-        self.last_gap = max(self.last_gap, gap)
-        return kronrod
+    def density(self, x) -> np.ndarray:
+        return self._integrate(np.asarray(x, dtype=float), moments=False)
 
-    def density(self, x, strict: bool = True) -> np.ndarray:
-        kronrod, gauss = self._integrate(np.asarray(x, dtype=float), moments=False)
-        return self._checked("density", gauss, kronrod, strict)
-
-    def derivs(self, x, strict: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(f, f', f'') over an array of x in (0, 1), in one pass over each point's table.
-
-        Each of the three is checked against its Gauss value on its own.
-        """
+    def derivs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(f, f', f'') over an array of x in (0, 1), in one pass over each point's table."""
         x = np.asarray(x, dtype=float)
-        kronrod, gauss = (
-            _derivs_from_moments(self.mix.M, x, *m) for m in self._integrate(x, moments=True)
-        )
-        kinds = ("density", "d1", "d2")
-        return tuple(self._checked(kind, g, k, strict) for kind, g, k in zip(kinds, gauss, kronrod))
+        return _derivs_from_moments(self.mix.M, x, *self._integrate(x, moments=True))
 
-    def d1(self, x, strict: bool = True) -> np.ndarray:
-        return self.derivs(x, strict)[1]
+    def d1(self, x) -> np.ndarray:
+        return self.derivs(x)[1]
 
-    def d2(self, x, strict: bool = True) -> np.ndarray:
-        return self.derivs(x, strict)[2]
+    def d2(self, x) -> np.ndarray:
+        return self.derivs(x)[2]
 
 
 def eval_density_continuous(mix: ContinuousMixture, x: float) -> float:
@@ -494,7 +491,7 @@ def normalization(mix) -> float:
 
 
 def _alpha_integral(mix: ContinuousMixture, what: str, factor=None):
-    """Kronrod value of integral alpha(s) factor(s) ds, checked against Gauss.
+    """Kronrod value of integral alpha(s) factor(s) ds, checked by quadrature.kronrod_integral.
 
     factor defaults to 1. alpha is shifted by its largest log value at the
     nodes; alpha = 0 everywhere leaves no nodes and gives 0.
@@ -503,10 +500,7 @@ def _alpha_integral(mix: ContinuousMixture, what: str, factor=None):
     la = mix.log_alpha_at(s)
     m = np.max(la, initial=_NEG_INF)
     vals = np.exp(la - m) if factor is None else np.exp(la - m) * factor(s)
-    kronrod = math.exp(m) * float(np.dot(wk, vals))
-    gauss = math.exp(m) * float(np.dot(wg, vals))
-    check_gauss_kronrod(gauss, kronrod, what)
-    return kronrod
+    return math.exp(m) * kronrod_integral(wk, wg, vals, what)
 
 
 def cdf(mix, x: float) -> float:

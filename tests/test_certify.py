@@ -145,6 +145,29 @@ def test_certify_large_weights_margin_finite():
     assert sharpness_check(1000, 2.0, grid_points=64) < 1e-7
 
 
+def test_certify_scales_weights_only_as_far_as_the_range_needs():
+    # w_i = 2^(i - 1000) at M = 2000: the density lies in about [9e-302,
+    # 1e301] and underflows nowhere. Weights scaled to put the largest in
+    # [1, 2) gave de Casteljau values down to 1e-602, which underflowed at 26
+    # of 64 points; scaled only below 2^1022 / (4M^2) they underflow nowhere.
+    # The verdict stays violated: the margin is 0 and rounding decides it.
+    mix = DiscreteMixture(2000, 2.0 ** (np.arange(2001) - 1000))
+    cert = certify(mix, grid_points=64)
+    assert cert.notes == ()
+    assert cert.verdict == "violated" and abs(cert.min_margin_eq10) < 1e-7
+    # weights near the top of the double range are still scaled down far
+    # enough for g'' to stay finite, and give the margin of unscaled weights
+    w = np.exp(-0.001 * (np.arange(401) - 150.0) ** 2)
+    big = certify(DiscreteMixture(400, 1e305 * w), grid_points=256)
+    unit = certify(DiscreteMixture(400, w), grid_points=256)
+    assert big.certified and big.notes == ()
+    assert big.min_margin_eq10 == pytest.approx(unit.min_margin_eq10, rel=1e-9)
+    assert big.worst_x == unit.worst_x
+    # subnormal weights are scaled up, so their density is resolved
+    tiny = certify(DiscreteMixture(2, [1e-310, 2e-310, 1e-310]))
+    assert tiny.certified and tiny.notes == ()
+
+
 def test_certify_rejects_eps_outside_the_grid_range():
     # at or below 2^-54, 1 - eps rounds to 1 and the grid would end at x = 1
     mix = DiscreteMixture(2, [1.0, 2.0, 4.0])

@@ -187,6 +187,21 @@ def test_certify_continuous_input(tmp_path):
     assert main(["certify", "--input", str(path), "--grid-points", "256", "--out", str(out)]) == 0
 
 
+def test_eval_large_order_continuous_input(tmp_path):
+    # an M = 200 mixture whose f'' cancels near x = 0.98: its Gauss-Kronrod
+    # gap is judged on the scale of the posterior variance, M^2, not of |f''|
+    path = tmp_path / "m200.json"
+    path.write_text(json.dumps({
+        "M": 200.0,
+        "knots": [0.0, 13.03789872, 38.76826494, 71.07771893, 189.3584576, 200.0],
+        "log_alpha": [0.0, -1.57565692, -12.19499155, -27.76329719, -92.08051285, -101.54966575],
+    }))
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--input", str(path), "--out", str(out)]) == 0
+    header, rows = _data_rows(out.read_text())
+    assert len(rows) == 1024
+
+
 def test_lemmas_pass_and_row_count(tmp_path):
     out = tmp_path / "lemmas.csv"
     code = main(["lemmas", "--M", "5", "--n", "4", "--out", str(out)])

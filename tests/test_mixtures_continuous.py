@@ -20,12 +20,15 @@ from betamix import (
     sample,
 )
 from betamix import mixtures
+from betamix.cli import main
 from betamix.mixtures import ContinuousEvaluator, _tilt_tiers, discrete_density_grid
 from betamix.quadrature import (
     LOG_DROP_CAP,
     LOG_DROP_PER_PANEL,
     PANELS_PER_UNIT,
     QuadratureError,
+    check_gauss_kronrod,
+    kronrod_integral,
     panel_nodes,
     reference_rule,
 )
@@ -272,14 +275,74 @@ def test_tiny_x_resolved_by_its_tilt_tier():
     assert eval_density_continuous(mix, x) == res.value
 
 
-def test_quadrature_failure_surfaces():
-    # a log drop past the cap gets only the capped 200 panels: strict
-    # evaluation raises, and certify records the gap in a note
+def test_quadrature_failure_surfaces(tmp_path, capsys):
+    # a log drop past the cap gets only the capped 200 panels: evaluation
+    # raises, and so does certify, which issues no certificate over it
     mix = ContinuousMixture(3.0, [0.0, 1.0, 3.0], [0.0, -1e6, -1e6 - 1.0])
     with pytest.raises(QuadratureError):
         ContinuousEvaluator(mix).derivs(np.linspace(1e-6, 1.0 - 1e-6, 64))
-    cert = certify(mix, grid_points=64)
-    assert any(note.startswith("quadrature:") for note in cert.notes)
+    with pytest.raises(QuadratureError):
+        certify(mix, grid_points=64)
+    path, out = tmp_path / "capped.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(mixture_to_json(mix)))
+    assert main(["certify", "--input", str(path), "--grid-points", "64", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "Gauss and Kronrod quadratures differ" in capsys.readouterr().err
+
+
+def test_gauss_kronrod_check_fails_a_nan_gap():
+    with pytest.raises(QuadratureError):
+        check_gauss_kronrod(np.array([np.nan]), "nan gap")
+    with pytest.raises(QuadratureError):
+        check_gauss_kronrod(np.array([0.0, np.nan, 1e-12]), "nan gap")
+    check_gauss_kronrod(np.array([0.0, 1e-10]), "at the tolerance")
+    check_gauss_kronrod(np.array([]), "no points")
+
+
+def test_kronrod_integral_gap_on_the_scale_of_the_absolute_integrand():
+    s, wk, wg = panel_nodes([0.0, 1.0])
+    # an integrand whose integral cancels to about 0 is judged on the
+    # integral of its absolute value, so its Kronrod value passes
+    assert abs(kronrod_integral(wk, wg, np.sin(2.0 * np.pi * s), "sine")) <= 1e-15
+    for scale in (1e-300, 1.0, 1e300):
+        assert kronrod_integral(wk, wg, scale * np.exp(s), "exp") == pytest.approx(
+            scale * (math.e - 1.0), rel=1e-14
+        )
+    assert kronrod_integral(wk, wg, np.zeros_like(s), "zero") == 0.0
+    # inf - inf: the gap is nan, and fails
+    with pytest.raises(QuadratureError), np.errstate(invalid="ignore"):
+        kronrod_integral(wk, wg, np.full_like(s, np.inf), "overflowed integrand")
+
+
+# An M = 200 mixture whose f'' cancels near x = 0.98 down from terms of scale
+# f M^2/t^2: its Gauss-Kronrod gap there is about 1e-9 of max(1, |f''|) but
+# 3e-14 of the posterior variance's scale M^2.
+M200_KNOTS = [0.0, 13.03789872, 38.76826494, 71.07771893, 189.3584576, 200.0]
+M200_LOG_ALPHA = np.array([0.0, -1.57565692, -12.19499155, -27.76329719, -92.08051285, -101.54966575])
+
+
+@pytest.mark.parametrize("c", [-30.0, -10.0, 0.0, 10.0, 30.0])
+def test_gauss_kronrod_gate_does_not_depend_on_the_mixing_scale(c):
+    xs = np.linspace(1e-6, 1.0 - 1e-6, 1024)
+    base = ContinuousEvaluator(ContinuousMixture(200.0, M200_KNOTS, M200_LOG_ALPHA)).derivs(xs)
+    scaled = ContinuousEvaluator(ContinuousMixture(200.0, M200_KNOTS, M200_LOG_ALPHA + c)).derivs(xs)
+    # the density and its derivatives scale with alpha, to within rounding
+    # on the scales f, f M/t and f M^2/t^2 that the gate measures
+    f, t = base[0], xs * (1.0 - xs)
+    for got, want, scale in zip(scaled, base, (f, f * 200.0 / t, f * 200.0**2 / t**2)):
+        assert np.all(np.abs(got - math.exp(c) * want) <= 1e-12 * math.exp(c) * scale)
+
+
+def test_large_order_second_derivative_matches_oracle_near_one():
+    mix = ContinuousMixture(200.0, M200_KNOTS, M200_LOG_ALPHA)
+    xs = np.linspace(1e-6, 1.0 - 1e-6, 1024)
+    x = float(xs[np.argmin(np.abs(xs - 0.98))])
+    t = x * (1.0 - x)
+    rf, r1, r2 = continuous_derivs_quad(mix.M, mix.knots, mix.log_alpha, x)
+    res = eval_derivs_continuous(mix, x)
+    assert res.value == pytest.approx(rf, rel=1e-12)
+    assert abs(res.d1 - r1) <= 1e-11 * rf * mix.M / t
+    assert abs(res.d2 - r2) <= 1e-11 * rf * mix.M**2 / t**2
 
 
 def test_narrow_bump_passes_gauss_kronrod_check():
@@ -292,8 +355,8 @@ def test_narrow_bump_passes_gauss_kronrod_check():
     )
     ref = continuous_derivs_quad(mix.M, mix.knots, mix.log_alpha, x)[0]
     assert eval_density_continuous(mix, x) == pytest.approx(ref, rel=1e-12)
-    cert = certify(mix, grid_points=64)
-    assert not any(note.startswith("quadrature:") for note in cert.notes)
+    # certify raises QuadratureError if any integral fails its check
+    assert certify(mix, grid_points=64).notes == ()
 
 
 def test_panel_count_follows_length_and_capped_log_drop():

@@ -111,3 +111,28 @@ def test_tracer_counts_one_panel_call_per_continuous_table(spans, monkeypatch):
         "rule_builds": len(tables),
         "nodes": sum(table.s.size for table in tables),
     }
+
+
+def test_tracer_counts_continuous_evaluator_entry_points(spans):
+    # density, d1 and d2 are each one call in the mixtures.continuous layer,
+    # counted by the points of their x, whether x is passed by position or
+    # by name; derivs, which d1 and d2 call, is not wrapped
+    mix = ContinuousMixture(4.0, [0.0, 1.5, 4.0], [0.0, 0.4, -0.8])
+    x = np.linspace(0.05, 0.95, 16)
+    plain = mixtures.ContinuousEvaluator(mix)
+    want = [plain.density(x), plain.d1(x[:5]), plain.d2(x[:3])]
+    tracer = spans.Tracer()
+    with tracer.installed():
+        ev = mixtures.ContinuousEvaluator(mix)
+        got = [ev.density(x), ev.d1(x=x[:5]), ev.d2(x[:3])]
+    assert not hasattr(mixtures.ContinuousEvaluator.density, "__wrapped__")
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    assert tracer.counts["mixtures.continuous"] == {"evaluators": 1, "calls": 3, "points": 16 + 5 + 3}
+    names = [span[0] for span in tracer.spans if span[1] == "mixtures.continuous"]
+    assert names == [
+        "ContinuousEvaluator.__init__",
+        "ContinuousEvaluator.density",
+        "ContinuousEvaluator.d1",
+        "ContinuousEvaluator.d2",
+    ]
