@@ -19,6 +19,7 @@ import numpy as np
 
 from .mixtures import (
     ContinuousEvaluator,
+    ContinuousMixture,
     DiscreteMixture,
     density_scaled,
     discrete_derivs_grid,
@@ -98,19 +99,32 @@ def margin_grid(f, d1, d2, M) -> np.ndarray:
     return (((M - 1.0) / M) * d1s * d1s - fs * d2s) / (fs * fs)
 
 
-def _unit_scaled(mix: DiscreteMixture) -> DiscreteMixture:
-    """mix with its weights scaled by a power of two that keeps g, g' and g'' in range.
+def _unit_scaled(mix):
+    """mix rescaled so that f, f' and f'' stay in range; the margin is scale-free.
 
-    A largest weight below 1 is scaled up into [1, 2). A larger one is
-    scaled down only below 2^1022 / (4M^2), since |g|, |g'| and |g''| are at
-    most max w, 2M max w and 4M^2 max w: scaling further would only make
-    small values underflow. A power of two scales every de Casteljau value
-    exactly (within the normal range), so the scale-free margin keeps its digits.
+    A continuous log alpha is shifted by its largest live knot value. A
+    discrete mixture's weights are scaled by a power of two, which scales
+    every de Casteljau value exactly (within the normal range): a largest
+    weight below 1 up into [1, 2), a larger one down only below 2^1022 /
+    (4M^2), since |g|, |g'| and |g''| are at most max w, 2M max w and 4M^2
+    max w, and scaling further would only make small values underflow.
     """
+    if not isinstance(mix, DiscreteMixture):
+        top = np.max(mix.log_alpha_at(mix.knots))
+        return ContinuousMixture(mix.M, mix.knots, mix.log_alpha - top) if np.isfinite(top) else mix
     M = mix.M
     e = int(np.frexp(np.max(mix.weights))[1])
     k = min(e - 1, max(0, e - 1022 + (4 * M * M).bit_length()))
     return DiscreteMixture(M, np.ldexp(mix.weights, -k))
+
+
+def _scaled_derivs(mix, xs):
+    """(f, f', f'') of the unit-scaled mix over xs, and a density function for the midpoint checks."""
+    scaled = _unit_scaled(mix)
+    if isinstance(mix, DiscreteMixture):
+        return (*discrete_derivs_grid(scaled, xs), lambda pts: discrete_density_grid(mix, pts))
+    ev = ContinuousEvaluator(scaled)
+    return (*ev.derivs(xs), ev.density)
 
 
 def margin_eq10(mix, x: float) -> float:
@@ -122,10 +136,7 @@ def margin_eq10(mix, x: float) -> float:
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"margin_eq10 requires 0 < x < 1, got {x!r}")
-    if isinstance(mix, DiscreteMixture):
-        f, d1, d2 = discrete_derivs_grid(_unit_scaled(mix), np.array([x]))
-    else:
-        f, d1, d2 = ContinuousEvaluator(mix).derivs(np.array([x]))
+    f, d1, d2, _ = _scaled_derivs(mix, np.array([x]))
     return float(margin_grid(f, d1, d2, float(mix.M))[0])
 
 
@@ -186,13 +197,7 @@ def certify(
         return ConcavityCertificate(VERDICT_DEGENERATE, grid_points, eps, tol, CRITERION_EQ10)
 
     xs = np.linspace(eps, 1.0 - eps, grid_points)
-    if isinstance(mix, DiscreteMixture):
-        f, d1, d2 = discrete_derivs_grid(_unit_scaled(mix), xs)
-        density_fn = lambda pts: discrete_density_grid(mix, pts)
-    else:
-        ev = ContinuousEvaluator(mix)
-        f, d1, d2 = ev.derivs(xs)
-        density_fn = ev.density
+    f, d1, d2, density_fn = _scaled_derivs(mix, xs)
     margins = margin_grid(f, d1, d2, float(mix.M))
     logcurv = log_curvature(f, d1, d2)
 
@@ -275,32 +280,19 @@ def find_kernel_failure(M: float, s: float) -> float | None:
     """A point x in (0, 1) where the mixture kernel is not log-concave.
 
     For s in (-1, 0) or (M, M+1) the kernel's log-curvature changes sign
-    exactly once on (0, 1); the crossing is located by bisection and a
-    point inside the positive region is returned. For s in [0, M] there is
-    no failure and None is returned.
+    once on (0, 1), at x* = a/(a+b) with a = sqrt|M-s| and b = sqrt|s|, and
+    is positive above x* for s < 0, below it for s > M. The point halfway
+    into that side is returned; DomainError is raised when no double there
+    has positive curvature. For s in [0, M] there is no failure: None.
     """
     if not -1.0 < s < M + 1.0:
         raise DomainError(f"find_kernel_failure requires -1 < s < M+1, got s={s!r}")
     if 0.0 <= s <= M:
         return None
-    # s < 0: curvature increases in x and turns positive near x = 1;
-    # s > M: it decreases in x and is positive near x = 0. Bisect the sign
-    # change, then step halfway from the crossing into the positive region.
-    lo, hi = 1e-12, 1.0 - 1e-12
-    increasing = s < 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        positive = kernel_log_curvature(M, s, mid) > 0.0
-        if positive == increasing:
-            hi = mid
-        else:
-            lo = mid
-    if increasing:
-        witness = hi + 0.5 * (1.0 - hi)
-        fallback = hi
-    else:
-        witness = 0.5 * lo
-        fallback = lo
-    if kernel_log_curvature(M, s, witness) > 0.0:
-        return float(witness)
-    return float(fallback)
+    a, b = math.sqrt(abs(M - s)), math.sqrt(abs(s))
+    # x*/2, or 1 - (1-x*)/2 on the scale of 1 - x* = b/(a+b); where that rounds
+    # to 1, the largest double below 1 is the last candidate (curvature rises in x)
+    x = min(1.0 - 0.5 * b / (a + b), math.nextafter(1.0, 0.0)) if s < 0.0 else 0.5 * a / (a + b)
+    if not (0.0 < x < 1.0 and kernel_log_curvature(M, s, x) > 0.0):
+        raise DomainError(f"no double x in (0, 1) has positive kernel log-curvature at M={M!r}, s={s!r}")
+    return x

@@ -4,9 +4,10 @@ Three layers live here:
 
 * the majorization trick (weighted-sum domination transfers through a
   decreasing weight sequence), checked hypothesis by hypothesis;
-* window-restricted binomial inequalities, both the continuous form
-  (quadrature over closed-form intervals) and the discrete form (exact
-  arbitrary-precision integers, zero tolerance);
+* the window-restricted binomial inequalities of Lemma 2, in continuous
+  form ineq4-ineq6 (quadrature over closed-form intervals) and discrete
+  form ineq2p1-ineq2p3 (exact integers, zero tolerance), both read from
+  one table of what the three inequalities differ in;
 * the coefficient-level inequalities that tie log-concave weights to the
   curvature margin, plus a brute-force midpoint oracle for the certifier
   (the certifier's own midpoint check, run over many more triples).
@@ -21,23 +22,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import midpoint_check
+from .certify import _MIDPOINT_SLACK, midpoint_check
 from .mixtures import ContinuousMixture, DiscreteMixture, density_grid, is_log_concave_weights
 from .quadrature import kronrod_integral, panel_nodes
 from .special import DomainError, int_binom_exact, log_abs_gen_binom_ext
 
-CONTINUOUS_WHICH = ("ineq4", "ineq5", "ineq6")
-DISCRETE_WHICH = ("ineq2p1", "ineq2p2", "ineq2p3")
+# Lemma 2, one row per inequality: (continuous name, discrete name, c, r,
+# sign). Each sums lhs C(M-1, i) C(M-1, n-i) and rhs C(M, i+r) C(M-2, n-i-r)
+# over a window centred on n + c; sign +1 means lhs >= rhs, -1 lhs <= rhs
+_LEMMA2 = (
+    ("ineq4", "ineq2p1", 0, 0, 1),
+    ("ineq5", "ineq2p2", 1, 0, -1),
+    ("ineq6", "ineq2p3", 0, 1, 1),
+)
+_ROW = {name: row[2:] for row in _LEMMA2 for name in row[:2]}
+CONTINUOUS_WHICH = tuple(row[0] for row in _LEMMA2)
+DISCRETE_WHICH = tuple(row[1] for row in _LEMMA2)
 
-# direction of each inequality: +1 means lhs >= rhs, -1 means lhs <= rhs
-_DIRECTION = {
-    "ineq4": 1,
-    "ineq5": -1,
-    "ineq6": 1,
-    "ineq2p1": 1,
-    "ineq2p2": -1,
-    "ineq2p3": 1,
-}
+# the discrete sweep's first M and k, check_majorization's relative slack,
+# and the random generators' largest log-weight step and most linear pieces
+_SWEEP_MIN_M, _SWEEP_K_MIN = 2, -1
+_MAJORIZATION_TOL = 1e-10
+_MAX_LOG_STEP, _MAX_SEGMENTS = 1.0, 16
 
 
 @dataclass(frozen=True)
@@ -61,8 +67,7 @@ class LemmaCase:
 
     @property
     def margin(self):
-        diff = self.lhs - self.rhs
-        return diff if _DIRECTION[self.which] > 0 else -diff
+        return _ROW[self.which][2] * (self.lhs - self.rhs)
 
     def holds(self, tol: float = 0.0) -> bool:
         return self.margin >= -tol
@@ -108,18 +113,19 @@ class MajorizationInstance:
         return w
 
 
-def check_majorization(inst: MajorizationInstance, tol: float = 1e-10) -> dict:
+def check_majorization(inst: MajorizationInstance) -> dict:
     """Verify the majorization hypotheses and conclusion numerically.
 
     Hypotheses: a decreasing, a >= b >= 0, u and v nonnegative, and the
     running (weighted) sums of u dominate those of v. Conclusion:
     sum(a*u) >= sum(b*v) in the same weighting. Whenever hypotheses_ok is
-    reported the conclusion is guaranteed up to tol * scale rounding.
+    reported the conclusion is guaranteed up to rounding (relative slack
+    _MAJORIZATION_TOL).
     """
     w = inst.integration_weights()
     scale = max(1.0, float(np.max(np.abs(inst.a))), float(np.max(np.abs(inst.u))),
                 float(np.max(np.abs(inst.v))))
-    slack = tol * scale
+    slack = _MAJORIZATION_TOL * scale
     nonneg = all(bool(np.all(arr >= -slack)) for arr in (inst.a, inst.b, inst.u, inst.v))
     a_decreasing = bool(np.all(np.diff(inst.a) <= slack))
     a_dominates_b = bool(np.all(inst.a >= inst.b - slack))
@@ -132,7 +138,7 @@ def check_majorization(inst: MajorizationInstance, tol: float = 1e-10) -> dict:
     conclusion_scale = max(1.0, abs(lhs), abs(rhs))
     return {
         "hypotheses_ok": hypotheses_ok,
-        "conclusion_ok": lhs >= rhs - tol * conclusion_scale,
+        "conclusion_ok": lhs >= rhs - _MAJORIZATION_TOL * conclusion_scale,
         "lhs": lhs,
         "rhs": rhs,
     }
@@ -145,22 +151,16 @@ def check_majorization(inst: MajorizationInstance, tol: float = 1e-10) -> dict:
 def _window_interval(M: float, n: float, q: float, which: str):
     """Closed-form integration interval for one inequality's window set.
 
-    Each set is {lower constraints} intersected with |2s - c| <= q around
-    the window center c. The requested q is clipped to the widest value
-    keeping the interval inside the constraint strip (beyond that the
-    lower constraints truncate the window asymmetrically and the
-    inequality is no longer covered). Returns (lo, hi, clipped) with
-    lo > hi meaning the empty set.
+    Each set is {lower constraints} intersected with |2s - (n + c)| <= q
+    around the row's window centre n + c. The requested q is clipped to
+    min(n + c + 2r, 2M - n - c - 2r), the widest value keeping the interval
+    inside the constraint strip (beyond that the lower constraints truncate
+    the window asymmetrically and the inequality is no longer covered).
+    Returns (lo, hi, clipped) with lo > hi meaning the empty set.
     """
-    if which == "ineq4":
-        center, q_max = n, min(n, 2.0 * M - n)
-    elif which == "ineq5":
-        center, q_max = n + 1.0, min(n + 1.0, 2.0 * M - n - 1.0)
-    elif which == "ineq6":
-        center, q_max = n, min(n + 2.0, 2.0 * M - n - 2.0)
-    else:
-        raise ValueError(f"unknown continuous inequality {which!r}")
-    q_eff = min(q, q_max)
+    c, r, _ = _ROW[which]
+    center = n + c
+    q_eff = min(q, center + 2 * r, 2.0 * M - n - c - 2 * r)
     if q_eff <= 0.0:
         return 0.0, -1.0, True
     return (center - q_eff) / 2.0, (center + q_eff) / 2.0, q_eff < q
@@ -178,17 +178,10 @@ def _binom_ext_product(m1, s1, m2, s2):
 
 
 def _lemma2_integrands(M: float, n: float, which: str):
-    def lhs(s):
-        return _binom_ext_product(M - 1.0, s, M - 1.0, n - s)
-
-    if which in ("ineq4", "ineq5"):
-        def rhs(s):
-            return _binom_ext_product(M, s, M - 2.0, n - s)
-    else:
-        def rhs(s):
-            return _binom_ext_product(M, s + 1.0, M - 2.0, n - s - 1.0)
-
-    return lhs, rhs
+    """The lhs and rhs integrands of one inequality, as functions of s."""
+    r = _ROW[which][1]
+    return (lambda s: _binom_ext_product(M - 1.0, s, M - 1.0, n - s),
+            lambda s: _binom_ext_product(M, s + r, M - 2.0, n - s - r))
 
 
 def lemma2_continuous(M: float, n: float, q: float, which: str) -> LemmaCase:
@@ -220,11 +213,6 @@ def lemma2_continuous(M: float, n: float, q: float, which: str) -> LemmaCase:
 # discrete form, exact arithmetic
 
 
-def _window_top(n: int, k: int, which: str) -> int:
-    """Last summation index i of a discrete inequality's window, which starts at k."""
-    return n - k + 1 if which == "ineq2p2" else n - k
-
-
 def lemma2_discrete(M: int, n: int, k: int, which: str) -> LemmaCase:
     """Exact-integer evaluation of one window-restricted binomial sum inequality."""
     if not (isinstance(M, (int, np.integer)) and M >= 1):
@@ -236,22 +224,18 @@ def lemma2_discrete(M: int, n: int, k: int, which: str) -> LemmaCase:
     if which not in DISCRETE_WHICH:
         raise ValueError(f"which must be one of {DISCRETE_WHICH}, got {which!r}")
     M, n, k = int(M), int(n), int(k)
-    hi = _window_top(n, k, which)
-    lhs = sum(int_binom_exact(M - 1, i) * int_binom_exact(M - 1, n - i) for i in range(k, hi + 1))
-    if which == "ineq2p3":
-        rhs = sum(
-            int_binom_exact(M, i + 1) * int_binom_exact(M - 2, n - i - 1) for i in range(k, hi + 1)
-        )
-    else:
-        rhs = sum(int_binom_exact(M, i) * int_binom_exact(M - 2, n - i) for i in range(k, hi + 1))
+    c, r, _ = _ROW[which]
+    window = range(k, n - k + c + 1)
+    lhs = sum(int_binom_exact(M - 1, i) * int_binom_exact(M - 1, n - i) for i in window)
+    rhs = sum(int_binom_exact(M, i + r) * int_binom_exact(M - 2, n - i - r) for i in window)
     return LemmaCase(M, n, k, which, lhs, rhs)
 
 
-def discrete_lemma_sweep(max_M: int = 12, k_min: int = -1, min_M: int = 2) -> list[LemmaCase]:
+def discrete_lemma_sweep(max_M: int = 12) -> list[LemmaCase]:
     """Exhaustively evaluate all three discrete inequalities.
 
-    Covers every min_M <= M <= max_M, 0 <= n <= 2M-2, and integer k from
-    k_min up to floor((n+1)/2), skipping empty summation ranges. k <= 0
+    Covers every 2 <= M <= max_M, 0 <= n <= 2M-2, and integer k from -1
+    up to floor((n+1)/2), skipping empty windows k..n-k+c. k <= 0
     reproduces the full-range Vandermonde equality since out-of-range
     terms vanish. The sweep starts at M = 2 because the middle inequality
     is vacuously broken at M = 1: its right side carries a C(-1, .)
@@ -259,13 +243,12 @@ def discrete_lemma_sweep(max_M: int = 12, k_min: int = -1, min_M: int = 2) -> li
     only ever arises from second derivatives, which need M >= 2).
     """
     cases = []
-    for M in range(min_M, max_M + 1):
+    for M in range(_SWEEP_MIN_M, max_M + 1):
         for n in range(0, 2 * M - 1):
-            for k in range(k_min, (n + 1) // 2 + 1):
-                for which in DISCRETE_WHICH:
-                    if _window_top(n, k, which) < k:
-                        continue
-                    cases.append(lemma2_discrete(M, n, k, which))
+            for k in range(_SWEEP_K_MIN, (n + 1) // 2 + 1):
+                for _, which, c, _, _ in _LEMMA2:
+                    if n - k + c >= k:
+                        cases.append(lemma2_discrete(M, n, k, which))
     return cases
 
 
@@ -286,13 +269,6 @@ def _pair_sum(p, q, Mp: int, Mq: int, n: int) -> float:
     return total
 
 
-def _warn_if_not_log_concave(weights, M):
-    mix = DiscreteMixture(M, weights)
-    if not is_log_concave_weights(mix):
-        warnings.warn("weight vector is not log-concave; the inequality direction is not guaranteed",
-                      stacklevel=3)
-
-
 # index shifts (a, b, c, d) of each coefficient-level inequality: over i + j
 # = n, lhs sums w_{i+a} w_{j+b} C(M-1, i) C(M-1, j) and rhs sums
 # w_{i+c} w_{j+d} C(M, i) C(M-2, j)
@@ -311,7 +287,9 @@ def core_inequalities_discrete(weights, M: int, n: int, which: int) -> tuple[flo
     if not 0 <= n <= 2 * M - 2:
         raise DomainError(f"n must satisfy 0 <= n <= 2M-2, got n={n!r}, M={M!r}")
     w = np.asarray(weights, dtype=float)
-    _warn_if_not_log_concave(w, M)
+    if not is_log_concave_weights(DiscreteMixture(M, w)):
+        warnings.warn("weight vector is not log-concave; the inequality direction is not guaranteed",
+                      stacklevel=2)
     a, b, c, d = (_weights_at(w, k) for k in _CORE_SHIFTS[which])
     return _pair_sum(a, b, M - 1, M - 1, n), _pair_sum(c, d, M, M - 2, n)
 
@@ -342,14 +320,15 @@ def coefficient_inequality_12(weights, M: int, n: int) -> tuple[float, float]:
 # brute-force midpoint oracle
 
 
-def brute_force_logconcavity(mix, samples: int = 1000, seed: int = 0, tol: float = 1e-10) -> dict:
+def brute_force_logconcavity(mix, samples: int = 1000, seed: int = 0) -> dict:
     """Direct midpoint-definition test over random (x, y, lambda) triples.
 
     Independent of the analytic-derivative machinery: only density values
     enter. Returns {"ok": bool, "witness": (x, y, lam) or None}.
     """
     rng = np.random.default_rng(seed)
-    failures, witness = midpoint_check(lambda pts: density_grid(mix, pts), samples, 1e-9, tol, rng)
+    density_fn = lambda pts: density_grid(mix, pts)
+    failures, witness = midpoint_check(density_fn, samples, 1e-9, _MIDPOINT_SLACK, rng)
     return {"ok": failures == 0, "witness": witness}
 
 
@@ -357,17 +336,17 @@ def brute_force_logconcavity(mix, samples: int = 1000, seed: int = 0, tol: float
 # seeded random generators (drive the sweeps and the test suite)
 
 
-def random_log_concave_weights(rng, M: int, max_step: float = 1.0, zero_edges: bool = False):
+def random_log_concave_weights(rng, M: int, zero_edges: bool = False):
     """Random log-concave weight vector of length M+1.
 
     Built as exp of a concave sequence: increments are the running sums of
     a decreasing slope sequence, so second differences are <= 0 by
-    construction. max_step bounds |log w_{i+1} - log w_i|, keeping the
+    construction. _MAX_LOG_STEP bounds |log w_{i+1} - log w_i|, keeping the
     curvature margins well inside floating-point resolution. With
     zero_edges, a random prefix and/or suffix is zeroed out.
     """
-    start = rng.uniform(-0.5 * max_step, 0.5 * max_step)
-    drops = rng.uniform(0.0, max_step / max(M, 1), size=max(M, 1))
+    start = rng.uniform(-0.5 * _MAX_LOG_STEP, 0.5 * _MAX_LOG_STEP)
+    drops = rng.uniform(0.0, _MAX_LOG_STEP / max(M, 1), size=max(M, 1))
     slopes = start - np.concatenate([[0.0], np.cumsum(drops[:-1])]) if M >= 1 else np.empty(0)
     levels = np.concatenate([[0.0], np.cumsum(slopes)])
     levels -= np.max(levels)
@@ -384,9 +363,7 @@ def random_log_concave_weights(rng, M: int, max_step: float = 1.0, zero_edges: b
     return w
 
 
-def random_concave_mixture(
-    rng, M: float | None = None, max_segments: int = 16, m_range=(2.0, 20.0)
-) -> ContinuousMixture:
+def random_concave_mixture(rng, M: float | None = None, m_range=(2.0, 20.0)) -> ContinuousMixture:
     """Random continuous mixture with a concave piecewise-linear log mixing.
 
     Chord slopes decrease strictly across the knots, so the represented
@@ -397,7 +374,7 @@ def random_concave_mixture(
         lo, hi = m_range
         M = lo + (hi - lo) * (1.0 - rng.random())
     M = float(M)
-    n_seg = int(rng.integers(1, max_segments + 1))
+    n_seg = int(rng.integers(1, _MAX_SEGMENTS + 1))
     interior = np.sort(rng.uniform(0.05 * M, 0.95 * M, size=n_seg - 1))
     # enforce a minimum knot separation so panels stay well conditioned
     sep = 1e-3 * M

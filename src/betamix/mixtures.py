@@ -413,23 +413,24 @@ class ContinuousEvaluator:
         self._tables: dict[int, _KernelTable] = {}
 
     def _integrate(self, x: np.ndarray, moments: bool) -> np.ndarray:
-        """Checked _KernelTable.integrate over x, each point on its own tier's table."""
-        tiers = _tilt_tiers(x)
-        out = np.empty((3, x.size) if moments else x.size)
-        gap = np.empty(x.size)
+        """Checked _KernelTable.integrate over x, each point on its own tier's table, in x's shape."""
+        xr = x.ravel()
+        tiers = _tilt_tiers(xr)
+        out = np.empty((3, xr.size) if moments else xr.size)
+        gap = np.empty(xr.size)
         for tier in np.unique(tiers).tolist():
             if tier not in self._tables:
                 self._tables[tier] = _density_table(self.mix, tier)
             group = np.flatnonzero(tiers == tier)
-            out[..., group], gap[group] = self._tables[tier].integrate(x[group], moments)
+            out[..., group], gap[group] = self._tables[tier].integrate(xr[group], moments)
         check_gauss_kronrod(gap, "density and derivatives" if moments else "density")
-        return out
+        return out.reshape(out.shape[:-1] + x.shape)
 
     def density(self, x) -> np.ndarray:
         return self._integrate(np.asarray(x, dtype=float), moments=False)
 
     def derivs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(f, f', f'') over an array of x in (0, 1), in one pass over each point's table."""
+        """(f, f', f'') over x in (0, 1), an array or a scalar, in one pass over each point's table."""
         x = np.asarray(x, dtype=float)
         return _derivs_from_moments(self.mix.M, x, *self._integrate(x, moments=True))
 

@@ -195,3 +195,32 @@ def continuous_derivs_quad(M, knots, log_alpha, x):
         for j, factor in enumerate((lambda s: 1.0, u, u2_du)):
             totals[j] += quad(lambda s: base(s) * factor(s), a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
     return tuple(math.exp(shift) * totals)
+
+
+def _comb(m, k):
+    """C(m, k) for integers, 0 unless 0 <= k <= m."""
+    return math.comb(m, k) if 0 <= k <= m else 0
+
+
+def lemma2_discrete_sums(M, n, k):
+    """Both sides of each discrete inequality of Lemma 2, written out one by one.
+
+    ineq2p1: sum_{i=k}^{n-k} C(M-1,i) C(M-1,n-i) >= sum_{i=k}^{n-k} C(M,i) C(M-2,n-i)
+    ineq2p2: sum_{i=k}^{n-k+1} C(M-1,i) C(M-1,n-i) <= sum_{i=k}^{n-k+1} C(M,i) C(M-2,n-i)
+    ineq2p3: sum_{i=k}^{n-k} C(M-1,i) C(M-1,n-i) >= sum_{i=k}^{n-k} C(M,i+1) C(M-2,n-i-1)
+    """
+    C = _comb
+    return {
+        "ineq2p1": (
+            sum(C(M - 1, i) * C(M - 1, n - i) for i in range(k, n - k + 1)),
+            sum(C(M, i) * C(M - 2, n - i) for i in range(k, n - k + 1)),
+        ),
+        "ineq2p2": (
+            sum(C(M - 1, i) * C(M - 1, n - i) for i in range(k, n - k + 2)),
+            sum(C(M, i) * C(M - 2, n - i) for i in range(k, n - k + 2)),
+        ),
+        "ineq2p3": (
+            sum(C(M - 1, i) * C(M - 1, n - i) for i in range(k, n - k + 1)),
+            sum(C(M, i + 1) * C(M - 2, n - i - 1) for i in range(k, n - k + 1)),
+        ),
+    }

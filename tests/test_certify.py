@@ -119,14 +119,21 @@ def test_certify_worst_point_skips_underflowed_margins():
     assert tiny.min_margin_eq10 == pytest.approx(certify(DiscreteMixture(2, [1.0, 2.0, 1.0])).min_margin_eq10, rel=1e-12)
 
 
-def test_certify_density_underflowed_everywhere_is_degenerate():
-    # alpha = e^-800 is not identically zero, but f < 1e-340 at every grid
-    # point, so no margin can be formed (a margin floored at f*f = 1e-300
-    # read 0.0 there and called it certified)
-    cert = certify(ContinuousMixture(2.0, [0.0, 2.0], [-800.0, -800.0]))
-    assert cert.verdict == "degenerate-zero"
-    assert cert.min_margin_eq10 is None and math.isnan(cert.worst_x)
-    assert cert.notes == ("density underflowed to 0 at 1024 of 1024 grid points",)
+def test_certify_continuous_alpha_scale_is_shifted_out():
+    # alpha = e^-800 would put f below 1e-340 at every grid point, and
+    # alpha = e^700 would overflow f''; log alpha is shifted by its largest
+    # knot value first, so both certify exactly as alpha = 1, with no note
+    # (and no RuntimeWarning, which the suite turns into an error)
+    unit = certify(ContinuousMixture(2.0, [0.0, 2.0], [0.0, 0.0]), grid_points=64)
+    assert unit.min_margin_eq10 == 3.5718345456967393
+    for level in (700.0, -800.0):
+        mix = ContinuousMixture(2.0, [0.0, 2.0], [level, level])
+        assert certify(mix, grid_points=64) == unit
+        assert margin_eq10(mix, 0.3) == margin_eq10(ContinuousMixture(2.0, [0.0, 2.0], [0.0, 0.0]), 0.3)
+    # the shift reads only live knots: a finite value beside a -inf one is not alpha's peak
+    dead_peak = ContinuousMixture(3.0, [0.0, 1.0, 2.0, 3.0], [900.0, float("-inf"), -800.0, -800.0])
+    cert = certify(dead_peak, grid_points=64)
+    assert cert.verdict == "certified" and cert.notes == ()
 
 
 def test_certify_large_weights_margin_finite():
@@ -334,6 +341,18 @@ def test_find_kernel_failure_right_flank():
     assert kernel_log_curvature(2.0, 2.5, x) > 0.0
     root = math.sqrt(2.5) / (math.sqrt(2.5) + math.sqrt(0.5))
     assert x < 1.0 - root  # mirror of the left-flank case
+
+
+def test_find_kernel_failure_near_the_crossing_at_one():
+    # x* = 1 - 4.3e-13 here; a bisection over [1e-12, 1 - 1e-12] stopped at
+    # its right end and returned x = 0.999999999999, where the curvature is -7405
+    M, s = 9064.63748228448, -1.6596219548600665e-21
+    x = find_kernel_failure(M, s)
+    assert 0.0 < x < 1.0 and kernel_log_curvature(M, s, x) > 0.0
+    # s = -1e-300 puts x* within 1e-150 of 1: no double has positive curvature
+    with pytest.raises(DomainError):
+        find_kernel_failure(10.0, -1e-300)
+    assert main(["demo", "--M", "10", "--s=-1e-300"]) == 2
 
 
 def test_find_kernel_failure_none_inside():

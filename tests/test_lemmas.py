@@ -22,7 +22,7 @@ from betamix import (
 from betamix.lemmas import _window_interval
 from betamix.mixtures import discrete_derivs_grid
 
-from oracles import binom_ext_oracle, riemann
+from oracles import binom_ext_oracle, lemma2_discrete_sums, riemann
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +169,20 @@ def test_lemma2_discrete_hand_example():
     case = lemma2_discrete(3, 2, 0, "ineq2p1")
     assert (case.lhs, case.rhs) == (6, 6)
     assert case.lhs == int_binom_exact(4, 2)
+
+
+def test_lemma2_discrete_against_explicit_sums():
+    # every row at every M <= 8, n and k, against math.comb sums written per
+    # inequality; the direction holds from M = 2 on (M = 1 breaks ineq2p2)
+    for M in range(1, 9):
+        for n in range(0, 2 * M - 1):
+            for k in range(-2, (n + 1) // 2 + 1):
+                for which, (lhs, rhs) in lemma2_discrete_sums(M, n, k).items():
+                    case = lemma2_discrete(M, n, k, which)
+                    assert (case.lhs, case.rhs) == (lhs, rhs), (M, n, k, which)
+                    direction = -1 if which == "ineq2p2" else 1
+                    assert case.margin == direction * (lhs - rhs)
+                    assert case.holds(0.0) or M == 1
 
 
 def test_lemma2_discrete_far_negative_k_matches_k0():

@@ -222,6 +222,17 @@ def test_derivs_at_order_at_most_two():
     assert (res.value, res.d1, res.d2) == (f[1], d1[1], d2[1])
 
 
+def test_evaluator_takes_a_scalar_x():
+    # a scalar x gives 0-d results, equal to those of the one-element array
+    ev = ContinuousEvaluator(ContinuousMixture(4.0, [0.0, 1.5, 4.0], [0.0, 0.4, -0.8]))
+    x = 0.37
+    got = [ev.density(x), *ev.derivs(x), ev.d1(x), ev.d2(x)]
+    want = [ev.density(np.array([x])), *ev.derivs(np.array([x])), ev.d1([x]), ev.d2([x])]
+    for g, w in zip(got, want):
+        assert np.shape(g) == () and w.shape == (1,)
+        assert g == w[0]
+
+
 def test_eval_domain_checks():
     mix = flat_mixture()
     with pytest.raises(DomainError):

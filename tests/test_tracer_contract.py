@@ -13,7 +13,7 @@ import pytest
 
 import betamix
 import betamix.cli
-from betamix import ContinuousMixture, DiscreteMixture, mixtures
+from betamix import ContinuousMixture, DiscreteMixture, lemmas, mixtures, quadrature
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -136,3 +136,22 @@ def test_tracer_counts_continuous_evaluator_entry_points(spans):
         "ContinuousEvaluator.d1",
         "ContinuousEvaluator.d2",
     ]
+
+
+def test_tracer_counts_lemma_sweeps(spans, tmp_path):
+    # the lemmas command reaches the sweeps through betamix.cli's names, and
+    # each non-empty continuous case calls panel_nodes once and
+    # log_abs_gen_binom_ext four times (two products of two binomials) through
+    # betamix.lemmas' own names, which the tracer replaces
+    discrete = lemmas.discrete_lemma_sweep(max_M=3)
+    continuous = lemmas.continuous_lemma_sweep(count=2, seed=0)
+    windows = [lemmas._window_interval(c.M, c.n, c.window, c.which)[:2] for c in continuous]
+    nodes = [quadrature.panel_nodes([lo, hi])[0].size for lo, hi in windows if lo <= hi]
+    assert nodes
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert betamix.cli.main(["lemmas", "--M", "3", "--n", "2", "--out", str(tmp_path / "l.csv")]) == 0
+    counts = tracer.counts
+    assert counts["lemmas"] == {"discrete_cases": len(discrete), "continuous_cases": len(continuous)}
+    assert counts["quadrature"] == {"panel_calls": len(nodes), "rule_builds": len(nodes), "nodes": sum(nodes)}
+    assert counts["special"] == {"calls": 4 * len(nodes), "points": 4 * sum(nodes)}
