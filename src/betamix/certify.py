@@ -9,7 +9,8 @@ log-concave, vanishes identically for geometric weight sequences, and is
 scale-free in the weights. A certificate records the worst margin over a
 grid together with the largest log-curvature (log f)'' on the same grid,
 formed from the same f, f' and f'', and randomized midpoint-definition
-spot checks.
+spot checks, made on log f by the chord test (mixtures.below_chord) that
+also decides the weights' hypothesis.
 """
 
 import math
@@ -21,6 +22,7 @@ from .mixtures import (
     ContinuousEvaluator,
     ContinuousMixture,
     DiscreteMixture,
+    below_chord,
     density_scaled,
     discrete_derivs_grid,
     discrete_density_grid,
@@ -146,31 +148,24 @@ def check_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in (0, 0.5) with 1 - eps < 1 in floating point, got {eps!r}")
 
 
-def midpoint_check(density_fn, count: int, eps: float, tol: float, rng):
-    """Randomized checks of the defining inequality f(lx+(1-l)y) >= f(x)^l f(y)^(1-l).
+def midpoint_check(density_fn, count: int, eps: float, rng):
+    """Randomized checks of the defining inequality, on logs: f(lx+(1-l)y) >= f(x)^l f(y)^(1-l).
 
     Draws count points x, then y, in [eps, 1-eps] and count weights l from
     rng, evaluates density_fn once over all 3*count points, and counts the
-    triples where f at the midpoint falls below the right side by more than
-    tol relative. Returns (n_failures, first witness (x, y, l) or None).
+    triples where log f at the midpoint falls below the chord by more than
+    _MIDPOINT_SLACK (below_chord), so a zero at x or y fails nothing.
+    Returns (n_failures, first witness (x, y, l) or None).
     """
     x = eps + (1.0 - 2.0 * eps) * rng.random(count)
     y = eps + (1.0 - 2.0 * eps) * rng.random(count)
     lam = rng.random(count)
     mid = lam * x + (1.0 - lam) * y
-    fx, fy, fm = np.split(density_fn(np.concatenate([x, y, mid])), 3)
-    applicable = (fx > 0.0) & (fy > 0.0)
-    rhs = np.zeros_like(fx)
-    rhs[applicable] = np.exp(
-        lam[applicable] * np.log(fx[applicable]) + (1.0 - lam[applicable]) * np.log(fy[applicable])
-    )
-    bad = applicable & (fm < rhs - tol * rhs)
-    failures = int(np.count_nonzero(bad))
-    witness = None
-    if failures:
-        i = int(np.flatnonzero(bad)[0])
-        witness = (float(x[i]), float(y[i]), float(lam[i]))
-    return failures, witness
+    with np.errstate(divide="ignore"):
+        lx, ly, lm = np.split(np.log(density_fn(np.concatenate([x, y, mid]))), 3)
+    bad = np.flatnonzero(below_chord(lx, lm, ly, lam, _MIDPOINT_SLACK))
+    witness = (float(x[bad[0]]), float(y[bad[0]]), float(lam[bad[0]])) if bad.size else None
+    return int(bad.size), witness
 
 
 def certify(
@@ -213,7 +208,7 @@ def certify(
         worst_x = float(xs[i_worst])
 
     rng = np.random.default_rng(seed)
-    n_failures, witness = midpoint_check(density_fn, _MIDPOINT_CHECKS, eps, _MIDPOINT_SLACK, rng)
+    n_failures, witness = midpoint_check(density_fn, _MIDPOINT_CHECKS, eps, rng)
 
     notes = []
     underflowed = grid_points - pool.size

@@ -124,7 +124,8 @@ def cmd_eval(args, mix, meta) -> int:
     else:
         f, d1, d2 = ContinuousEvaluator(mix).derivs(xs)
     log_d2 = log_curvature(f, d1, d2)
-    log_f = np.where(f > 0.0, np.log(np.where(f > 0.0, f, 1.0)), -np.inf)
+    with np.errstate(divide="ignore"):
+        log_f = np.log(f)
     columns = {"x": xs, "f": f, "d1": d1, "d2": d2, "log_f": log_f, "log_d2": log_d2}
     _write_table(args, meta, {name: col.tolist() for name, col in columns.items()})
     return EXIT_OK

@@ -195,10 +195,10 @@ class EvalResult:
 
     @classmethod
     def from_linear(cls, f: float, d1: float, d2: float) -> "EvalResult":
-        if f > 0.0:
-            fs, d1s = density_scaled(f, d1)
-            return cls(f, d1, d2, math.log(f), float(d1s / fs), float(log_curvature(f, d1, d2)))
-        return cls(f, d1, d2, _NEG_INF, math.nan, math.nan)
+        fs, d1s = density_scaled(f, d1)
+        with np.errstate(divide="ignore"):
+            log_f = float(np.log(f))
+        return cls(f, d1, d2, log_f, float(d1s / fs), float(log_curvature(f, d1, d2)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,41 +550,46 @@ def sample(mix, count: int, seed: int, grid_points: int = 4096) -> np.ndarray:
 # log-concavity of the mixing weights
 
 
-# relative slack of the weight and slope comparisons in is_log_concave_weights
+# relative slack of the chord test in is_log_concave_weights
 _LOG_CONCAVE_REL_TOL = 1e-12
+
+
+def below_chord(left, mid, right, lam, tol) -> np.ndarray:
+    """Where a log value falls below its chord: mid < lam*left + (1-lam)*right - tol.
+
+    The values sit at s_left, s_mid and s_right, s_mid between the others, with
+    lam = (s_right - s_mid)/(s_right - s_left). A -inf end puts the chord at -inf.
+    """
+    with np.errstate(invalid="ignore"):
+        return mid < lam * left + (1.0 - lam) * right - tol
 
 
 def is_log_concave_weights(mix) -> bool:
     """Whether the mixing weights/function satisfy the log-concavity hypothesis.
 
-    Discrete: contiguous support and w_i^2 >= w_{i-1} w_{i+1} on it.
-    Continuous: contiguous active knot range and nonincreasing chord slopes
-    of the piecewise-linear log mixing function. The identically-zero
-    mixture counts as (vacuously) log-concave.
+    Tested on logarithms, so no weight is multiplied and none underflows:
+    log w_i at i = 0..M, live where w_i > 0, or log alpha at the knots, live
+    beside an active interval. The live positions must be contiguous, and
+    each interior value clears its neighbours' chord (below_chord) to within
+    _LOG_CONCAVE_REL_TOL * max(1, |value|). The identically-zero mixture is
+    (vacuously) log-concave.
     """
     if isinstance(mix, DiscreteMixture):
-        idx = np.flatnonzero(mix.weights > 0.0)
-        if idx.size == 0:
-            return True
-        if not np.all(np.diff(idx) == 1):
-            return False
-        w = mix.weights[idx[0] : idx[-1] + 1]
-        if w.size < 3:
-            return True
-        return bool(np.all(w[1:-1] ** 2 >= w[:-2] * w[2:] * (1.0 - _LOG_CONCAVE_REL_TOL)))
-    active = mix.segment_active()
-    idx = np.flatnonzero(active)
-    if idx.size == 0:
-        return True
-    if not np.all(np.diff(idx) == 1):
+        s = np.arange(mix.M + 1.0)
+        with np.errstate(divide="ignore"):
+            logs = np.log(mix.weights)
+        live = mix.weights > 0.0
+    else:
+        s, logs = mix.knots, mix.log_alpha
+        active = mix.segment_active()
+        live = np.r_[active, False] | np.r_[False, active]
+    idx = np.flatnonzero(live)
+    if idx.size and idx[-1] - idx[0] + 1 != idx.size:
         return False
-    knots = mix.knots[idx[0] : idx[-1] + 2]
-    la = mix.log_alpha[idx[0] : idx[-1] + 2]
-    slopes = np.diff(la) / np.diff(knots)
-    if slopes.size < 2:
-        return True
-    slack = _LOG_CONCAVE_REL_TOL * np.maximum(1.0, np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:])))
-    return bool(np.all(np.diff(slopes) <= slack))
+    s, logs = s[idx], logs[idx]
+    lam = (s[2:] - s[1:-1]) / (s[2:] - s[:-2])
+    tol = _LOG_CONCAVE_REL_TOL * np.maximum(1.0, np.abs(logs[1:-1]))
+    return not np.any(below_chord(logs[:-2], logs[1:-1], logs[2:], lam, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -592,6 +592,23 @@ def test_log_concavity_checker_discrete():
     assert not is_log_concave_weights(DiscreteMixture(2, [1.0, 0.01, 1.0]))
     assert not is_log_concave_weights(DiscreteMixture(2, [1.0, 0.0, 1.0]))  # support gap
     assert is_log_concave_weights(DiscreteMixture(2, [0.0, 0.0, 0.0]))  # vacuous
+    # the squares of these weights underflow to 0; their logs do not
+    assert not is_log_concave_weights(DiscreteMixture(2, [1e-200, 1e-210, 1e-200]))
+    # rounding leaves float geometric weights short of w_i^2 >= w_{i-1} w_{i+1}
+    # at 11 to 21 of their 39 interior points in exact rational arithmetic;
+    # the relative slack admits them
+    for r in (0.3, 0.7, 1.3, 5.0):
+        assert is_log_concave_weights(DiscreteMixture(40, r ** np.arange(41)))
+    # log w concave over thousands of nats: its tail rounds to subnormals that
+    # break log-concavity, and with those set to 0 the support stays one run
+    M = 2000
+    steps = np.random.default_rng(M).uniform(1.0 / M, 4.0 / M, M)
+    log_w = np.concatenate([[0.0], np.cumsum(np.cumsum(-steps))])
+    w = np.exp(log_w - np.max(log_w))
+    tiny = np.finfo(float).tiny
+    assert np.any((w > 0.0) & (w < tiny))
+    assert not is_log_concave_weights(DiscreteMixture(M, w))
+    assert is_log_concave_weights(DiscreteMixture(M, np.where(w < tiny, 0.0, w)))
 
 
 def test_log_concavity_checker_continuous():
@@ -611,6 +628,13 @@ def test_log_concavity_checker_continuous():
     rng = np.random.default_rng(5)
     for _ in range(20):
         assert is_log_concave_weights(random_concave_mixture(rng))
+    # unequal spacing: the middle knot's chord weights its ends 3/4 and 1/4,
+    # so 0.975 lies under the value 1 for [0, 1, 3.9] (an even-weight chord,
+    # 1.95, would reject it), and 1.05 over it for [0, 1, 4.2]
+    for scale in (1.0, 1e4):
+        knots = scale * np.array([0.0, 1.0, 4.0])
+        assert is_log_concave_weights(ContinuousMixture(4.0 * scale, knots, scale * np.array([0.0, 1.0, 3.9])))
+        assert not is_log_concave_weights(ContinuousMixture(4.0 * scale, knots, scale * np.array([0.0, 1.0, 4.2])))
 
 
 def test_reference_rule_built_once_and_read_only():
