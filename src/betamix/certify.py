@@ -20,13 +20,13 @@ import numpy as np
 
 from .mixtures import (
     ContinuousEvaluator,
-    ContinuousMixture,
     DiscreteMixture,
     below_chord,
     density_scaled,
     discrete_derivs_grid,
     discrete_density_grid,
     log_curvature,
+    unit_scaled,
 )
 from .special import DomainError
 
@@ -101,28 +101,9 @@ def margin_grid(f, d1, d2, M) -> np.ndarray:
     return (((M - 1.0) / M) * d1s * d1s - fs * d2s) / (fs * fs)
 
 
-def _unit_scaled(mix):
-    """mix rescaled so that f, f' and f'' stay in range; the margin is scale-free.
-
-    A continuous log alpha is shifted by its largest live knot value. A
-    discrete mixture's weights are scaled by a power of two, which scales
-    every de Casteljau value exactly (within the normal range): a largest
-    weight below 1 up into [1, 2), a larger one down only below 2^1022 /
-    (4M^2), since |g|, |g'| and |g''| are at most max w, 2M max w and 4M^2
-    max w, and scaling further would only make small values underflow.
-    """
-    if not isinstance(mix, DiscreteMixture):
-        top = np.max(mix.log_alpha_at(mix.knots))
-        return ContinuousMixture(mix.M, mix.knots, mix.log_alpha - top) if np.isfinite(top) else mix
-    M = mix.M
-    e = int(np.frexp(np.max(mix.weights))[1])
-    k = min(e - 1, max(0, e - 1022 + (4 * M * M).bit_length()))
-    return DiscreteMixture(M, np.ldexp(mix.weights, -k))
-
-
 def _scaled_derivs(mix, xs):
     """(f, f', f'') of the unit-scaled mix over xs, and a density function for the midpoint checks."""
-    scaled = _unit_scaled(mix)
+    scaled = unit_scaled(mix)
     if isinstance(mix, DiscreteMixture):
         return (*discrete_derivs_grid(scaled, xs), lambda pts: discrete_density_grid(mix, pts))
     ev = ContinuousEvaluator(scaled)
@@ -253,7 +234,7 @@ def sharpness_check(M: int, r: float, grid_points: int = 1024) -> float:
     mix = DiscreteMixture(int(M), weights)
     eps = 1e-6
     xs = np.linspace(eps, 1.0 - eps, grid_points)
-    f, d1, d2 = discrete_derivs_grid(_unit_scaled(mix), xs)
+    f, d1, d2 = discrete_derivs_grid(unit_scaled(mix), xs)
     margins = margin_grid(f, d1, d2, float(M))
     return float(np.max(np.abs(margins), initial=0.0, where=np.isfinite(margins)))
 

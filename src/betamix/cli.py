@@ -24,6 +24,7 @@ Exit codes: 0 success/certified, 1 violated or failed sweep cases,
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -54,6 +55,8 @@ EXIT_EVAL = 3
 EXIT_DEGENERATE = 4
 
 _FMT = "{:.17g}"
+# draws per chunk of sample output
+_SAMPLE_CHUNK = 4096
 
 
 def _fmt(v) -> str:
@@ -68,16 +71,17 @@ def _header_lines(meta) -> list[str]:
     ]
 
 
-def _write(args, text: str) -> None:
+def _write(args, chunks) -> None:
+    """Write an iterable of text chunks, in order, to --out or to stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _write_lines(args, meta, lines) -> None:
-    _write(args, "\n".join([*_header_lines(meta), *lines]) + "\n")
+    _write(args, ["\n".join([*_header_lines(meta), *lines]) + "\n"])
 
 
 def _csv_cells(values) -> list:
@@ -101,7 +105,7 @@ def _write_table(args, meta, columns: dict) -> None:
     if args.format == "json":
         rows = [[_json_cell(v) for v in row] for row in zip(*columns.values())]
         payload = {"meta": meta, "columns": list(columns), "rows": rows}
-        _write(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        _write(args, [json.dumps(payload, indent=2, allow_nan=False) + "\n"])
     else:
         cells = [_csv_cells(values) for values in columns.values()]
         _write_lines(args, meta, [",".join(columns), *map(",".join, zip(*cells))])
@@ -135,7 +139,7 @@ def cmd_certify(args, mix, meta) -> int:
     cert = certify(mix, grid_points=args.grid_points, eps=args.eps, tol=args.tol, seed=args.seed)
     payload = cert.to_json(input_echo=mixture_to_json(mix))
     payload["meta"] = meta
-    _write(args, json.dumps(payload, indent=2) + "\n")
+    _write(args, [json.dumps(payload, indent=2) + "\n"])
     if cert.verdict == "certified":
         return EXIT_OK
     if cert.verdict == "degenerate-zero":
@@ -189,7 +193,13 @@ def cmd_demo(args, mix, meta) -> int:
 
 def cmd_sample(args, mix, meta) -> int:
     draws = sample(mix, args.n, seed=args.seed, grid_points=args.grid_points)
-    _write_lines(args, meta, map(_FMT.format, draws.tolist()))
+    # formatted and written _SAMPLE_CHUNK draws at a time, never as one string
+    line = _FMT + "\n"
+    chunks = (
+        "".join(map(line.format, draws[lo : lo + _SAMPLE_CHUNK].tolist()))
+        for lo in range(0, draws.size, _SAMPLE_CHUNK)
+    )
+    _write(args, itertools.chain(["\n".join(_header_lines(meta)) + "\n"], chunks))
     return EXIT_OK
 
 

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .quadrature import check_gauss_kronrod, kronrod_integral, log_drop_panels, panel_nodes
 from .special import DomainError, log_gen_binom_grid
@@ -153,6 +152,25 @@ class ContinuousMixture:
             val = (1.0 - t) * l0 + t * l1
         inside = (s >= 0.0) & (s <= self.M) & active
         return np.fmax(*np.where(inside, val, _NEG_INF))
+
+
+def unit_scaled(mix):
+    """mix rescaled so that f, f' and f'' stay in range; the margin and the normalized density are scale-free.
+
+    A continuous log alpha is shifted by its largest live knot value. A
+    discrete mixture's weights are scaled by a power of two, which scales
+    every de Casteljau value exactly (within the normal range): a largest
+    weight below 1 up into [1, 2), a larger one down only below 2^1022 /
+    (4M^2), since |g|, |g'| and |g''| are at most max w, 2M max w and 4M^2
+    max w, and scaling further would only make small values underflow.
+    """
+    if not isinstance(mix, DiscreteMixture):
+        top = np.max(mix.log_alpha_at(mix.knots))
+        return ContinuousMixture(mix.M, mix.knots, mix.log_alpha - top) if np.isfinite(top) else mix
+    M = mix.M
+    e = int(np.frexp(np.max(mix.weights))[1])
+    k = min(e - 1, max(0, e - 1022 + (4 * M * M).bit_length()))
+    return DiscreteMixture(M, np.ldexp(mix.weights, -k))
 
 
 def density_scaled(f, *values) -> tuple[np.ndarray, ...]:
@@ -516,6 +534,8 @@ def cdf(mix, x: float) -> float:
         raise DomainError(f"cdf requires 0 <= x <= 1, got {x!r}")
     if x == 0.0:
         return 0.0
+    from scipy.special import betainc
+
     M = mix.M
     if isinstance(mix, DiscreteMixture):
         i = np.arange(M + 1, dtype=float)
@@ -526,10 +546,11 @@ def cdf(mix, x: float) -> float:
 def sample(mix, count: int, seed: int, grid_points: int = 4096) -> np.ndarray:
     """Deterministic inverse-CDF draws from the normalized density.
 
-    The CDF is tabulated on a uniform grid of `grid_points` points and
-    inverted by monotone linear interpolation, so the accuracy of the
-    draws is bounded by the grid resolution. Identical seeds give
-    identical output.
+    The CDF is tabulated on a uniform grid of `grid_points` points, from
+    the density of the unit-scaled mixture (unit_scaled), and inverted by
+    monotone linear interpolation, so the accuracy of the draws is bounded
+    by the grid resolution. A table whose mass is not positive and finite
+    raises DegenerateMixtureError. Identical seeds give identical output.
     """
     if count < 1:
         raise ValueError("count must be a positive integer")
@@ -538,9 +559,11 @@ def sample(mix, count: int, seed: int, grid_points: int = 4096) -> np.ndarray:
     if mix.is_zero:
         raise DegenerateMixtureError("cannot sample the identically-zero mixture")
     xs = np.linspace(0.0, 1.0, grid_points)
-    dens = density_grid(mix, xs)
+    dens = density_grid(unit_scaled(mix), xs)
     increments = 0.5 * (dens[:-1] + dens[1:]) * np.diff(xs)
     cdf_tab = np.concatenate([[0.0], np.cumsum(increments)])
+    if not (cdf_tab[-1] > 0.0 and math.isfinite(cdf_tab[-1])):
+        raise DegenerateMixtureError(f"the density has no positive finite mass on {grid_points} grid points")
     cdf_tab /= cdf_tab[-1]
     u = np.random.default_rng(seed).random(count)
     return np.interp(u, cdf_tab, xs)

@@ -4,12 +4,17 @@ Everything downstream (density evaluation, curvature margins, the lemma
 integrands) rests on the functions here, so they are kept strict: log_gamma
 is accurate to ~1e-15 relative, and the binomial helpers work in log space
 so orders up to ~1e4 never overflow an intermediate Gamma value.
+
+The scalar functions use math.lgamma. The two grid functions,
+log_gen_binom_grid (continuous density tables) and log_abs_gen_binom_ext
+(the continuous lemma integrands and gen_binom_ext), import scipy's gammaln
+on their first call, so importing betamix loads numpy only, and discrete
+densities, derivatives and certificates never load scipy.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class DomainError(ValueError):
@@ -58,6 +63,8 @@ def log_gen_binom_grid(M: float, s) -> np.ndarray:
     Values at the boundary points -1 and M+1 come out as -inf (the
     coefficient vanishes there in the limit), which exponentiates to 0.
     """
+    from scipy.special import gammaln
+
     s = np.asarray(s, dtype=float)
     with np.errstate(invalid="ignore"):
         return gammaln(M + 1.0) - gammaln(s + 1.0) - gammaln(M - s + 1.0)
@@ -88,6 +95,8 @@ def log_abs_gen_binom_ext(M: float, s) -> tuple[np.ndarray, np.ndarray]:
     """
     if not M > -1.0:
         raise DomainError(f"extended binomial requires order M > -1, got {M!r}")
+    from scipy.special import gammaln
+
     s = np.asarray(s, dtype=float)
     a = s + 1.0
     b = M - s + 1.0

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import betamix
 import betamix.cli
 from betamix.cli import build_parser, main
 from betamix.lemmas import LemmaCase
@@ -292,6 +293,22 @@ def test_sample_ks_downstream(uniform_file, tmp_path):
         float(np.max(np.arange(1, n + 1) / n - xs)), float(np.max(xs - np.arange(0, n) / n))
     )
     assert dist <= 0.01
+
+
+@pytest.mark.parametrize("n", [1, betamix.cli._SAMPLE_CHUNK, betamix.cli._SAMPLE_CHUNK + 1])
+def test_sample_streamed_in_chunks_writes_the_single_join_bytes(uniform_file, n, tmp_path, capsys):
+    out = tmp_path / "draws.txt"
+    argv = ["sample", "--input", uniform_file, "--n", str(n), "--grid-points", "64", "--seed", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    header = data.decode().splitlines()[:3]
+    draws = betamix.sample(betamix.DiscreteMixture(2, [1.0, 1.0, 1.0]), n, seed=3, grid_points=64)
+    joined = "\n".join([*header, *map("{:.17g}".format, draws.tolist())]) + "\n"
+    assert all(line.startswith("# ") for line in header)
+    assert data == joined.encode()
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == data
 
 
 def test_repeated_runs_identical(violated_file, tmp_path):

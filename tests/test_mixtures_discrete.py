@@ -293,6 +293,20 @@ def test_sample_degenerate():
         sample(DiscreteMixture(1, [0.0, 0.0]), 10, seed=0)
 
 
+def test_sample_subnormal_weights_draw_as_their_unit_scaled_mixture():
+    # 2^-1070 * g underflows to 0 at every grid point; sampling the
+    # unit-scaled mixture draws what its power-of-two multiple [1, 0, 0, 0] draws
+    tiny = sample(DiscreteMixture(3, [2.0**-1070, 0.0, 0.0, 0.0]), 1000, seed=5)
+    unit = sample(DiscreteMixture(3, [1.0, 0.0, 0.0, 0.0]), 1000, seed=5)
+    np.testing.assert_array_equal(tiny, unit)
+
+
+def test_sample_raises_where_the_grid_holds_no_mass():
+    # a two-point grid reads the density at 0 and 1 only, where x(1-x) vanishes
+    with pytest.raises(DegenerateMixtureError, match="no positive finite mass"):
+        sample(DiscreteMixture(2, [0.0, 1.0, 0.0]), 10, seed=0, grid_points=2)
+
+
 @pytest.mark.parametrize(
     "M, weights",
     [(0, [1.0]), (2, [1.0, 1.0]), (2, [1.0, -0.5, 1.0]), (2, [1.0, np.nan, 1.0]), (1.5, [1.0, 1.0])],
