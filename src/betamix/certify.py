@@ -8,9 +8,12 @@ which is nonnegative on (0, 1) whenever the mixing weights are
 log-concave, vanishes identically for geometric weight sequences, and is
 scale-free in the weights. A certificate records the worst margin over a
 grid together with the largest log-curvature (log f)'' on the same grid,
-formed from the same f, f' and f'', and randomized midpoint-definition
-spot checks, made on log f by the chord test (mixtures.below_chord) that
-also decides the weights' hypothesis.
+both from one call of mixtures.derivative_ratios on the same f, f' and
+f'', and randomized midpoint-definition spot checks, made on log f by the
+chord test (mixtures.below_chord) that also decides the weights'
+hypothesis. The grid and the midpoint checks both evaluate the unit-scaled
+mixture (mixtures.unit_scaled), so the weights' scale changes a
+certificate at most by rounding.
 """
 
 import math
@@ -22,10 +25,9 @@ from .mixtures import (
     ContinuousEvaluator,
     DiscreteMixture,
     below_chord,
-    density_scaled,
+    derivative_ratios,
     discrete_derivs_grid,
     discrete_density_grid,
-    log_curvature,
     unit_scaled,
 )
 from .special import DomainError
@@ -69,7 +71,7 @@ class ConcavityCertificate:
     def certified(self) -> bool:
         return self.verdict == VERDICT_CERTIFIED
 
-    def to_json(self, input_echo=None, tool_version=None) -> dict:
+    def to_json(self, input_echo=None) -> dict:
         from . import __version__
 
         def _num(v):
@@ -90,37 +92,35 @@ class ConcavityCertificate:
             "midpoint_failures": self.midpoint_failures,
             "witness": list(self.witness) if self.witness else None,
             "notes": list(self.notes),
-            "tool_version": tool_version if tool_version is not None else __version__,
+            "tool_version": __version__,
             "input": input_echo,
         }
 
 
-def margin_grid(f, d1, d2, M) -> np.ndarray:
-    """Normalized curvature margin from density/derivative arrays; nan where f is not normal."""
-    fs, d1s, d2s = density_scaled(f, d1, d2)
-    return (((M - 1.0) / M) * d1s * d1s - fs * d2s) / (fs * fs)
-
-
-def _scaled_derivs(mix, xs):
-    """(f, f', f'') of the unit-scaled mix over xs, and a density function for the midpoint checks."""
+def _unit_ratios(mix, xs):
+    """derivative_ratios over xs of the unit-scaled mix, and its density function for the midpoint checks."""
     scaled = unit_scaled(mix)
     if isinstance(mix, DiscreteMixture):
-        return (*discrete_derivs_grid(scaled, xs), lambda pts: discrete_density_grid(mix, pts))
-    ev = ContinuousEvaluator(scaled)
-    return (*ev.derivs(xs), ev.density)
+        derivs, density_fn = discrete_derivs_grid(scaled, xs), lambda pts: discrete_density_grid(scaled, pts)
+    else:
+        ev = ContinuousEvaluator(scaled)
+        derivs, density_fn = ev.derivs(xs), ev.density
+    return derivative_ratios(*derivs, float(mix.M)), density_fn
 
 
 def margin_eq10(mix, x: float) -> float:
     """Normalized curvature margin at one point x in (0, 1).
 
     Nonnegative exactly when ((M-1)/M) f'^2 >= f f''; the normalization by
-    f^2 makes the value a curvature-like, weight-scale-free quantity. nan
-    where f underflows.
+    f^2 makes the value a curvature-like, weight-scale-free quantity.
+    Formed as in certify: derivative_ratios on the unit-scaled mixture, so
+    it equals the certificate's margin at a grid point bit for bit. nan
+    where that mixture's f underflows.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"margin_eq10 requires 0 < x < 1, got {x!r}")
-    f, d1, d2, _ = _scaled_derivs(mix, np.array([x]))
-    return float(margin_grid(f, d1, d2, float(mix.M))[0])
+    (_, _, margin), _ = _unit_ratios(mix, np.array([x]))
+    return float(margin[0])
 
 
 def check_eps(eps: float) -> None:
@@ -173,9 +173,7 @@ def certify(
         return ConcavityCertificate(VERDICT_DEGENERATE, grid_points, eps, tol, CRITERION_EQ10)
 
     xs = np.linspace(eps, 1.0 - eps, grid_points)
-    f, d1, d2, density_fn = _scaled_derivs(mix, xs)
-    margins = margin_grid(f, d1, d2, float(mix.M))
-    logcurv = log_curvature(f, d1, d2)
+    (_, logcurv, margins), density_fn = _unit_ratios(mix, xs)
 
     # the margin is nan where f underflowed, and those points are counted as
     # such; the worst point and the largest log-curvature are taken over the
@@ -234,8 +232,7 @@ def sharpness_check(M: int, r: float, grid_points: int = 1024) -> float:
     mix = DiscreteMixture(int(M), weights)
     eps = 1e-6
     xs = np.linspace(eps, 1.0 - eps, grid_points)
-    f, d1, d2 = discrete_derivs_grid(unit_scaled(mix), xs)
-    margins = margin_grid(f, d1, d2, float(M))
+    _, _, margins = derivative_ratios(*discrete_derivs_grid(unit_scaled(mix), xs), float(M))
     return float(np.max(np.abs(margins), initial=0.0, where=np.isfinite(margins)))
 
 

@@ -24,7 +24,6 @@ Exit codes: 0 success/certified, 1 violated or failed sweep cases,
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -39,11 +38,13 @@ from .mixtures import (
     ContinuousEvaluator,
     DegenerateMixtureError,
     DiscreteMixture,
+    derivative_ratios,
     discrete_derivs_grid,
-    log_curvature,
     mixture_from_json,
     mixture_to_json,
     sample,
+    unit_scaled,
+    weight_exponent,
 )
 from .quadrature import QuadratureError
 from .special import DomainError
@@ -55,8 +56,8 @@ EXIT_EVAL = 3
 EXIT_DEGENERATE = 4
 
 _FMT = "{:.17g}"
-# draws per chunk of sample output
-_SAMPLE_CHUNK = 4096
+# rows per write of text output
+_CHUNK = 4096
 
 
 def _fmt(v) -> str:
@@ -80,10 +81,6 @@ def _write(args, chunks) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _write_lines(args, meta, lines) -> None:
-    _write(args, ["\n".join([*_header_lines(meta), *lines]) + "\n"])
-
-
 def _csv_cells(values) -> list:
     if values and isinstance(values[0], str):
         return values
@@ -92,23 +89,38 @@ def _csv_cells(values) -> list:
     return list(map(_FMT.format, values))
 
 
+def _write_rows(args, meta, columns, names=None) -> None:
+    """Write the header comments, the `names` line if given, then one line per row of equal-length columns.
+
+    Rows are formatted and written _CHUNK at a time, never as one string.
+    Cells are bools as 1/0, strings as they are and numbers as {:.17g},
+    joined by commas.
+    """
+    def chunks():
+        yield "\n".join([*_header_lines(meta), *([",".join(names)] if names else [])]) + "\n"
+        for lo in range(0, len(columns[0]), _CHUNK):
+            cells = [_csv_cells(np.asarray(col[lo : lo + _CHUNK]).tolist()) for col in columns]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    _write(args, chunks())
+
+
 def _json_cell(v):
     return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def _write_table(args, meta, columns: dict) -> None:
-    """Write equal-length columns, keyed by name, as a CSV or JSON table.
+    """Write equal-length columns, keyed by name, as a CSV (_write_rows) or JSON table.
 
-    CSV cells are bools as 1/0, strings as they are and numbers as {:.17g};
     JSON rows keep each value's own type, with a non-finite number as null.
     """
     if args.format == "json":
-        rows = [[_json_cell(v) for v in row] for row in zip(*columns.values())]
+        values = [np.asarray(col).tolist() for col in columns.values()]
+        rows = [[_json_cell(v) for v in row] for row in zip(*values)]
         payload = {"meta": meta, "columns": list(columns), "rows": rows}
         _write(args, [json.dumps(payload, indent=2, allow_nan=False) + "\n"])
     else:
-        cells = [_csv_cells(values) for values in columns.values()]
-        _write_lines(args, meta, [",".join(columns), *map(",".join, zip(*cells))])
+        _write_rows(args, meta, list(columns.values()), names=list(columns))
 
 
 def _read_mixture(path):
@@ -123,15 +135,18 @@ def cmd_eval(args, mix, meta) -> int:
         raise ValueError("--grid-points must be at least 2")
     check_eps(args.eps)
     xs = np.linspace(args.eps, 1.0 - args.eps, args.grid_points)
+    # a discrete mixture is evaluated on its weights divided by 2^k (unit_scaled)
     if isinstance(mix, DiscreteMixture):
-        f, d1, d2 = discrete_derivs_grid(mix, xs)
+        k = weight_exponent(mix)
+        f, d1, d2 = discrete_derivs_grid(unit_scaled(mix), xs)
     else:
+        k = 0
         f, d1, d2 = ContinuousEvaluator(mix).derivs(xs)
-    log_d2 = log_curvature(f, d1, d2)
+    _, log_d2, _ = derivative_ratios(f, d1, d2, mix.M)
     with np.errstate(divide="ignore"):
-        log_f = np.log(f)
-    columns = {"x": xs, "f": f, "d1": d1, "d2": d2, "log_f": log_f, "log_d2": log_d2}
-    _write_table(args, meta, {name: col.tolist() for name, col in columns.items()})
+        log_f = np.log(f) + k * math.log(2.0)
+    f, d1, d2 = (np.ldexp(v, k) for v in (f, d1, d2))
+    _write_table(args, meta, {"x": xs, "f": f, "d1": d1, "d2": d2, "log_f": log_f, "log_d2": log_d2})
     return EXIT_OK
 
 
@@ -187,19 +202,12 @@ def cmd_demo(args, mix, meta) -> int:
             f"kernel-failure M={_fmt(args.M)} s={_fmt(args.s)} "
             f"x={_fmt(witness)} log_curvature={_fmt(curv)}"
         )
-    _write_lines(args, meta, lines)
+    _write_rows(args, meta, [lines])
     return EXIT_OK
 
 
 def cmd_sample(args, mix, meta) -> int:
-    draws = sample(mix, args.n, seed=args.seed, grid_points=args.grid_points)
-    # formatted and written _SAMPLE_CHUNK draws at a time, never as one string
-    line = _FMT + "\n"
-    chunks = (
-        "".join(map(line.format, draws[lo : lo + _SAMPLE_CHUNK].tolist()))
-        for lo in range(0, draws.size, _SAMPLE_CHUNK)
-    )
-    _write(args, itertools.chain(["\n".join(_header_lines(meta)) + "\n"], chunks))
+    _write_rows(args, meta, [sample(mix, args.n, seed=args.seed, grid_points=args.grid_points)])
     return EXIT_OK
 
 

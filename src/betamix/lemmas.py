@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import midpoint_check
-from .mixtures import ContinuousMixture, DiscreteMixture, density_grid, is_log_concave_weights
+from .mixtures import ContinuousMixture, DiscreteMixture, density_grid, is_log_concave_weights, unit_scaled
 from .quadrature import kronrod_integral, panel_nodes
 from .special import DomainError, int_binom_exact, log_abs_gen_binom_ext
 
@@ -319,11 +319,13 @@ def brute_force_logconcavity(mix, samples: int = 1000, seed: int = 0) -> dict:
     """Direct midpoint-definition test over random (x, y, lambda) triples.
 
     Independent of the analytic-derivative machinery: only density values
-    enter. Returns {"ok": bool, "witness": (x, y, lam) or None}.
+    enter, those of the unit-scaled mixture (unit_scaled), whose logs differ
+    from the mixture's by one constant, so no weight scale makes them
+    underflow. Returns {"ok": bool, "witness": (x, y, lam) or None}.
     """
     rng = np.random.default_rng(seed)
-    density_fn = lambda pts: density_grid(mix, pts)
-    failures, witness = midpoint_check(density_fn, samples, 1e-9, rng)
+    scaled = unit_scaled(mix)
+    failures, witness = midpoint_check(lambda pts: density_grid(scaled, pts), samples, 1e-9, rng)
     return {"ok": failures == 0, "witness": witness}
 
 

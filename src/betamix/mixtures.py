@@ -21,6 +21,14 @@ resolves the tilt of its kernel in s. The derivatives come from the same
 table: at fixed x the normalized integrand is a posterior over s, and f'
 and f'' follow from its mean and variance, so one exponentiation serves f,
 f' and f''.
+
+The weight scale is taken out in one place. Every log, ratio and midpoint
+check reads the unit-scaled mixture (unit_scaled), whose discrete weights
+are divided by a power of two 2^k and whose continuous log alpha peaks at
+0, so f, f' and f'' stay in range. The score f'/f, the log-curvature
+(log f)'' and the Eq. 10 margin are then formed once, by
+derivative_ratios, on each point's own power-of-two scale of f. Discrete
+linear values are scaled back by 2^k, and log f is shifted by k log 2.
 """
 
 import json
@@ -35,6 +43,7 @@ from .special import log_abs_gen_binom_ext  # noqa: F401  (perfbench/spans.py wr
 
 _NEG_INF = float("-inf")
 _TINY = np.finfo(float).tiny
+_LN2 = math.log(2.0)
 
 
 class DegenerateMixtureError(ValueError):
@@ -154,44 +163,48 @@ class ContinuousMixture:
         return np.fmax(*np.where(inside, val, _NEG_INF))
 
 
+def weight_exponent(mix: DiscreteMixture) -> int:
+    """The power of two k by which unit_scaled divides a discrete mixture's weights.
+
+    A largest weight below 1 is scaled up into [1, 2), a larger one down
+    only below 2^1022 / (4M^2), since |g|, |g'| and |g''| are at most
+    max w, 2M max w and 4M^2 max w, and scaling further would only make
+    small values underflow.
+    """
+    e = int(np.frexp(np.max(mix.weights))[1])
+    return min(e - 1, max(0, e - 1022 + (4 * mix.M * mix.M).bit_length()))
+
+
 def unit_scaled(mix):
-    """mix rescaled so that f, f' and f'' stay in range; the margin and the normalized density are scale-free.
+    """mix rescaled so that f, f' and f'' stay in range; log f shifts by a constant, and every ratio is scale-free.
 
     A continuous log alpha is shifted by its largest live knot value. A
-    discrete mixture's weights are scaled by a power of two, which scales
-    every de Casteljau value exactly (within the normal range): a largest
-    weight below 1 up into [1, 2), a larger one down only below 2^1022 /
-    (4M^2), since |g|, |g'| and |g''| are at most max w, 2M max w and 4M^2
-    max w, and scaling further would only make small values underflow.
+    discrete mixture's weights are divided by 2^weight_exponent(mix), which
+    scales every de Casteljau value exactly (within the normal range), so
+    the unscaled f, f' and f'' are those values times 2^k, and log f is
+    log of the scaled f plus k log 2.
     """
     if not isinstance(mix, DiscreteMixture):
         top = np.max(mix.log_alpha_at(mix.knots))
         return ContinuousMixture(mix.M, mix.knots, mix.log_alpha - top) if np.isfinite(top) else mix
-    M = mix.M
-    e = int(np.frexp(np.max(mix.weights))[1])
-    k = min(e - 1, max(0, e - 1022 + (4 * M * M).bit_length()))
-    return DiscreteMixture(M, np.ldexp(mix.weights, -k))
+    return DiscreteMixture(mix.M, np.ldexp(mix.weights, -weight_exponent(mix)))
 
 
-def density_scaled(f, *values) -> tuple[np.ndarray, ...]:
-    """f and each of values divided, point by point, by the power of two that puts f in [0.5, 1).
+def derivative_ratios(f, d1, d2, M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f'/f, (log f)'' = (f f'' - f'^2)/f^2 and the Eq. 10 margin [((M-1)/M) f'^2 - f f'']/f^2.
 
-    Exact, and the same as evaluating on weights so scaled: a ratio of
-    products of two of them keeps its bits, while the products can no
-    longer overflow or underflow where the ratio is finite. Where f is not
-    a normal double (0, a subnormal with too few digits, inf or nan) every
-    result reads nan.
+    f, f' and f'' are first divided, point by point, by the power of two
+    that puts f in [0.5, 1). That is exact, and the same as evaluating on
+    weights so scaled: each ratio keeps its bits, while the products in it
+    can no longer overflow or underflow where the ratio is finite. Where f
+    is not a normal double (0, a subnormal with too few digits, inf or
+    nan) all three read nan.
     """
     f = np.asarray(f, dtype=float)
     normal = np.isfinite(f) & (f >= _TINY)
     k = np.frexp(np.where(normal, f, 1.0))[1]
-    return tuple(np.where(normal, np.ldexp(v, -k), math.nan) for v in (f, *values))
-
-
-def log_curvature(f, d1, d2) -> np.ndarray:
-    """(log f)'' = (f f'' - f'^2)/f^2 on the per-point scale of density_scaled; nan where f is not normal."""
-    fs, d1s, d2s = density_scaled(f, d1, d2)
-    return (fs * d2s - d1s * d1s) / (fs * fs)
+    fs, d1s, d2s = (np.where(normal, np.ldexp(v, -k), math.nan) for v in (f, d1, d2))
+    return d1s / fs, (fs * d2s - d1s * d1s) / (fs * fs), (((M - 1.0) / M) * d1s * d1s - fs * d2s) / (fs * fs)
 
 
 @dataclass(frozen=True)
@@ -199,9 +212,13 @@ class EvalResult:
     """Density value with first/second derivatives and their log-domain forms.
 
     log_d1 is the score (log f)' = f'/f and log_d2 the log-curvature
-    (log f)'' = (f*f'' - f'^2)/f^2, both formed on f's per-point scale
-    (density_scaled), so neither overflows nor underflows where it is
-    finite; both are nan where f is not a normal double.
+    (log f)'' = (f*f'' - f'^2)/f^2, both from derivative_ratios on the f,
+    f' and f'' that were evaluated, so neither overflows nor underflows
+    where it is finite; both are nan where that f is not a normal double.
+    A discrete mixture is evaluated on its unit-scaled weights (unit_scaled):
+    value, d1 and d2 are those results times 2^k and log_value is their
+    log f plus k log 2, so the log forms hold where the unscaled f would
+    underflow. A continuous mixture is evaluated on its own alpha (k = 0).
     """
 
     value: float
@@ -212,11 +229,13 @@ class EvalResult:
     log_d2: float
 
     @classmethod
-    def from_linear(cls, f: float, d1: float, d2: float) -> "EvalResult":
-        fs, d1s = density_scaled(f, d1)
+    def from_linear(cls, f: float, d1: float, d2: float, M, k: int = 0) -> "EvalResult":
+        """From f, f' and f'' of the mixture with weights divided by 2^k."""
+        score, logcurv, _ = derivative_ratios(f, d1, d2, M)
         with np.errstate(divide="ignore"):
-            log_f = float(np.log(f))
-        return cls(f, d1, d2, log_f, float(d1s / fs), float(log_curvature(f, d1, d2)))
+            log_f = float(np.log(f)) + k * _LN2
+        value, d1, d2 = (float(np.ldexp(v, k)) for v in (f, d1, d2))
+        return cls(value, d1, d2, log_f, float(score), float(logcurv))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +316,8 @@ def eval_derivs_discrete(mix: DiscreteMixture, x: float) -> EvalResult:
     """Density and analytic first/second derivatives at x in (0, 1)."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"eval_derivs_discrete requires 0 < x < 1, got {x!r}")
-    g, d1, d2 = discrete_derivs_grid(mix, x)
-    return EvalResult.from_linear(float(g), float(d1), float(d2))
+    g, d1, d2 = discrete_derivs_grid(unit_scaled(mix), x)
+    return EvalResult.from_linear(float(g), float(d1), float(d2), mix.M, weight_exponent(mix))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +490,7 @@ def eval_derivs_continuous(mix: ContinuousMixture, x: float) -> EvalResult:
     if not 0.0 < x < 1.0:
         raise DomainError(f"eval_derivs_continuous requires 0 < x < 1, got {x!r}")
     f, d1, d2 = ContinuousEvaluator(mix).derivs(np.array([x]))
-    return EvalResult.from_linear(float(f[0]), float(d1[0]), float(d2[0]))
+    return EvalResult.from_linear(float(f[0]), float(d1[0]), float(d2[0]), mix.M)
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,7 @@ def test_sample_ks_downstream(uniform_file, tmp_path):
     assert dist <= 0.01
 
 
-@pytest.mark.parametrize("n", [1, betamix.cli._SAMPLE_CHUNK, betamix.cli._SAMPLE_CHUNK + 1])
+@pytest.mark.parametrize("n", [1, betamix.cli._CHUNK, betamix.cli._CHUNK + 1])
 def test_sample_streamed_in_chunks_writes_the_single_join_bytes(uniform_file, n, tmp_path, capsys):
     out = tmp_path / "draws.txt"
     argv = ["sample", "--input", uniform_file, "--n", str(n), "--grid-points", "64", "--seed", "3"]
@@ -309,6 +309,43 @@ def test_sample_streamed_in_chunks_writes_the_single_join_bytes(uniform_file, n,
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == data
+
+
+def _csv_cell(v):
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    return v if isinstance(v, str) else "{:.17g}".format(v)
+
+
+def _assert_csv_is_the_single_join(argv, tmp_path, capsys):
+    # the rows of the JSON table, written as CSV in one join, against the
+    # chunked CSV writer, both to a file and to stdout
+    json_out = tmp_path / "table.json"
+    assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
+    table = json.loads(json_out.read_text())
+    csv_out = tmp_path / "table.csv"
+    assert main(argv + ["--out", str(csv_out)]) == 0
+    data = csv_out.read_bytes()
+    header = data.decode().splitlines()[:3]
+    assert all(line.startswith("# ") for line in header)
+    rows = [",".join(map(_csv_cell, row)) for row in table["rows"]]
+    assert data == ("\n".join([*header, ",".join(table["columns"]), *rows]) + "\n").encode()
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == data
+    return table
+
+
+@pytest.mark.parametrize("grid", [betamix.cli._CHUNK - 1, betamix.cli._CHUNK, betamix.cli._CHUNK + 1])
+def test_eval_csv_streamed_in_chunks_writes_the_single_join_bytes(geometric_file, grid, tmp_path, capsys):
+    table = _assert_csv_is_the_single_join(["eval", "--input", geometric_file, "--grid-points", str(grid)],
+                                           tmp_path, capsys)
+    assert len(table["rows"]) == grid
+
+
+def test_lemmas_csv_streamed_writes_the_single_join_bytes(tmp_path, capsys):
+    table = _assert_csv_is_the_single_join(["lemmas", "--M", "4", "--n", "3"], tmp_path, capsys)
+    assert {row[-1] for row in table["rows"]} == {True}
 
 
 def test_repeated_runs_identical(violated_file, tmp_path):

@@ -1,4 +1,4 @@
-"""Print the total lines and the code lines of src/betamix/*.py.
+"""Print the total lines and the code lines of each src/betamix/*.py, then of all of them.
 
 Code lines leave out blank lines, comment-only lines and the lines of
 module, class and function docstrings. Run from anywhere:
@@ -37,7 +37,10 @@ def count(path: Path) -> tuple[int, int]:
 
 
 def main() -> None:
-    totals = [count(path) for path in sorted(SRC.glob("*.py"))]
+    totals = []
+    for path in sorted(SRC.glob("*.py")):
+        totals.append(count(path))
+        print(f"{path.name}: total {totals[-1][0]}, code {totals[-1][1]}")
     print(f"total lines: {sum(t for t, _ in totals)}")
     print(f"code lines: {sum(c for _, c in totals)}")
 
