@@ -35,9 +35,9 @@ from . import __version__
 from .certify import check_eps, certify, find_kernel_failure, kernel_log_curvature, sharpness_check
 from .lemmas import continuous_lemma_sweep, discrete_lemma_sweep
 from .mixtures import (
-    ContinuousEvaluator,
     DegenerateMixtureError,
     DiscreteMixture,
+    continuous_unit_derivs,
     derivative_ratios,
     discrete_derivs_grid,
     mixture_from_json,
@@ -135,17 +135,19 @@ def cmd_eval(args, mix, meta) -> int:
         raise ValueError("--grid-points must be at least 2")
     check_eps(args.eps)
     xs = np.linspace(args.eps, 1.0 - args.eps, args.grid_points)
-    # a discrete mixture is evaluated on its weights divided by 2^k (unit_scaled)
+    # log f and (log f)'' are formed on the unit-scaled mixture (unit_scaled),
+    # and log f is shifted back: by k log 2 for weights divided by 2^k, by the
+    # peak of log alpha for a continuous mixture
     if isinstance(mix, DiscreteMixture):
         k = weight_exponent(mix)
-        f, d1, d2 = discrete_derivs_grid(unit_scaled(mix), xs)
+        scaled = discrete_derivs_grid(unit_scaled(mix), xs)
+        linear, shift = [np.ldexp(v, k) for v in scaled], k * math.log(2.0)
     else:
-        k = 0
-        f, d1, d2 = ContinuousEvaluator(mix).derivs(xs)
-    _, log_d2, _ = derivative_ratios(f, d1, d2, mix.M)
+        linear, scaled, shift = continuous_unit_derivs(mix, xs)
+    _, log_d2, _ = derivative_ratios(*scaled, mix.M)
     with np.errstate(divide="ignore"):
-        log_f = np.log(f) + k * math.log(2.0)
-    f, d1, d2 = (np.ldexp(v, k) for v in (f, d1, d2))
+        log_f = np.log(scaled[0]) + shift
+    f, d1, d2 = linear
     _write_table(args, meta, {"x": xs, "f": f, "d1": d1, "d2": d2, "log_f": log_f, "log_d2": log_d2})
     return EXIT_OK
 

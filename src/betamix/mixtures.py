@@ -20,7 +20,11 @@ alpha vanishes get none. The density at x reads the coarsest table that
 resolves the tilt of its kernel in s. The derivatives come from the same
 table: at fixed x the normalized integrand is a posterior over s, and f'
 and f'' follow from its mean and variance, so one exponentiation serves f,
-f' and f''.
+f' and f''. The kernel's log is l(s) + log C(M, s) + s tilt, with tilt =
+log(1-x) - log x, plus M log x, which joins each point's scale instead of
+the exponent. Blocks of x are sized by the de Casteljau byte budget and
+share one buffer, and one einsum reduces each block against every Kronrod
+and Gauss weight row at once.
 
 The weight scale is taken out in one place. Every log, ratio and midpoint
 check reads the unit-scaled mixture (unit_scaled), whose discrete weights
@@ -28,7 +32,9 @@ are divided by a power of two 2^k and whose continuous log alpha peaks at
 0, so f, f' and f'' stay in range. The score f'/f, the log-curvature
 (log f)'' and the Eq. 10 margin are then formed once, by
 derivative_ratios, on each point's own power-of-two scale of f. Discrete
-linear values are scaled back by 2^k, and log f is shifted by k log 2.
+linear values are scaled back by 2^k, and log f is shifted by k log 2;
+continuous linear values are those of the mixture's own alpha, and log f
+is shifted by the peak of log alpha.
 """
 
 import json
@@ -175,6 +181,11 @@ def weight_exponent(mix: DiscreteMixture) -> int:
     return min(e - 1, max(0, e - 1022 + (4 * mix.M * mix.M).bit_length()))
 
 
+def _alpha_peak(mix: ContinuousMixture) -> float:
+    """The largest value of log alpha at a live knot, which unit_scaled takes out; -inf if alpha vanishes."""
+    return float(np.max(mix.log_alpha_at(mix.knots)))
+
+
 def unit_scaled(mix):
     """mix rescaled so that f, f' and f'' stay in range; log f shifts by a constant, and every ratio is scale-free.
 
@@ -185,7 +196,7 @@ def unit_scaled(mix):
     log of the scaled f plus k log 2.
     """
     if not isinstance(mix, DiscreteMixture):
-        top = np.max(mix.log_alpha_at(mix.knots))
+        top = _alpha_peak(mix)
         return ContinuousMixture(mix.M, mix.knots, mix.log_alpha - top) if np.isfinite(top) else mix
     return DiscreteMixture(mix.M, np.ldexp(mix.weights, -weight_exponent(mix)))
 
@@ -215,10 +226,12 @@ class EvalResult:
     (log f)'' = (f*f'' - f'^2)/f^2, both from derivative_ratios on the f,
     f' and f'' that were evaluated, so neither overflows nor underflows
     where it is finite; both are nan where that f is not a normal double.
-    A discrete mixture is evaluated on its unit-scaled weights (unit_scaled):
-    value, d1 and d2 are those results times 2^k and log_value is their
-    log f plus k log 2, so the log forms hold where the unscaled f would
-    underflow. A continuous mixture is evaluated on its own alpha (k = 0).
+    The log forms are those of the unit-scaled mixture (unit_scaled), and
+    log_value is its log f shifted back, so they hold where the unscaled f
+    would underflow or f'' overflow. For a discrete mixture value, d1 and
+    d2 are the unit-scaled results times 2^k, and the shift is k log 2; for
+    a continuous one they are those of its own alpha, and the shift is the
+    peak of log alpha (continuous_unit_derivs).
     """
 
     value: float
@@ -229,13 +242,12 @@ class EvalResult:
     log_d2: float
 
     @classmethod
-    def from_linear(cls, f: float, d1: float, d2: float, M, k: int = 0) -> "EvalResult":
-        """From f, f' and f'' of the mixture with weights divided by 2^k."""
-        score, logcurv, _ = derivative_ratios(f, d1, d2, M)
+    def from_scaled(cls, scaled, linear, log_shift: float, M) -> "EvalResult":
+        """From (f, f', f'') of the unit-scaled mixture, those of the mixture, and the log of the factor between them."""
+        score, logcurv, _ = derivative_ratios(*scaled, M)
         with np.errstate(divide="ignore"):
-            log_f = float(np.log(f)) + k * _LN2
-        value, d1, d2 = (float(np.ldexp(v, k)) for v in (f, d1, d2))
-        return cls(value, d1, d2, log_f, float(score), float(logcurv))
+            log_f = float(np.log(scaled[0])) + log_shift
+        return cls(*(float(v) for v in linear), log_f, float(score), float(logcurv))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +260,7 @@ class EvalResult:
 # machine this was tuned on): 256 KiB and 512 KiB measured alike, 1 MiB an
 # eighth slower, and 128 KiB a fifth slower, its narrower blocks paying the
 # per-step call cost more often. A fixed column count is slow at low orders.
+# _KernelTable.integrate sizes its one exponent buffer by the same budget.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -316,28 +329,27 @@ def eval_derivs_discrete(mix: DiscreteMixture, x: float) -> EvalResult:
     """Density and analytic first/second derivatives at x in (0, 1)."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"eval_derivs_discrete requires 0 < x < 1, got {x!r}")
-    g, d1, d2 = discrete_derivs_grid(unit_scaled(mix), x)
-    return EvalResult.from_linear(float(g), float(d1), float(d2), mix.M, weight_exponent(mix))
+    k = weight_exponent(mix)
+    scaled = [float(v) for v in discrete_derivs_grid(unit_scaled(mix), x)]
+    return EvalResult.from_scaled(scaled, [np.ldexp(v, k) for v in scaled], k * _LN2, mix.M)
 
 
 # ---------------------------------------------------------------------------
 # continuous evaluation
 
 
-# points of x per exponentiation in _KernelTable.integrate
-_KERNEL_BLOCK = 128
-
-
 class _KernelTable:
     """Quadrature nodes plus the x-independent part of the density integrand.
 
-    The integrand is exp(log_k(s)) (1-x)^s x^(M-s) with log_k = log alpha +
-    log C(M, s); the nodes cover only the knot intervals where alpha does
-    not vanish, so log_k is finite at every one. wk and wg are the Kronrod
-    and the embedded Gauss weights of the same nodes. At fixed x, the
-    integrand normalized to mass one is a posterior over the mixing index
-    s, and s is centred on the middle of the node range before its moments
-    are formed, so the variance is not a difference of two large numbers.
+    The integrand is exp(log_k(s) + s tilt) x^M with log_k = log alpha +
+    log C(M, s) and tilt = log(1-x) - log x; the nodes cover only the knot
+    intervals where alpha does not vanish, so log_k is finite at every one.
+    wk and wg are the Kronrod and the embedded Gauss weights of the same
+    nodes. At fixed x, the integrand normalized to mass one is a posterior
+    over the mixing index s, and s is centred on the middle of the node
+    range before its moments are formed, so the variance is not a
+    difference of two large numbers. integrate walks x in blocks of
+    _BLOCK_BYTES, the de Casteljau budget, through one buffer per call.
     """
 
     __slots__ = ("s", "wk", "wg", "log_k", "M", "centre")
@@ -351,13 +363,22 @@ class _KernelTable:
 
         The result is the density or, with moments, the triple (f, mean,
         var): the density plus the mean and variance of the posterior over s
-        at each x, all from one exponentiation per block of x. The gap is
-        the largest Kronrod-Gauss distance of the posterior's mass relative
-        to itself (before the shift by exp(top), so defined where f
-        underflows), its mean relative to M and its variance relative to
-        M^2: the scales that bound f, f' and f'' relative to f, f M/t and
-        f M^2/t^2, with t = x(1-x). It is 0 where the integrand vanishes at
-        every node.
+        at each x. The x-only factor x^M of the kernel leaves the exponent,
+        log_k + s tilt with tilt = log(1-x) - log x, and joins each point's
+        scale exp(top), top = peak + M log x, where peak is the exponent's
+        largest value at that x. x is walked in blocks of as many points as
+        fill _BLOCK_BYTES, the de Casteljau budget, in one buffer reused by
+        every block: the exponent is formed, shifted by its row's peak and
+        exponentiated in place, and one einsum reduces it against the
+        stacked Kronrod and Gauss rows, the weights times 1, ds and ds^2
+        (the weights alone for the density). Each sum runs over one row of
+        the buffer, in the same order whatever the block, so a point's
+        value depends on that point alone. The gap is the largest
+        Kronrod-Gauss distance of the posterior's mass relative to itself
+        (before the shift by exp(top), so defined where f underflows), its
+        mean relative to M and its variance relative to M^2: the scales that
+        bound f, f' and f'' relative to f, f M/t and f M^2/t^2, with t =
+        x(1-x). It is 0 where the integrand vanishes at every node.
         """
         kinds = 3 if moments else 1
         # Kronrod sums in z[0], Gauss sums in z[1], each point's on its own scale exp(top)
@@ -365,25 +386,26 @@ class _KernelTable:
         top = np.full(x.size, _NEG_INF)
         if self.s.size:
             log_x = np.log(x)
-            log_1mx = np.log1p(-x)
-            x_pow = self.M - self.s
-            ds = self.s - self.centre
-            rows = [self.wk, self.wg]
+            tilt = np.log1p(-x) - log_x
+            rows = np.empty((2, kinds, self.s.size))
+            rows[:, 0] = self.wk, self.wg
             if moments:
-                rows = [r for w in rows for r in (w, w * ds, w * ds * ds)]
-            for start in range(0, x.size, _KERNEL_BLOCK):
-                sl = slice(start, start + _KERNEL_BLOCK)
-                # one row per x, so each sum over s runs over contiguous memory
-                # in the same order whatever the number of points
-                terms = (
-                    self.log_k[None, :]
-                    + self.s[None, :] * log_1mx[sl, None]
-                    + x_pow[None, :] * log_x[sl, None]
-                )
-                top[sl] = np.max(terms, axis=1)
-                terms -= np.where(np.isfinite(top[sl]), top[sl], 0.0)[:, None]
-                np.exp(terms, out=terms)
-                z[..., sl] = np.reshape([np.einsum("jk,k->j", terms, row) for row in rows], (2, kinds, -1))
+                ds = self.s - self.centre
+                np.multiply(rows[:, 0], ds, out=rows[:, 1])
+                np.multiply(rows[:, 1], ds, out=rows[:, 2])
+            rows = rows.reshape(2 * kinds, -1)
+            size = max(1, min(x.size, _BLOCK_BYTES // (8 * self.s.size)))
+            buf = np.empty((size, self.s.size))
+            for lo in range(0, x.size, size):
+                sl = slice(lo, lo + size)
+                b = buf[: x.size - lo]
+                np.multiply(tilt[sl, None], self.s, out=b)
+                b += self.log_k
+                top[sl] = np.max(b, axis=1)
+                b -= np.where(np.isfinite(top[sl]), top[sl], 0.0)[:, None]
+                np.exp(b, out=b)
+                z[..., sl] = np.einsum("jk,rk->rj", b, rows).reshape(2, kinds, -1)
+            top += self.M * log_x
         live = np.isfinite(top)
         mass = z[:, 0]
         out = [np.where(live, np.exp(top) * mass[0], 0.0)]
@@ -400,7 +422,7 @@ class _KernelTable:
 
 def _density_table(mix: ContinuousMixture, per_unit: int) -> _KernelTable:
     s, wk, wg = panel_nodes(mix.knots, mix.log_alpha, per_unit)
-    log_k = mix.log_alpha_at(s) + log_gen_binom_grid(mix.M, s)
+    log_k = np.interp(s, mix.knots, mix.log_alpha) + log_gen_binom_grid(mix.M, s)
     return _KernelTable(s, wk, wg, log_k, mix.M)
 
 
@@ -422,11 +444,13 @@ def _derivs_from_moments(M: float, x: np.ndarray, f, mean, var):
     V/t^2 + E[u]^2 - (M-m)/x^2 - m/(1-x)^2.
     """
     t = x * (1.0 - x)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         eu = (M * (1.0 - x) - mean) / t
         curv = var / (t * t) + eu * eu - (M - mean) / (x * x) - mean / ((1.0 - x) * (1.0 - x))
-    # at x = 0 or 1 the integrals vanish, and so do their derivatives here
-    return f, np.where(f > 0.0, f * eu, 0.0), np.where(f > 0.0, f * curv, 0.0)
+        # at x = 0 or 1 the integrals vanish, and so do their derivatives here;
+        # past the double range f' and f'' read inf, and their ratios are
+        # formed on the unit-scaled mixture (continuous_unit_derivs)
+        return f, np.where(f > 0.0, f * eu, 0.0), np.where(f > 0.0, f * curv, 0.0)
 
 
 class ContinuousEvaluator:
@@ -478,6 +502,21 @@ class ContinuousEvaluator:
         return self.derivs(x)[2]
 
 
+def continuous_unit_derivs(mix: ContinuousMixture, x):
+    """(f, f', f'') of mix over x, the same of unit_scaled(mix), and log f's shift between the two.
+
+    The unit-scaled triple keeps f above underflow where alpha is tiny and
+    f'' below overflow where it is huge, so log f and every ratio are
+    formed on it, and log f is its log plus the shift, the peak of log
+    alpha. Where alpha already peaks at 1 the two are one evaluation.
+    """
+    linear = np.array(ContinuousEvaluator(mix).derivs(x))
+    peak = _alpha_peak(mix)
+    if peak == 0.0 or not math.isfinite(peak):
+        return linear, linear, 0.0
+    return linear, np.array(ContinuousEvaluator(unit_scaled(mix)).derivs(x)), peak
+
+
 def eval_density_continuous(mix: ContinuousMixture, x: float) -> float:
     """Continuous-mixture density at a single x in (0, 1), by quadrature."""
     if not 0.0 < x < 1.0:
@@ -489,8 +528,8 @@ def eval_derivs_continuous(mix: ContinuousMixture, x: float) -> EvalResult:
     """Density plus analytic f', f'' at x in (0, 1)."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"eval_derivs_continuous requires 0 < x < 1, got {x!r}")
-    f, d1, d2 = ContinuousEvaluator(mix).derivs(np.array([x]))
-    return EvalResult.from_linear(float(f[0]), float(d1[0]), float(d2[0]), mix.M)
+    linear, scaled, shift = continuous_unit_derivs(mix, np.array([x]))
+    return EvalResult.from_scaled(scaled[:, 0], linear[:, 0], shift, mix.M)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +574,7 @@ def _alpha_integral(mix: ContinuousMixture, what: str, factor=None):
     nodes; alpha = 0 everywhere leaves no nodes and gives 0.
     """
     s, wk, wg = panel_nodes(mix.knots, mix.log_alpha)
-    la = mix.log_alpha_at(s)
+    la = np.interp(s, mix.knots, mix.log_alpha)
     m = np.max(la, initial=_NEG_INF)
     vals = np.exp(la - m) if factor is None else np.exp(la - m) * factor(s)
     return math.exp(m) * kronrod_integral(wk, wg, vals, what)

@@ -171,7 +171,7 @@ def test_certify_continuous_alpha_scale_is_shifted_out():
     # knot value first, so both certify exactly as alpha = 1, with no note
     # (and no RuntimeWarning, which the suite turns into an error)
     unit = certify(ContinuousMixture(2.0, [0.0, 2.0], [0.0, 0.0]), grid_points=64)
-    assert unit.min_margin_eq10 == 3.5718345456967393
+    assert unit.min_margin_eq10 == 3.5718345456967397
     for level in (700.0, -800.0):
         mix = ContinuousMixture(2.0, [0.0, 2.0], [level, level])
         assert certify(mix, grid_points=64) == unit

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +343,48 @@ def test_gauss_kronrod_gate_does_not_depend_on_the_mixing_scale(c):
     f, t = base[0], xs * (1.0 - xs)
     for got, want, scale in zip(scaled, base, (f, f * 200.0 / t, f * 200.0**2 / t**2)):
         assert np.all(np.abs(got - math.exp(c) * want) <= 1e-12 * math.exp(c) * scale)
+
+
+def test_byte_sized_blocks_keep_each_point_independent():
+    # the M = 200 tier tables take 15, 7 and 3 points per block of
+    # mixtures._BLOCK_BYTES; 64 shuffled points fill several blocks of tiers
+    # 1, 2 and 4, and each point's values are those it has on its own
+    mix = ContinuousMixture(200.0, M200_KNOTS, M200_LOG_ALPHA)
+    edges = np.geomspace(4e-4, 1.5e-2, 8), np.geomspace(2e-7, 5e-6, 8)
+    xs = np.concatenate([np.linspace(0.03, 0.97, 32), *edges, *(1.0 - e for e in edges)])
+    xs = np.random.default_rng(19).permutation(xs)
+    tiers = _tilt_tiers(xs)
+    assert {1, 2, 4} <= set(tiers.tolist())
+    ev = ContinuousEvaluator(mix)
+    f, d1, d2 = ev.derivs(xs)
+    for tier, table in ev._tables.items():
+        per_block = mixtures._BLOCK_BYTES // (8 * table.s.size)
+        assert 1 < per_block < np.count_nonzero(tiers == tier) - 1
+    for i, x in enumerate(xs):
+        np.testing.assert_array_equal(np.ravel(ev.derivs(xs[i : i + 1])), [f[i], d1[i], d2[i]])
+    np.testing.assert_array_equal(ev.density(xs), f)
+
+
+def test_kernel_integration_works_in_one_block_buffer():
+    # M = 2000, log alpha a concave parabola on 9 knots: each table row holds
+    # 42 000 nodes; once the table is built, derivs over 256 points holds
+    # one block buffer of at most _BLOCK_BYTES, the six stacked weight rows,
+    # the centred nodes and a few arrays of one value per point
+    M = 2000.0
+    knots = np.linspace(0.0, M, 9)
+    mix = ContinuousMixture(M, knots, -3.0 * ((knots - 0.4 * M) / (0.3 * M)) ** 2)
+    ev = ContinuousEvaluator(mix)
+    xs = np.linspace(0.05, 0.95, 256)
+    want = ev.derivs(xs)
+    (table,) = ev._tables.values()
+    tracemalloc.start()
+    try:
+        got = ev.derivs(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, want)
+    assert peak < mixtures._BLOCK_BYTES + (6 + 1) * 8 * table.s.size + 64 * 1024
 
 
 def test_large_order_second_derivative_matches_oracle_near_one():

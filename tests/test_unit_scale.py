@@ -9,6 +9,7 @@ bitwise unchanged and moves the linear values by exactly that power.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from betamix import (
     DiscreteMixture,
     brute_force_logconcavity,
     certify,
+    eval_derivs_continuous,
     eval_derivs_discrete,
     margin_eq10,
+    mixture_to_json,
     random_concave_mixture,
     random_log_concave_weights,
     sample,
@@ -100,6 +103,33 @@ def test_log_forms_of_subnormal_densities_are_finite(tmp_path):
     live = np.isfinite(cols["log_f"])
     assert live.sum() == 6
     np.testing.assert_allclose(cols["log_d2"][live], _e200_curvature(cols["x"][live]), rtol=1e-11)
+
+
+def test_continuous_eval_log_forms_come_from_the_unit_scaled_mixture(tmp_path):
+    # alpha = e^700 overflows f'' near x = 0 and 1, but log f and (log f)''
+    # are formed on the unit-scaled alpha, so (log f)'' is that of alpha = 1
+    # and log f is shifted back by 700, with no RuntimeWarning
+    huge = ContinuousMixture(2.0, [0.0, 2.0], [700.0, 700.0])
+    unit = ContinuousMixture(2.0, [0.0, 2.0], [0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res, want = eval_derivs_continuous(huge, 1e-6), eval_derivs_continuous(unit, 1e-6)
+        assert res.d2 == -math.inf
+        assert res.log_d2 == want.log_d2 == pytest.approx(-7.3171793050533e10, rel=1e-12)
+        assert res.log_d1 == want.log_d1
+        assert res.log_value == pytest.approx(want.log_value + 700.0, rel=1e-15)
+        tables = {}
+        for name, mix in (("huge", huge), ("unit", unit)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(mixture_to_json(mix)))
+            out = tmp_path / f"{name}.csv"
+            assert main(["eval", "--input", str(path), "--grid-points", "8", "--out", str(out)]) == 0
+            lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+            tables[name] = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    x, log_f, log_d2 = tables["huge"][:, [0, 4, 5]].T
+    np.testing.assert_array_equal(log_d2, tables["unit"][:, 5])
+    np.testing.assert_allclose(log_f, tables["unit"][:, 4] + 700.0, rtol=1e-15)
+    assert log_d2[0] == res.log_d2 and x[0] == 1e-6
 
 
 # ---------------------------------------------------------------------------
