@@ -41,7 +41,6 @@ from .mixtures import (
     eval_derivs_continuous,
     eval_derivs_discrete,
     is_log_concave_weights,
-    load_mixture,
     mixture_from_json,
     mixture_to_json,
     normalization,
@@ -80,7 +79,6 @@ __all__ = [
     "kernel_log_curvature",
     "lemma2_continuous",
     "lemma2_discrete",
-    "load_mixture",
     "log_gamma",
     "margin_eq10",
     "mixture_from_json",

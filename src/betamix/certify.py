@@ -17,7 +17,7 @@ certificate at most by rounding.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,29 +72,16 @@ class ConcavityCertificate:
         return self.verdict == VERDICT_CERTIFIED
 
     def to_json(self, input_echo=None) -> dict:
+        """The fields in their order, nan as None and tuples as lists, then tool_version and input."""
         from . import __version__
 
-        def _num(v):
-            if v is None or (isinstance(v, float) and math.isnan(v)):
-                return None
-            return v
-
-        return {
-            "verdict": self.verdict,
-            "grid_points": self.grid_points,
-            "eps": self.eps,
-            "tol": self.tol,
-            "criterion": self.criterion,
-            "min_margin_eq10": _num(self.min_margin_eq10),
-            "min_logcurv": _num(self.min_logcurv),
-            "worst_x": _num(self.worst_x),
-            "midpoint_checks": self.midpoint_checks,
-            "midpoint_failures": self.midpoint_failures,
-            "witness": list(self.witness) if self.witness else None,
-            "notes": list(self.notes),
-            "tool_version": __version__,
-            "input": input_echo,
-        }
+        out = asdict(self)
+        for key, value in out.items():
+            if isinstance(value, float) and math.isnan(value):
+                out[key] = None
+            elif isinstance(value, tuple):
+                out[key] = list(value)
+        return out | {"tool_version": __version__, "input": input_echo}
 
 
 def _unit_ratios(mix, xs):
@@ -222,17 +209,16 @@ def sharpness_check(M: int, r: float, grid_points: int = 1024) -> float:
     Geometric weights make the density c(1 + lambda*x)^M, for which the
     curvature margin vanishes identically, so the returned maximum is a
     sharpness (and floating-point stability) measure; contract: <= 1e-8.
-    Points where the density underflows carry no margin and are left out.
+    The margins are certify's, from _unit_ratios on the grid of certify at
+    eps = 1e-6. Points where the density underflows carry no margin and
+    are left out.
     """
     if not (isinstance(M, (int, np.integer)) and M >= 1):
         raise DomainError(f"sharpness_check needs a positive integer order, got {M!r}")
     if not (r > 0.0 and r != 1.0):
         raise DomainError(f"sharpness_check needs r > 0, r != 1, got {r!r} (r=1 is the constant case)")
-    weights = float(r) ** np.arange(M + 1, dtype=float)
-    mix = DiscreteMixture(int(M), weights)
-    eps = 1e-6
-    xs = np.linspace(eps, 1.0 - eps, grid_points)
-    _, _, margins = derivative_ratios(*discrete_derivs_grid(unit_scaled(mix), xs), float(M))
+    mix = DiscreteMixture(int(M), float(r) ** np.arange(M + 1, dtype=float))
+    (_, _, margins), _ = _unit_ratios(mix, np.linspace(1e-6, 1.0 - 1e-6, grid_points))
     return float(np.max(np.abs(margins), initial=0.0, where=np.isfinite(margins)))
 
 

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .certify import check_eps, certify, find_kernel_failure, kernel_log_curvature, sharpness_check
+from .certify import VERDICT_DEGENERATE, check_eps, certify, find_kernel_failure, kernel_log_curvature, sharpness_check
 from .lemmas import continuous_lemma_sweep, discrete_lemma_sweep
 from .mixtures import (
     DegenerateMixtureError,
@@ -157,11 +157,9 @@ def cmd_certify(args, mix, meta) -> int:
     payload = cert.to_json(input_echo=mixture_to_json(mix))
     payload["meta"] = meta
     _write(args, [json.dumps(payload, indent=2) + "\n"])
-    if cert.verdict == "certified":
+    if cert.certified:
         return EXIT_OK
-    if cert.verdict == "degenerate-zero":
-        return EXIT_DEGENERATE
-    return EXIT_VIOLATED
+    return EXIT_DEGENERATE if cert.verdict == VERDICT_DEGENERATE else EXIT_VIOLATED
 
 
 def cmd_lemmas(args, mix, meta) -> int:

@@ -37,7 +37,6 @@ continuous linear values are those of the mixture's own alpha, and log f
 is shifted by the peak of log alpha.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -103,7 +102,8 @@ class ContinuousMixture:
     log_alpha gives l(s_j) at each knot, with -inf allowed. alpha(s) =
     exp(l(s)) with l linear between knots; alpha is zero outside [0, M]
     and on any interval with a -inf endpoint (a -inf knot value pulls the
-    whole adjacent interval down to zero in the limit).
+    whole adjacent interval down to zero in the limit). So alpha lives on
+    the intervals with two finite ends, and live_knots marks their ends.
     """
 
     M: float
@@ -137,36 +137,15 @@ class ContinuousMixture:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "log_alpha", la)
 
-    def segment_active(self) -> np.ndarray:
-        """Boolean mask, per knot interval, of where alpha is not identically 0."""
+    def live_knots(self) -> np.ndarray:
+        """Boolean mask, per knot, of the knots beside an interval where alpha is not identically 0."""
         finite = np.isfinite(self.log_alpha)
-        return finite[:-1] & finite[1:]
+        interval = finite[:-1] & finite[1:]
+        return np.r_[interval, False] | np.r_[False, interval]
 
     @property
     def is_zero(self) -> bool:
-        return not bool(np.any(self.segment_active()))
-
-    def log_alpha_at(self, s) -> np.ndarray:
-        """l(s) = log alpha(s), vectorized; -inf outside the active support.
-
-        s is read on the knot interval to its right and on the one to its
-        left, and the larger value is kept: off the knots the two are the
-        same interval, and a knot reads its own value whenever either
-        interval beside it is live.
-        """
-        s = np.asarray(s, dtype=float)
-        sides = [np.searchsorted(self.knots, s, side=side) for side in ("right", "left")]
-        idx = np.clip(np.stack(sides) - 1, 0, len(self.knots) - 2)
-        s0 = self.knots[idx]
-        s1 = self.knots[idx + 1]
-        l0 = self.log_alpha[idx]
-        l1 = self.log_alpha[idx + 1]
-        active = np.isfinite(l0) & np.isfinite(l1)
-        t = (s - s0) / (s1 - s0)
-        with np.errstate(invalid="ignore"):
-            val = (1.0 - t) * l0 + t * l1
-        inside = (s >= 0.0) & (s <= self.M) & active
-        return np.fmax(*np.where(inside, val, _NEG_INF))
+        return not bool(np.any(self.live_knots()))
 
 
 def weight_exponent(mix: DiscreteMixture) -> int:
@@ -182,8 +161,12 @@ def weight_exponent(mix: DiscreteMixture) -> int:
 
 
 def _alpha_peak(mix: ContinuousMixture) -> float:
-    """The largest value of log alpha at a live knot, which unit_scaled takes out; -inf if alpha vanishes."""
-    return float(np.max(mix.log_alpha_at(mix.knots)))
+    """The largest log alpha at a live knot, which unit_scaled takes out; -inf if alpha vanishes.
+
+    l is linear between knots, so over the intervals where alpha lives it
+    peaks at one of their ends, the knots that live_knots marks.
+    """
+    return float(np.max(mix.log_alpha[mix.live_knots()], initial=_NEG_INF))
 
 
 def unit_scaled(mix):
@@ -649,11 +632,11 @@ def is_log_concave_weights(mix) -> bool:
     """Whether the mixing weights/function satisfy the log-concavity hypothesis.
 
     Tested on logarithms, so no weight is multiplied and none underflows:
-    log w_i at i = 0..M, live where w_i > 0, or log alpha at the knots, live
-    beside an active interval. The live positions must be contiguous, and
-    each interior value clears its neighbours' chord (below_chord) to within
-    _LOG_CONCAVE_REL_TOL * max(1, |value|). The identically-zero mixture is
-    (vacuously) log-concave.
+    log w_i at i = 0..M, live where w_i > 0, or log alpha at the knots that
+    ContinuousMixture.live_knots marks. The live positions must be
+    contiguous, and each interior value clears its neighbours' chord
+    (below_chord) to within _LOG_CONCAVE_REL_TOL * max(1, |value|). The
+    identically-zero mixture is (vacuously) log-concave.
     """
     if isinstance(mix, DiscreteMixture):
         s = np.arange(mix.M + 1.0)
@@ -661,9 +644,7 @@ def is_log_concave_weights(mix) -> bool:
             logs = np.log(mix.weights)
         live = mix.weights > 0.0
     else:
-        s, logs = mix.knots, mix.log_alpha
-        active = mix.segment_active()
-        live = np.r_[active, False] | np.r_[False, active]
+        s, logs, live = mix.knots, mix.log_alpha, mix.live_knots()
     idx = np.flatnonzero(live)
     if idx.size and idx[-1] - idx[0] + 1 != idx.size:
         return False
@@ -706,9 +687,3 @@ def mixture_from_json(obj: dict):
         la = [_parse_log_alpha_entry(v) for v in obj["log_alpha"]]
         return ContinuousMixture(float(obj["M"]), np.asarray(obj["knots"], dtype=float), np.asarray(la))
     raise ValueError('mixture JSON needs either "weights" or "knots"+"log_alpha"')
-
-
-def load_mixture(path):
-    """Read a mixture from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return mixture_from_json(json.load(fh))

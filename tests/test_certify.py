@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from betamix import (
+    __version__,
     ContinuousMixture,
     DiscreteMixture,
     DomainError,
@@ -468,3 +469,29 @@ def test_certificate_json_shape():
                 "min_logcurv", "worst_x", "midpoint_checks", "midpoint_failures",
                 "witness", "notes"):
         assert key in back
+
+
+def test_certificate_json_text_is_pinned():
+    # key order is field order, then tool_version and input; nan and None read
+    # null, and witness and notes are lists, not tuples
+    zero = certify(DiscreteMixture(2, [0.0, 0.0, 0.0])).to_json(input_echo={"M": 2})
+    assert json.dumps(zero) == (
+        '{"verdict": "degenerate-zero", "grid_points": 1024, "eps": 1e-06, "tol": 1e-09, '
+        '"criterion": "curvature-margin", "min_margin_eq10": null, "min_logcurv": null, '
+        '"worst_x": null, "midpoint_checks": 0, "midpoint_failures": 0, "witness": null, '
+        f'"notes": [], "tool_version": "{__version__}", "input": {{"M": 2}}}}'
+    )
+    cert = certify(DiscreteMixture(2, [1.0, 0.01, 1.0]), seed=0)
+    blob = cert.to_json()
+    assert cert.verdict == "violated" and cert.witness is not None
+    x, y, lam = cert.witness
+    assert json.dumps(blob) == (
+        '{"verdict": "violated", "grid_points": 1024, "eps": 1e-06, "tol": 1e-09, '
+        f'"criterion": "curvature-margin", "min_margin_eq10": {cert.min_margin_eq10!r}, '
+        f'"min_logcurv": {cert.min_logcurv!r}, "worst_x": {cert.worst_x!r}, '
+        f'"midpoint_checks": 64, "midpoint_failures": {cert.midpoint_failures}, '
+        f'"witness": [{x!r}, {y!r}, {lam!r}], "notes": [], '
+        f'"tool_version": "{__version__}", "input": null}}'
+    )
+    assert type(blob["witness"]) is list and type(blob["notes"]) is list
+    assert type(zero["notes"]) is list

@@ -80,3 +80,11 @@ def test_discrete_commands_never_load_scipy_and_first_use_does(tmp_path, then):
         # symmetric weights: half of the mass sum(w)/(M+1) = 9/5 lies below 1/2
         assert report["result"] == pytest.approx(0.9, rel=1e-12)
     assert report["scipy_loaded"]
+
+
+def test_every_public_name_resolves_and_is_listed_once():
+    import betamix
+
+    assert len(set(betamix.__all__)) == len(betamix.__all__)
+    missing = [name for name in betamix.__all__ if not hasattr(betamix, name)]
+    assert missing == []

@@ -101,7 +101,7 @@ def test_zero_mixture_density():
 def test_partial_dead_zone():
     # a -inf knot zeroes out both adjacent intervals, leaving only [2, 3]
     mix = ContinuousMixture(3.0, [0.0, 1.0, 2.0, 3.0], [0.0, NEG_INF, 0.0, 0.0])
-    assert list(mix.segment_active()) == [False, False, True]
+    assert list(mix.live_knots()) == [False, False, True, True]
     n = 1_000_000
     s = 2.0 + (np.arange(n) + 0.5) / n
     x = 0.45
@@ -110,14 +110,22 @@ def test_partial_dead_zone():
 
 
 @pytest.mark.parametrize(
-    "log_alpha, expected",
-    [([0.0, 0.0, NEG_INF], 0.0), ([NEG_INF, 0.0, 0.0], 0.0), ([NEG_INF, 0.0, NEG_INF], NEG_INF)],
+    "log_alpha, live, peak",
+    [
+        ([0.0, 0.0, NEG_INF], [True, True, False], 0.0),
+        ([NEG_INF, 0.0, 0.0], [False, True, True], 0.0),
+        ([NEG_INF, 0.0, NEG_INF], [False, False, False], NEG_INF),
+    ],
     ids=["dead-right", "dead-left", "dead-both"],
 )
-def test_log_alpha_at_a_knot_reads_either_live_side(log_alpha, expected):
+def test_log_alpha_at_a_knot_reads_either_live_side(log_alpha, live, peak):
+    # the middle knot is live beside either live interval, and unit_scaled
+    # takes out the peak over the live knots; a zero mixture comes back as is
     mix = ContinuousMixture(2.0, [0.0, 1.0, 2.0], log_alpha)
-    assert mix.log_alpha_at(1.0) == expected
-    assert mix.log_alpha_at(np.array([1.0]))[0] == expected
+    assert list(mix.live_knots()) == live
+    assert mixtures._alpha_peak(mix) == peak
+    scaled = mixtures.unit_scaled(mix)
+    assert scaled is mix if peak == NEG_INF else np.array_equal(scaled.log_alpha, mix.log_alpha - peak)
 
 
 def test_flat_mixing_derivative_is_boundary_only():
