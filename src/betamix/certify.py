@@ -8,12 +8,15 @@ which is nonnegative on (0, 1) whenever the mixing weights are
 log-concave, vanishes identically for geometric weight sequences, and is
 scale-free in the weights. A certificate records the worst margin over a
 grid together with the largest log-curvature (log f)'' on the same grid,
-both from one call of mixtures.derivative_ratios on the same f, f' and
-f'', and randomized midpoint-definition spot checks, made on log f by the
-chord test (mixtures.below_chord) that also decides the weights'
-hypothesis. The grid and the midpoint checks both evaluate the unit-scaled
-mixture (mixtures.unit_scaled), so the weights' scale changes a
-certificate at most by rounding.
+both from one evaluation, and randomized midpoint-definition spot checks,
+made on log f by the chord test (mixtures.below_chord) that also decides
+the weights' hypothesis. A discrete margin comes from
+mixtures.derivative_ratios on de Casteljau's f, f' and f''; a continuous
+one straight from the posterior moments (ContinuousEvaluator.forms), so
+it is finite at every grid point, even where f underflows. The grid and
+the midpoint checks both evaluate the unit-scaled mixture
+(mixtures.unit_scaled), so the weights' scale changes a certificate at
+most by rounding.
 """
 
 import math
@@ -85,14 +88,13 @@ class ConcavityCertificate:
 
 
 def _unit_ratios(mix, xs):
-    """derivative_ratios over xs of the unit-scaled mix, and its density function for the midpoint checks."""
+    """(f'/f, (log f)'', margin) over xs of the unit-scaled mix, and its density function for the midpoint checks."""
     scaled = unit_scaled(mix)
     if isinstance(mix, DiscreteMixture):
-        derivs, density_fn = discrete_derivs_grid(scaled, xs), lambda pts: discrete_density_grid(scaled, pts)
-    else:
-        ev = ContinuousEvaluator(scaled)
-        derivs, density_fn = ev.derivs(xs), ev.density
-    return derivative_ratios(*derivs, float(mix.M)), density_fn
+        ratios = derivative_ratios(*discrete_derivs_grid(scaled, xs), float(mix.M))
+        return ratios, lambda pts: discrete_density_grid(scaled, pts)
+    ev = ContinuousEvaluator(scaled)
+    return ev.forms(xs)[4:], ev.density
 
 
 def margin_eq10(mix, x: float) -> float:
@@ -100,9 +102,10 @@ def margin_eq10(mix, x: float) -> float:
 
     Nonnegative exactly when ((M-1)/M) f'^2 >= f f''; the normalization by
     f^2 makes the value a curvature-like, weight-scale-free quantity.
-    Formed as in certify: derivative_ratios on the unit-scaled mixture, so
-    it equals the certificate's margin at a grid point bit for bit. nan
-    where that mixture's f underflows.
+    Formed as in certify, on the unit-scaled mixture, so it equals the
+    certificate's margin at a grid point bit for bit. A discrete margin is
+    nan where that mixture's f underflows; a continuous one, read off the
+    posterior moments, is not.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"margin_eq10 requires 0 < x < 1, got {x!r}")
@@ -149,9 +152,10 @@ def certify(
     both from one evaluation of f, f' and f'', plus randomized midpoint
     spot checks.
     "certified" means no violation was detected at this resolution and
-    tolerance. Grid points where the density underflowed are counted in a
-    note; a continuous integral that fails its Gauss-Kronrod check raises
-    QuadratureError, so no certificate rests on it.
+    tolerance. Discrete grid points where the density underflowed carry no
+    margin and are counted in a note; a continuous margin is finite at
+    every grid point. A continuous integral that fails its Gauss-Kronrod
+    check raises QuadratureError, so no certificate rests on it.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
@@ -162,9 +166,9 @@ def certify(
     xs = np.linspace(eps, 1.0 - eps, grid_points)
     (_, logcurv, margins), density_fn = _unit_ratios(mix, xs)
 
-    # the margin is nan where f underflowed, and those points are counted as
-    # such; the worst point and the largest log-curvature are taken over the
-    # others, and with none left nothing was computed
+    # a discrete margin is nan where f underflowed, and those points are
+    # counted as such; the worst point and the largest log-curvature are
+    # taken over the others, and with none left nothing was computed
     pool = np.flatnonzero(np.isfinite(margins))
     min_margin, min_logcurv, worst_x = None, math.nan, math.nan
     if pool.size:

@@ -35,11 +35,11 @@ from . import __version__
 from .certify import VERDICT_DEGENERATE, check_eps, certify, find_kernel_failure, kernel_log_curvature, sharpness_check
 from .lemmas import continuous_lemma_sweep, discrete_lemma_sweep
 from .mixtures import (
+    ContinuousEvaluator,
     DegenerateMixtureError,
     DiscreteMixture,
-    continuous_unit_derivs,
-    derivative_ratios,
     discrete_derivs_grid,
+    discrete_forms,
     mixture_from_json,
     mixture_to_json,
     sample,
@@ -135,19 +135,14 @@ def cmd_eval(args, mix, meta) -> int:
         raise ValueError("--grid-points must be at least 2")
     check_eps(args.eps)
     xs = np.linspace(args.eps, 1.0 - args.eps, args.grid_points)
-    # log f and (log f)'' are formed on the unit-scaled mixture (unit_scaled),
-    # and log f is shifted back: by k log 2 for weights divided by 2^k, by the
+    # log f and (log f)'' are those of the unit-scaled mixture (unit_scaled),
+    # with log f shifted back: by k log 2 for weights divided by 2^k, by the
     # peak of log alpha for a continuous mixture
     if isinstance(mix, DiscreteMixture):
-        k = weight_exponent(mix)
-        scaled = discrete_derivs_grid(unit_scaled(mix), xs)
-        linear, shift = [np.ldexp(v, k) for v in scaled], k * math.log(2.0)
+        forms = discrete_forms(discrete_derivs_grid(unit_scaled(mix), xs), weight_exponent(mix), mix.M)
     else:
-        linear, scaled, shift = continuous_unit_derivs(mix, xs)
-    _, log_d2, _ = derivative_ratios(*scaled, mix.M)
-    with np.errstate(divide="ignore"):
-        log_f = np.log(scaled[0]) + shift
-    f, d1, d2 = linear
+        forms = ContinuousEvaluator(mix).forms(xs)
+    f, d1, d2, log_f, _, log_d2, _ = forms
     _write_table(args, meta, {"x": xs, "f": f, "d1": d1, "d2": d2, "log_f": log_f, "log_d2": log_d2})
     return EXIT_OK
 

@@ -18,23 +18,27 @@ recombined by max-shifted exponentiation, on panels that split at every
 knot, laid out over the whole knot grid in one call: the intervals where
 alpha vanishes get none. The density at x reads the coarsest table that
 resolves the tilt of its kernel in s. The derivatives come from the same
-table: at fixed x the normalized integrand is a posterior over s, and f'
-and f'' follow from its mean and variance, so one exponentiation serves f,
-f' and f''. The kernel's log is l(s) + log C(M, s) + s tilt, with tilt =
-log(1-x) - log x, plus M log x, which joins each point's scale instead of
-the exponent. Blocks of x are sized by the de Casteljau byte budget and
-share one buffer, and one einsum reduces each block against every Kronrod
-and Gauss weight row at once.
+table: at fixed x the normalized integrand is a posterior over s, whose
+mass, mean m and variance V give, with t = x(1-x), log f, the score f'/f =
+(M(1-x) - m)/t, the Eq. 10 margin [m(M-m)/M - V]/t^2 and the log-curvature
+(log f)'' = -margin - (f'/f)^2/M, so one exponentiation serves them all;
+f' is f times the score, and f'' is f times (f'/f)^2 + (log f)''. The
+kernel's log is l(s) + log C(M, s) + s tilt, with tilt = log(1-x) - log x,
+plus M log x, which joins each point's scale instead of the exponent.
+Blocks of x are sized by the de Casteljau byte budget and share one buffer,
+and one einsum reduces each block against every Kronrod and Gauss weight
+row at once.
 
 The weight scale is taken out in one place. Every log, ratio and midpoint
 check reads the unit-scaled mixture (unit_scaled), whose discrete weights
 are divided by a power of two 2^k and whose continuous log alpha peaks at
-0, so f, f' and f'' stay in range. The score f'/f, the log-curvature
-(log f)'' and the Eq. 10 margin are then formed once, by
-derivative_ratios, on each point's own power-of-two scale of f. Discrete
-linear values are scaled back by 2^k, and log f is shifted by k log 2;
-continuous linear values are those of the mixture's own alpha, and log f
-is shifted by the peak of log alpha.
+0, so f, f' and f'' stay in range. The continuous tables are built on it,
+and its peak joins each point's log scale, so continuous linear values are
+those of the mixture's own alpha, and log f and every ratio, read off the
+moments, are finite wherever the posterior is. The discrete score, (log
+f)'' and margin are formed by derivative_ratios on each point's own
+power-of-two scale of the unit-scaled f; the linear values are scaled back
+by 2^k, and log f is shifted by k log 2.
 """
 
 import math
@@ -141,7 +145,7 @@ class ContinuousMixture:
         """Boolean mask, per knot, of the knots beside an interval where alpha is not identically 0."""
         finite = np.isfinite(self.log_alpha)
         interval = finite[:-1] & finite[1:]
-        return np.r_[interval, False] | np.r_[False, interval]
+        return np.concatenate([interval, [False]]) | np.concatenate([[False], interval])
 
     @property
     def is_zero(self) -> bool:
@@ -172,20 +176,21 @@ def _alpha_peak(mix: ContinuousMixture) -> float:
 def unit_scaled(mix):
     """mix rescaled so that f, f' and f'' stay in range; log f shifts by a constant, and every ratio is scale-free.
 
-    A continuous log alpha is shifted by its largest live knot value. A
-    discrete mixture's weights are divided by 2^weight_exponent(mix), which
-    scales every de Casteljau value exactly (within the normal range), so
-    the unscaled f, f' and f'' are those values times 2^k, and log f is
-    log of the scaled f plus k log 2.
+    A continuous log alpha is shifted by its largest live knot value; a
+    mixture whose alpha already peaks at 1, or vanishes, is returned as it
+    is. A discrete mixture's weights are divided by 2^weight_exponent(mix),
+    which scales every de Casteljau value exactly (within the normal
+    range), so the unscaled f, f' and f'' are those values times 2^k, and
+    log f is log of the scaled f plus k log 2.
     """
     if not isinstance(mix, DiscreteMixture):
         top = _alpha_peak(mix)
-        return ContinuousMixture(mix.M, mix.knots, mix.log_alpha - top) if np.isfinite(top) else mix
+        return ContinuousMixture(mix.M, mix.knots, mix.log_alpha - top) if np.isfinite(top) and top != 0.0 else mix
     return DiscreteMixture(mix.M, np.ldexp(mix.weights, -weight_exponent(mix)))
 
 
 def derivative_ratios(f, d1, d2, M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f'/f, (log f)'' = (f f'' - f'^2)/f^2 and the Eq. 10 margin [((M-1)/M) f'^2 - f f'']/f^2.
+    """f'/f, (log f)'' = (f f'' - f'^2)/f^2 and the Eq. 10 margin [((M-1)/M) f'^2 - f f'']/f^2 of discrete values.
 
     f, f' and f'' are first divided, point by point, by the power of two
     that puts f in [0.5, 1). That is exact, and the same as evaluating on
@@ -201,20 +206,32 @@ def derivative_ratios(f, d1, d2, M) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return d1s / fs, (fs * d2s - d1s * d1s) / (fs * fs), (((M - 1.0) / M) * d1s * d1s - fs * d2s) / (fs * fs)
 
 
+def discrete_forms(scaled, k: int, M):
+    """(f, f', f'', log f, f'/f, (log f)'', margin) from (f, f', f'') of the weights divided by 2^k.
+
+    The ratios are derivative_ratios of the scaled values, the linear
+    values are those times 2^k, and log f is the log of the scaled f plus
+    k log 2. The order is that of ContinuousEvaluator.forms.
+    """
+    with np.errstate(divide="ignore"):
+        log_f = np.log(scaled[0]) + k * _LN2
+    return (*(np.ldexp(v, k) for v in scaled), log_f, *derivative_ratios(*scaled, M))
+
+
 @dataclass(frozen=True)
 class EvalResult:
     """Density value with first/second derivatives and their log-domain forms.
 
     log_d1 is the score (log f)' = f'/f and log_d2 the log-curvature
-    (log f)'' = (f*f'' - f'^2)/f^2, both from derivative_ratios on the f,
-    f' and f'' that were evaluated, so neither overflows nor underflows
-    where it is finite; both are nan where that f is not a normal double.
-    The log forms are those of the unit-scaled mixture (unit_scaled), and
-    log_value is its log f shifted back, so they hold where the unscaled f
-    would underflow or f'' overflow. For a discrete mixture value, d1 and
-    d2 are the unit-scaled results times 2^k, and the shift is k log 2; for
-    a continuous one they are those of its own alpha, and the shift is the
-    peak of log alpha (continuous_unit_derivs).
+    (log f)'' = (f*f'' - f'^2)/f^2, so neither overflows nor underflows
+    where it is finite. They and log_value are those of the unit-scaled
+    mixture (unit_scaled), with log f shifted back, so they hold where the
+    unscaled f would underflow or f'' overflow. A discrete value comes from
+    discrete_forms: d1 and d2 are the unit-scaled results times 2^k, the
+    shift is k log 2, and the ratios are nan where the unit-scaled f is not
+    a normal double. A continuous one comes from ContinuousEvaluator.forms:
+    the linear values are those of its own alpha, and the log forms are
+    read off the posterior moments, finite wherever the posterior is.
     """
 
     value: float
@@ -223,14 +240,6 @@ class EvalResult:
     log_value: float
     log_d1: float
     log_d2: float
-
-    @classmethod
-    def from_scaled(cls, scaled, linear, log_shift: float, M) -> "EvalResult":
-        """From (f, f', f'') of the unit-scaled mixture, those of the mixture, and the log of the factor between them."""
-        score, logcurv, _ = derivative_ratios(*scaled, M)
-        with np.errstate(divide="ignore"):
-            log_f = float(np.log(scaled[0])) + log_shift
-        return cls(*(float(v) for v in linear), log_f, float(score), float(logcurv))
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +321,8 @@ def eval_derivs_discrete(mix: DiscreteMixture, x: float) -> EvalResult:
     """Density and analytic first/second derivatives at x in (0, 1)."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"eval_derivs_discrete requires 0 < x < 1, got {x!r}")
-    k = weight_exponent(mix)
     scaled = [float(v) for v in discrete_derivs_grid(unit_scaled(mix), x)]
-    return EvalResult.from_scaled(scaled, [np.ldexp(v, k) for v in scaled], k * _LN2, mix.M)
+    return EvalResult(*map(float, discrete_forms(scaled, weight_exponent(mix), mix.M)[:6]))
 
 
 # ---------------------------------------------------------------------------
@@ -324,41 +332,45 @@ def eval_derivs_discrete(mix: DiscreteMixture, x: float) -> EvalResult:
 class _KernelTable:
     """Quadrature nodes plus the x-independent part of the density integrand.
 
-    The integrand is exp(log_k(s) + s tilt) x^M with log_k = log alpha +
-    log C(M, s) and tilt = log(1-x) - log x; the nodes cover only the knot
-    intervals where alpha does not vanish, so log_k is finite at every one.
-    wk and wg are the Kronrod and the embedded Gauss weights of the same
-    nodes. At fixed x, the integrand normalized to mass one is a posterior
-    over the mixing index s, and s is centred on the middle of the node
-    range before its moments are formed, so the variance is not a
-    difference of two large numbers. integrate walks x in blocks of
-    _BLOCK_BYTES, the de Casteljau budget, through one buffer per call.
+    The integrand is exp(peak + log_k(s) + s tilt) x^M with log_k = log
+    alpha + log C(M, s) for the unit-scaled alpha, whose log peaks at 0,
+    peak the log alpha that unit_scaled took out, and tilt = log(1-x) - log
+    x; the nodes cover only the knot intervals where alpha does not vanish,
+    so log_k is finite at every one. wk and wg are the Kronrod and the
+    embedded Gauss weights of the same nodes. At fixed x, the integrand
+    normalized to mass one is a posterior over the mixing index s, and s is
+    centred on the middle of the node range before its moments are formed,
+    so the variance is not a difference of two large numbers. integrate
+    walks x in blocks of _BLOCK_BYTES, the de Casteljau budget, through one
+    buffer per call.
     """
 
-    __slots__ = ("s", "wk", "wg", "log_k", "M", "centre")
+    __slots__ = ("s", "wk", "wg", "log_k", "M", "peak", "centre")
 
-    def __init__(self, s, wk, wg, log_k, M):
-        self.s, self.wk, self.wg, self.log_k, self.M = s, wk, wg, log_k, M
+    def __init__(self, s, wk, wg, log_k, M, peak):
+        self.s, self.wk, self.wg, self.log_k, self.M, self.peak = s, wk, wg, log_k, M, peak
         self.centre = 0.5 * (s.min() + s.max()) if s.size else 0.0
 
     def integrate(self, x: np.ndarray, moments: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Kronrod result over an array of x in (0, 1), with its Gauss-Kronrod gap at each x.
+        """Kronrod results over an array of x in (0, 1), with their Gauss-Kronrod gap at each x.
 
-        The result is the density or, with moments, the triple (f, mean,
-        var): the density plus the mean and variance of the posterior over s
-        at each x. The x-only factor x^M of the kernel leaves the exponent,
-        log_k + s tilt with tilt = log(1-x) - log x, and joins each point's
-        scale exp(top), top = peak + M log x, where peak is the exponent's
+        The results are the rows (top, mass) or, with moments, (top, mass,
+        mean, var): each point's log scale top, the posterior's mass on that
+        scale, so that f = exp(top) mass and log f = top + log(mass), and
+        the mean and variance of the posterior over s at each x. The x-only
+        factor x^M of the kernel and alpha's peak leave the exponent, log_k
+        + s tilt with tilt = log(1-x) - log x, and join each point's scale:
+        top = row max + peak + M log x, where row max is the exponent's
         largest value at that x. x is walked in blocks of as many points as
         fill _BLOCK_BYTES, the de Casteljau budget, in one buffer reused by
-        every block: the exponent is formed, shifted by its row's peak and
+        every block: the exponent is formed, shifted by its row max and
         exponentiated in place, and one einsum reduces it against the
         stacked Kronrod and Gauss rows, the weights times 1, ds and ds^2
         (the weights alone for the density). Each sum runs over one row of
         the buffer, in the same order whatever the block, so a point's
         value depends on that point alone. The gap is the largest
         Kronrod-Gauss distance of the posterior's mass relative to itself
-        (before the shift by exp(top), so defined where f underflows), its
+        (on its own scale, so defined where f underflows), its
         mean relative to M and its variance relative to M^2: the scales that
         bound f, f' and f'' relative to f, f M/t and f M^2/t^2, with t =
         x(1-x). It is 0 where the integrand vanishes at every node.
@@ -388,10 +400,9 @@ class _KernelTable:
                 b -= np.where(np.isfinite(top[sl]), top[sl], 0.0)[:, None]
                 np.exp(b, out=b)
                 z[..., sl] = np.einsum("jk,rk->rj", b, rows).reshape(2, kinds, -1)
-            top += self.M * log_x
-        live = np.isfinite(top)
+            top += self.peak + self.M * log_x
         mass = z[:, 0]
-        out = [np.where(live, np.exp(top) * mass[0], 0.0)]
+        out = [top, mass[0]]
         with np.errstate(invalid="ignore", divide="ignore"):
             gap = np.abs(mass[0] - mass[1]) / mass[0]
             if moments:
@@ -400,13 +411,15 @@ class _KernelTable:
                 out += [self.centre + mu[0], var[0]]
                 gap = np.maximum(gap, np.abs(mu[0] - mu[1]) / self.M)
                 gap = np.maximum(gap, np.abs(var[0] - var[1]) / self.M**2)
-        return (np.array(out) if moments else out[0]), np.where(live, gap, 0.0)
+        return np.array(out), np.where(np.isfinite(top), gap, 0.0)
 
 
 def _density_table(mix: ContinuousMixture, per_unit: int) -> _KernelTable:
-    s, wk, wg = panel_nodes(mix.knots, mix.log_alpha, per_unit)
-    log_k = np.interp(s, mix.knots, mix.log_alpha) + log_gen_binom_grid(mix.M, s)
-    return _KernelTable(s, wk, wg, log_k, mix.M)
+    """The kernel table of one tier, on the unit-scaled alpha, with alpha's peak kept for each point's scale."""
+    unit = unit_scaled(mix)
+    s, wk, wg = panel_nodes(unit.knots, unit.log_alpha, per_unit)
+    log_k = np.interp(s, unit.knots, unit.log_alpha) + log_gen_binom_grid(mix.M, s)
+    return _KernelTable(s, wk, wg, log_k, mix.M, _alpha_peak(mix))
 
 
 def _tilt_tiers(x: np.ndarray) -> np.ndarray:
@@ -417,23 +430,6 @@ def _tilt_tiers(x: np.ndarray) -> np.ndarray:
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         return log_drop_panels(np.log(x) - np.log1p(-x))
-
-
-def _derivs_from_moments(M: float, x: np.ndarray, f, mean, var):
-    """(f, f', f'') from the density and the posterior mean m and variance V of s.
-
-    d/dx log[(1-x)^s x^(M-s)] = u(s) = (M(1-x) - s)/t with t = x(1-x), so
-    f'/f = E[u] = (M(1-x) - m)/t and f''/f = E[u^2 + u'] =
-    V/t^2 + E[u]^2 - (M-m)/x^2 - m/(1-x)^2.
-    """
-    t = x * (1.0 - x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        eu = (M * (1.0 - x) - mean) / t
-        curv = var / (t * t) + eu * eu - (M - mean) / (x * x) - mean / ((1.0 - x) * (1.0 - x))
-        # at x = 0 or 1 the integrals vanish, and so do their derivatives here;
-        # past the double range f' and f'' read inf, and their ratios are
-        # formed on the unit-scaled mixture (continuous_unit_derivs)
-        return f, np.where(f > 0.0, f * eu, 0.0), np.where(f > 0.0, f * curv, 0.0)
 
 
 class ContinuousEvaluator:
@@ -457,47 +453,61 @@ class ContinuousEvaluator:
         self._tables: dict[int, _KernelTable] = {}
 
     def _integrate(self, x: np.ndarray, moments: bool) -> np.ndarray:
-        """Checked _KernelTable.integrate over x, each point on its own tier's table, in x's shape."""
+        """Checked _KernelTable.integrate over x, each point on its own tier's table, each row in x's shape.
+
+        The rows are f = exp(top) mass, 0 where top is not finite, and log f
+        = top + log(mass), then with moments the posterior mean and variance.
+        """
         xr = x.ravel()
         tiers = _tilt_tiers(xr)
-        out = np.empty((3, xr.size) if moments else xr.size)
+        out = np.empty((4 if moments else 2, xr.size))
         gap = np.empty(xr.size)
         for tier in np.unique(tiers).tolist():
             if tier not in self._tables:
                 self._tables[tier] = _density_table(self.mix, tier)
             group = np.flatnonzero(tiers == tier)
-            out[..., group], gap[group] = self._tables[tier].integrate(xr[group], moments)
+            out[:, group], gap[group] = self._tables[tier].integrate(xr[group], moments)
         check_gauss_kronrod(gap, "density and derivatives" if moments else "density")
-        return out.reshape(out.shape[:-1] + x.shape)
+        top, mass = out[:2]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[:2] = np.where(np.isfinite(top), np.exp(top) * mass, 0.0), top + np.log(mass)
+        return out.reshape(out.shape[:1] + x.shape)
 
     def density(self, x) -> np.ndarray:
-        return self._integrate(np.asarray(x, dtype=float), moments=False)
+        return self._integrate(np.asarray(x, dtype=float), moments=False)[0]
+
+    def forms(self, x):
+        """(f, f', f'', log f, f'/f, (log f)'', margin) over x in (0, 1), in one pass over each point's table.
+
+        With the posterior's mean m and variance V, and t = x(1-x): d/dx
+        log[(1-x)^s x^(M-s)] = (M(1-x) - s)/t, so f'/f = (M(1-x) - m)/t, and
+        the Eq. 10 margin [((M-1)/M) f'^2 - f f'']/f^2 is [m(M-m)/M - V]/t^2.
+        Then (log f)'' = -margin - (f'/f)^2/M, and f' and f'' are f (f'/f)
+        and f ((f'/f)^2 + (log f)''), 0 where f is. No ratio reads f, so
+        each is finite where f underflows; past the double range f' and f''
+        read inf.
+        """
+        x = np.asarray(x, dtype=float)
+        f, log_f, mean, var = self._integrate(x, moments=True)
+        M = self.mix.M
+        t = x * (1.0 - x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            score = (M * (1.0 - x) - mean) / t
+            margin = (mean * (M - mean) / M - var) / (t * t)
+            logcurv = -margin - score * score / M
+            d1 = np.where(f > 0.0, f * score, 0.0)
+            d2 = np.where(f > 0.0, f * (score * score + logcurv), 0.0)
+            return f, d1, d2, log_f, score, logcurv, margin
 
     def derivs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(f, f', f'') over x in (0, 1), an array or a scalar, in one pass over each point's table."""
-        x = np.asarray(x, dtype=float)
-        return _derivs_from_moments(self.mix.M, x, *self._integrate(x, moments=True))
+        return self.forms(x)[:3]
 
     def d1(self, x) -> np.ndarray:
         return self.derivs(x)[1]
 
     def d2(self, x) -> np.ndarray:
         return self.derivs(x)[2]
-
-
-def continuous_unit_derivs(mix: ContinuousMixture, x):
-    """(f, f', f'') of mix over x, the same of unit_scaled(mix), and log f's shift between the two.
-
-    The unit-scaled triple keeps f above underflow where alpha is tiny and
-    f'' below overflow where it is huge, so log f and every ratio are
-    formed on it, and log f is its log plus the shift, the peak of log
-    alpha. Where alpha already peaks at 1 the two are one evaluation.
-    """
-    linear = np.array(ContinuousEvaluator(mix).derivs(x))
-    peak = _alpha_peak(mix)
-    if peak == 0.0 or not math.isfinite(peak):
-        return linear, linear, 0.0
-    return linear, np.array(ContinuousEvaluator(unit_scaled(mix)).derivs(x)), peak
 
 
 def eval_density_continuous(mix: ContinuousMixture, x: float) -> float:
@@ -511,8 +521,7 @@ def eval_derivs_continuous(mix: ContinuousMixture, x: float) -> EvalResult:
     """Density plus analytic f', f'' at x in (0, 1)."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"eval_derivs_continuous requires 0 < x < 1, got {x!r}")
-    linear, scaled, shift = continuous_unit_derivs(mix, np.array([x]))
-    return EvalResult.from_scaled(scaled[:, 0], linear[:, 0], shift, mix.M)
+    return EvalResult(*map(float, ContinuousEvaluator(mix).forms(x)[:6]))
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,13 @@ def test_certify_continuous_alpha_scale_is_shifted_out():
     # knot value first, so both certify exactly as alpha = 1, with no note
     # (and no RuntimeWarning, which the suite turns into an error)
     unit = certify(ContinuousMixture(2.0, [0.0, 2.0], [0.0, 0.0]), grid_points=64)
-    assert unit.min_margin_eq10 == 3.5718345456967397
+    # at worst_x = 0.49206350793650794 the margin is 3.5718345456967383100 to
+    # 40 digits: oracles.posterior_moments_mp(2, [0, 2], [0, 0], x, dps=40)
+    # gives [m(M-m)/M - V]/t^2, and mpmath.quad of f, f' and f'' (the
+    # x-differentiated integrand) over [0, 2] gives ((M-1)/M) f'^2 - f f''
+    # over f^2, the same digits. The moment form reads its nearest double
+    assert unit.worst_x == 0.49206350793650794
+    assert unit.min_margin_eq10 == 3.5718345456967384
     for level in (700.0, -800.0):
         mix = ContinuousMixture(2.0, [0.0, 2.0], [level, level])
         assert certify(mix, grid_points=64) == unit
