@@ -10,13 +10,15 @@ scale-free in the weights. A certificate records the worst margin over a
 grid together with the largest log-curvature (log f)'' on the same grid,
 both from one evaluation, and randomized midpoint-definition spot checks,
 made on log f by the chord test (mixtures.below_chord) that also decides
-the weights' hypothesis. A discrete margin comes from
-mixtures.derivative_ratios on de Casteljau's f, f' and f''; a continuous
-one straight from the posterior moments (ContinuousEvaluator.forms), so
-it is finite at every grid point, even where f underflows. The grid and
-the midpoint checks both evaluate the unit-scaled mixture
-(mixtures.unit_scaled), so the weights' scale changes a certificate at
-most by rounding.
+the weights' hypothesis. The midpoint triples are drawn before the grid is
+evaluated. A discrete margin comes from mixtures.derivative_ratios on de
+Casteljau's f, f' and f'', and log f at the triples from a second de
+Casteljau call; a continuous mixture gets both from one pass over the
+grid and the triples' points together, straight from the posterior
+moments (ContinuousEvaluator.forms), so its margin and log f are finite
+at every point, even where f underflows. The grid and the midpoint
+checks both evaluate the unit-scaled mixture (mixtures.unit_scaled), so
+the weights' scale changes a certificate at most by rounding.
 """
 
 import math
@@ -87,14 +89,20 @@ class ConcavityCertificate:
         return out | {"tool_version": __version__, "input": input_echo}
 
 
-def _unit_ratios(mix, xs):
-    """(f'/f, (log f)'', margin) over xs of the unit-scaled mix, and its density function for the midpoint checks."""
+def _unit_ratios(mix, xs, pts):
+    """(f'/f, (log f)'', margin) over xs of the unit-scaled mix, and its log f over pts.
+
+    A continuous mixture reads both off one moment pass over xs and pts
+    together; a discrete one makes a de Casteljau call for each, none for
+    an empty pts.
+    """
     scaled = unit_scaled(mix)
     if isinstance(mix, DiscreteMixture):
         ratios = derivative_ratios(*discrete_derivs_grid(scaled, xs), float(mix.M))
-        return ratios, lambda pts: discrete_density_grid(scaled, pts)
-    ev = ContinuousEvaluator(scaled)
-    return ev.forms(xs)[4:], ev.density
+        with np.errstate(divide="ignore"):
+            return ratios, np.log(discrete_density_grid(scaled, pts)) if pts.size else pts
+    forms = ContinuousEvaluator(scaled).forms(np.concatenate([xs, pts]))
+    return tuple(v[: xs.size] for v in forms[4:]), forms[3][xs.size :]
 
 
 def margin_eq10(mix, x: float) -> float:
@@ -109,7 +117,7 @@ def margin_eq10(mix, x: float) -> float:
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"margin_eq10 requires 0 < x < 1, got {x!r}")
-    (_, _, margin), _ = _unit_ratios(mix, np.array([x]))
+    (_, _, margin), _ = _unit_ratios(mix, np.array([x]), np.empty(0))
     return float(margin[0])
 
 
@@ -119,21 +127,29 @@ def check_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in (0, 0.5) with 1 - eps < 1 in floating point, got {eps!r}")
 
 
-def midpoint_check(density_fn, count: int, eps: float, rng):
-    """Randomized checks of the defining inequality, on logs: f(lx+(1-l)y) >= f(x)^l f(y)^(1-l).
+def midpoint_triples(count: int, eps: float, rng):
+    """count random triples (x, y, l) for the midpoint checks, and the points to evaluate them at.
 
     Draws count points x, then y, in [eps, 1-eps] and count weights l from
-    rng, evaluates density_fn once over all 3*count points, and counts the
-    triples where log f at the midpoint falls below the chord by more than
-    _MIDPOINT_SLACK (below_chord), so a zero at x or y fails nothing.
-    Returns (n_failures, first witness (x, y, l) or None).
+    rng. Returns ((x, y, l), points), points being x, then y, then the
+    midpoints lx + (1-l)y, in one array.
     """
     x = eps + (1.0 - 2.0 * eps) * rng.random(count)
     y = eps + (1.0 - 2.0 * eps) * rng.random(count)
     lam = rng.random(count)
-    mid = lam * x + (1.0 - lam) * y
-    with np.errstate(divide="ignore"):
-        lx, ly, lm = np.split(np.log(density_fn(np.concatenate([x, y, mid]))), 3)
+    return (x, y, lam), np.concatenate([x, y, lam * x + (1.0 - lam) * y])
+
+
+def midpoint_check(triples, log_f):
+    """The defining inequality on logs, f(lx+(1-l)y) >= f(x)^l f(y)^(1-l), at each of the triples.
+
+    log_f holds log f at the points of midpoint_triples, in their order.
+    Counts the triples where log f at the midpoint falls below the chord
+    by more than _MIDPOINT_SLACK (below_chord), so a zero at x or y fails
+    nothing. Returns (n_failures, first witness (x, y, l) or None).
+    """
+    x, y, lam = triples
+    lx, ly, lm = np.split(log_f, 3)
     bad = np.flatnonzero(below_chord(lx, lm, ly, lam, _MIDPOINT_SLACK))
     witness = (float(x[bad[0]]), float(y[bad[0]]), float(lam[bad[0]])) if bad.size else None
     return int(bad.size), witness
@@ -150,7 +166,8 @@ def certify(
 
     Evaluates the curvature margin and the log-curvature on a uniform grid,
     both from one evaluation of f, f' and f'', plus randomized midpoint
-    spot checks.
+    spot checks, whose points a continuous mixture evaluates in the grid's
+    own pass. tol must be finite and at least 0.
     "certified" means no violation was detected at this resolution and
     tolerance. Discrete grid points where the density underflowed carry no
     margin and are counted in a note; a continuous margin is finite at
@@ -160,11 +177,14 @@ def certify(
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
     check_eps(eps)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and at least 0, got {tol!r}")
     if mix.is_zero:
         return ConcavityCertificate(VERDICT_DEGENERATE, grid_points, eps, tol, CRITERION_EQ10)
 
     xs = np.linspace(eps, 1.0 - eps, grid_points)
-    (_, logcurv, margins), density_fn = _unit_ratios(mix, xs)
+    triples, pts = midpoint_triples(_MIDPOINT_CHECKS, eps, np.random.default_rng(seed))
+    (_, logcurv, margins), log_f = _unit_ratios(mix, xs, pts)
 
     # a discrete margin is nan where f underflowed, and those points are
     # counted as such; the worst point and the largest log-curvature are
@@ -177,8 +197,7 @@ def certify(
         min_logcurv = float(np.max(logcurv[pool]))
         worst_x = float(xs[i_worst])
 
-    rng = np.random.default_rng(seed)
-    n_failures, witness = midpoint_check(density_fn, _MIDPOINT_CHECKS, eps, rng)
+    n_failures, witness = midpoint_check(triples, log_f)
 
     notes = []
     underflowed = grid_points - pool.size
@@ -222,7 +241,7 @@ def sharpness_check(M: int, r: float, grid_points: int = 1024) -> float:
     if not (r > 0.0 and r != 1.0):
         raise DomainError(f"sharpness_check needs r > 0, r != 1, got {r!r} (r=1 is the constant case)")
     mix = DiscreteMixture(int(M), float(r) ** np.arange(M + 1, dtype=float))
-    (_, _, margins), _ = _unit_ratios(mix, np.linspace(1e-6, 1.0 - 1e-6, grid_points))
+    (_, _, margins), _ = _unit_ratios(mix, np.linspace(1e-6, 1.0 - 1e-6, grid_points), np.empty(0))
     return float(np.max(np.abs(margins), initial=0.0, where=np.isfinite(margins)))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import midpoint_check
+from .certify import midpoint_check, midpoint_triples
 from .mixtures import ContinuousMixture, DiscreteMixture, density_grid, is_log_concave_weights, unit_scaled
 from .quadrature import kronrod_integral, panel_nodes
 from .special import DomainError, int_binom_exact, log_abs_gen_binom_ext
@@ -323,9 +323,10 @@ def brute_force_logconcavity(mix, samples: int = 1000, seed: int = 0) -> dict:
     from the mixture's by one constant, so no weight scale makes them
     underflow. Returns {"ok": bool, "witness": (x, y, lam) or None}.
     """
-    rng = np.random.default_rng(seed)
-    scaled = unit_scaled(mix)
-    failures, witness = midpoint_check(lambda pts: density_grid(scaled, pts), samples, 1e-9, rng)
+    triples, pts = midpoint_triples(samples, 1e-9, np.random.default_rng(seed))
+    with np.errstate(divide="ignore"):
+        log_f = np.log(density_grid(unit_scaled(mix), pts))
+    failures, witness = midpoint_check(triples, log_f)
     return {"ok": failures == 0, "witness": witness}
 
 

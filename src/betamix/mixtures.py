@@ -16,18 +16,19 @@ function alpha(s) = exp(l(s)) with l piecewise linear on a knot grid over
 [0, M] and alpha = 0 outside. All integrals are evaluated in log space and
 recombined by max-shifted exponentiation, on panels that split at every
 knot, laid out over the whole knot grid in one call: the intervals where
-alpha vanishes get none. The density at x reads the coarsest table that
-resolves the tilt of its kernel in s. The derivatives come from the same
-table: at fixed x the normalized integrand is a posterior over s, whose
-mass, mean m and variance V give, with t = x(1-x), log f, the score f'/f =
-(M(1-x) - m)/t, the Eq. 10 margin [m(M-m)/M - V]/t^2 and the log-curvature
-(log f)'' = -margin - (f'/f)^2/M, so one exponentiation serves them all;
-f' is f times the score, and f'' is f times (f'/f)^2 + (log f)''. The
-kernel's log is l(s) + log C(M, s) + s tilt, with tilt = log(1-x) - log x,
-plus M log x, which joins each point's scale instead of the exponent.
-Blocks of x are sized by the de Casteljau byte budget and share one buffer,
-and one einsum reduces each block against every Kronrod and Gauss weight
-row at once.
+alpha vanishes get none. Each x reads the coarsest table that resolves
+the tilt of its kernel in s, in one moment pass, the only continuous
+integration: at fixed x the normalized integrand is a posterior over s,
+whose mass, mean m and variance V give, with t = x(1-x), log f, the score
+f'/f = (M(1-x) - m)/t, the Eq. 10 margin [m(M-m)/M - V]/t^2 and the
+log-curvature (log f)'' = -margin - (f'/f)^2/M, so one exponentiation
+serves them all; f is the mass on each point's scale, f' is f times the
+score, and f'' is f times (f'/f)^2 + (log f)''. The density alone is a
+slice of that pass. The kernel's log is l(s) + log C(M, s) + s tilt, with
+tilt = log(1-x) - log x, plus M log x, which joins each point's scale
+instead of the exponent. Blocks of x are sized by the de Casteljau byte
+budget and share one buffer, and one einsum reduces each block against
+every Kronrod and Gauss weight row at once.
 
 The weight scale is taken out in one place. Every log, ratio and midpoint
 check reads the unit-scaled mixture (unit_scaled), whose discrete weights
@@ -75,7 +76,7 @@ class DiscreteMixture:
     weights: np.ndarray
 
     def __post_init__(self):
-        if not (isinstance(self.M, (int, np.integer)) and self.M >= 1):
+        if isinstance(self.M, bool) or not (isinstance(self.M, (int, np.integer)) and self.M >= 1):
             raise ValueError(f"discrete mixture order M must be a positive integer, got {self.M!r}")
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.shape[0] != self.M + 1:
@@ -102,7 +103,7 @@ class DiscreteMixture:
 class ContinuousMixture:
     """Real order M > 1 plus a log-domain piecewise-linear mixing function.
 
-    knots is a strictly increasing grid s_0 = 0 < ... < s_K = M and
+    knots is a strictly increasing finite grid s_0 = 0 < ... < s_K = M and
     log_alpha gives l(s_j) at each knot, with -inf allowed. alpha(s) =
     exp(l(s)) with l linear between knots; alpha is zero outside [0, M]
     and on any interval with a -inf endpoint (a -inf knot value pulls the
@@ -124,6 +125,8 @@ class ContinuousMixture:
             raise ValueError("knots must be a 1-D grid with at least two entries")
         if la.shape != knots.shape:
             raise ValueError("log_alpha must have one entry per knot")
+        if not np.all(np.isfinite(knots)):
+            raise ValueError("knots must be finite")
         if np.any(np.diff(knots) <= 0.0):
             raise ValueError("knots must be strictly increasing")
         scale = max(1.0, abs(M))
@@ -341,8 +344,9 @@ class _KernelTable:
     normalized to mass one is a posterior over the mixing index s, and s is
     centred on the middle of the node range before its moments are formed,
     so the variance is not a difference of two large numbers. integrate
-    walks x in blocks of _BLOCK_BYTES, the de Casteljau budget, through one
-    buffer per call.
+    forms the posterior's mass, mean and variance at every x, walking x in
+    blocks of _BLOCK_BYTES, the de Casteljau budget, through one buffer per
+    call.
     """
 
     __slots__ = ("s", "wk", "wg", "log_k", "M", "peak", "centre")
@@ -351,44 +355,41 @@ class _KernelTable:
         self.s, self.wk, self.wg, self.log_k, self.M, self.peak = s, wk, wg, log_k, M, peak
         self.centre = 0.5 * (s.min() + s.max()) if s.size else 0.0
 
-    def integrate(self, x: np.ndarray, moments: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def integrate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Kronrod results over an array of x in (0, 1), with their Gauss-Kronrod gap at each x.
 
-        The results are the rows (top, mass) or, with moments, (top, mass,
-        mean, var): each point's log scale top, the posterior's mass on that
-        scale, so that f = exp(top) mass and log f = top + log(mass), and
-        the mean and variance of the posterior over s at each x. The x-only
-        factor x^M of the kernel and alpha's peak leave the exponent, log_k
-        + s tilt with tilt = log(1-x) - log x, and join each point's scale:
-        top = row max + peak + M log x, where row max is the exponent's
-        largest value at that x. x is walked in blocks of as many points as
-        fill _BLOCK_BYTES, the de Casteljau budget, in one buffer reused by
-        every block: the exponent is formed, shifted by its row max and
-        exponentiated in place, and one einsum reduces it against the
-        stacked Kronrod and Gauss rows, the weights times 1, ds and ds^2
-        (the weights alone for the density). Each sum runs over one row of
-        the buffer, in the same order whatever the block, so a point's
-        value depends on that point alone. The gap is the largest
-        Kronrod-Gauss distance of the posterior's mass relative to itself
-        (on its own scale, so defined where f underflows), its
-        mean relative to M and its variance relative to M^2: the scales that
-        bound f, f' and f'' relative to f, f M/t and f M^2/t^2, with t =
-        x(1-x). It is 0 where the integrand vanishes at every node.
+        The results are the rows (top, mass, mean, var): each point's log
+        scale top, the posterior's mass on that scale, so that f = exp(top)
+        mass and log f = top + log(mass), and the mean and variance of the
+        posterior over s at each x. The x-only factor x^M of the kernel and
+        alpha's peak leave the exponent, log_k + s tilt with tilt = log(1-x)
+        - log x, and join each point's scale: top = row max + peak + M log
+        x, where row max is the exponent's largest value at that x. x is
+        walked in blocks of as many points as fill _BLOCK_BYTES, the de
+        Casteljau budget, in one buffer reused by every block: the exponent
+        is formed, shifted by its row max and exponentiated in place, and one
+        einsum reduces it against the stacked Kronrod and Gauss rows, the
+        weights times 1, ds and ds^2. Each sum runs over one row of the
+        buffer, in the same order whatever the block, so a point's value
+        depends on that point alone. The gap is the largest Kronrod-Gauss
+        distance of the posterior's mass relative to itself (on its own
+        scale, so defined where f underflows), its mean relative to M and
+        its variance relative to M^2: the scales that bound f, f' and f''
+        relative to f, f M/t and f M^2/t^2, with t = x(1-x). It is 0 where
+        the integrand vanishes at every node.
         """
-        kinds = 3 if moments else 1
         # Kronrod sums in z[0], Gauss sums in z[1], each point's on its own scale exp(top)
-        z = np.zeros((2, kinds, x.size))
+        z = np.zeros((2, 3, x.size))
         top = np.full(x.size, _NEG_INF)
         if self.s.size:
             log_x = np.log(x)
             tilt = np.log1p(-x) - log_x
-            rows = np.empty((2, kinds, self.s.size))
+            rows = np.empty((2, 3, self.s.size))
             rows[:, 0] = self.wk, self.wg
-            if moments:
-                ds = self.s - self.centre
-                np.multiply(rows[:, 0], ds, out=rows[:, 1])
-                np.multiply(rows[:, 1], ds, out=rows[:, 2])
-            rows = rows.reshape(2 * kinds, -1)
+            ds = self.s - self.centre
+            np.multiply(rows[:, 0], ds, out=rows[:, 1])
+            np.multiply(rows[:, 1], ds, out=rows[:, 2])
+            rows = rows.reshape(6, -1)
             size = max(1, min(x.size, _BLOCK_BYTES // (8 * self.s.size)))
             buf = np.empty((size, self.s.size))
             for lo in range(0, x.size, size):
@@ -399,19 +400,16 @@ class _KernelTable:
                 top[sl] = np.max(b, axis=1)
                 b -= np.where(np.isfinite(top[sl]), top[sl], 0.0)[:, None]
                 np.exp(b, out=b)
-                z[..., sl] = np.einsum("jk,rk->rj", b, rows).reshape(2, kinds, -1)
+                z[..., sl] = np.einsum("jk,rk->rj", b, rows).reshape(2, 3, -1)
             top += self.peak + self.M * log_x
         mass = z[:, 0]
-        out = [top, mass[0]]
         with np.errstate(invalid="ignore", divide="ignore"):
+            mu = z[:, 1] / mass
+            var = z[:, 2] / mass - mu * mu
             gap = np.abs(mass[0] - mass[1]) / mass[0]
-            if moments:
-                mu = z[:, 1] / mass
-                var = z[:, 2] / mass - mu * mu
-                out += [self.centre + mu[0], var[0]]
-                gap = np.maximum(gap, np.abs(mu[0] - mu[1]) / self.M)
-                gap = np.maximum(gap, np.abs(var[0] - var[1]) / self.M**2)
-        return np.array(out), np.where(np.isfinite(top), gap, 0.0)
+            gap = np.maximum(gap, np.abs(mu[0] - mu[1]) / self.M)
+            gap = np.maximum(gap, np.abs(var[0] - var[1]) / self.M**2)
+        return np.array([top, mass[0], self.centre + mu[0], var[0]]), np.where(np.isfinite(top), gap, 0.0)
 
 
 def _density_table(mix: ContinuousMixture, per_unit: int) -> _KernelTable:
@@ -452,46 +450,36 @@ class ContinuousEvaluator:
         self.mix = mix
         self._tables: dict[int, _KernelTable] = {}
 
-    def _integrate(self, x: np.ndarray, moments: bool) -> np.ndarray:
-        """Checked _KernelTable.integrate over x, each point on its own tier's table, each row in x's shape.
+    def forms(self, x):
+        """(f, f', f'', log f, f'/f, (log f)'', margin) over x in (0, 1), in one pass over each point's table.
 
-        The rows are f = exp(top) mass, 0 where top is not finite, and log f
-        = top + log(mass), then with moments the posterior mean and variance.
+        Each point reads _KernelTable.integrate on its own tier's table, and
+        every form has x's shape. f = exp(top) mass, 0 where top is not
+        finite, and log f = top + log(mass). With the posterior's mean m and
+        variance V, and t = x(1-x): d/dx log[(1-x)^s x^(M-s)] = (M(1-x) -
+        s)/t, so f'/f = (M(1-x) - m)/t, and the Eq. 10 margin [((M-1)/M)
+        f'^2 - f f'']/f^2 is [m(M-m)/M - V]/t^2. Then (log f)'' = -margin -
+        (f'/f)^2/M, and f' and f'' are f (f'/f) and f ((f'/f)^2 + (log
+        f)''), 0 where f is. No ratio reads f, so each is finite where f
+        underflows; past the double range f' and f'' read inf.
         """
+        x = np.asarray(x, dtype=float)
         xr = x.ravel()
         tiers = _tilt_tiers(xr)
-        out = np.empty((4 if moments else 2, xr.size))
+        rows = np.empty((4, xr.size))
         gap = np.empty(xr.size)
         for tier in np.unique(tiers).tolist():
             if tier not in self._tables:
                 self._tables[tier] = _density_table(self.mix, tier)
             group = np.flatnonzero(tiers == tier)
-            out[:, group], gap[group] = self._tables[tier].integrate(xr[group], moments)
-        check_gauss_kronrod(gap, "density and derivatives" if moments else "density")
-        top, mass = out[:2]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out[:2] = np.where(np.isfinite(top), np.exp(top) * mass, 0.0), top + np.log(mass)
-        return out.reshape(out.shape[:1] + x.shape)
-
-    def density(self, x) -> np.ndarray:
-        return self._integrate(np.asarray(x, dtype=float), moments=False)[0]
-
-    def forms(self, x):
-        """(f, f', f'', log f, f'/f, (log f)'', margin) over x in (0, 1), in one pass over each point's table.
-
-        With the posterior's mean m and variance V, and t = x(1-x): d/dx
-        log[(1-x)^s x^(M-s)] = (M(1-x) - s)/t, so f'/f = (M(1-x) - m)/t, and
-        the Eq. 10 margin [((M-1)/M) f'^2 - f f'']/f^2 is [m(M-m)/M - V]/t^2.
-        Then (log f)'' = -margin - (f'/f)^2/M, and f' and f'' are f (f'/f)
-        and f ((f'/f)^2 + (log f)''), 0 where f is. No ratio reads f, so
-        each is finite where f underflows; past the double range f' and f''
-        read inf.
-        """
-        x = np.asarray(x, dtype=float)
-        f, log_f, mean, var = self._integrate(x, moments=True)
+            rows[:, group], gap[group] = self._tables[tier].integrate(xr[group])
+        check_gauss_kronrod(gap, "density and derivatives")
+        top, mass, mean, var = rows.reshape((4,) + x.shape)
         M = self.mix.M
         t = x * (1.0 - x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            f = np.where(np.isfinite(top), np.exp(top) * mass, 0.0)
+            log_f = top + np.log(mass)
             score = (M * (1.0 - x) - mean) / t
             margin = (mean * (M - mean) / M - var) / (t * t)
             logcurv = -margin - score * score / M
@@ -499,15 +487,14 @@ class ContinuousEvaluator:
             d2 = np.where(f > 0.0, f * (score * score + logcurv), 0.0)
             return f, d1, d2, log_f, score, logcurv, margin
 
-    def derivs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(f, f', f'') over x in (0, 1), an array or a scalar, in one pass over each point's table."""
-        return self.forms(x)[:3]
+    def density(self, x) -> np.ndarray:
+        return self.forms(x)[0]
 
     def d1(self, x) -> np.ndarray:
-        return self.derivs(x)[1]
+        return self.forms(x)[1]
 
     def d2(self, x) -> np.ndarray:
-        return self.derivs(x)[2]
+        return self.forms(x)[2]
 
 
 def eval_density_continuous(mix: ContinuousMixture, x: float) -> float:
@@ -675,24 +662,43 @@ def mixture_to_json(mix) -> dict:
     return {"M": mix.M, "knots": [float(k) for k in mix.knots], "log_alpha": log_alpha}
 
 
-def _parse_log_alpha_entry(v):
-    if isinstance(v, str):
-        if v.strip().lower() in ("-inf", "-infinity"):
-            return _NEG_INF
-        raise ValueError(f"log_alpha entries must be numbers or \"-inf\", got {v!r}")
-    return float(v)
+def _json_float(v, what: str) -> float:
+    """A JSON number, or the string "-inf", as a float; ValueError for any other value, booleans and null included.
+
+    An integer beyond the double range is a ValueError too.
+    """
+    if isinstance(v, str) and v.strip().lower() in ("-inf", "-infinity"):
+        return _NEG_INF
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{what} lies beyond the double range") from None
+
+
+def _json_floats(v, what: str) -> np.ndarray:
+    """A JSON list of _json_float values as an array; ValueError if v is not a list."""
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a list, got {v!r}")
+    return np.array([_json_float(e, f"each {what} entry") for e in v], dtype=float)
 
 
 def mixture_from_json(obj: dict):
-    """Parse the mixture wire format (discrete or continuous)."""
+    """Parse the mixture wire format (discrete or continuous); ValueError for any malformed value.
+
+    A discrete M is a JSON integer or an integral number; weights, knots,
+    log_alpha and a continuous M are read by _json_float, and the mixture
+    decides which values it takes ("-inf" only in log_alpha).
+    """
     if not isinstance(obj, dict):
         raise ValueError("mixture JSON must be an object")
     if "weights" in obj:
         M = obj.get("M")
-        if not isinstance(M, (int, float)) or float(M) != int(M):
-            raise ValueError(f"discrete mixture M must be an integer, got {M!r}")
-        return DiscreteMixture(int(M), np.asarray(obj["weights"], dtype=float))
+        if isinstance(M, float) and M.is_integer():
+            M = int(M)
+        return DiscreteMixture(M, _json_floats(obj["weights"], "weights"))
     if "knots" in obj and "log_alpha" in obj:
-        la = [_parse_log_alpha_entry(v) for v in obj["log_alpha"]]
-        return ContinuousMixture(float(obj["M"]), np.asarray(obj["knots"], dtype=float), np.asarray(la))
+        M = _json_float(obj.get("M"), "continuous mixture M")
+        return ContinuousMixture(M, _json_floats(obj["knots"], "knots"), _json_floats(obj["log_alpha"], "log_alpha"))
     raise ValueError('mixture JSON needs either "weights" or "knots"+"log_alpha"')

@@ -62,6 +62,7 @@ def log_gen_binom_grid(M: float, s) -> np.ndarray:
 
     Values at the boundary points -1 and M+1 come out as -inf (the
     coefficient vanishes there in the limit), which exponentiates to 0.
+    Beyond them it is log |extension| (log_abs_gen_binom_ext).
     """
     from scipy.special import gammaln
 
@@ -95,16 +96,9 @@ def log_abs_gen_binom_ext(M: float, s) -> tuple[np.ndarray, np.ndarray]:
     """
     if not M > -1.0:
         raise DomainError(f"extended binomial requires order M > -1, got {M!r}")
-    from scipy.special import gammaln
-
     s = np.asarray(s, dtype=float)
-    a = s + 1.0
-    b = M - s + 1.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        log_abs = gammaln(M + 1.0) - gammaln(a) - gammaln(b)
-    sign = _recip_gamma_sign(a) * _recip_gamma_sign(b)
-    # gammaln is +inf at the poles of Gamma, so log_abs is already -inf there
-    return log_abs, sign
+    # gammaln is +inf at the poles of Gamma, so log_gen_binom_grid is already -inf there
+    return log_gen_binom_grid(M, s), _recip_gamma_sign(s + 1.0) * _recip_gamma_sign(M - s + 1.0)
 
 
 def gen_binom_ext(M: float, s) -> np.ndarray:

@@ -4,8 +4,8 @@ Everything here deliberately avoids the package's evaluation paths:
 binomials come from Pascal's triangle or scipy's gammaln, integrals from
 brute-force midpoint Riemann sums, derivatives from central differences,
 densities from the direct textbook summation, Bernstein forms from the
-one-shot de Casteljau recurrence, and quadrature panels one interval at a
-time.
+one-shot de Casteljau recurrence, quadrature panels one interval at a
+time, and the sign of the discrete Eq. 10 margin from integer sums.
 """
 
 import math
@@ -272,3 +272,44 @@ def posterior_moments_mp(M, knots, log_alpha, x, dps=30):
         m = integral(lambda s: s) / z0
         V = integral(lambda s: (s - m) ** 2) / z0
         return shift + mpmath.log(z0), m, V
+
+
+def _split_sum(b, p, q, lo, hi):
+    """sum of b_i q^(i-lo) p^(hi-1-i) over lo <= i < hi, in integers, by binary splitting.
+
+    T(lo, hi) = T(lo, mid) p^(hi-mid) + T(mid, hi) q^(mid-lo), so the
+    large powers are formed once per level instead of once per term.
+    """
+    if hi - lo == 1:
+        return b[lo]
+    mid = (lo + hi) // 2
+    return _split_sum(b, p, q, lo, mid) * p ** (hi - mid) + _split_sum(b, p, q, mid, hi) * q ** (mid - lo)
+
+
+def exact_margin_sign(weights, x):
+    """Exact sign (-1, 0 or 1) of the discrete Eq. 10 margin ((M-1)/M) g'^2 - g g'' at a double x in (0, 1).
+
+    g(x) = sum_i w_i C(M, i) (1-x)^i x^(M-i). Every double is a dyadic
+    rational, so x = p/D with D a power of two, q = D - p, and the weights
+    times one power of two 2^K are integers W_i. With a_i = W_i C(M, i) and
+    S_j = sum_i i^j a_i q^i p^(M-i), summed by binary splitting, and up to
+    positive factors (powers of D, p q and 2^K), g = S_0, g' = G1 = M q
+    S_0 - D S_1 and g'' = G2 = (M^2 - M) q^2 S_0 + D (q - p - 2Mq) S_1 +
+    D^2 S_2, since d/dx log[(1-x)^i x^(M-i)] = (M(1-x) - i)/(x(1-x)). So
+    the margin has the sign of (M - 1) G1^2 - M S_0 G2. Integer arithmetic
+    throughout: no rounding and no betamix.
+    """
+    M = len(weights) - 1
+    ratios = [float(w).as_integer_ratio() for w in weights]
+    K = max(den.bit_length() - 1 for _, den in ratios)
+    p, D = float(x).as_integer_ratio()
+    q = D - p
+    a, c = [], 1
+    for i, (num, den) in enumerate(ratios):
+        a.append((num << (K - den.bit_length() + 1)) * c)
+        c = c * (M - i) // (i + 1)
+    S0, S1, S2 = (_split_sum([i**j * v for i, v in enumerate(a)], p, q, 0, M + 1) for j in range(3))
+    G1 = M * q * S0 - D * S1
+    G2 = (M * M - M) * q * q * S0 + D * (q - p - 2 * M * q) * S1 + D * D * S2
+    v = (M - 1) * G1 * G1 - M * S0 * G2
+    return (v > 0) - (v < 0)

@@ -19,7 +19,7 @@ from betamix import (
     random_log_concave_weights,
     sharpness_check,
 )
-from betamix.certify import midpoint_check
+from betamix.certify import midpoint_check, midpoint_triples
 from betamix.cli import main
 
 from oracles import continuous_derivs_quad
@@ -72,10 +72,17 @@ def test_certify_known_violation():
     assert lhs < rhs
 
 
+def _density_check(density_fn, count, eps, rng):
+    """midpoint_check of the count triples drawn from rng, on the log of density_fn at their points."""
+    triples, pts = midpoint_triples(count, eps, rng)
+    with np.errstate(divide="ignore"):
+        return midpoint_check(triples, np.log(density_fn(pts)))
+
+
 def _by_draw(fx, fy, fm):
     """A density function reading fx at the x draws, fy at the y draws and fm at the midpoints.
 
-    midpoint_check passes its points as one array, x then y then the
+    midpoint_triples gives the points as one array, x then y then the
     midpoints; the points themselves are kept in `seen`.
     """
     seen = []
@@ -91,14 +98,14 @@ def _by_draw(fx, fy, fm):
 def test_midpoint_check_zero_at_an_end_fails_nothing():
     for fx, fy, fm in ((0.0, 1.0, 1e-300), (1.0, 0.0, 1e-300), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)):
         density_fn, _ = _by_draw(fx, fy, fm)
-        assert midpoint_check(density_fn, 16, 1e-6, np.random.default_rng(0)) == (0, None)
+        assert _density_check(density_fn, 16, 1e-6, np.random.default_rng(0)) == (0, None)
 
 
 def test_midpoint_check_zero_at_the_midpoint_is_the_witness():
     fm = np.ones(16)
     fm[5] = 0.0
     density_fn, seen = _by_draw(1e-300, 1.0, fm)
-    failures, witness = midpoint_check(density_fn, 16, 1e-6, np.random.default_rng(0))
+    failures, witness = _density_check(density_fn, 16, 1e-6, np.random.default_rng(0))
     x, y, mid = np.split(seen[0], 3)
     assert failures == 1
     assert witness[:2] == (x[5], y[5])
@@ -108,9 +115,9 @@ def test_midpoint_check_zero_at_the_midpoint_is_the_witness():
 
 def test_midpoint_check_log_concave_and_log_convex_densities():
     concave = lambda pts: np.exp(-((pts - 0.5) ** 2))
-    assert midpoint_check(concave, 64, 1e-6, np.random.default_rng(1)) == (0, None)
+    assert _density_check(concave, 64, 1e-6, np.random.default_rng(1)) == (0, None)
     convex = lambda pts: np.exp(8.0 * (pts - 0.5) ** 2)
-    failures, witness = midpoint_check(convex, 64, 1e-6, np.random.default_rng(1))
+    failures, witness = _density_check(convex, 64, 1e-6, np.random.default_rng(1))
     assert failures > 0
     x, y, lam = witness
     log_f = lambda t: 8.0 * (t - 0.5) ** 2

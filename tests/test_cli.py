@@ -92,6 +92,47 @@ def test_eval_malformed_json(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"M": 3, "knots": [0, 1.5, 3], "log_alpha": [0, null, -1]}',
+        '{"M": 3, "knots": [0, 1.5, 3], "log_alpha": 5}',
+        '{"knots": [0, 1.5, 3], "log_alpha": [0, 0.4, -1]}',
+        '{"M": [3], "knots": [0, 1.5, 3], "log_alpha": [0, 0.4, -1]}',
+        '{"M": "3", "knots": [0, 1.5, 3], "log_alpha": [0, 0.4, -1]}',
+        '{"M": 3, "knots": [0, NaN, 3], "log_alpha": [0, 0.4, -1]}',
+        '{"M": 3, "knots": [NaN, 1.5, 3], "log_alpha": [0, 0.4, -1]}',
+        '{"M": Infinity, "weights": [1, 1, 1]}',
+        '{"M": true, "weights": [1, 1]}',
+        '{"M": 2, "weights": [1, true, 1]}',
+        '{"M": 2, "weights": [1, {"a": 1}, 1]}',
+        '{"M": 2, "weights": {"a": 1}}',
+        pytest.param('{"M": 2, "weights": [1, 1' + "0" * 400 + ', 1]}', id="weight-of-401-digits"),
+    ],
+)
+def test_certify_malformed_mixture_files_exit_2(tmp_path, text, capsys):
+    # each used to crash with a traceback (exit 1, which reads "violated"),
+    # certify a NaN knot as degenerate, or be accepted
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--input", str(path), "--grid-points", "16", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("betamix: invalid input:") and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1", "-1e-300"])
+def test_certify_rejects_a_tol_that_is_not_finite_and_nonnegative(uniform_file, tol, tmp_path, capsys):
+    # an infinite tol passes every margin and is not JSON; a negative one fails every input
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--input", uniform_file, f"--tol={tol}", "--out", str(out)]) == 2
+    assert "tol" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="tol"):
+        betamix.certify(betamix.DiscreteMixture(2, [1.0, 1.0, 1.0]), tol=float(tol))
+
+
 def test_eval_header_metadata(uniform_file, tmp_path):
     out = tmp_path / "eval.csv"
     main(["eval", "--input", uniform_file, "--grid-points", "3", "--out", str(out)])

@@ -208,7 +208,7 @@ def test_derivatives_against_quad_oracle_near_endpoints(mix):
     # oracle integrates the x-differentiated integrand directly
     M = mix.M
     xs = np.array([1e-6, 1e-4, 1.0 - 1e-4])
-    f, d1, d2 = ContinuousEvaluator(mix).derivs(xs)
+    f, d1, d2 = ContinuousEvaluator(mix).forms(xs)[:3]
     for i, x in enumerate(xs):
         rf, r1, r2 = continuous_derivs_quad(M, mix.knots, mix.log_alpha, x)
         t = x * (1.0 - x)
@@ -224,7 +224,7 @@ def test_derivs_at_order_at_most_two():
     mix = flat_mixture(1.8)
     ev = ContinuousEvaluator(mix)
     xs = np.array([0.3, 0.5])
-    f, d1, d2 = ev.derivs(xs)
+    f, d1, d2 = ev.forms(xs)[:3]
     assert np.all(f > 0.0) and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
     np.testing.assert_array_equal(ev.d2(xs), d2)
     res = eval_derivs_continuous(mix, 0.5)
@@ -235,8 +235,8 @@ def test_evaluator_takes_a_scalar_x():
     # a scalar x gives 0-d results, equal to those of the one-element array
     ev = ContinuousEvaluator(ContinuousMixture(4.0, [0.0, 1.5, 4.0], [0.0, 0.4, -0.8]))
     x = 0.37
-    got = [ev.density(x), *ev.derivs(x), ev.d1(x), ev.d2(x)]
-    want = [ev.density(np.array([x])), *ev.derivs(np.array([x])), ev.d1([x]), ev.d2([x])]
+    got = [ev.density(x), *ev.forms(x)[:3], ev.d1(x), ev.d2(x)]
+    want = [ev.density(np.array([x])), *ev.forms(np.array([x]))[:3], ev.d1([x]), ev.d2([x])]
     for g, w in zip(got, want):
         assert np.shape(g) == () and w.shape == (1,)
         assert g == w[0]
@@ -300,7 +300,7 @@ def test_quadrature_failure_surfaces(tmp_path, capsys):
     # raises, and so does certify, which issues no certificate over it
     mix = ContinuousMixture(3.0, [0.0, 1.0, 3.0], [0.0, -1e6, -1e6 - 1.0])
     with pytest.raises(QuadratureError):
-        ContinuousEvaluator(mix).derivs(np.linspace(1e-6, 1.0 - 1e-6, 64))
+        ContinuousEvaluator(mix).forms(np.linspace(1e-6, 1.0 - 1e-6, 64))
     with pytest.raises(QuadratureError):
         certify(mix, grid_points=64)
     path, out = tmp_path / "capped.json", tmp_path / "cert.json"
@@ -344,8 +344,8 @@ M200_LOG_ALPHA = np.array([0.0, -1.57565692, -12.19499155, -27.76329719, -92.080
 @pytest.mark.parametrize("c", [-30.0, -10.0, 0.0, 10.0, 30.0])
 def test_gauss_kronrod_gate_does_not_depend_on_the_mixing_scale(c):
     xs = np.linspace(1e-6, 1.0 - 1e-6, 1024)
-    base = ContinuousEvaluator(ContinuousMixture(200.0, M200_KNOTS, M200_LOG_ALPHA)).derivs(xs)
-    scaled = ContinuousEvaluator(ContinuousMixture(200.0, M200_KNOTS, M200_LOG_ALPHA + c)).derivs(xs)
+    base = ContinuousEvaluator(ContinuousMixture(200.0, M200_KNOTS, M200_LOG_ALPHA)).forms(xs)[:3]
+    scaled = ContinuousEvaluator(ContinuousMixture(200.0, M200_KNOTS, M200_LOG_ALPHA + c)).forms(xs)[:3]
     # the density and its derivatives scale with alpha, to within rounding
     # on the scales f, f M/t and f M^2/t^2 that the gate measures
     f, t = base[0], xs * (1.0 - xs)
@@ -364,18 +364,18 @@ def test_byte_sized_blocks_keep_each_point_independent():
     tiers = _tilt_tiers(xs)
     assert {1, 2, 4} <= set(tiers.tolist())
     ev = ContinuousEvaluator(mix)
-    f, d1, d2 = ev.derivs(xs)
+    f, d1, d2 = ev.forms(xs)[:3]
     for tier, table in ev._tables.items():
         per_block = mixtures._BLOCK_BYTES // (8 * table.s.size)
         assert 1 < per_block < np.count_nonzero(tiers == tier) - 1
     for i, x in enumerate(xs):
-        np.testing.assert_array_equal(np.ravel(ev.derivs(xs[i : i + 1])), [f[i], d1[i], d2[i]])
+        np.testing.assert_array_equal(np.ravel(ev.forms(xs[i : i + 1])[:3]), [f[i], d1[i], d2[i]])
     np.testing.assert_array_equal(ev.density(xs), f)
 
 
 def test_kernel_integration_works_in_one_block_buffer():
     # M = 2000, log alpha a concave parabola on 9 knots: each table row holds
-    # 42 000 nodes; once the table is built, derivs over 256 points holds
+    # 42 000 nodes; once the table is built, forms over 256 points holds
     # one block buffer of at most _BLOCK_BYTES, the six stacked weight rows,
     # the centred nodes and a few arrays of one value per point
     M = 2000.0
@@ -383,11 +383,11 @@ def test_kernel_integration_works_in_one_block_buffer():
     mix = ContinuousMixture(M, knots, -3.0 * ((knots - 0.4 * M) / (0.3 * M)) ** 2)
     ev = ContinuousEvaluator(mix)
     xs = np.linspace(0.05, 0.95, 256)
-    want = ev.derivs(xs)
+    want = ev.forms(xs)[:3]
     (table,) = ev._tables.values()
     tracemalloc.start()
     try:
-        got = ev.derivs(xs)
+        got = ev.forms(xs)[:3]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -504,10 +504,10 @@ def test_derivs_batch_across_tiers_equals_per_point():
     xs = np.array([0.5, 1e-8, 0.3, 1e-100, 2e-3, 1.0 - 1e-5, 1e-6, 0.97, 1.0 - 1e-8, 4e-4])
     assert set(_tilt_tiers(xs).tolist()) >= {1, 2, 3, 4, 5}
     ev = ContinuousEvaluator(mix)
-    f, d1, d2 = ev.derivs(xs)
+    f, d1, d2 = ev.forms(xs)[:3]
     dens = ev.density(xs)
     for i, x in enumerate(xs):
-        one = ContinuousEvaluator(mix).derivs(xs[i : i + 1])
+        one = ContinuousEvaluator(mix).forms(xs[i : i + 1])[:3]
         np.testing.assert_array_equal(np.ravel(one), [f[i], d1[i], d2[i]])
         res = eval_derivs_continuous(mix, float(x))
         assert (res.value, res.d1, res.d2) == (f[i], d1[i], d2[i])
@@ -524,7 +524,7 @@ def test_tier_edges_against_quad_oracle(M):
         for rel in (-1e-9, 1e-9)
         for side in (lambda x: x, lambda x: 1.0 - x)
     ])
-    f, d1, d2 = ContinuousEvaluator(mix).derivs(xs)
+    f, d1, d2 = ContinuousEvaluator(mix).forms(xs)[:3]
     for i, x in enumerate(xs):
         rf, r1, r2 = continuous_derivs_quad(M, mix.knots, mix.log_alpha, x)
         t = x * (1.0 - x)
@@ -545,9 +545,9 @@ def test_evaluator_builds_each_tier_table_once(monkeypatch):
     mix = ContinuousMixture(3.0, [0.0, 1.5, 3.0], [0.0, 0.5, -1.0])
     ev = ContinuousEvaluator(mix)
     assert built == []
-    ev.derivs(np.array([0.5, 1e-6, 0.4]))
+    ev.forms(np.array([0.5, 1e-6, 0.4]))
     ev.density(np.array([0.2, 1e-6, 1e-3]))
-    ev.derivs(np.array([0.6, 1.0 - 1e-3, 1e-3, 1e-6]))
+    ev.forms(np.array([0.6, 1.0 - 1e-3, 1e-3, 1e-6]))
     assert built == [1, 4, 2]
 
 
@@ -736,7 +736,7 @@ def test_evaluations_order_independent():
     batch = ev.density(xs)
     single = np.array([ev.density(np.array([x]))[0] for x in xs])
     np.testing.assert_array_equal(batch, single)
-    batch = np.array(ev.derivs(xs))
-    single = np.array([[v[0] for v in ev.derivs(np.array([x]))] for x in xs]).T
+    batch = np.array(ev.forms(xs)[:3])
+    single = np.array([[v[0] for v in ev.forms(np.array([x]))[:3]] for x in xs]).T
     np.testing.assert_array_equal(batch, single)
     np.testing.assert_array_equal(batch[0], ev.density(xs))

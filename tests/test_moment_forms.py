@@ -116,3 +116,37 @@ def test_continuous_eval_builds_each_tier_table_once(monkeypatch, tmp_path):
     path.write_text(json.dumps(mixture_to_json(huge)))
     assert main(["eval", "--input", str(path), "--grid-points", "64", "--out", str(tmp_path / "e.csv")]) == 0
     assert len(built) == len(set(built)) == len(set(mixtures._tilt_tiers(np.linspace(1e-6, 1.0 - 1e-6, 64))))
+
+
+def test_continuous_certify_makes_one_moment_pass(monkeypatch):
+    # the grid and the 3 x 64 points of the midpoint triples go through one
+    # forms call, with no density call, and each tier table is built once;
+    # log f at the triples' points is read off the moments, so it is finite
+    # where f underflows
+    calls, built = [], []
+    forms, density, table = ContinuousEvaluator.forms, ContinuousEvaluator.density, mixtures._density_table
+
+    def recording_forms(self, x):
+        out = forms(self, x)
+        calls.append(("forms", np.asarray(x), out))
+        return out
+
+    def recording_density(self, x):
+        calls.append(("density", np.asarray(x), None))
+        return density(self, x)
+
+    def counting_table(mix, per_unit):
+        built.append(per_unit)
+        return table(mix, per_unit)
+
+    monkeypatch.setattr(ContinuousEvaluator, "forms", recording_forms)
+    monkeypatch.setattr(ContinuousEvaluator, "density", recording_density)
+    monkeypatch.setattr(mixtures, "_density_table", counting_table)
+    cert = certify(_gaussian_alpha(2000, 0.01, 0.5), grid_points=256)
+    assert cert.verdict == "certified" and (cert.midpoint_checks, cert.midpoint_failures) == (64, 0)
+    [(name, x, (f, _, _, log_f, *_))] = calls
+    assert name == "forms" and x.size == 256 + 192
+    np.testing.assert_array_equal(x[:256], np.linspace(1e-6, 1.0 - 1e-6, 256))
+    assert len(built) == len(set(built)) == len(set(mixtures._tilt_tiers(x).tolist()))
+    assert np.count_nonzero(f[256:] == 0.0) > 0
+    assert np.all(np.isfinite(log_f[256:]))

@@ -116,7 +116,7 @@ def test_tracer_counts_one_panel_call_per_continuous_table(spans, monkeypatch):
 def test_tracer_counts_continuous_evaluator_entry_points(spans):
     # density, d1 and d2 are each one call in the mixtures.continuous layer,
     # counted by the points of their x, whether x is passed by position or
-    # by name; derivs, which d1 and d2 call, is not wrapped
+    # by name; forms, which density, d1 and d2 slice, is not wrapped
     mix = ContinuousMixture(4.0, [0.0, 1.5, 4.0], [0.0, 0.4, -0.8])
     x = np.linspace(0.05, 0.95, 16)
     plain = mixtures.ContinuousEvaluator(mix)
