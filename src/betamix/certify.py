@@ -6,19 +6,18 @@ The central quantity is the normalized margin
 
 which is nonnegative on (0, 1) whenever the mixing weights are
 log-concave, vanishes identically for geometric weight sequences, and is
-scale-free in the weights. A certificate records the worst margin over a
-grid together with the largest log-curvature (log f)'' on the same grid,
-both from one evaluation, and randomized midpoint-definition spot checks,
-made on log f by the chord test (mixtures.below_chord) that also decides
-the weights' hypothesis. The midpoint triples are drawn before the grid is
-evaluated. A discrete margin comes from mixtures.derivative_ratios on de
-Casteljau's f, f' and f'', and log f at the triples from a second de
-Casteljau call; a continuous mixture gets both from one pass over the
-grid and the triples' points together, straight from the posterior
-moments (ContinuousEvaluator.forms), so its margin and log f are finite
-at every point, even where f underflows. The grid and the midpoint
-checks both evaluate the unit-scaled mixture (mixtures.unit_scaled), so
-the weights' scale changes a certificate at most by rounding.
+scale-free in the weights. Where it is >= 0, (log f)'' = -margin -
+(f'/f)^2/M <= 0, so it is the one test a certificate applies: at every
+point of a grid, where the worst margin is recorded together with the
+largest log-curvature (log f)'', and at 64 random off-grid points, all
+from one evaluation. A discrete margin comes from
+mixtures.derivative_ratios on de Casteljau's f, f' and f''; a continuous
+one straight from the posterior moments (ContinuousEvaluator.forms), so
+it is finite at every point, even where f underflows. Every point
+evaluates the unit-scaled mixture (mixtures.unit_scaled), so the weights'
+scale changes a certificate at most by rounding. The chord test on f
+itself is left to lemmas.brute_force_logconcavity, an oracle that reads
+density values only.
 """
 
 import math
@@ -29,12 +28,11 @@ import numpy as np
 from .mixtures import (
     ContinuousEvaluator,
     DiscreteMixture,
-    below_chord,
     derivative_ratios,
     discrete_derivs_grid,
-    discrete_density_grid,
     unit_scaled,
 )
+from .mixtures import discrete_density_grid  # noqa: F401  (perfbench/spans.py wraps this name here)
 from .special import DomainError
 
 VERDICT_CERTIFIED = "certified"
@@ -44,7 +42,6 @@ VERDICT_DEGENERATE = "degenerate-zero"
 CRITERION_EQ10 = "curvature-margin"
 
 _MIDPOINT_CHECKS = 64
-_MIDPOINT_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,11 @@ class ConcavityCertificate:
     formed from the same f, f' and f'' as the margin, at the points that
     have one (so it is <= 0 for a log-concave density). criterion records
     which test decided the verdict; the curvature margin is the only one
-    for now, for both kinds of mixture at every order. A degenerate
+    for now, for both kinds of mixture at every order, on the grid and off
+    it. The off-grid fields read the margin at 64 random points:
+    midpoint_checks counts those where it is finite (a discrete margin is
+    nan where f underflows), midpoint_failures those where it is below
+    -tol, and witness is the first such x, or None. A degenerate
     certificate computes nothing past its verdict and keeps the defaults.
     """
 
@@ -69,7 +70,7 @@ class ConcavityCertificate:
     worst_x: float = math.nan
     midpoint_checks: int = 0
     midpoint_failures: int = 0
-    witness: tuple[float, float, float] | None = None
+    witness: float | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -89,20 +90,16 @@ class ConcavityCertificate:
         return out | {"tool_version": __version__, "input": input_echo}
 
 
-def _unit_ratios(mix, xs, pts):
-    """(f'/f, (log f)'', margin) over xs of the unit-scaled mix, and its log f over pts.
+def _unit_ratios(mix, xs):
+    """(f'/f, (log f)'', margin) over xs of the unit-scaled mix, from one evaluation.
 
-    A continuous mixture reads both off one moment pass over xs and pts
-    together; a discrete one makes a de Casteljau call for each, none for
-    an empty pts.
+    That is one de Casteljau call for a discrete mixture and one moment
+    pass for a continuous one.
     """
     scaled = unit_scaled(mix)
     if isinstance(mix, DiscreteMixture):
-        ratios = derivative_ratios(*discrete_derivs_grid(scaled, xs), float(mix.M))
-        with np.errstate(divide="ignore"):
-            return ratios, np.log(discrete_density_grid(scaled, pts)) if pts.size else pts
-    forms = ContinuousEvaluator(scaled).forms(np.concatenate([xs, pts]))
-    return tuple(v[: xs.size] for v in forms[4:]), forms[3][xs.size :]
+        return derivative_ratios(*discrete_derivs_grid(scaled, xs), float(mix.M))
+    return ContinuousEvaluator(scaled).forms(xs)[4:]
 
 
 def margin_eq10(mix, x: float) -> float:
@@ -117,8 +114,7 @@ def margin_eq10(mix, x: float) -> float:
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"margin_eq10 requires 0 < x < 1, got {x!r}")
-    (_, _, margin), _ = _unit_ratios(mix, np.array([x]), np.empty(0))
-    return float(margin[0])
+    return float(_unit_ratios(mix, np.array([x]))[2][0])
 
 
 def check_eps(eps: float) -> None:
@@ -127,32 +123,12 @@ def check_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in (0, 0.5) with 1 - eps < 1 in floating point, got {eps!r}")
 
 
-def midpoint_triples(count: int, eps: float, rng):
-    """count random triples (x, y, l) for the midpoint checks, and the points to evaluate them at.
-
-    Draws count points x, then y, in [eps, 1-eps] and count weights l from
-    rng. Returns ((x, y, l), points), points being x, then y, then the
-    midpoints lx + (1-l)y, in one array.
-    """
-    x = eps + (1.0 - 2.0 * eps) * rng.random(count)
-    y = eps + (1.0 - 2.0 * eps) * rng.random(count)
-    lam = rng.random(count)
-    return (x, y, lam), np.concatenate([x, y, lam * x + (1.0 - lam) * y])
-
-
-def midpoint_check(triples, log_f):
-    """The defining inequality on logs, f(lx+(1-l)y) >= f(x)^l f(y)^(1-l), at each of the triples.
-
-    log_f holds log f at the points of midpoint_triples, in their order.
-    Counts the triples where log f at the midpoint falls below the chord
-    by more than _MIDPOINT_SLACK (below_chord), so a zero at x or y fails
-    nothing. Returns (n_failures, first witness (x, y, l) or None).
-    """
-    x, y, lam = triples
-    lx, ly, lm = np.split(log_f, 3)
-    bad = np.flatnonzero(below_chord(lx, lm, ly, lam, _MIDPOINT_SLACK))
-    witness = (float(x[bad[0]]), float(y[bad[0]]), float(lam[bad[0]])) if bad.size else None
-    return int(bad.size), witness
+def _grid(grid_points: int, eps: float) -> np.ndarray:
+    """certify's grid: grid_points >= 3 equally spaced points from eps to 1 - eps (check_eps)."""
+    if grid_points < 3:
+        raise ValueError("grid_points must be at least 3")
+    check_eps(eps)
+    return np.linspace(eps, 1.0 - eps, grid_points)
 
 
 def certify(
@@ -164,27 +140,25 @@ def certify(
 ) -> ConcavityCertificate:
     """Certify log-concavity of the mixture density on [eps, 1-eps].
 
-    Evaluates the curvature margin and the log-curvature on a uniform grid,
-    both from one evaluation of f, f' and f'', plus randomized midpoint
-    spot checks, whose points a continuous mixture evaluates in the grid's
-    own pass. tol must be finite and at least 0.
-    "certified" means no violation was detected at this resolution and
-    tolerance. Discrete grid points where the density underflowed carry no
-    margin and are counted in a note; a continuous margin is finite at
-    every grid point. A continuous integral that fails its Gauss-Kronrod
-    check raises QuadratureError, so no certificate rests on it.
+    Evaluates the curvature margin and the log-curvature on a uniform grid
+    (_grid), and the margin at _MIDPOINT_CHECKS random points of [eps,
+    1-eps] drawn from seed, all from one evaluation of f, f' and f''. tol
+    must be finite and at least 0. "certified" means no margin below -tol
+    was found, on the grid or off it, at this resolution and tolerance.
+    Discrete grid points where the density underflowed carry no margin and
+    are counted in a note; a continuous margin is finite at every grid
+    point. A continuous integral that fails its Gauss-Kronrod check raises
+    QuadratureError, so no certificate rests on it.
     """
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
-    check_eps(eps)
+    xs = _grid(grid_points, eps)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and at least 0, got {tol!r}")
     if mix.is_zero:
         return ConcavityCertificate(VERDICT_DEGENERATE, grid_points, eps, tol, CRITERION_EQ10)
 
-    xs = np.linspace(eps, 1.0 - eps, grid_points)
-    triples, pts = midpoint_triples(_MIDPOINT_CHECKS, eps, np.random.default_rng(seed))
-    (_, logcurv, margins), log_f = _unit_ratios(mix, xs, pts)
+    pts = eps + (1.0 - 2.0 * eps) * np.random.default_rng(seed).random(_MIDPOINT_CHECKS)
+    _, logcurv, margins = _unit_ratios(mix, np.concatenate([xs, pts]))
+    margins, off_grid = np.split(margins, [grid_points])
 
     # a discrete margin is nan where f underflowed, and those points are
     # counted as such; the worst point and the largest log-curvature are
@@ -197,7 +171,7 @@ def certify(
         min_logcurv = float(np.max(logcurv[pool]))
         worst_x = float(xs[i_worst])
 
-    n_failures, witness = midpoint_check(triples, log_f)
+    bad = np.flatnonzero(off_grid < -tol)
 
     notes = []
     underflowed = grid_points - pool.size
@@ -206,7 +180,7 @@ def certify(
 
     if min_margin is None:
         verdict = VERDICT_DEGENERATE
-    elif min_margin >= -tol and n_failures == 0:
+    elif min_margin >= -tol and not bad.size:
         verdict = VERDICT_CERTIFIED
     else:
         verdict = VERDICT_VIOLATED
@@ -219,9 +193,9 @@ def certify(
         min_margin_eq10=min_margin,
         min_logcurv=min_logcurv,
         worst_x=worst_x,
-        midpoint_checks=_MIDPOINT_CHECKS,
-        midpoint_failures=n_failures,
-        witness=witness,
+        midpoint_checks=int(np.count_nonzero(np.isfinite(off_grid))),
+        midpoint_failures=int(bad.size),
+        witness=float(pts[bad[0]]) if bad.size else None,
         notes=tuple(notes),
     )
 
@@ -233,15 +207,15 @@ def sharpness_check(M: int, r: float, grid_points: int = 1024) -> float:
     curvature margin vanishes identically, so the returned maximum is a
     sharpness (and floating-point stability) measure; contract: <= 1e-8.
     The margins are certify's, from _unit_ratios on the grid of certify at
-    eps = 1e-6. Points where the density underflows carry no margin and
-    are left out.
+    eps = 1e-6, so grid_points must be at least 3. Points where the
+    density underflows carry no margin and are left out.
     """
     if not (isinstance(M, (int, np.integer)) and M >= 1):
         raise DomainError(f"sharpness_check needs a positive integer order, got {M!r}")
     if not (r > 0.0 and r != 1.0):
         raise DomainError(f"sharpness_check needs r > 0, r != 1, got {r!r} (r=1 is the constant case)")
     mix = DiscreteMixture(int(M), float(r) ** np.arange(M + 1, dtype=float))
-    (_, _, margins), _ = _unit_ratios(mix, np.linspace(1e-6, 1.0 - 1e-6, grid_points), np.empty(0))
+    margins = _unit_ratios(mix, _grid(grid_points, 1e-6))[2]
     return float(np.max(np.abs(margins), initial=0.0, where=np.isfinite(margins)))
 
 

@@ -9,8 +9,9 @@ Three layers live here:
   form ineq2p1-ineq2p3 (exact integers, zero tolerance), both read from
   one table of what the three inequalities differ in;
 * the coefficient-level inequalities that tie log-concave weights to the
-  curvature margin, plus a brute-force midpoint oracle for the certifier
-  (the certifier's chord test on log f, run over many more triples).
+  curvature margin, plus a brute-force midpoint oracle for the certifier:
+  the chord test on log f at random triples, which reads density values
+  only, where the certifier reads the curvature margin.
 
 Seeded random generators for log-concave weight vectors and concave
 piecewise-linear mixing functions round out the module; they drive both
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import midpoint_check, midpoint_triples
-from .mixtures import ContinuousMixture, DiscreteMixture, density_grid, is_log_concave_weights, unit_scaled
+from .mixtures import ContinuousMixture, DiscreteMixture, below_chord, density_grid, is_log_concave_weights, unit_scaled
 from .quadrature import kronrod_integral, panel_nodes
 from .special import DomainError, int_binom_exact, log_abs_gen_binom_ext
 
@@ -235,8 +235,11 @@ def discrete_lemma_sweep(max_M: int = 12) -> list[LemmaCase]:
     terms vanish. The sweep starts at M = 2 because the middle inequality
     is vacuously broken at M = 1: its right side carries a C(-1, .)
     factor that the zero-extension convention kills entirely (the factor
-    only ever arises from second derivatives, which need M >= 2).
+    only ever arises from second derivatives, which need M >= 2); a
+    smaller max_M, which would sweep nothing, raises ValueError.
     """
+    if max_M < _SWEEP_MIN_M:
+        raise ValueError(f"the discrete sweep needs max_M >= {_SWEEP_MIN_M}, got {max_M!r}")
     cases = []
     for M in range(_SWEEP_MIN_M, max_M + 1):
         for n in range(0, 2 * M - 1):
@@ -313,6 +316,37 @@ def coefficient_inequality_12(weights, M: int, n: int) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # brute-force midpoint oracle
+
+
+_MIDPOINT_SLACK = 1e-10
+
+
+def midpoint_triples(count: int, eps: float, rng):
+    """count random triples (x, y, l) for the midpoint checks, and the points to evaluate them at.
+
+    Draws count points x, then y, in [eps, 1-eps] and count weights l from
+    rng. Returns ((x, y, l), points), points being x, then y, then the
+    midpoints lx + (1-l)y, in one array.
+    """
+    x = eps + (1.0 - 2.0 * eps) * rng.random(count)
+    y = eps + (1.0 - 2.0 * eps) * rng.random(count)
+    lam = rng.random(count)
+    return (x, y, lam), np.concatenate([x, y, lam * x + (1.0 - lam) * y])
+
+
+def midpoint_check(triples, log_f):
+    """The defining inequality on logs, f(lx+(1-l)y) >= f(x)^l f(y)^(1-l), at each of the triples.
+
+    log_f holds log f at the points of midpoint_triples, in their order.
+    Counts the triples where log f at the midpoint falls below the chord
+    by more than _MIDPOINT_SLACK (below_chord), so a zero at x or y fails
+    nothing. Returns (n_failures, first witness (x, y, l) or None).
+    """
+    x, y, lam = triples
+    lx, ly, lm = np.split(log_f, 3)
+    bad = np.flatnonzero(below_chord(lx, lm, ly, lam, _MIDPOINT_SLACK))
+    witness = (float(x[bad[0]]), float(y[bad[0]]), float(lam[bad[0]])) if bad.size else None
+    return int(bad.size), witness
 
 
 def brute_force_logconcavity(mix, samples: int = 1000, seed: int = 0) -> dict:
@@ -396,8 +430,11 @@ def continuous_lemma_sweep(count: int = 50, seed: int = 0) -> list[LemmaCase]:
     """Randomized sweep of the three continuous inequalities.
 
     Draws M in (1, 20], n in (-2, 2M-2] and q in (0, 2M]; each draw is
-    evaluated for all three inequalities (3 * count cases).
+    evaluated for all three inequalities (3 * count cases). A negative
+    count raises ValueError.
     """
+    if count < 0:
+        raise ValueError(f"the continuous sweep needs count >= 0, got {count!r}")
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(count):

@@ -30,10 +30,11 @@ instead of the exponent. Blocks of x are sized by the de Casteljau byte
 budget and share one buffer, and one einsum reduces each block against
 every Kronrod and Gauss weight row at once.
 
-The weight scale is taken out in one place. Every log, ratio and midpoint
-check reads the unit-scaled mixture (unit_scaled), whose discrete weights
-are divided by a power of two 2^k and whose continuous log alpha peaks at
-0, so f, f' and f'' stay in range. The continuous tables are built on it,
+The weight scale is taken out in one place. Every log and ratio, the
+certifier's margins among them, and the densities of the brute-force
+midpoint oracle read the unit-scaled mixture (unit_scaled), whose
+discrete weights are divided by a power of two 2^k and whose continuous
+log alpha peaks at 0, so f, f' and f'' stay in range. The continuous tables are built on it,
 and its peak joins each point's log scale, so continuous linear values are
 those of the mixture's own alpha, and log f and every ratio, read off the
 moments, are finite wherever the posterior is. The discrete score, (log

@@ -28,22 +28,17 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def log_gen_binom(M: float, s: float) -> float:
-    """log of the generalized binomial coefficient (see gen_binom)."""
-    if not M > 0.0:
-        raise DomainError(f"generalized binomial requires order M > 0, got {M!r}")
-    if not -1.0 < s < M + 1.0:
-        raise DomainError(f"generalized binomial requires -1 < s < M+1, got s={s!r}, M={M!r}")
-    return math.lgamma(M + 1.0) - math.lgamma(s + 1.0) - math.lgamma(M - s + 1.0)
-
-
 def gen_binom(M: float, s: float) -> float:
     """Generalized binomial coefficient Gamma(M+1)/(Gamma(s+1) Gamma(M-s+1)).
 
     Finite and strictly positive on -1 < s < M+1, and equal to the integer
     binomial coefficient when both arguments are integers.
     """
-    return math.exp(log_gen_binom(M, s))
+    if not M > 0.0:
+        raise DomainError(f"generalized binomial requires order M > 0, got {M!r}")
+    if not -1.0 < s < M + 1.0:
+        raise DomainError(f"generalized binomial requires -1 < s < M+1, got s={s!r}, M={M!r}")
+    return math.exp(math.lgamma(M + 1.0) - math.lgamma(s + 1.0) - math.lgamma(M - s + 1.0))
 
 
 def int_binom_exact(M: int, i: int) -> int:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from betamix import (
     random_log_concave_weights,
     sharpness_check,
 )
-from betamix.certify import midpoint_check, midpoint_triples
 from betamix.cli import main
 
 from oracles import continuous_derivs_quad
@@ -64,64 +64,58 @@ def test_certify_known_violation():
     assert cert.verdict == "violated"
     assert abs(cert.worst_x - 0.5) < 0.05
     assert cert.min_margin_eq10 < 0.0
-    assert cert.witness is not None
-    x, y, lam = cert.witness
-    mid = lam * x + (1.0 - lam) * y
-    lhs = eval_density_discrete(mix, mid)
-    rhs = eval_density_discrete(mix, x) ** lam * eval_density_discrete(mix, y) ** (1.0 - lam)
-    assert lhs < rhs
+    # the witness is an off-grid point where the margin itself is negative
+    assert type(cert.witness) is float and 1e-6 <= cert.witness <= 1.0 - 1e-6
+    assert margin_eq10(mix, cert.witness) < 0.0
 
 
-def _density_check(density_fn, count, eps, rng):
-    """midpoint_check of the count triples drawn from rng, on the log of density_fn at their points."""
-    triples, pts = midpoint_triples(count, eps, rng)
-    with np.errstate(divide="ignore"):
-        return midpoint_check(triples, np.log(density_fn(pts)))
-
-
-def _by_draw(fx, fy, fm):
-    """A density function reading fx at the x draws, fy at the y draws and fm at the midpoints.
-
-    midpoint_triples gives the points as one array, x then y then the
-    midpoints; the points themselves are kept in `seen`.
-    """
+@pytest.mark.parametrize(
+    "mix",
+    [
+        DiscreteMixture(2, [1.0, 0.01, 1.0]),
+        ContinuousMixture(3.0, [0.0, 1.5, 3.0], [3.0, -6.0, 3.0]),
+    ],
+    ids=["discrete", "continuous"],
+)
+def test_certify_witness_margin_is_margin_eq10(mix, monkeypatch):
+    # the off-grid margins come out of the grid's own evaluation; the one at
+    # the witness is margin_eq10 at that x, bit for bit
+    module = sys.modules["betamix.certify"]
     seen = []
+    original = module._unit_ratios
 
-    def density_fn(pts):
-        seen.append(pts)
-        n = pts.size // 3
-        return np.concatenate([np.broadcast_to(v, n) for v in (fx, fy, fm)]).astype(float)
+    def recording(mixture, xs):
+        out = original(mixture, xs)
+        seen.append((xs, out[2]))
+        return out
 
-    return density_fn, seen
-
-
-def test_midpoint_check_zero_at_an_end_fails_nothing():
-    for fx, fy, fm in ((0.0, 1.0, 1e-300), (1.0, 0.0, 1e-300), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)):
-        density_fn, _ = _by_draw(fx, fy, fm)
-        assert _density_check(density_fn, 16, 1e-6, np.random.default_rng(0)) == (0, None)
-
-
-def test_midpoint_check_zero_at_the_midpoint_is_the_witness():
-    fm = np.ones(16)
-    fm[5] = 0.0
-    density_fn, seen = _by_draw(1e-300, 1.0, fm)
-    failures, witness = _density_check(density_fn, 16, 1e-6, np.random.default_rng(0))
-    x, y, mid = np.split(seen[0], 3)
-    assert failures == 1
-    assert witness[:2] == (x[5], y[5])
-    lam = witness[2]
-    assert lam * x[5] + (1.0 - lam) * y[5] == mid[5]
+    monkeypatch.setattr(module, "_unit_ratios", recording)
+    cert = certify(mix, grid_points=64)
+    [(xs, margins)] = seen
+    assert cert.verdict == "violated" and cert.midpoint_failures > 0
+    assert xs.size == 64 + 64
+    [at] = np.flatnonzero(xs[64:] == cert.witness)
+    assert margins[64 + at] < -cert.tol
+    assert np.all(margins[64 : 64 + at] >= -cert.tol)
+    monkeypatch.undo()
+    assert margin_eq10(mix, cert.witness) == margins[64 + at]
 
 
-def test_midpoint_check_log_concave_and_log_convex_densities():
-    concave = lambda pts: np.exp(-((pts - 0.5) ** 2))
-    assert _density_check(concave, 64, 1e-6, np.random.default_rng(1)) == (0, None)
-    convex = lambda pts: np.exp(8.0 * (pts - 0.5) ** 2)
-    failures, witness = _density_check(convex, 64, 1e-6, np.random.default_rng(1))
-    assert failures > 0
-    x, y, lam = witness
-    log_f = lambda t: 8.0 * (t - 0.5) ** 2
-    assert log_f(lam * x + (1.0 - lam) * y) < lam * log_f(x) + (1.0 - lam) * log_f(y)
+@pytest.mark.parametrize("seed", range(5))
+def test_certify_wide_range_weights_by_the_margin_off_the_grid(seed):
+    # log w concave over thousands of nats at M = 2000, with the weights below
+    # the smallest normal double set to 0, so the weights are exactly
+    # log-concave. The chord test on f read wrong de Casteljau subnormals at
+    # 1 to 3 midpoints on each of these seeds; the margin is nan where f
+    # underflows, and a certificate counts only the checks it made
+    M = 2000
+    steps = np.random.default_rng(M).uniform(1.0 / M, 4.0 / M, M)
+    log_w = np.concatenate([[0.0], np.cumsum(np.cumsum(-steps))])
+    w = np.exp(log_w - np.max(log_w))
+    cert = certify(DiscreteMixture(M, np.where(w < np.finfo(float).tiny, 0.0, w)), grid_points=16, seed=seed)
+    assert cert.verdict == "certified"
+    assert 0 < cert.midpoint_checks < 64 and cert.midpoint_failures == 0 and cert.witness is None
+    assert cert.notes == ("density underflowed to 0 at 5 of 16 grid points",)
 
 
 def test_certify_degenerate_zero():
@@ -351,6 +345,13 @@ def test_sharpness_rejects_trivial_ratio():
         sharpness_check(10, -2.0)
 
 
+def test_sharpness_keeps_certifys_rule_on_the_grid_size():
+    # it reads certify's grid, which needs at least 3 points
+    for grid_points in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match="grid_points"):
+            sharpness_check(10, 2.0, grid_points)
+
+
 def test_kernel_log_curvature_value():
     # 0.5/0.0001 - 2.5/0.9801
     assert kernel_log_curvature(2.0, -0.5, 0.99) == pytest.approx(
@@ -486,7 +487,7 @@ def test_certificate_json_shape():
 
 def test_certificate_json_text_is_pinned():
     # key order is field order, then tool_version and input; nan and None read
-    # null, and witness and notes are lists, not tuples
+    # null, the witness is one x, and notes is a list, not a tuple
     zero = certify(DiscreteMixture(2, [0.0, 0.0, 0.0])).to_json(input_echo={"M": 2})
     assert json.dumps(zero) == (
         '{"verdict": "degenerate-zero", "grid_points": 1024, "eps": 1e-06, "tol": 1e-09, '
@@ -497,14 +498,13 @@ def test_certificate_json_text_is_pinned():
     cert = certify(DiscreteMixture(2, [1.0, 0.01, 1.0]), seed=0)
     blob = cert.to_json()
     assert cert.verdict == "violated" and cert.witness is not None
-    x, y, lam = cert.witness
     assert json.dumps(blob) == (
         '{"verdict": "violated", "grid_points": 1024, "eps": 1e-06, "tol": 1e-09, '
         f'"criterion": "curvature-margin", "min_margin_eq10": {cert.min_margin_eq10!r}, '
         f'"min_logcurv": {cert.min_logcurv!r}, "worst_x": {cert.worst_x!r}, '
         f'"midpoint_checks": 64, "midpoint_failures": {cert.midpoint_failures}, '
-        f'"witness": [{x!r}, {y!r}, {lam!r}], "notes": [], '
+        f'"witness": {cert.witness!r}, "notes": [], '
         f'"tool_version": "{__version__}", "input": null}}'
     )
-    assert type(blob["witness"]) is list and type(blob["notes"]) is list
+    assert type(blob["witness"]) is float and type(blob["notes"]) is list
     assert type(zero["notes"]) is list

@@ -308,6 +308,27 @@ def test_demo_needs_parameters(capsys):
     assert main(["demo", "--M", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemmas", "--M", "-3", "--n", "-2"],
+        ["lemmas", "--M", "1"],
+        ["lemmas", "--n", "-1"],
+        ["demo", "--M", "10", "--r", "2", "--grid-points", "0"],
+        ["demo", "--M", "10", "--r", "2", "--grid-points", "1"],
+    ],
+)
+def test_vacuous_sweeps_and_sharpness_grids_exit_2(argv, tmp_path, capsys):
+    # a sweep over no order or a negative count of draws, and a sharpness
+    # grid certify would refuse, used to exit 0 on a header-only table or a
+    # margin read at one point or none
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("betamix: invalid input:") and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_sample_deterministic_and_degenerate(uniform_file, zero_file, tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -95,3 +95,5 @@ def test_exact_sign_at_the_worst_point_of_certificates():
         cert = certify(DiscreteMixture(M, bimodal), grid_points=256)
         assert cert.verdict == "violated"
         assert exact_margin_sign(list(bimodal), cert.worst_x) < 0
+        # the first off-grid point of negative margin is a true violation too
+        assert exact_margin_sign(list(bimodal), cert.witness) < 0

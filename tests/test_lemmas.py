@@ -19,7 +19,7 @@ from betamix import (
     lemma2_discrete,
     random_log_concave_weights,
 )
-from betamix.lemmas import _window_interval
+from betamix.lemmas import _window_interval, midpoint_check, midpoint_triples
 from betamix.mixtures import discrete_derivs_grid
 
 from oracles import binom_ext_oracle, lemma2_discrete_sums, riemann
@@ -232,6 +232,17 @@ def test_lemma2_discrete_m1_middle_inequality_is_vacuously_broken():
     assert all(c.M >= 2 for c in discrete_lemma_sweep(max_M=4))
 
 
+def test_lemma_sweeps_over_nothing_raise():
+    # no order to sweep, or a negative number of draws, is an error, not an
+    # empty sweep that passes; zero draws is an empty continuous sweep
+    for max_M in (-3, 0, 1):
+        with pytest.raises(ValueError, match="max_M"):
+            discrete_lemma_sweep(max_M=max_M)
+    with pytest.raises(ValueError, match="count"):
+        continuous_lemma_sweep(count=-1)
+    assert continuous_lemma_sweep(count=0) == []
+
+
 # ---------------------------------------------------------------------------
 # coefficient-level inequalities
 
@@ -325,6 +336,58 @@ def test_coefficient_12_consistency_with_certifier():
 
 # ---------------------------------------------------------------------------
 # brute force oracle
+
+
+def _density_check(density_fn, count, eps, rng):
+    """midpoint_check of the count triples drawn from rng, on the log of density_fn at their points."""
+    triples, pts = midpoint_triples(count, eps, rng)
+    with np.errstate(divide="ignore"):
+        return midpoint_check(triples, np.log(density_fn(pts)))
+
+
+def _by_draw(fx, fy, fm):
+    """A density function reading fx at the x draws, fy at the y draws and fm at the midpoints.
+
+    midpoint_triples gives the points as one array, x then y then the
+    midpoints; the points themselves are kept in `seen`.
+    """
+    seen = []
+
+    def density_fn(pts):
+        seen.append(pts)
+        n = pts.size // 3
+        return np.concatenate([np.broadcast_to(v, n) for v in (fx, fy, fm)]).astype(float)
+
+    return density_fn, seen
+
+
+def test_midpoint_check_zero_at_an_end_fails_nothing():
+    for fx, fy, fm in ((0.0, 1.0, 1e-300), (1.0, 0.0, 1e-300), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)):
+        density_fn, _ = _by_draw(fx, fy, fm)
+        assert _density_check(density_fn, 16, 1e-6, np.random.default_rng(0)) == (0, None)
+
+
+def test_midpoint_check_zero_at_the_midpoint_is_the_witness():
+    fm = np.ones(16)
+    fm[5] = 0.0
+    density_fn, seen = _by_draw(1e-300, 1.0, fm)
+    failures, witness = _density_check(density_fn, 16, 1e-6, np.random.default_rng(0))
+    x, y, mid = np.split(seen[0], 3)
+    assert failures == 1
+    assert witness[:2] == (x[5], y[5])
+    lam = witness[2]
+    assert lam * x[5] + (1.0 - lam) * y[5] == mid[5]
+
+
+def test_midpoint_check_log_concave_and_log_convex_densities():
+    concave = lambda pts: np.exp(-((pts - 0.5) ** 2))
+    assert _density_check(concave, 64, 1e-6, np.random.default_rng(1)) == (0, None)
+    convex = lambda pts: np.exp(8.0 * (pts - 0.5) ** 2)
+    failures, witness = _density_check(convex, 64, 1e-6, np.random.default_rng(1))
+    assert failures > 0
+    x, y, lam = witness
+    log_f = lambda t: 8.0 * (t - 0.5) ** 2
+    assert log_f(lam * x + (1.0 - lam) * y) < lam * log_f(x) + (1.0 - lam) * log_f(y)
 
 
 def test_brute_force_uniform_ok():

@@ -119,10 +119,10 @@ def test_continuous_eval_builds_each_tier_table_once(monkeypatch, tmp_path):
 
 
 def test_continuous_certify_makes_one_moment_pass(monkeypatch):
-    # the grid and the 3 x 64 points of the midpoint triples go through one
-    # forms call, with no density call, and each tier table is built once;
-    # log f at the triples' points is read off the moments, so it is finite
-    # where f underflows
+    # the grid and the 64 off-grid points go through one forms call, with no
+    # density call, and each tier table is built once; the margin at the
+    # off-grid points is read off the moments, so it is finite where f
+    # underflows
     calls, built = [], []
     forms, density, table = ContinuousEvaluator.forms, ContinuousEvaluator.density, mixtures._density_table
 
@@ -144,9 +144,9 @@ def test_continuous_certify_makes_one_moment_pass(monkeypatch):
     monkeypatch.setattr(mixtures, "_density_table", counting_table)
     cert = certify(_gaussian_alpha(2000, 0.01, 0.5), grid_points=256)
     assert cert.verdict == "certified" and (cert.midpoint_checks, cert.midpoint_failures) == (64, 0)
-    [(name, x, (f, _, _, log_f, *_))] = calls
-    assert name == "forms" and x.size == 256 + 192
+    [(name, x, (f, *_, margin))] = calls
+    assert name == "forms" and x.size == 256 + 64
     np.testing.assert_array_equal(x[:256], np.linspace(1e-6, 1.0 - 1e-6, 256))
     assert len(built) == len(set(built)) == len(set(mixtures._tilt_tiers(x).tolist()))
     assert np.count_nonzero(f[256:] == 0.0) > 0
-    assert np.all(np.isfinite(log_f[256:]))
+    assert np.all(np.isfinite(margin[256:]))

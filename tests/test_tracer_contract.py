@@ -39,13 +39,13 @@ def test_tracer_wraps_discrete_certify(spans):
 
     counts = tracer.counts
     assert counts["certify"] == {"calls": 1, "grid_points": grid}
-    # the grid goes through discrete_derivs_grid, the 3 x 64 midpoint checks
-    # through discrete_density_grid
+    # the grid and the 64 off-grid points go through one discrete_derivs_grid
+    # call, and nothing through discrete_density_grid
     tri = lambda n: n * (n - 1) // 2
     assert counts["mixtures.discrete"] == {
-        "calls": 2,
-        "points": grid + 192,
-        "bernstein_ops": grid * (tri(M + 1) + tri(M) + tri(M - 1)) + 192 * tri(M + 1),
+        "calls": 1,
+        "points": grid + 64,
+        "bernstein_ops": (grid + 64) * (tri(M + 1) + tri(M) + tri(M - 1)),
     }
     layers = {span[1] for span in tracer.spans}
     assert layers == {"certify", "mixtures.discrete"}
