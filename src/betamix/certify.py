@@ -145,10 +145,11 @@ def certify(
     1-eps] drawn from seed, all from one evaluation of f, f' and f''. tol
     must be finite and at least 0. "certified" means no margin below -tol
     was found, on the grid or off it, at this resolution and tolerance.
-    Discrete grid points where the density underflowed carry no margin and
-    are counted in a note; a continuous margin is finite at every grid
-    point. A continuous integral that fails its Gauss-Kronrod check raises
-    QuadratureError, so no certificate rests on it.
+    Discrete points where the density underflowed carry no margin and are
+    counted in a note, grid and off-grid points apart; a continuous margin
+    is finite at every point. A continuous integral that fails its
+    Gauss-Kronrod check raises QuadratureError, so no certificate rests on
+    it.
     """
     xs = _grid(grid_points, eps)
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -174,9 +175,13 @@ def certify(
     bad = np.flatnonzero(off_grid < -tol)
 
     notes = []
-    underflowed = grid_points - pool.size
-    if underflowed:
-        notes.append(f"density underflowed to 0 at {underflowed} of {grid_points} grid points")
+    checked = int(np.count_nonzero(np.isfinite(off_grid)))
+    underflowed, off_grid_underflowed = grid_points - pool.size, _MIDPOINT_CHECKS - checked
+    if underflowed or off_grid_underflowed:
+        note = f"density underflowed to 0 at {underflowed} of {grid_points} grid points"
+        if off_grid_underflowed:
+            note += f" and {off_grid_underflowed} of {_MIDPOINT_CHECKS} off-grid points"
+        notes.append(note)
 
     if min_margin is None:
         verdict = VERDICT_DEGENERATE
@@ -193,7 +198,7 @@ def certify(
         min_margin_eq10=min_margin,
         min_logcurv=min_logcurv,
         worst_x=worst_x,
-        midpoint_checks=int(np.count_nonzero(np.isfinite(off_grid))),
+        midpoint_checks=checked,
         midpoint_failures=int(bad.size),
         witness=float(pts[bad[0]]) if bad.size else None,
         notes=tuple(notes),

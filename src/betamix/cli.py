@@ -25,8 +25,9 @@ Exit codes: 0 success/certified, 1 violated or failed sweep cases,
 import argparse
 import hashlib
 import json
-import math
+import os
 import sys
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -58,6 +59,8 @@ EXIT_DEGENERATE = 4
 _FMT = "{:.17g}"
 # rows per write of text output
 _CHUNK = 4096
+# CSV cell format by numpy dtype kind; any other kind is a number, %.17g
+_CSV_SPEC = {"b": "%d", "U": "%s"}
 
 
 def _fmt(v) -> str:
@@ -73,54 +76,98 @@ def _header_lines(meta) -> list[str]:
 
 
 def _write(args, chunks) -> None:
-    """Write an iterable of text chunks, in order, to --out or to stdout."""
+    """Write an iterable of text chunks, in order, to --out or to stdout.
+
+    If the reader of stdout goes away (`betamix sample ... | head`), the
+    output ends there, quietly: stdout's fd, if it has one, is pointed at
+    os.devnull so the interpreter's flush at exit cannot fail again, and the
+    command returns its own exit code.
+    """
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
-    else:
+        return
+    try:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # io.UnsupportedOperation: an in-process stream
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
-def _csv_cells(values) -> list:
-    if values and isinstance(values[0], str):
-        return values
-    if values and isinstance(values[0], bool):
-        return ["1" if v else "0" for v in values]
-    return list(map(_FMT.format, values))
+def _chunks(arrays, cells):
+    """Yield, for each _CHUNK rows of equal-length arrays, the row count and
+    the row-major tuple of the rows' cells, where cells(part) gives the cells
+    of one array's part."""
+    for lo in range(0, len(arrays[0]), _CHUNK):
+        parts = [a[lo : lo + _CHUNK] for a in arrays]
+        yield len(parts[0]), tuple(chain.from_iterable(zip(*map(cells, parts))))
 
 
 def _write_rows(args, meta, columns, names=None) -> None:
     """Write the header comments, the `names` line if given, then one line per row of equal-length columns.
 
-    Rows are formatted and written _CHUNK at a time, never as one string.
-    Cells are bools as 1/0, strings as they are and numbers as {:.17g},
-    joined by commas.
+    Rows are formatted and written _CHUNK at a time, never as one string:
+    each chunk is one % operation on a row template repeated once per row.
+    Cells are bools as 1/0 (%d), strings as they are (%s) and numbers as
+    %.17g, which gives the same text as {:.17g}, joined by commas.
     """
+    arrays = [np.asarray(col) for col in columns]
+    row = ",".join(_CSV_SPEC.get(a.dtype.kind, "%.17g") for a in arrays) + "\n"
+
     def chunks():
         yield "\n".join([*_header_lines(meta), *([",".join(names)] if names else [])]) + "\n"
-        for lo in range(0, len(columns[0]), _CHUNK):
-            cells = [_csv_cells(np.asarray(col[lo : lo + _CHUNK]).tolist()) for col in columns]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        for n, cells in _chunks(arrays, np.ndarray.tolist):
+            yield row * n % cells
 
     _write(args, chunks())
 
 
-def _json_cell(v):
-    return None if isinstance(v, float) and not math.isfinite(v) else v
+def _json_texts(part) -> list:
+    """The JSON text of each cell of a column chunk, as json.dumps writes it.
+
+    A finite float is float.__repr__ (json's own float text), a non-finite
+    one null; bools, ints and strings go through json.dumps.
+    """
+    values = part.tolist()
+    if part.dtype.kind != "f":
+        return list(map(json.dumps, values))
+    texts = list(map(float.__repr__, values))
+    for i in np.flatnonzero(~np.isfinite(part)).tolist():
+        texts[i] = "null"
+    return texts
 
 
 def _write_table(args, meta, columns: dict) -> None:
     """Write equal-length columns, keyed by name, as a CSV (_write_rows) or JSON table.
 
     JSON rows keep each value's own type, with a non-finite number as null.
+    The bytes are json.dumps(payload, indent=2) and a newline, but only the
+    rest of the document is one json.dumps (of the payload with no rows):
+    the rows are streamed _CHUNK at a time, one % operation per chunk.
     """
-    if args.format == "json":
-        values = [np.asarray(col).tolist() for col in columns.values()]
-        rows = [[_json_cell(v) for v in row] for row in zip(*values)]
-        payload = {"meta": meta, "columns": list(columns), "rows": rows}
-        _write(args, [json.dumps(payload, indent=2, allow_nan=False) + "\n"])
-    else:
+    if args.format != "json":
         _write_rows(args, meta, list(columns.values()), names=list(columns))
+        return
+    arrays = [np.asarray(col) for col in columns.values()]
+    empty = {"meta": meta, "columns": list(columns), "rows": []}
+    head, tail = json.dumps(empty, indent=2, allow_nan=False).rsplit("[]", 1)
+    row = "    [\n      " + ",\n      ".join(["%s"] * len(arrays)) + "\n    ]"
+
+    def chunks():
+        yield head
+        sep = "[\n"
+        for n, cells in _chunks(arrays, _json_texts):
+            yield sep + ",\n".join([row] * n) % cells
+            sep = ",\n"
+        yield ("[]" if sep == "[\n" else "\n  ]") + tail + "\n"
+
+    _write(args, chunks())
 
 
 def _read_mixture(path):

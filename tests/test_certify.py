@@ -107,15 +107,18 @@ def test_certify_wide_range_weights_by_the_margin_off_the_grid(seed):
     # the smallest normal double set to 0, so the weights are exactly
     # log-concave. The chord test on f read wrong de Casteljau subnormals at
     # 1 to 3 midpoints on each of these seeds; the margin is nan where f
-    # underflows, and a certificate counts only the checks it made
+    # underflows, and a certificate counts only the checks it made and notes
+    # the points, on the grid and off it, that it could not make
     M = 2000
     steps = np.random.default_rng(M).uniform(1.0 / M, 4.0 / M, M)
     log_w = np.concatenate([[0.0], np.cumsum(np.cumsum(-steps))])
     w = np.exp(log_w - np.max(log_w))
     cert = certify(DiscreteMixture(M, np.where(w < np.finfo(float).tiny, 0.0, w)), grid_points=16, seed=seed)
     assert cert.verdict == "certified"
-    assert 0 < cert.midpoint_checks < 64 and cert.midpoint_failures == 0 and cert.witness is None
-    assert cert.notes == ("density underflowed to 0 at 5 of 16 grid points",)
+    off_grid_underflowed = {0: 21, 1: 20, 2: 19, 3: 21, 4: 12}[seed]
+    assert cert.midpoint_checks == 64 - off_grid_underflowed
+    assert cert.midpoint_failures == 0 and cert.witness is None
+    assert cert.notes == (f"density underflowed to 0 at 5 of 16 grid points and {off_grid_underflowed} of 64 off-grid points",)
 
 
 def test_certify_degenerate_zero():
@@ -133,13 +136,29 @@ def test_certify_notes_underflowed_density():
     w[200] = 1.0
     cert = certify(DiscreteMixture(400, w))
     assert cert.verdict == "certified"
-    assert cert.notes == ("density underflowed to 0 at 16 of 1024 grid points",)
+    assert cert.notes == ("density underflowed to 0 at 16 of 1024 grid points and 2 of 64 off-grid points",)
+    assert cert.midpoint_checks == 62
     assert -1600.1 < cert.min_logcurv < -1600.0
     # w = e_0 at M = 60: x^60 underflows at x = 1e-6 only; (log f)'' = -60/x^2
     # is largest at the last grid point
     cert = certify(DiscreteMixture(60, np.eye(61)[0]))
     assert cert.notes == ("density underflowed to 0 at 1 of 1024 grid points",)
     assert cert.min_logcurv == pytest.approx(-60.0 / (1.0 - 1e-6) ** 2, rel=1e-12)
+
+
+def test_certify_notes_off_grid_underflow_when_the_grid_has_none():
+    # w = e_0 + e_M at M = 1200: f = (1-x)^M + x^M is a normal double at the
+    # 4 grid points (x = 1/3 gives e^-487) but underflows near x = 1/2, where
+    # off-grid points fall with no margin; the note counts them
+    M, eps, seed = 1200, 1e-6, 0
+    w = np.zeros(M + 1)
+    w[0] = w[M] = 1.0
+    cert = certify(DiscreteMixture(M, w), grid_points=4, eps=eps, seed=seed)
+    pts = eps + (1.0 - 2.0 * eps) * np.random.default_rng(seed).random(64)
+    log_f = np.logaddexp(M * np.log1p(-pts), M * np.log(pts))
+    missing = int(np.count_nonzero(log_f < math.log(np.finfo(float).tiny)))
+    assert missing > 0 and cert.midpoint_checks == 64 - missing
+    assert cert.notes == (f"density underflowed to 0 at 0 of 4 grid points and {missing} of 64 off-grid points",)
 
 
 def test_certify_worst_point_skips_underflowed_margins():

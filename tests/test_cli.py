@@ -1,12 +1,19 @@
 import argparse
 import builtins
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import betamix
 import betamix.cli
@@ -408,6 +415,124 @@ def test_eval_csv_streamed_in_chunks_writes_the_single_join_bytes(geometric_file
 def test_lemmas_csv_streamed_writes_the_single_join_bytes(tmp_path, capsys):
     table = _assert_csv_is_the_single_join(["lemmas", "--M", "4", "--n", "3"], tmp_path, capsys)
     assert {row[-1] for row in table["rows"]} == {True}
+
+
+# the writers against json.dumps and a per-cell {:.17g} join, on columns of
+# every cell type: floats at the edges of the double range, bools, ints and
+# strings with JSON escapes, % and commas
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e-7, 123456789.0]
+_EDGE_STRINGS = ['"', "\\", "%", "%s", "%%d", ",", "a,b", "", " ", "\n", "\t", "\x01", "\u00e9", "\u2211",
+                 "\U0001f600", 'q"u\\o%t,e\u00e9']
+_META = {"tool_version": betamix.__version__, "command": "eval", "flags": "--x=\u00e9", "input_sha256": "-"}
+
+
+def _edge_columns(n, seed=0):
+    rng = np.random.default_rng(seed)
+    # every bit pattern, so nan payloads, infinities and subnormals too
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+    bits[: min(n, len(_EDGE_FLOATS))] = _EDGE_FLOATS[:n]
+    scaled = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+    return {
+        "bits": bits,
+        "scaled": scaled.tolist(),
+        "flag": rng.random(n) < 0.5,
+        "count": rng.integers(-2**62, 2**62, n),
+        "name": [_EDGE_STRINGS[i % len(_EDGE_STRINGS)] for i in range(n)],
+    }
+
+
+def _reference_table(fmt, meta, columns):
+    # the whole table as one string, one cell at a time
+    values = [np.asarray(col).tolist() for col in columns.values()]
+    if fmt == "json":
+        rows = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in zip(*values)]
+        payload = {"meta": meta, "columns": list(columns), "rows": rows}
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    header = ["# betamix " + meta["tool_version"], f"# command: {meta['command']} {meta['flags']}",
+              "# input-sha256: " + meta["input_sha256"], ",".join(columns)]
+    return "\n".join([*header, *(",".join(map(_csv_cell, row)) for row in zip(*values))]) + "\n"
+
+
+def _written_table(fmt, meta, columns, out=None):
+    args = argparse.Namespace(format=fmt, out=out)
+    if out:
+        betamix.cli._write_table(args, meta, columns)
+        with open(out, "rb") as fh:
+            return fh.read().decode("utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        betamix.cli._write_table(args, meta, columns)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [0, 1, betamix.cli._CHUNK - 1, betamix.cli._CHUNK, betamix.cli._CHUNK + 1])
+def test_table_writers_write_the_one_string_bytes(fmt, n, tmp_path):
+    columns = _edge_columns(n)
+    expected = _reference_table(fmt, _META, columns)
+    assert _written_table(fmt, _META, columns, str(tmp_path / "table")).encode() == expected.encode()
+    assert _written_table(fmt, _META, columns) == expected
+
+
+_CELLS = st.tuples(
+    st.floats(),
+    st.booleans(),
+    st.integers(-2**63, 2**63 - 1),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(_CELLS, max_size=12))
+def test_table_writers_match_the_references_on_any_cells(rows):
+    names = ["f", "b", "i", "s"]
+    columns = {name: [row[k] for row in rows] for k, name in enumerate(names)}
+    for fmt in ("csv", "json"):
+        assert _written_table(fmt, _META, columns) == _reference_table(fmt, _META, columns)
+
+
+@pytest.mark.parametrize("command", ["lemmas", "eval"])
+def test_json_tables_are_the_json_dumps_bytes(command, geometric_file, tmp_path, capsys):
+    # a JSON table parses back to a payload whose json.dumps gives its bytes;
+    # lemmas rows mix strings, floats and bools
+    argv = {"lemmas": ["lemmas", "--M", "4", "--n", "3"],
+            "eval": ["eval", "--input", geometric_file, "--grid-points", "5"]}[command] + ["--format", "json"]
+    out = tmp_path / "table.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    payload = json.loads(data)
+    assert data == (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
+    if command == "lemmas":
+        assert {type(v) for v in payload["rows"][0]} == {float, str, bool}
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == data
+
+
+class _GoneReader(io.StringIO):
+    # an in-process stdout, with no fd, whose reader has gone
+    def writelines(self, lines):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_ends_the_output_quietly(tmp_path, monkeypatch, capsys):
+    # the reader reads one line and goes away: no message, exit 0
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"M": 2, "weights": [1.0, 2.0, 1.0]}))
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", _GoneReader())
+        assert main(["sample", "--input", str(path), "--n", "10"]) == 0
+    assert capsys.readouterr().err == ""
+    src = os.path.join(os.path.dirname(PERFBENCH), "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "betamix.cli", "sample", "--input", str(path), "--n", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline().startswith(b"# betamix ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 0
+    assert err == b""
 
 
 def test_repeated_runs_identical(violated_file, tmp_path):
