@@ -251,13 +251,29 @@ class EvalResult:
 
 
 # Bytes per de Casteljau buffer; a call holds four (coefficients, scratch,
-# x tile, 1-x tile). A block of x columns runs through every step of every
-# polynomial while the four stay near the per-core L2 cache (2 MiB on the
-# machine this was tuned on): 256 KiB and 512 KiB measured alike, 1 MiB an
-# eighth slower, and 128 KiB a fifth slower, its narrower blocks paying the
-# per-step call cost more often. A fixed column count is slow at low orders.
-# _KernelTable.integrate sizes its one exponent buffer by the same budget.
+# x tile, 1-x tile), each starting on a 64-byte cache line. A block of x
+# columns runs through every step of every polynomial while the four stay
+# near the per-core L2 cache (2 MiB on the machine this was tuned on): on
+# a discrete certify pass, 256 KiB and 512 KiB measured alike, 1 MiB two
+# fifths slower, and 128 KiB a seventh slower, its narrower blocks paying
+# the per-step call cost more often. A fixed column count is slow at low
+# orders. _KernelTable.integrate sizes its one exponent buffer by the same
+# budget.
 _BLOCK_BYTES = 512 * 1024
+
+
+def _line_buffers(count: int, size: int) -> list[np.ndarray]:
+    """count disjoint float64 buffers of size values, each starting on a 64-byte line.
+
+    One allocation of count strides of size rounded up to 8 doubles, plus 8
+    doubles to move the first start onto a line; buffer j starts j strides
+    after it. Where the allocator puts the block then no longer decides how
+    the buffers sit on cache lines.
+    """
+    stride = -(-size // 8) * 8
+    raw = np.empty(count * stride + 8)
+    off = (-raw.ctypes.data % 64) // 8
+    return [raw[off + j * stride : off + j * stride + size] for j in range(count)]
 
 
 def _decasteljau(coeff_sets, x) -> list[np.ndarray]:
@@ -267,17 +283,19 @@ def _decasteljau(coeff_sets, x) -> list[np.ndarray]:
     in blocks of w columns, and each block fills x and 1-x once, tiled over
     the rows of the flat (row-major n x w) coefficient buffer, so that one
     recurrence step is three contiguous ufuncs over m*w values. All the
-    polynomials share the buffers and the tiles. Every value is the same two
-    products and one sum, b[i] * (1-x) + b[i+1] * x, as in the one-shot
-    recurrence, so the results depend neither on the block width nor on
-    which polynomials share the loop.
+    polynomials share the four buffers and the tiles, carved from one
+    allocation by _line_buffers, and each step slices its coefficient and
+    scratch views once for both products and the sum. Every value is the
+    same two products and one sum, b[i] * (1-x) + b[i+1] * x, as in the
+    one-shot recurrence, so the results depend neither on the block width,
+    nor on which polynomials share the loop, nor on where the buffers sit.
     """
     x = np.asarray(x, dtype=float)
     xr = x.ravel()
     n = max(len(c) for c in coeff_sets)
     outs = [np.empty(xr.size) for _ in coeff_sets]
     width = max(1, min(xr.size, _BLOCK_BYTES // (8 * n)))
-    b, scratch, xt, omt = np.empty((4, n * width))
+    b, scratch, xt, omt = _line_buffers(4, n * width)
     for lo in range(0, xr.size, width):
         xb = xr[lo : lo + width]
         w = xb.size
@@ -288,9 +306,10 @@ def _decasteljau(coeff_sets, x) -> list[np.ndarray]:
             b[: len(coeffs) * w].reshape(len(coeffs), w)[...] = coeffs[:, None]
             for m in range(len(coeffs) - 1, 0, -1):
                 k = m * w
-                np.multiply(b[w : k + w], xt[:k], out=scratch[:k])
-                np.multiply(b[:k], omt[:k], out=b[:k])
-                np.add(b[:k], scratch[:k], out=b[:k])
+                head, tmp = b[:k], scratch[:k]
+                np.multiply(b[w : k + w], xt[:k], out=tmp)
+                np.multiply(head, omt[:k], out=head)
+                np.add(head, tmp, out=head)
             out[lo : lo + w] = b[:w]
     return [out.reshape(x.shape) for out in outs]
 

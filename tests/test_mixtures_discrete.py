@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,90 @@ def test_blocked_decasteljau_matches_oneshot_bitwise(M, weights, top):
             assert a.shape == ()
             assert np.array_equal(a, b)
     assert discrete_density_grid(mix, 0.0) == decasteljau_oneshot(mix.weights[::-1], 0.0) == weights[-1]
+
+
+def _carve_past_a_line(shift, carved):
+    """A _line_buffers stand-in whose buffers all start shift bytes past a 64-byte line."""
+
+    def carve(count, size):
+        stride = -(-size // 8) * 8
+        raw = np.empty(count * stride + 16)
+        off = (-raw.ctypes.data % 64 + shift) // 8
+        bufs = [raw[off + j * stride : off + j * stride + size] for j in range(count)]
+        carved.extend(buf.ctypes.data % 64 for buf in bufs)
+        return bufs
+
+    return carve
+
+
+@pytest.mark.parametrize(
+    "M, weights",
+    [
+        (1, [0.3, 2.0]),
+        (2, [1.0, 0.0, 4.0]),
+        (60, np.random.default_rng(16).uniform(0.0, 3.0, 61)),
+        (320, np.pad(np.random.default_rng(17).uniform(0.0, 3.0, 309), 6)),
+    ],
+    ids=["M1", "M2", "M60", "M320"],
+)
+def test_buffer_alignment_changes_no_value(monkeypatch, M, weights):
+    # the four buffers forced 8, 16, ..., 56 bytes past a line give the
+    # aligned run's and the one-shot recurrence's bits, at point counts
+    # that straddle every block edge of g, g' and g''
+    widths = {max(1, mixtures._BLOCK_BYTES // (8 * n)) for n in (M + 1, M, M - 1) if n >= 1}
+    counts = sorted({1, 1024} | {c for w in widths for c in (w - 1, w, w + 1) if c >= 1})
+    x = np.random.default_rng(M + 1).uniform(0.0, 1.0, max(counts))
+    x[:2] = 0.0, 1.0
+    ref = discrete_derivs_oneshot(weights, M, x)
+    mix = DiscreteMixture(M, weights)
+    aligned = {
+        count: (*discrete_derivs_grid(mix, x[:count]), discrete_density_grid(mix, x[:count])) for count in counts
+    }
+    for count, got in aligned.items():
+        for a, b in zip(got, (*ref, ref[0])):
+            assert np.array_equal(a, b[:count])
+    for shift in range(8, 64, 8):
+        carved = []
+        monkeypatch.setattr(mixtures, "_line_buffers", _carve_past_a_line(shift, carved))
+        for count in counts:
+            got = (*discrete_derivs_grid(mix, x[:count]), discrete_density_grid(mix, x[:count]))
+            for a, b in zip(got, aligned[count]):
+                assert np.array_equal(a, b)
+        assert carved and set(carved) == {shift}
+
+
+# 321 * 204 values is an M = 320 buffer at 512 KiB, 4 short of a multiple of 8
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 63, 64, 65, 320 * 204, 321 * 204])
+def test_line_buffers_are_disjoint_aligned_views(size):
+    bufs = mixtures._line_buffers(4, size)
+    assert len(bufs) == 4
+    for j, buf in enumerate(bufs):
+        assert buf.shape == (size,) and buf.dtype == np.float64
+        assert buf.ctypes.data % 64 == 0
+        for other in bufs[j + 1 :]:
+            assert not np.shares_memory(buf, other)
+    for j, buf in enumerate(bufs):
+        buf[...] = j
+    for j, buf in enumerate(bufs):
+        assert np.all(buf == j)
+
+
+def test_decasteljau_works_in_four_block_buffers():
+    # M = 320 over the 1088 points of a certify pass: the four buffers of
+    # at most _BLOCK_BYTES each, the three outputs, and no per-step views
+    # kept across steps
+    mix = DiscreteMixture(320, np.random.default_rng(18).uniform(0.0, 3.0, 321))
+    x = np.random.default_rng(19).uniform(0.0, 1.0, 1088)
+    want = discrete_derivs_grid(mix, x)
+    tracemalloc.start()
+    try:
+        got = discrete_derivs_grid(mix, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert peak < 4 * mixtures._BLOCK_BYTES + 3 * 8 * x.size + 64 * 1024
 
 
 def test_derivs_uniform_vanish():
