@@ -15,7 +15,10 @@ Each command accepts only the flags it reads; defaults are in brackets, and
 Data goes to stdout (or --out); diagnostics go to stderr. Every output file
 starts with header comments carrying the tool version, the command's flags
 with their values (--out aside) and a digest of the input, so runs are
-reproducible byte for byte given the same input, flags and seed.
+reproducible byte for byte given the same input, flags and seed. A CSV
+number is the %.17g text of its double; where that text is fixed notation
+(1e-4 <= |v| < 1e16) it is formed from the exact 17-digit integer of v
+(_g17_cells) instead of one decimal conversion per cell.
 
 Exit codes: 0 success/certified, 1 violated or failed sweep cases,
 2 malformed input or arguments, 3 evaluation/quadrature failure,
@@ -23,6 +26,7 @@ Exit codes: 0 success/certified, 1 violated or failed sweep cases,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -61,6 +65,27 @@ _FMT = "{:.17g}"
 _CHUNK = 4096
 # CSV cell format by numpy dtype kind; any other kind is a number, %.17g
 _CSV_SPEC = {"b": "%d", "U": "%s"}
+
+# the exact doubles 10^0 .. 10^22 and their high halves in Veltkamp's
+# split (by 2^27 + 1) for Dekker's two-product; int64 10^0 .. 10^17
+_SPLITTER = 134217729.0
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
+_INT10 = 10 ** np.arange(18, dtype=np.int64)
+# a number cell's text, by the kind of its 17 significant digits: an
+# integer (%d of the integer part), a number below 1 (0. and -X-1 zeros,
+# then %d of the digits; X is the decimal exponent), or an integer part and
+# fraction digits (%d.%d, or %d.%0fd where the fraction starts with zeros)
+_G17_KINDS = ("%d", "0.%d", "0.0%d", "0.00%d", "0.000%d", "%d.%d", *(f"%d.%0{f}d" for f in range(2, 17)))
+# the CSV cell templates of a number column, ended by a comma or a newline:
+# index 0 is %.17g itself, for the cells _g17_cells leaves to it, then the
+# kinds above, then the kinds after a minus sign
+_G17_TEMPLATES = {
+    sep: np.array(["%.17g" + sep, *(sign + kind + sep for sign in ("", "-") for kind in _G17_KINDS)], dtype=object)
+    for sep in ",\n"
+}
+# templates that take a second integer, the fraction digits
+_G17_TWO_ARGS = np.array([t.count("%") == 2 for t in _G17_TEMPLATES[","]])
 
 
 def _fmt(v) -> str:
@@ -109,21 +134,127 @@ def _chunks(arrays, cells):
         yield len(parts[0]), tuple(chain.from_iterable(zip(*map(cells, parts))))
 
 
+def _times_pow10(a, p):
+    """(hi, lo) with hi = fl(a * 10^p) and hi + lo = a * 10^p exactly (Dekker's two-product)."""
+    b, b_hi = _POW10[p], _POW10_HI[p]
+    b_lo = b - b_hi
+    hi = a * b
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _g17_cells(v):
+    """The %.17g text of each double of v, as template indices into _G17_TEMPLATES and two int64 arguments.
+
+    For 1e-4 <= |v| < 1e16, %.17g writes v's 17 significant digits D,
+    correctly rounded (half to even), in fixed notation with trailing
+    zeros dropped. With X = floor(log10 |v|) and p = 16 - X, in [1, 20],
+    10^p is an exact double (10^22 is the last), so the two-product gives
+    |v| * 10^p = hi + lo exactly; hi >= 10^16 > 2^53 is an even integer,
+    so D = hi + rint(lo) is exact in int64 (rint rounds half to even).
+    log10 may miss X by one next to a power of ten; those cells are
+    redone with the X that puts hi + lo in [10^16, 10^17). D cannot round
+    up to 10^17: that needs a double within 5e-18 (relative) below a
+    power of ten, and in this range the closest lies 8.3e-17 below. Any
+    other double (zero, non-finite, or out of that range) gets index 0,
+    %.17g itself.
+    """
+    a = np.abs(v)
+    plain = ~((a >= 1e-4) & (a < 1e16))
+    a[plain] = 1.0
+    x = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _times_pow10(a, 16 - x)
+    edge = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    if edge.size:
+        h, l = hi[edge], lo[edge]
+        x[edge] += ((h > 1e17) | ((h == 1e17) & (l >= 0))).astype(np.int64) - ((h < 1e16) | ((h == 1e16) & (l < 0)))
+        hi[edge], lo[edge] = _times_pow10(a[edge], 16 - x[edge])
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # decimal places of the 17 digits (1 to 20); below, those of the
+    # fraction once its trailing zeros are dropped (0 for an integer)
+    places = 16 - x
+    unit = _INT10[np.minimum(places, 17)]
+    whole = digits // unit
+    frac = digits - whole * unit
+    # drop the fraction's trailing zeros: one test on every cell, then
+    # 8, 4, 2 and 1 more on the cells that end in a zero
+    tenth = frac // 10
+    ends0 = np.flatnonzero((tenth * 10 == frac) & (frac != 0))
+    places[frac == 0] = 0
+    if ends0.size:
+        q, zeros = tenth[ends0], np.ones(ends0.size, dtype=np.int64)
+        for k in (8, 4, 2, 1):
+            d = q // _INT10[k]
+            hit = d * _INT10[k] == q
+            q = np.where(hit, d, q)
+            zeros += k * hit
+        frac[ends0] = q
+        places[ends0] -= zeros
+    below1 = x < 0
+    kind = np.where(below1, -x, np.where(frac >= _INT10[np.clip(places - 1, 0, 16)], 5, 4 + places))
+    kind[places == 0] = 0
+    index = 1 + kind + len(_G17_KINDS) * np.signbit(v)
+    index[plain] = 0
+    return index, np.where(below1, frac, whole), frac
+
+
+def _csv_chunk(parts, seps) -> str:
+    """The CSV text of one chunk of rows, given as column parts, each cell ended by its column's separator.
+
+    One % operation on the cells' templates: a number cell's template and
+    its one or two integers come from _g17_cells, and a cell left to %.17g
+    passes its float; a bool passes itself to %d, a string to %s. Each
+    cell has two argument slots, of which the template uses the first or
+    both; the floats and strings replace their slot's placeholder in the
+    flat argument list.
+    """
+    rows, width = len(parts[0]), 2 * len(parts)
+    templates = np.empty((rows, len(parts)), dtype=object)
+    args = np.zeros((rows, width), dtype=np.int64)
+    used = np.zeros((rows, width), dtype=bool)
+    used[:, ::2] = True
+    objects = []
+    for j, (part, sep) in enumerate(zip(parts, seps)):
+        if part.dtype.kind == "f":
+            index, args[:, 2 * j], args[:, 2 * j + 1] = _g17_cells(part)
+            templates[:, j] = _G17_TEMPLATES[sep][index]
+            used[:, 2 * j + 1] = _G17_TWO_ARGS[index]
+            plain = np.flatnonzero(index == 0)
+            if plain.size:
+                objects.append((plain, j, part[plain]))
+        else:
+            templates[:, j] = _CSV_SPEC[part.dtype.kind] + sep
+            objects.append((slice(None), j, part))
+    cells = args[used].tolist()
+    if objects:
+        at = (np.cumsum(used) - 1).reshape(used.shape)
+        for rows_at, j, values in objects:
+            for i, value in zip(at[rows_at, 2 * j].tolist(), values.tolist()):
+                cells[i] = value
+    return "".join(templates.ravel().tolist()) % tuple(cells)
+
+
 def _write_rows(args, meta, columns, names=None) -> None:
     """Write the header comments, the `names` line if given, then one line per row of equal-length columns.
 
-    Rows are formatted and written _CHUNK at a time, never as one string:
-    each chunk is one % operation on a row template repeated once per row.
-    Cells are bools as 1/0 (%d), strings as they are (%s) and numbers as
-    %.17g, which gives the same text as {:.17g}, joined by commas.
+    Rows are formatted and written _CHUNK at a time, never as one string,
+    each chunk by one % operation (_csv_chunk). Cells are bools as 1/0
+    (%d), strings as they are (%s) and numbers, ints included, as the
+    %.17g text of their double, joined by commas. A number's text is built
+    from its exact 17 significant digits as integers (_g17_cells) where
+    %.17g writes it in fixed notation, which is the same text without one
+    decimal conversion per cell.
     """
     arrays = [np.asarray(col) for col in columns]
-    row = ",".join(_CSV_SPEC.get(a.dtype.kind, "%.17g") for a in arrays) + "\n"
+    arrays = [a if a.dtype.kind in _CSV_SPEC else a.astype(float, copy=False) for a in arrays]
+    seps = [","] * (len(arrays) - 1) + ["\n"]
 
     def chunks():
         yield "\n".join([*_header_lines(meta), *([",".join(names)] if names else [])]) + "\n"
-        for n, cells in _chunks(arrays, np.ndarray.tolist):
-            yield row * n % cells
+        for lo in range(0, len(arrays[0]), _CHUNK):
+            yield _csv_chunk([a[lo : lo + _CHUNK] for a in arrays], seps)
 
     _write(args, chunks())
 
@@ -328,8 +459,14 @@ def _flag_string(args, flags) -> str:
     return " ".join(f"--{flag}={value}" for flag, value in values if value is not None)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main() call and kept for the rest of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
         mix, digest = _read_mixture(args.input) if "input" in command.flags else (None, "-")

@@ -20,6 +20,7 @@ the randomized sweeps and the test suite.
 
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -208,6 +209,26 @@ def lemma2_continuous(M: float, n: float, q: float, which: str) -> LemmaCase:
 # discrete form, exact arithmetic
 
 
+def _lemma2_prefix_sums(M: int, n: int):
+    """Running sums of Lemma 2's exact terms at (M, n): lhs, then rhs for r = 0 and r = 1.
+
+    Entry j sums the terms of i = -1 .. j-2; outside [-1, n] every term
+    vanishes (zero-extended binomials), so each list has n + 3 entries and
+    any window is the difference of two of them.
+    """
+    span = range(-1, n + 1)
+    lhs = [int_binom_exact(M - 1, i) * int_binom_exact(M - 1, n - i) for i in span]
+    rhs = [[int_binom_exact(M, i + r) * int_binom_exact(M - 2, n - i - r) for i in span] for r in (0, 1)]
+    return [list(accumulate(terms, initial=0)) for terms in (lhs, *rhs)]
+
+
+def _lemma2_window(M: int, n: int, k: int, which: str, sums) -> LemmaCase:
+    """The case (M, n, k, which), its window k..n-k+c read off (M, n)'s _lemma2_prefix_sums."""
+    c, r, _ = _ROW[which]
+    lo, hi = (min(max(j, 0), n + 2) for j in (k + 1, n - k + c + 2))
+    return LemmaCase(M, n, k, which, sums[0][hi] - sums[0][lo], sums[1 + r][hi] - sums[1 + r][lo])
+
+
 def lemma2_discrete(M: int, n: int, k: int, which: str) -> LemmaCase:
     """Exact-integer evaluation of one window-restricted binomial sum inequality."""
     if not (isinstance(M, (int, np.integer)) and M >= 1):
@@ -219,11 +240,7 @@ def lemma2_discrete(M: int, n: int, k: int, which: str) -> LemmaCase:
     if which not in DISCRETE_WHICH:
         raise ValueError(f"which must be one of {DISCRETE_WHICH}, got {which!r}")
     M, n, k = int(M), int(n), int(k)
-    c, r, _ = _ROW[which]
-    window = range(k, n - k + c + 1)
-    lhs = sum(int_binom_exact(M - 1, i) * int_binom_exact(M - 1, n - i) for i in window)
-    rhs = sum(int_binom_exact(M, i + r) * int_binom_exact(M - 2, n - i - r) for i in window)
-    return LemmaCase(M, n, k, which, lhs, rhs)
+    return _lemma2_window(M, n, k, which, _lemma2_prefix_sums(M, n))
 
 
 def discrete_lemma_sweep(max_M: int = 12) -> list[LemmaCase]:
@@ -236,17 +253,20 @@ def discrete_lemma_sweep(max_M: int = 12) -> list[LemmaCase]:
     is vacuously broken at M = 1: its right side carries a C(-1, .)
     factor that the zero-extension convention kills entirely (the factor
     only ever arises from second derivatives, which need M >= 2); a
-    smaller max_M, which would sweep nothing, raises ValueError.
+    smaller max_M, which would sweep nothing, raises ValueError. The exact
+    terms of each (M, n) are summed once (_lemma2_prefix_sums) and every
+    window is read off those sums.
     """
     if max_M < _SWEEP_MIN_M:
         raise ValueError(f"the discrete sweep needs max_M >= {_SWEEP_MIN_M}, got {max_M!r}")
     cases = []
     for M in range(_SWEEP_MIN_M, max_M + 1):
         for n in range(0, 2 * M - 1):
+            sums = _lemma2_prefix_sums(M, n)
             for k in range(_SWEEP_K_MIN, (n + 1) // 2 + 1):
                 for _, which, c, _, _ in _LEMMA2:
                     if n - k + c >= k:
-                        cases.append(lemma2_discrete(M, n, k, which))
+                        cases.append(_lemma2_window(M, n, k, which, sums))
     return cases
 
 

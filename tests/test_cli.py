@@ -491,6 +491,76 @@ def test_table_writers_match_the_references_on_any_cells(rows):
         assert _written_table(fmt, _META, columns) == _reference_table(fmt, _META, columns)
 
 
+def _csv_numbers(values):
+    # the data lines of a one-column CSV table, written by _write_rows
+    args = argparse.Namespace(format="csv", out=None)
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        betamix.cli._write_rows(args, _META, [values])
+    return buf.getvalue().splitlines()[3:]
+
+
+def _assert_g17(values):
+    # every cell is the %.17g text of its value as a double
+    expected = ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+    assert _csv_numbers(values) == expected
+
+
+def _around(values):
+    # each double, its neighbours either way, and the negatives of all three
+    v = np.asarray(values, dtype=float)
+    near = np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)])
+    return np.concatenate([near, -near])
+
+
+def test_digit_path_at_powers_of_ten():
+    # decimal text (10^k) and the double nearest it by float arithmetic
+    # (10.0^k), 1e-5 to 1e17, where log10 may miss the exponent by one
+    powers = [float(f"1e{k}") for k in range(-5, 18)] + [10.0**k for k in range(-5, 18)]
+    _assert_g17(_around(powers))
+
+
+def test_digit_path_around_two_to_the_53():
+    k = np.arange(-64, 65, dtype=float)
+    _assert_g17(_around(2.0**53 + k))
+    _assert_g17(2.0**53 + 2.0 * k)
+
+
+def test_digit_path_edges_of_fixed_notation():
+    # ties on the 17th digit round half to even; 1e-4 is the first value in
+    # fixed notation and the double below it is not; 9999999999999999 and
+    # the doubles up to 1e16 are the last
+    cells = [1e15 + 0.25, 1e15 + 1.25, 1e15 + 0.75, 1e-4, np.nextafter(1e-4, 0.0), 9999999999999999.0,
+             9999999999999998.0, 1e16, 0.1, 0.5, 0.25, 123.456, 1.0, 99999999999999999e-20]
+    assert _csv_numbers([1e15 + 0.25, 1e15 + 1.25]) == ["1000000000000000.2", "1000000000000001.2"]
+    _assert_g17(cells + [-c for c in cells])
+
+
+def test_digit_path_zeros_subnormals_and_ints():
+    # signed zeros, subnormals, non-finite values and int64 columns, which
+    # %.17g writes as the double nearest each int
+    _assert_g17([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.nan, math.inf, -math.inf])
+    ints = np.array([0, 1, -1, 7, 10**15, 10**16 - 1, 10**16, 2**53 + 1, 2**62 + 3, -(2**63), 2**63 - 1])
+    assert _csv_numbers(ints) == ["%.17g" % v for v in ints.tolist()]
+
+
+_FIXED = st.floats(1e-4, 1e16, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(st.one_of(_FIXED, _FIXED.map(lambda v: -v)), min_size=1, max_size=20))
+def test_digit_path_matches_g17_on_fixed_notation(values):
+    _assert_g17(values)
+
+
+def test_digit_path_matches_g17_on_a_million_doubles():
+    # random bit patterns and log-uniform magnitudes from 1e-6 to 1e18, in
+    # chunks of 4096 rows
+    rng = np.random.default_rng(26)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    magnitudes = 10.0 ** rng.uniform(-6.0, 18.0, 800_000) * rng.choice([-1.0, 1.0], 800_000)
+    _assert_g17(np.concatenate([bits, magnitudes]))
+
+
 @pytest.mark.parametrize("command", ["lemmas", "eval"])
 def test_json_tables_are_the_json_dumps_bytes(command, geometric_file, tmp_path, capsys):
     # a JSON table parses back to a payload whose json.dumps gives its bytes;
@@ -541,6 +611,27 @@ def test_repeated_runs_identical(violated_file, tmp_path):
     assert main(["certify", "--input", violated_file, "--seed", "7", "--out", str(a)]) == 1
     assert main(["certify", "--input", violated_file, "--seed", "7", "--out", str(b)]) == 1
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_parser_built_once_per_process(geometric_file, tmp_path, monkeypatch, capsys):
+    # main() parses with one parser for the whole process: two calls write
+    # the same bytes without building another, and a bad flag still exits 2
+    built = []
+    monkeypatch.setattr(betamix.cli, "build_parser", lambda: built.append(1) or build_parser())
+    betamix.cli._parser.cache_clear()
+    try:
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert main(["eval", "--input", geometric_file, "--grid-points", "7", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--input", geometric_file, "--grid", "7"])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+        assert main(["lemmas", "--M", "2", "--n", "1"]) == 0
+        assert len(built) == 1
+    finally:
+        betamix.cli._parser.cache_clear()
 
 
 @pytest.mark.parametrize("flag", ["--q", "--k", "--quad-nodes", "--grid"])

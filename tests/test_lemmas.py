@@ -185,6 +185,20 @@ def test_lemma2_discrete_against_explicit_sums():
                     assert case.holds(0.0) or M == 1
 
 
+def test_discrete_sweep_windows_match_explicit_sums():
+    # the sweep reads every window off prefix sums of each (M, n)'s terms;
+    # each of its cases at M <= 12 against the sums written out one by one
+    cases = discrete_lemma_sweep(max_M=12)
+    keys = set()
+    for case in cases:
+        M, n, k = case.M, case.n, case.window
+        assert (case.lhs, case.rhs) == lemma2_discrete_sums(M, n, k)[case.which], (M, n, k, case.which)
+        assert type(case.lhs) is int and type(case.rhs) is int
+        assert lemma2_discrete(M, n, k, case.which) == case
+        keys.add((M, n, k, case.which))
+    assert len(keys) == len(cases) == 2442
+
+
 def test_lemma2_discrete_far_negative_k_matches_k0():
     for which in ("ineq2p1", "ineq2p2", "ineq2p3"):
         far = lemma2_discrete(5, 4, -30, which)
