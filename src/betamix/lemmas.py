@@ -25,7 +25,7 @@ from itertools import accumulate
 import numpy as np
 
 from .mixtures import ContinuousMixture, DiscreteMixture, below_chord, density_grid, is_log_concave_weights, unit_scaled
-from .quadrature import kronrod_integral, panel_nodes
+from .quadrature import check_gauss_kronrod, panel_nodes
 from .special import DomainError, int_binom_exact, log_abs_gen_binom_ext
 
 # Lemma 2, one row per inequality: (continuous name, discrete name, c, r,
@@ -157,52 +157,83 @@ def _window_interval(M: float, n: float, q: float, which: str):
     min(n + c + 2r, 2M - n - c - 2r), the widest value keeping the interval
     inside the constraint strip (beyond that the lower constraints truncate
     the window asymmetrically and the inequality is no longer covered).
-    Returns (lo, hi, clipped) with lo > hi meaning the empty set.
+    Returns (lo, hi, clipped) with lo >= hi meaning the empty set, which
+    a clip to q_eff <= 0 gives.
     """
     c, r, _ = _ROW[which]
     center = n + c
     q_eff = min(q, center + 2 * r, 2.0 * M - n - c - 2 * r)
-    if q_eff <= 0.0:
-        return 0.0, -1.0, True
     return (center - q_eff) / 2.0, (center + q_eff) / 2.0, q_eff < q
 
 
-def _binom_ext_product(m1, s1, m2, s2):
-    log1, sign1 = log_abs_gen_binom_ext(m1, s1)
-    log2, sign2 = log_abs_gen_binom_ext(m2, s2)
-    return sign1 * sign2 * np.exp(log1 + log2)
+# Cases per array pass of lemma2_continuous_cases: a pass holds about two
+# dozen doubles per node, and a case in the sweep (M <= 20) has about 100
+# nodes on average, so a pass peaks near 5 MB whatever the number of cases
+_CASES_PER_PASS = 256
 
 
-def _lemma2_integrands(M: float, n: float, which: str):
-    """The lhs and rhs integrands of one inequality, as functions of s."""
-    r = _ROW[which][1]
-    return (lambda s: _binom_ext_product(M - 1.0, s, M - 1.0, n - s),
-            lambda s: _binom_ext_product(M, s + r, M - 2.0, n - s - r))
+def _lemma2_pass(cases) -> list[LemmaCase]:
+    """One array pass of lemma2_continuous_cases over valid cases."""
+    windows = [_window_interval(*case) for case in cases]
+    live = [i for i, (lo, hi, _) in enumerate(windows) if lo < hi]
+    sides = np.zeros((2, len(cases)))
+    if live:
+        lo, hi = np.array([windows[i][:2] for i in live]).T
+        # one panel per unit: the lemma integrands have no x-tilt for
+        # quadrature.PANELS_PER_UNIT to cover, and the gate below judges each integral
+        s, wk, wg = panel_nodes(np.stack([lo, hi, hi], axis=1).ravel(), np.tile([0.0, 0.0, -np.inf], len(live)),
+                                per_unit=1)
+        nodes = np.ceil(hi - lo).astype(int)
+        nodes *= s.size // nodes.sum()
+        M, n, r = np.repeat([(cases[i][0], cases[i][1], _ROW[cases[i][3]][1]) for i in live], nodes, axis=0).T
+        ext = [log_abs_gen_binom_ext(m, t) for m, t in ((M - 1.0, s), (M - 1.0, n - s), (M, s + r), (M - 2.0, n - s - r))]
+        f = np.stack([a[1] * b[1] * np.exp(a[0] + b[0]) for a, b in (ext[:2], ext[2:])])
+        # an overflowed integrand leaves a nan gap, which the gate fails
+        with np.errstate(invalid="ignore"):
+            kronrod, gauss, scale = (np.add.reduceat(w * v, np.cumsum(nodes) - nodes, axis=1)
+                                     for w, v in ((wk, f), (wg, f), (wk, abs(f))))
+            gap = abs(kronrod - gauss) / np.where(scale > 0.0, scale, 1.0)
+        worst = cases[live[np.argmax(gap.max(axis=0))]]
+        check_gauss_kronrod(gap, "{3} integrand (M={0}, n={1}, q={2})".format(*worst))
+        sides[:, live] = kronrod
+    return [LemmaCase(*case, lhs, rhs, clipped=window[2])
+            for case, window, lhs, rhs in zip(cases, windows, *sides.tolist())]
+
+
+def lemma2_continuous_cases(cases) -> list[LemmaCase]:
+    """Evaluate a list of (M, n, q, which) integral inequalities in array passes.
+
+    Each pass takes up to _CASES_PER_PASS cases. Every live window gets
+    ceil(hi - lo) Gauss-Kronrod panels, one per unit of s, from a single
+    panel_nodes call, whose breakpoints cut each window from the next by a
+    point of -inf log value; four log_abs_gen_binom_ext calls give lhs
+    C(M-1, s) C(M-1, n-s) and rhs C(M, s+r) C(M-2, n-s-r) at every node,
+    and each case's Kronrod and Gauss sums are read off with
+    np.add.reduceat. One check_gauss_kronrod call gates every integral of
+    the pass, each gap measured on the Kronrod integral of |integrand| as
+    in quadrature.kronrod_integral. A case's values do not depend on the
+    other cases in the list. An empty window reads 0 on both sides.
+    """
+    for M, n, q, which in cases:
+        for name, value, floor in (("M", M, 1.0), ("q", q, 0.0), ("n", n, -2.0)):
+            if not value > floor:
+                raise DomainError(f"lemma2_continuous requires {name} > {floor:g}, got {value!r}")
+        if which not in CONTINUOUS_WHICH:
+            raise ValueError(f"which must be one of {CONTINUOUS_WHICH}, got {which!r}")
+    return [case for i in range(0, len(cases), _CASES_PER_PASS) for case in _lemma2_pass(cases[i:i + _CASES_PER_PASS])]
 
 
 def lemma2_continuous(M: float, n: float, q: float, which: str) -> LemmaCase:
     """Evaluate one of the three window-restricted integral inequalities.
 
-    The binomial factors use the extension beyond their positivity domain
-    (the same Gamma functional equations behind the Pascal identities),
-    since the window set can carry the second factor's argument past its
+    The one-case call of lemma2_continuous_cases: one Gauss-Kronrod panel
+    per unit of s, each integral gated by its Kronrod-Gauss gap. The
+    binomial factors use the extension beyond their positivity domain (the
+    same Gamma functional equations behind the Pascal identities), since
+    the window set can carry the second factor's argument past its
     positive range even after clipping.
     """
-    if not M > 1.0:
-        raise DomainError(f"lemma2_continuous requires M > 1, got {M!r}")
-    if not q > 0.0:
-        raise DomainError(f"lemma2_continuous requires q > 0, got {q!r}")
-    if not n > -2.0:
-        raise DomainError(f"lemma2_continuous requires n > -2, got {n!r}")
-    if which not in CONTINUOUS_WHICH:
-        raise ValueError(f"which must be one of {CONTINUOUS_WHICH}, got {which!r}")
-    lo, hi, clipped = _window_interval(M, n, q, which)
-    if lo > hi:
-        return LemmaCase(M, n, q, which, 0.0, 0.0, clipped=True)
-    s, wk, wg = panel_nodes([lo, hi])
-    what = f"{which} integrand (M={M}, n={n}, q={q})"
-    results = [kronrod_integral(wk, wg, fn(s), what) for fn in _lemma2_integrands(M, n, which)]
-    return LemmaCase(M, n, q, which, results[0], results[1], clipped=clipped)
+    return lemma2_continuous_cases([(M, n, q, which)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +437,8 @@ def random_log_concave_weights(rng, M: int, zero_edges: bool = False):
     if zero_edges:
         lead = int(rng.integers(0, max(1, M // 3)))
         trail = int(rng.integers(0, max(1, M // 3)))
-        if lead:
-            w[:lead] = 0.0
-        if trail:
-            w[len(w) - trail :] = 0.0
+        w[:lead] = 0.0
+        w[len(w) - trail :] = 0.0
         if not np.any(w > 0.0):
             w[M // 2] = 1.0
     return w
@@ -450,17 +479,13 @@ def continuous_lemma_sweep(count: int = 50, seed: int = 0) -> list[LemmaCase]:
     """Randomized sweep of the three continuous inequalities.
 
     Draws M in (1, 20], n in (-2, 2M-2] and q in (0, 2M]; each draw is
-    evaluated for all three inequalities (3 * count cases). A negative
+    evaluated for all three inequalities (3 * count cases), all of them in
+    one lemma2_continuous_cases call at one panel per unit of s. A negative
     count raises ValueError.
     """
     if count < 0:
         raise ValueError(f"the continuous sweep needs count >= 0, got {count!r}")
-    rng = np.random.default_rng(seed)
-    cases = []
-    for _ in range(count):
-        M = 1.0 + 19.0 * (1.0 - rng.random())
-        n = -2.0 + 2.0 * M * (1.0 - rng.random())
-        q = 2.0 * M * (1.0 - rng.random())
-        for which in CONTINUOUS_WHICH:
-            cases.append(lemma2_continuous(M, n, q, which))
-    return cases
+    u = 1.0 - np.random.default_rng(seed).random((count, 3))
+    m = 1.0 + 19.0 * u[:, 0]
+    draws = zip(m.tolist(), (-2.0 + 2.0 * m * u[:, 1]).tolist(), (2.0 * m * u[:, 2]).tolist())
+    return lemma2_continuous_cases([(M, n, q, which) for M, n, q in draws for which in CONTINUOUS_WHICH])

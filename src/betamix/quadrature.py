@@ -51,9 +51,10 @@ _WG = (
 
 # Panels per unit length of the integration variable where the caller knows
 # nothing else about the integrand (the mixing-function integrals behind
-# normalization and cdf, and the lemma integrands). The density at a point x
-# sets its own floor from the x-tilt of its kernel instead: see
-# mixtures.ContinuousEvaluator.
+# normalization and cdf). The density at a point x sets its own floor from
+# the x-tilt of its kernel instead (see mixtures.ContinuousEvaluator), and
+# the lemma integrands, which have no tilt, take one panel per unit (see
+# lemmas.lemma2_continuous_cases).
 PANELS_PER_UNIT = 8
 # Largest drop of the log integrand's linear part across one panel: an
 # interval whose log values differ by d gets at least d / LOG_DROP_PER_PANEL

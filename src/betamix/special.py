@@ -85,11 +85,12 @@ def log_abs_gen_binom_ext(M: float, s) -> tuple[np.ndarray, np.ndarray]:
     The extension Gamma(M+1) * rGamma(s+1) * rGamma(M-s+1) (with rGamma the
     entire reciprocal Gamma) agrees with gen_binom inside the positive
     domain, vanishes at integer offsets s = -1, -2, ... and s = M+1, M+2,
-    ..., and alternates sign in between. Requires M > -1.
+    ..., and alternates sign in between. Requires M > -1; M may be an array
+    that broadcasts against s, one order per point.
 
     Returns (log_abs, sign) with log_abs = -inf where the value is 0.
     """
-    if not M > -1.0:
+    if not np.all(M > -1.0):
         raise DomainError(f"extended binomial requires order M > -1, got {M!r}")
     s = np.asarray(s, dtype=float)
     # gammaln is +inf at the poles of Gamma, so log_gen_binom_grid is already -inf there

@@ -1,11 +1,12 @@
 """Independent oracles shared across the test suite.
 
 Everything here deliberately avoids the package's evaluation paths:
-binomials come from Pascal's triangle or scipy's gammaln, integrals from
-brute-force midpoint Riemann sums, derivatives from central differences,
-densities from the direct textbook summation, Bernstein forms from the
-one-shot de Casteljau recurrence, quadrature panels one interval at a
-time, and the sign of the discrete Eq. 10 margin from integer sums.
+binomials come from Pascal's triangle, scipy's gammaln or mpmath's rgamma,
+integrals from brute-force midpoint Riemann sums or mpmath.quad,
+derivatives from central differences, densities from the direct textbook
+summation, Bernstein forms from the one-shot de Casteljau recurrence,
+quadrature panels one interval at a time, and the sign of the discrete
+Eq. 10 margin from integer sums.
 """
 
 import math
@@ -224,6 +225,33 @@ def lemma2_discrete_sums(M, n, k):
             sum(C(M, i + 1) * C(M - 2, n - i - 1) for i in range(k, n - k + 1)),
         ),
     }
+
+
+def lemma2_continuous_mp(M, n, q, which, dps=30):
+    """Both sides of one continuous inequality of Lemma 2, by mpmath at dps digits.
+
+    ineq4: lhs C(M-1,s) C(M-1,n-s), rhs C(M,s) C(M-2,n-s), over |2s - n| <= q
+    ineq5: the same integrands, over |2s - (n+1)| <= q
+    ineq6: lhs as ineq4, rhs C(M,s+1) C(M-2,n-s-1), over |2s - n| <= q
+    with C(m, s) = Gamma(m+1) rGamma(s+1) rGamma(m-s+1), mpmath's entire
+    reciprocal Gamma carrying it past its positive range. The window is
+    taken as given, unclipped, and integrated by mpmath.quad (Gauss-Legendre)
+    in pieces of at most 8 units of s.
+    """
+    import mpmath
+
+    c, r = {"ineq4": (0, 0), "ineq5": (1, 0), "ineq6": (0, 1)}[which]
+    with mpmath.workdps(dps):
+        M, n, q = (mpmath.mpf(float(v)) for v in (M, n, q))
+        gamma = {m: mpmath.gamma(m + 1) for m in (M - 2, M - 1, M)}
+
+        def binom(m, s):
+            return gamma[m] * mpmath.rgamma(s + 1) * mpmath.rgamma(m - s + 1)
+
+        lo, hi = (n + c - q) / 2, (n + c + q) / 2
+        pieces = mpmath.linspace(lo, hi, int(mpmath.ceil((hi - lo) / 8)) + 1)
+        sides = (lambda s: binom(M - 1, s) * binom(M - 1, n - s), lambda s: binom(M, s + r) * binom(M - 2, n - s - r))
+        return tuple(float(mpmath.quad(fn, pieces, method="gauss-legendre")) for fn in sides)
 
 
 def posterior_moments_mp(M, knots, log_alpha, x, dps=30):

@@ -25,7 +25,7 @@ from betamix import (
     sample,
     sharpness_check,
 )
-from betamix.lemmas import _lemma2_integrands, _window_interval
+from betamix.lemmas import _window_interval
 from betamix.mixtures import ContinuousEvaluator, discrete_density_grid, discrete_derivs_grid
 
 from oracles import binom_ext_oracle, riemann
@@ -119,13 +119,10 @@ def test_criterion_06_continuous_lemma_sweep():
         scale = max(abs(case.lhs), abs(case.rhs))
         if scale < 1e-3:
             continue
-        M, n = case.M, case.n
+        M, n, r = case.M, case.n, int(case.which == "ineq6")
         lo, hi, _ = _window_interval(M, n, case.window, case.which)
-        lhs_fn, rhs_fn = _lemma2_integrands(M, n, case.which)
-        lhs_ref = riemann(lhs_fn, lo, hi)
-        rhs_ref = riemann(rhs_fn, lo, hi)
-        lhs_ind = riemann(lambda s: binom_ext_oracle(M - 1, s) * binom_ext_oracle(M - 1, n - s), lo, hi)
-        assert lhs_ref == pytest.approx(lhs_ind, rel=1e-9)  # oracle self-consistency
+        lhs_ref = riemann(lambda s: binom_ext_oracle(M - 1, s) * binom_ext_oracle(M - 1, n - s), lo, hi)
+        rhs_ref = riemann(lambda s: binom_ext_oracle(M, s + r) * binom_ext_oracle(M - 2, n - s - r), lo, hi)
         assert case.lhs == pytest.approx(lhs_ref, rel=1e-6)
         assert case.rhs == pytest.approx(rhs_ref, rel=1e-6, abs=1e-12)
         spot_checked += 1

@@ -594,14 +594,14 @@ def test_broken_pipe_ends_the_output_quietly(tmp_path, monkeypatch, capsys):
         assert main(["sample", "--input", str(path), "--n", "10"]) == 0
     assert capsys.readouterr().err == ""
     src = os.path.join(os.path.dirname(PERFBENCH), "src")
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "betamix.cli", "sample", "--input", str(path), "--n", "100000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.stdout.readline().startswith(b"# betamix ")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=300) == 0
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"# betamix ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 0
     assert err == b""
 
 

@@ -7,6 +7,7 @@ from betamix import (
     DiscreteMixture,
     DomainError,
     MajorizationInstance,
+    QuadratureError,
     brute_force_logconcavity,
     certify,
     check_majorization,
@@ -19,10 +20,12 @@ from betamix import (
     lemma2_discrete,
     random_log_concave_weights,
 )
-from betamix.lemmas import _window_interval, midpoint_check, midpoint_triples
+from betamix import lemmas, quadrature
+from betamix.lemmas import CONTINUOUS_WHICH, _window_interval, lemma2_continuous_cases, midpoint_check, midpoint_triples
 from betamix.mixtures import discrete_derivs_grid
+from betamix.quadrature import panel_nodes
 
-from oracles import binom_ext_oracle, lemma2_discrete_sums, riemann
+from oracles import binom_ext_oracle, lemma2_continuous_mp, lemma2_discrete_sums, riemann
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +160,71 @@ def test_lemma2_continuous_domain():
 def test_lemma2_continuous_random_sweep_holds():
     for case in continuous_lemma_sweep(count=15, seed=7):
         assert case.holds(1e-7), case
+
+
+@pytest.mark.parametrize("seed, count", [(0, 30), (1, 30), (2, 30), (3, 200)])
+def test_continuous_sweep_is_the_one_case_path_bitwise(seed, count, monkeypatch):
+    # the sweep's array passes give each case exactly what the one-case call
+    # gives it, whatever else shares the pass and in whatever order, empty
+    # and clipped windows included; 3 * count cases take one panel layout
+    # per _CASES_PER_PASS of them
+    layouts = []
+    monkeypatch.setattr(lemmas, "panel_nodes", lambda *args, **kw: layouts.append(1) or panel_nodes(*args, **kw))
+    sweep = continuous_lemma_sweep(count=count, seed=seed)
+    assert len(layouts) == math.ceil(3 * count / lemmas._CASES_PER_PASS)
+    for case in sweep:
+        assert lemma2_continuous(case.M, case.n, case.window, case.which) == case
+    draws = [(c.M, c.n, c.window, c.which) for c in sweep]
+    assert lemma2_continuous_cases(draws[::-1]) == sweep[::-1]
+    windows = [_window_interval(*draw) for draw in draws]
+    assert any(lo > hi for lo, hi, _ in windows)
+    assert any(lo < hi and clipped for lo, hi, clipped in windows)
+    for case, (lo, hi, _) in zip(sweep, windows):
+        if lo > hi:
+            assert (case.lhs, case.rhs, case.clipped) == (0.0, 0.0, True)
+
+
+@pytest.mark.parametrize("M, n, q, which", [
+    (1.5, 0.7, 0.5, "ineq4"),
+    (1.5, 0.6, 0.3, "ineq6"),
+    (20.0, 17.3, 11.0, "ineq5"),
+    (20.0, 21.6, 15.0, "ineq6"),
+    (200.0, 190.4, 37.0, "ineq4"),
+    (200.0, 213.7, 52.0, "ineq5"),
+])
+def test_lemma2_continuous_against_mpmath(M, n, q, which):
+    # one panel per unit against 30-digit quadrature; at M = 200 the
+    # binomials' own log-space rounding (about 1e-13) is what differs
+    case = lemma2_continuous(M, n, q, which)
+    assert not case.clipped
+    lhs, rhs = lemma2_continuous_mp(M, n, q, which)
+    assert case.lhs == pytest.approx(lhs, rel=1e-12)
+    assert case.rhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_lemma2_continuous_gate_passes_up_to_order_200():
+    # one panel per unit keeps every Gauss-Kronrod gap within REL_TOL at
+    # orders far past the sweep's 20, over the sweep's ranges of n and q
+    rng = np.random.default_rng(11)
+    for M in (1.5, 5.0, 20.0, 60.0, 200.0):
+        u = 1.0 - rng.random((20, 2))
+        draws = zip(-2.0 + 2.0 * M * u[:, 0], 2.0 * M * u[:, 1])
+        cases = lemma2_continuous_cases([(M, n, q, which) for n, q in draws for which in CONTINUOUS_WHICH])
+        assert all(math.isfinite(c.lhs) and math.isfinite(c.rhs) for c in cases)
+
+
+def test_lemma2_continuous_gate_reads_the_gaps(monkeypatch):
+    # with no tolerance left, a rounding-level Kronrod-Gauss gap fails the gate
+    monkeypatch.setattr(quadrature, "REL_TOL", 0.0)
+    with pytest.raises(QuadratureError, match=r"ineq4 integrand \(M=200.0, n=190.4, q=37.0\)"):
+        lemma2_continuous_cases([(200.0, 190.4, 37.0, "ineq4")])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_lemma2_continuous_gate_names_the_worst_case():
+    # C(599, 300)^2 overflows a double: the one gate fails, naming that case
+    with pytest.raises(QuadratureError, match=r"ineq5 integrand \(M=600.0, n=600.0, q=20.0\)"):
+        lemma2_continuous_cases([(2.0, 2.0, 0.5, "ineq4"), (600.0, 600.0, 20.0, "ineq5"), (3.0, 2.0, 1.0, "ineq6")])
 
 
 # ---------------------------------------------------------------------------

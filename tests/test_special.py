@@ -149,3 +149,15 @@ def test_log_grid_edges_go_to_zero():
     assert np.all(np.isneginf(vals))
     log_abs, _ = log_abs_gen_binom_ext(2.0, np.array([-1.0, -2.0, 3.0]))
     assert np.all(np.isneginf(log_abs))
+
+
+def test_log_abs_gen_binom_ext_takes_one_order_per_point():
+    # an array of orders gives, point by point, what each scalar order gives
+    orders = np.array([-0.5, 0.5, 2.0, 3.5, 18.0])
+    s = np.array([-1.5, 0.3, 4.2, -0.7, 9.1])
+    log_abs, sign = log_abs_gen_binom_ext(orders, s)
+    for m, point, la, sg in zip(orders, s, log_abs, sign):
+        want = log_abs_gen_binom_ext(float(m), np.array([point]))
+        assert (la, sg) == (want[0][0], want[1][0])
+    with pytest.raises(DomainError):
+        log_abs_gen_binom_ext(np.array([2.0, -1.0]), np.array([0.5, 0.5]))

@@ -140,18 +140,19 @@ def test_tracer_counts_continuous_evaluator_entry_points(spans):
 
 def test_tracer_counts_lemma_sweeps(spans, tmp_path):
     # the lemmas command reaches the sweeps through betamix.cli's names, and
-    # each non-empty continuous case calls panel_nodes once and
-    # log_abs_gen_binom_ext four times (two products of two binomials) through
+    # the continuous sweep lays every non-empty window out at one panel per
+    # unit in one panel_nodes call, then calls log_abs_gen_binom_ext four
+    # times over all its nodes (two products of two binomials), through
     # betamix.lemmas' own names, which the tracer replaces
     discrete = lemmas.discrete_lemma_sweep(max_M=3)
     continuous = lemmas.continuous_lemma_sweep(count=2, seed=0)
     windows = [lemmas._window_interval(c.M, c.n, c.window, c.which)[:2] for c in continuous]
-    nodes = [quadrature.panel_nodes([lo, hi])[0].size for lo, hi in windows if lo <= hi]
+    nodes = sum(quadrature.panel_nodes([lo, hi], per_unit=1)[0].size for lo, hi in windows if lo < hi)
     assert nodes
     tracer = spans.Tracer()
     with tracer.installed():
         assert betamix.cli.main(["lemmas", "--M", "3", "--n", "2", "--out", str(tmp_path / "l.csv")]) == 0
     counts = tracer.counts
     assert counts["lemmas"] == {"discrete_cases": len(discrete), "continuous_cases": len(continuous)}
-    assert counts["quadrature"] == {"panel_calls": len(nodes), "rule_builds": len(nodes), "nodes": sum(nodes)}
-    assert counts["special"] == {"calls": 4 * len(nodes), "points": 4 * sum(nodes)}
+    assert counts["quadrature"] == {"panel_calls": 1, "rule_builds": 1, "nodes": nodes}
+    assert counts["special"] == {"calls": 4, "points": 4 * nodes}
