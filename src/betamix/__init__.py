@@ -47,7 +47,7 @@ from .mixtures import (
     sample,
 )
 from .quadrature import QuadratureError
-from .special import DomainError, gen_binom, gen_binom_ext, int_binom_exact, log_gamma
+from .special import DomainError, int_binom_exact
 
 __all__ = [
     "ConcavityCertificate",
@@ -72,14 +72,11 @@ __all__ = [
     "eval_derivs_continuous",
     "eval_derivs_discrete",
     "find_kernel_failure",
-    "gen_binom",
-    "gen_binom_ext",
     "int_binom_exact",
     "is_log_concave_weights",
     "kernel_log_curvature",
     "lemma2_continuous",
     "lemma2_discrete",
-    "log_gamma",
     "margin_eq10",
     "mixture_from_json",
     "mixture_to_json",

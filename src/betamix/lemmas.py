@@ -8,10 +8,15 @@ Three layers live here:
   form ineq4-ineq6 (quadrature over closed-form intervals) and discrete
   form ineq2p1-ineq2p3 (exact integers, zero tolerance), both read from
   one table of what the three inequalities differ in;
-* the coefficient-level inequalities that tie log-concave weights to the
-  curvature margin, plus a brute-force midpoint oracle for the certifier:
-  the chord test on log f at random triples, which reads density values
-  only, where the certifier reads the curvature margin.
+* the coefficient-level inequalities (Eq. 12-15) that tie log-concave
+  weights to the curvature margin, exact at every order: the weights are
+  read as integers over one power-of-two denominator, and each side is an
+  integer pair sum over binomial rows, returned as a Fraction. The rows
+  come from one running exact product, which the discrete Lemma 2 terms
+  read too;
+* a brute-force midpoint oracle for the certifier: the chord test on
+  log f at random triples, which reads density values only, where the
+  certifier reads the curvature margin.
 
 Seeded random generators for log-concave weight vectors and concave
 piecewise-linear mixing functions round out the module; they drive both
@@ -20,13 +25,14 @@ the randomized sweeps and the test suite.
 
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
 from .mixtures import ContinuousMixture, DiscreteMixture, below_chord, density_grid, is_log_concave_weights, unit_scaled
 from .quadrature import check_gauss_kronrod, panel_nodes
-from .special import DomainError, int_binom_exact, log_abs_gen_binom_ext
+from .special import DomainError, log_abs_gen_binom_ext
 
 # Lemma 2, one row per inequality: (continuous name, discrete name, c, r,
 # sign). Each sums lhs C(M-1, i) C(M-1, n-i) and rhs C(M, i+r) C(M-2, n-i-r)
@@ -240,17 +246,30 @@ def lemma2_continuous(M: float, n: float, q: float, which: str) -> LemmaCase:
 # discrete form, exact arithmetic
 
 
+def _binomial_row(m: int, u, length: int) -> list[int]:
+    """[u_i C(m, i) for i < length] (shorter if u is), C(m, i) by the running exact product c <- c (m-i) // (i+1).
+
+    The product reaches 0 at i = m + 1 and stays there; for m < 0 every C(m, i) is 0.
+    """
+    row, c = [], int(m >= 0)
+    for i, v in zip(range(length), u):
+        row.append(v * c)
+        c = c * (m - i) // (i + 1)
+    return row
+
+
 def _lemma2_prefix_sums(M: int, n: int):
     """Running sums of Lemma 2's exact terms at (M, n): lhs, then rhs for r = 0 and r = 1.
 
     Entry j sums the terms of i = -1 .. j-2; outside [-1, n] every term
     vanishes (zero-extended binomials), so each list has n + 3 entries and
-    any window is the difference of two of them.
+    any window is the difference of two of them. The binomials come from
+    _binomial_row; the rhs terms for r = 1 are those for r = 0 moved one
+    index down.
     """
-    span = range(-1, n + 1)
-    lhs = [int_binom_exact(M - 1, i) * int_binom_exact(M - 1, n - i) for i in span]
-    rhs = [[int_binom_exact(M, i + r) * int_binom_exact(M - 2, n - i - r) for i in span] for r in (0, 1)]
-    return [list(accumulate(terms, initial=0)) for terms in (lhs, *rhs)]
+    a, b, e = (_binomial_row(m, repeat(1), n + 1) for m in (M - 1, M, M - 2))
+    lhs, rhs = list(map(mul, a, reversed(a))), list(map(mul, b, reversed(e)))
+    return [list(accumulate(terms, initial=0)) for terms in ([0, *lhs], [0, *rhs], [*rhs, 0])]
 
 
 def _lemma2_window(M: int, n: int, k: int, which: str, sums) -> LemmaCase:
@@ -302,20 +321,31 @@ def discrete_lemma_sweep(max_M: int = 12) -> list[LemmaCase]:
 
 
 # ---------------------------------------------------------------------------
-# coefficient-level inequalities for weight vectors
+# coefficient-level inequalities for weight vectors, exact
 
 
-def _weights_at(weights: np.ndarray, shift: int = 0):
-    """i -> w_(i+shift), with 0 outside the weight vector."""
-    return lambda i: float(weights[i + shift]) if 0 <= i + shift < weights.shape[0] else 0.0
+def _exact_sides(weights, M: int, n: int, pairs):
+    """The checked DiscreteMixture(M, weights) and both sides of a coefficient at order n, as Fractions.
 
+    Every double is a dyadic rational, so with D the largest power-of-two
+    denominator the weights are integers W_i over D. pairs(W) gives
+    ((u, v), (x, y)); lhs sums u_i v_j C(M-1, i) C(M-1, j) and rhs
+    x_i y_j C(M, i) C(M-2, j) over i + j = n, each an exact pair sum of
+    two _binomial_row lists, over D^2.
+    """
+    from fractions import Fraction
 
-def _pair_sum(p, q, Mp: int, Mq: int, n: int) -> float:
-    """Sum over i + j = n (i from -2 to n+2) of p(i) q(j) C(Mp, i) C(Mq, j), binomials multiplied exactly."""
-    total = 0.0
-    for i in range(-2, n + 3):
-        total += p(i) * q(n - i) * (int_binom_exact(Mp, i) * int_binom_exact(Mq, n - i))
-    return total
+    if not 0 <= n <= 2 * M - 2:
+        raise DomainError(f"n must satisfy 0 <= n <= 2M-2, got n={n!r}, M={M!r}")
+    mix = DiscreteMixture(M, weights)
+    ratios = [w.as_integer_ratio() for w in mix.weights.tolist()]
+    D = max(den for _, den in ratios)
+    sides = []
+    for (u, v), (mu, mv) in zip(pairs([num * (D // den) for num, den in ratios]), ((M - 1, M - 1), (M, M - 2))):
+        a, b = _binomial_row(mu, u, n + 1), _binomial_row(mv, v, n + 1)
+        lo, hi = max(0, n - len(b) + 1), min(n, len(a) - 1)
+        sides.append(Fraction(sum(map(mul, a[lo:hi + 1], b[n - hi:n - lo + 1][::-1])), D * D))
+    return mix, tuple(sides)
 
 
 # index shifts (a, b, c, d) of each coefficient-level inequality: over i + j
@@ -324,45 +354,39 @@ def _pair_sum(p, q, Mp: int, Mq: int, n: int) -> float:
 _CORE_SHIFTS = {13: (0, 0, 0, 0), 14: (0, 1, 0, 1), 15: (1, 1, 0, 2)}
 
 
-def core_inequalities_discrete(weights, M: int, n: int, which: int) -> tuple[float, float]:
-    """Both sides of one coefficient-level inequality (which in {13, 14, 15}).
+def core_inequalities_discrete(weights, M: int, n: int, which: int):
+    """Both sides of one coefficient-level inequality (which in {13, 14, 15}), as exact Fractions.
 
     For log-concave weights the direction is lhs >= rhs for 13 and 15 and
     lhs <= rhs for 14; a non-log-concave input is reported by warning, not
-    an error. Binomials are exact integers; weights enter as floats.
+    an error. Weights that are no DiscreteMixture(M, weights) raise
+    ValueError.
     """
     if which not in _CORE_SHIFTS:
         raise ValueError(f"which must be 13, 14 or 15, got {which!r}")
-    if not 0 <= n <= 2 * M - 2:
-        raise DomainError(f"n must satisfy 0 <= n <= 2M-2, got n={n!r}, M={M!r}")
-    w = np.asarray(weights, dtype=float)
-    if not is_log_concave_weights(DiscreteMixture(M, w)):
+    a, b, c, d = _CORE_SHIFTS[which]
+    mix, sides = _exact_sides(weights, M, n, lambda W: ((W[a:], W[b:]), (W[c:], W[d:])))
+    if not is_log_concave_weights(mix):
         warnings.warn("weight vector is not log-concave; the inequality direction is not guaranteed",
                       stacklevel=2)
-    a, b, c, d = (_weights_at(w, k) for k in _CORE_SHIFTS[which])
-    return _pair_sum(a, b, M - 1, M - 1, n), _pair_sum(c, d, M, M - 2, n)
+    return sides
 
 
-def coefficient_inequality_12(weights, M: int, n: int) -> tuple[float, float]:
-    """Both sides of the coefficient identity behind the curvature margin.
+def coefficient_inequality_12(weights, M: int, n: int):
+    """Both sides of the coefficient identity behind the curvature margin, as exact Fractions.
 
     lhs pairs first differences against C(M-1,i)C(M-1,j); rhs pairs a
     weight against a second difference with C(M,i)C(M-2,j); indices run
     over i+j = n with out-of-range weights equal to zero. For log-concave
     weights lhs >= rhs, and M(M-1) * sum_n (lhs-rhs) (1-x)^n x^(2M-2-n)
-    equals ((M-1)/M) g'(x)^2 - g(x) g''(x).
+    equals ((M-1)/M) g'(x)^2 - g(x) g''(x). Weights that are no
+    DiscreteMixture(M, weights) raise ValueError.
     """
-    if not 0 <= n <= 2 * M - 2:
-        raise DomainError(f"n must satisfy 0 <= n <= 2M-2, got n={n!r}, M={M!r}")
-    w = _weights_at(np.asarray(weights, dtype=float))
+    def pairs(W):
+        d1 = [x - y for x, y in zip(W, W[1:])]
+        return (d1, d1), (W, [x - y for x, y in zip(d1, d1[1:])])
 
-    def d1(i):
-        return w(i) - w(i + 1)
-
-    def d2(i):
-        return w(i) - 2.0 * w(i + 1) + w(i + 2)
-
-    return _pair_sum(d1, d1, M - 1, M - 1, n), _pair_sum(w, d2, M, M - 2, n)
+    return _exact_sides(weights, M, n, pairs)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ binomials come from Pascal's triangle, scipy's gammaln or mpmath's rgamma,
 integrals from brute-force midpoint Riemann sums or mpmath.quad,
 derivatives from central differences, densities from the direct textbook
 summation, Bernstein forms from the one-shot de Casteljau recurrence,
-quadrature panels one interval at a time, and the sign of the discrete
-Eq. 10 margin from integer sums.
+quadrature panels one interval at a time, the sign of the discrete
+Eq. 10 margin from integer sums, and the Eq. 12-15 coefficients from
+Fraction double loops.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
@@ -225,6 +227,39 @@ def lemma2_discrete_sums(M, n, k):
             sum(C(M, i + 1) * C(M - 2, n - i - 1) for i in range(k, n - k + 1)),
         ),
     }
+
+
+def coefficient_sides_fraction(weights, M, which):
+    """Both sides of Eq. 12 (which=12) or of Eq. 13-15 at every n = 0..2M-2, as Fractions.
+
+    A double loop over i, j in 0..M adds each product into entry n = i + j:
+    lhs takes u_i v_j C(M-1,i) C(M-1,j) and rhs x_i y_j C(M,i) C(M-2,j),
+    with each weight read exactly as Fraction(w_i) and 0 outside 0..M.
+    Eq. 12: u = v = w_i - w_(i+1), x = w_i, y = w_j - 2w_(j+1) + w_(j+2).
+    Eq. 13: w_i w_j on both sides; Eq. 14: w_i w_(j+1) on both sides;
+    Eq. 15: lhs w_(i+1) w_(j+1), rhs w_i w_(j+2).
+    """
+    w = [Fraction(float(v)) for v in weights]
+
+    def at(i):
+        return w[i] if 0 <= i <= M else Fraction(0)
+
+    lhs_term, rhs_term = {
+        12: (lambda i, j: (at(i) - at(i + 1)) * (at(j) - at(j + 1)),
+             lambda i, j: at(i) * (at(j) - 2 * at(j + 1) + at(j + 2))),
+        13: (lambda i, j: at(i) * at(j), lambda i, j: at(i) * at(j)),
+        14: (lambda i, j: at(i) * at(j + 1), lambda i, j: at(i) * at(j + 1)),
+        15: (lambda i, j: at(i + 1) * at(j + 1), lambda i, j: at(i) * at(j + 2)),
+    }[which]
+    lhs = [Fraction(0)] * (2 * M - 1)
+    rhs = [Fraction(0)] * (2 * M - 1)
+    for i in range(M + 1):
+        for j in range(M + 1):
+            # every term past n = 2M-2 has a vanishing binomial
+            if i + j <= 2 * M - 2:
+                lhs[i + j] += lhs_term(i, j) * _comb(M - 1, i) * _comb(M - 1, j)
+                rhs[i + j] += rhs_term(i, j) * _comb(M, i) * _comb(M - 2, j)
+    return lhs, rhs
 
 
 def lemma2_continuous_mp(M, n, q, which, dps=30):

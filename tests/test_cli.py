@@ -482,7 +482,7 @@ _CELLS = st.tuples(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(rows=st.lists(_CELLS, max_size=12))
 def test_table_writers_match_the_references_on_any_cells(rows):
     names = ["f", "b", "i", "s"]

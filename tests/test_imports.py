@@ -1,8 +1,9 @@
 """The import graph: importing betamix and running its discrete commands loads numpy only.
 
 scipy is loaded on first use, by a continuous integral, the continuous lemma
-sweep or cdf. Each check runs in a fresh interpreter, whose sys.modules
-holds nothing the test process imported before.
+sweep or cdf, and fractions by the exact coefficient functions; decimal by
+neither. Each check runs in a fresh interpreter, whose sys.modules holds
+nothing the test process imported before.
 """
 
 import json
@@ -28,6 +29,10 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 
+def exact_modules():
+    return sorted(m for m in ("fractions", "decimal") if m in sys.modules)
+
+
 disc = os.path.join(tmp, "discrete.json")
 cont = os.path.join(tmp, "continuous.json")
 with open(disc, "w") as fh:
@@ -35,6 +40,7 @@ with open(disc, "w") as fh:
 with open(cont, "w") as fh:
     json.dump({"M": 3.0, "knots": [0.0, 1.5, 3.0], "log_alpha": [0.0, 0.4, -0.8]}, fh)
 after_import = scipy_modules()
+exact_after_import = exact_modules()
 codes = {}
 for name, argv in (
     ("eval", ["eval", "--input", disc, "--grid-points", "16"]),
@@ -44,6 +50,7 @@ for name, argv in (
 ):
     codes[name] = main(argv + ["--out", os.path.join(tmp, name + ".out")])
 after_discrete = scipy_modules()
+exact_after_discrete = exact_modules()
 if then == "continuous-certify":
     result = main(["certify", "--input", cont, "--grid-points", "16", "--out", os.path.join(tmp, "c.out")])
 else:
@@ -51,6 +58,8 @@ else:
 print(json.dumps({
     "after_import": after_import,
     "after_discrete": after_discrete,
+    "exact_after_import": exact_after_import,
+    "exact_after_discrete": exact_after_discrete,
     "codes": codes,
     "result": result,
     "scipy_loaded": "scipy" in sys.modules,
@@ -74,6 +83,7 @@ def test_discrete_commands_never_load_scipy_and_first_use_does(tmp_path, then):
     assert report["after_import"] == []
     assert report["codes"] == {"eval": 0, "certify": 0, "sample": 0, "demo": 0}
     assert report["after_discrete"] == []
+    assert report["exact_after_import"] == report["exact_after_discrete"] == []
     if then == "continuous-certify":
         assert report["result"] == 0
     else:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +27,14 @@ from betamix.lemmas import CONTINUOUS_WHICH, _window_interval, lemma2_continuous
 from betamix.mixtures import discrete_derivs_grid
 from betamix.quadrature import panel_nodes
 
-from oracles import binom_ext_oracle, lemma2_continuous_mp, lemma2_discrete_sums, riemann
+from oracles import (
+    binom_ext_oracle,
+    coefficient_sides_fraction,
+    discrete_derivs_oneshot,
+    lemma2_continuous_mp,
+    lemma2_discrete_sums,
+    riemann,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +423,88 @@ def test_coefficient_12_consistency_with_certifier():
             assert lhs >= rhs - 1e-10 * max(1.0, abs(lhs), abs(rhs))
         cert = certify(DiscreteMixture(M, w))
         assert cert.min_margin_eq10 >= -1e-9
+
+
+def _coefficient_weights(rng, M, kind, max_exponent=600):
+    """Weights for the exact coefficient tests: log-concave, zero-edged or bimodal, times 2^k, |k| < max_exponent."""
+    if kind == "bimodal":
+        i = np.arange(M + 1.0)
+        w = np.exp(-0.5 * ((i - M / 4) / 1.5) ** 2) + 0.5 * np.exp(-0.5 * ((i - 3 * M / 4) / 1.5) ** 2)
+    else:
+        w = random_log_concave_weights(rng, M, zero_edges=kind == "zero-edged")
+    return w * 2.0 ** int(rng.integers(-max_exponent, max_exponent))
+
+
+@pytest.mark.parametrize("kind", ["log-concave", "zero-edged", "bimodal"])
+def test_coefficient_views_equal_the_fraction_oracle(kind):
+    rng = np.random.default_rng(204)
+    for M in (1, 2, 3, 5, 8, 13, 24):
+        w = _coefficient_weights(rng, M, kind)
+        for which in (12, 13, 14, 15):
+            want = coefficient_sides_fraction(w, M, which)
+            for n in range(2 * M - 1):
+                if which == 12:
+                    got = coefficient_inequality_12(w, M, n)
+                else:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)
+                        got = core_inequalities_discrete(w, M, n, which)
+                assert all(isinstance(side, Fraction) for side in got)
+                assert got == (want[0][n], want[1][n]), (M, which, n)
+
+
+@pytest.mark.parametrize("M", [600, 1000])
+def test_coefficients_past_the_double_range(M):
+    # the middle sides pass the double range here, so only exact arithmetic reaches them
+    middle = (0, 1, M - 1, 2 * M - 3, 2 * M - 2)
+    for n in middle:
+        # Vandermonde: uniform weights give C(2M-2, n) on both sides of Eq. 13
+        assert core_inequalities_discrete(np.ones(M + 1), M, n, 13) == (math.comb(2 * M - 2, n),) * 2
+        lhs, rhs = coefficient_inequality_12(0.5 ** np.arange(M + 1), M, n)
+        assert lhs == rhs > 0
+    assert math.comb(2 * M - 2, M - 1).bit_length() > 1024
+    w = random_log_concave_weights(np.random.default_rng(M), M)
+    for n in middle:
+        lhs, rhs = coefficient_inequality_12(w, M, n)
+        assert lhs >= rhs
+        for which in (13, 14, 15):
+            lhs, rhs = core_inequalities_discrete(w, M, n, which)
+            assert lhs <= rhs if which == 14 else lhs >= rhs
+
+
+def test_coefficient_12_geometric_tight_at_every_order():
+    M = 400
+    w = 0.5 ** np.arange(M + 1)
+    diffs = [lhs - rhs for lhs, rhs in (coefficient_inequality_12(w, M, n) for n in range(2 * M - 1))]
+    assert len(diffs) == 799
+    assert all(d == 0 for d in diffs)
+
+
+@pytest.mark.parametrize("M", [3, 7, 12])
+def test_coefficients_give_the_log_concavity_numerator(M):
+    # g'^2 - g g'' = M sum_n (M lhs_n - (M-1) rhs_n) (1-x)^n x^(2M-2-n), with
+    # the Eq. 12 coefficients summed exactly at x and g from de Casteljau
+    rng = np.random.default_rng(205)
+    for kind in ("log-concave", "zero-edged", "bimodal"):
+        w = _coefficient_weights(rng, M, kind, max_exponent=60)
+        coef = [coefficient_inequality_12(w, M, n) for n in range(2 * M - 1)]
+        for x in (0.05, 0.3, 0.5, 0.77, 0.95):
+            g, d1, d2 = (float(v[0]) for v in discrete_derivs_oneshot(w, M, np.array([x])))
+            X = Fraction(x)
+            exact = M * sum((M * lhs - (M - 1) * rhs) * (1 - X) ** n * X ** (2 * M - 2 - n)
+                            for n, (lhs, rhs) in enumerate(coef))
+            assert abs(d1 * d1 - g * d2 - float(exact)) <= 1e-13 * (d1 * d1 + abs(g * d2)), (kind, x)
+
+
+@pytest.mark.parametrize("view", ["12", "13"])
+@pytest.mark.parametrize("M, weights", [(5, np.ones(3)), (2, [1.0, -1.0, 1.0]), (2, [1.0, 1.0, math.nan])])
+def test_coefficient_views_check_their_weights(view, M, weights):
+    # wrong length, a negative weight, nan: no DiscreteMixture(M, weights)
+    with pytest.raises(ValueError, match="weights"):
+        if view == "12":
+            coefficient_inequality_12(weights, M, 2)
+        else:
+            core_inequalities_discrete(weights, M, 2, 13)
 
 
 # ---------------------------------------------------------------------------
