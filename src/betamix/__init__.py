@@ -47,7 +47,7 @@ from .mixtures import (
     sample,
 )
 from .quadrature import QuadratureError
-from .special import DomainError, int_binom_exact
+from .special import DomainError
 
 __all__ = [
     "ConcavityCertificate",
@@ -72,7 +72,6 @@ __all__ = [
     "eval_derivs_continuous",
     "eval_derivs_discrete",
     "find_kernel_failure",
-    "int_binom_exact",
     "is_log_concave_weights",
     "kernel_log_curvature",
     "lemma2_continuous",

@@ -10,14 +10,16 @@ scale-free in the weights. Where it is >= 0, (log f)'' = -margin -
 (f'/f)^2/M <= 0, so it is the one test a certificate applies: at every
 point of a grid, where the worst margin is recorded together with the
 largest log-curvature (log f)'', and at 64 random off-grid points, all
-from one evaluation. A discrete margin comes from
-mixtures.derivative_ratios on de Casteljau's f, f' and f''; a continuous
-one straight from the posterior moments (ContinuousEvaluator.forms), so
-it is finite at every point, even where f underflows. Every point
-evaluates the unit-scaled mixture (mixtures.unit_scaled), so the weights'
-scale changes a certificate at most by rounding. The chord test on f
-itself is left to lemmas.brute_force_logconcavity, an oracle that reads
-density values only.
+from one evaluation. The margins are among the forms of the mixture as
+given that both engines return: a discrete one from
+mixtures.discrete_derivs_grid, formed on each point's power-of-two scale
+of de Casteljau's f, f' and f''; a continuous one straight from the
+posterior moments (ContinuousEvaluator.forms), so it is finite at every
+point, even where f underflows. Both engines evaluate the unit-scaled
+mixture, so the weights' scale changes a certificate at most by
+rounding. The chord test on f itself is left to
+lemmas.brute_force_logconcavity, an oracle that reads density values
+only.
 """
 
 import math
@@ -25,13 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .mixtures import (
-    ContinuousEvaluator,
-    DiscreteMixture,
-    derivative_ratios,
-    discrete_derivs_grid,
-    unit_scaled,
-)
+from .mixtures import ContinuousEvaluator, DiscreteMixture, discrete_derivs_grid
 from .mixtures import discrete_density_grid  # noqa: F401  (perfbench/spans.py wraps this name here)
 from .special import DomainError
 
@@ -90,16 +86,11 @@ class ConcavityCertificate:
         return out | {"tool_version": __version__, "input": input_echo}
 
 
-def _unit_ratios(mix, xs):
-    """(f'/f, (log f)'', margin) over xs of the unit-scaled mix, from one evaluation.
-
-    That is one de Casteljau call for a discrete mixture and one moment
-    pass for a continuous one.
-    """
-    scaled = unit_scaled(mix)
+def _ratios(mix, xs):
+    """(f'/f, (log f)'', margin) over xs, from one de Casteljau call or one moment pass."""
     if isinstance(mix, DiscreteMixture):
-        return derivative_ratios(*discrete_derivs_grid(scaled, xs), float(mix.M))
-    return ContinuousEvaluator(scaled).forms(xs)[4:]
+        return discrete_derivs_grid(mix, xs)[4:]
+    return ContinuousEvaluator(mix).forms(xs)[4:]
 
 
 def margin_eq10(mix, x: float) -> float:
@@ -107,14 +98,13 @@ def margin_eq10(mix, x: float) -> float:
 
     Nonnegative exactly when ((M-1)/M) f'^2 >= f f''; the normalization by
     f^2 makes the value a curvature-like, weight-scale-free quantity.
-    Formed as in certify, on the unit-scaled mixture, so it equals the
-    certificate's margin at a grid point bit for bit. A discrete margin is
-    nan where that mixture's f underflows; a continuous one, read off the
-    posterior moments, is not.
+    Formed as in certify, so it equals the certificate's margin at a grid
+    point bit for bit. A discrete margin is nan where the unit-scaled f
+    underflows; a continuous one, read off the posterior moments, is not.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"margin_eq10 requires 0 < x < 1, got {x!r}")
-    return float(_unit_ratios(mix, np.array([x]))[2][0])
+    return float(_ratios(mix, np.array([x]))[2][0])
 
 
 def check_eps(eps: float) -> None:
@@ -158,7 +148,7 @@ def certify(
         return ConcavityCertificate(VERDICT_DEGENERATE, grid_points, eps, tol, CRITERION_EQ10)
 
     pts = eps + (1.0 - 2.0 * eps) * np.random.default_rng(seed).random(_MIDPOINT_CHECKS)
-    _, logcurv, margins = _unit_ratios(mix, np.concatenate([xs, pts]))
+    _, logcurv, margins = _ratios(mix, np.concatenate([xs, pts]))
     margins, off_grid = np.split(margins, [grid_points])
 
     # a discrete margin is nan where f underflowed, and those points are
@@ -211,16 +201,19 @@ def sharpness_check(M: int, r: float, grid_points: int = 1024) -> float:
     Geometric weights make the density c(1 + lambda*x)^M, for which the
     curvature margin vanishes identically, so the returned maximum is a
     sharpness (and floating-point stability) measure; contract: <= 1e-8.
-    The margins are certify's, from _unit_ratios on the grid of certify at
-    eps = 1e-6, so grid_points must be at least 3. Points where the
-    density underflows carry no margin and are left out.
+    The weights are built with the largest equal to 1, r^(i-M) for r > 1,
+    so none overflows; the margins do not depend on that scale. They are
+    certify's, from _ratios on the grid of certify at eps = 1e-6, so
+    grid_points must be at least 3. Points where the density underflows
+    carry no margin and are left out.
     """
     if not (isinstance(M, (int, np.integer)) and M >= 1):
         raise DomainError(f"sharpness_check needs a positive integer order, got {M!r}")
     if not (r > 0.0 and r != 1.0):
         raise DomainError(f"sharpness_check needs r > 0, r != 1, got {r!r} (r=1 is the constant case)")
-    mix = DiscreteMixture(int(M), float(r) ** np.arange(M + 1, dtype=float))
-    margins = _unit_ratios(mix, _grid(grid_points, 1e-6))[2]
+    i = np.arange(M + 1, dtype=float)
+    mix = DiscreteMixture(int(M), float(r) ** (i - M if r > 1.0 else i))
+    margins = _ratios(mix, _grid(grid_points, 1e-6))[2]
     return float(np.max(np.abs(margins), initial=0.0, where=np.isfinite(margins)))
 
 

@@ -44,12 +44,9 @@ from .mixtures import (
     DegenerateMixtureError,
     DiscreteMixture,
     discrete_derivs_grid,
-    discrete_forms,
     mixture_from_json,
     mixture_to_json,
     sample,
-    unit_scaled,
-    weight_exponent,
 )
 from .quadrature import QuadratureError
 from .special import DomainError
@@ -313,13 +310,7 @@ def cmd_eval(args, mix, meta) -> int:
         raise ValueError("--grid-points must be at least 2")
     check_eps(args.eps)
     xs = np.linspace(args.eps, 1.0 - args.eps, args.grid_points)
-    # log f and (log f)'' are those of the unit-scaled mixture (unit_scaled),
-    # with log f shifted back: by k log 2 for weights divided by 2^k, by the
-    # peak of log alpha for a continuous mixture
-    if isinstance(mix, DiscreteMixture):
-        forms = discrete_forms(discrete_derivs_grid(unit_scaled(mix), xs), weight_exponent(mix), mix.M)
-    else:
-        forms = ContinuousEvaluator(mix).forms(xs)
+    forms = discrete_derivs_grid(mix, xs) if isinstance(mix, DiscreteMixture) else ContinuousEvaluator(mix).forms(xs)
     f, d1, d2, log_f, _, log_d2, _ = forms
     _write_table(args, meta, {"x": xs, "f": f, "d1": d1, "d2": d2, "log_f": log_f, "log_d2": log_d2})
     return EXIT_OK

@@ -1,6 +1,6 @@
 """Executable verifiers for the combinatorics behind the curvature margin.
 
-Three layers live here:
+Four layers live here:
 
 * the majorization trick (weighted-sum domination transfers through a
   decreasing weight sequence), checked hypothesis by hypothesis;
@@ -19,8 +19,9 @@ Three layers live here:
   certifier reads the curvature margin.
 
 Seeded random generators for log-concave weight vectors and concave
-piecewise-linear mixing functions round out the module; they drive both
-the randomized sweeps and the test suite.
+piecewise-linear mixing functions round out the module, as public inputs
+for tests and experiments; neither sweep calls them (the continuous sweep
+draws its own (M, n, q)).
 """
 
 import warnings
@@ -30,7 +31,7 @@ from operator import mul
 
 import numpy as np
 
-from .mixtures import ContinuousMixture, DiscreteMixture, below_chord, density_grid, is_log_concave_weights, unit_scaled
+from .mixtures import ContinuousMixture, DiscreteMixture, below_chord, density_grid, is_log_concave_weights
 from .quadrature import check_gauss_kronrod, panel_nodes
 from .special import DomainError, log_abs_gen_binom_ext
 
@@ -428,19 +429,19 @@ def brute_force_logconcavity(mix, samples: int = 1000, seed: int = 0) -> dict:
     """Direct midpoint-definition test over random (x, y, lambda) triples.
 
     Independent of the analytic-derivative machinery: only density values
-    enter, those of the unit-scaled mixture (unit_scaled), whose logs differ
+    enter, those of the unit-scaled mixture (density_grid), whose logs differ
     from the mixture's by one constant, so no weight scale makes them
     underflow. Returns {"ok": bool, "witness": (x, y, lam) or None}.
     """
     triples, pts = midpoint_triples(samples, 1e-9, np.random.default_rng(seed))
     with np.errstate(divide="ignore"):
-        log_f = np.log(density_grid(unit_scaled(mix), pts))
+        log_f = np.log(density_grid(mix, pts))
     failures, witness = midpoint_check(triples, log_f)
     return {"ok": failures == 0, "witness": witness}
 
 
 # ---------------------------------------------------------------------------
-# seeded random generators (drive the sweeps and the test suite)
+# seeded random generators (inputs for tests and experiments)
 
 
 def random_log_concave_weights(rng, M: int, zero_edges: bool = False):

@@ -30,17 +30,20 @@ instead of the exponent. Blocks of x are sized by the de Casteljau byte
 budget and share one buffer, and one einsum reduces each block against
 every Kronrod and Gauss weight row at once.
 
-The weight scale is taken out in one place. Every log and ratio, the
-certifier's margins among them, and the densities of the brute-force
-midpoint oracle read the unit-scaled mixture (unit_scaled), whose
-discrete weights are divided by a power of two 2^k and whose continuous
-log alpha peaks at 0, so f, f' and f'' stay in range. The continuous tables are built on it,
-and its peak joins each point's log scale, so continuous linear values are
-those of the mixture's own alpha, and log f and every ratio, read off the
-moments, are finite wherever the posterior is. The discrete score, (log
-f)'' and margin are formed by derivative_ratios on each point's own
-power-of-two scale of the unit-scaled f; the linear values are scaled back
-by 2^k, and log f is shifted by k log 2.
+The weight scale is taken out inside the evaluators. Both engines return
+the same seven forms of the mixture as given, (f, f', f'', log f, f'/f,
+(log f)'', margin): discrete_derivs_grid and ContinuousEvaluator.forms.
+Each evaluates the unit-scaled mixture (unit_scaled), whose discrete
+weights are divided by a power of two 2^k and whose continuous log alpha
+peaks at 0, so f, f' and f'' stay in range. The continuous tables are
+built on it, and its peak joins each point's log scale, so continuous
+linear values are those of the mixture's own alpha, and log f and every
+ratio, read off the moments, are finite wherever the posterior is.
+discrete_derivs_grid forms the score, (log f)'' and margin on each point's
+own power-of-two scale of the unit-scaled f, scales the linear values
+back by 2^k and shifts log f by k log 2. density_grid, which the sampler
+and the brute-force midpoint oracle read, is the density of the
+unit-scaled mixture.
 """
 
 import math
@@ -94,10 +97,6 @@ class DiscreteMixture:
     @property
     def is_zero(self) -> bool:
         return not np.any(self.weights > 0.0)
-
-    def reversed(self) -> "DiscreteMixture":
-        """Mixture with the weight vector reversed; its density is g(1-x)."""
-        return DiscreteMixture(self.M, self.weights[::-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,35 +192,6 @@ def unit_scaled(mix):
     return DiscreteMixture(mix.M, np.ldexp(mix.weights, -weight_exponent(mix)))
 
 
-def derivative_ratios(f, d1, d2, M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f'/f, (log f)'' = (f f'' - f'^2)/f^2 and the Eq. 10 margin [((M-1)/M) f'^2 - f f'']/f^2 of discrete values.
-
-    f, f' and f'' are first divided, point by point, by the power of two
-    that puts f in [0.5, 1). That is exact, and the same as evaluating on
-    weights so scaled: each ratio keeps its bits, while the products in it
-    can no longer overflow or underflow where the ratio is finite. Where f
-    is not a normal double (0, a subnormal with too few digits, inf or
-    nan) all three read nan.
-    """
-    f = np.asarray(f, dtype=float)
-    normal = np.isfinite(f) & (f >= _TINY)
-    k = np.frexp(np.where(normal, f, 1.0))[1]
-    fs, d1s, d2s = (np.where(normal, np.ldexp(v, -k), math.nan) for v in (f, d1, d2))
-    return d1s / fs, (fs * d2s - d1s * d1s) / (fs * fs), (((M - 1.0) / M) * d1s * d1s - fs * d2s) / (fs * fs)
-
-
-def discrete_forms(scaled, k: int, M):
-    """(f, f', f'', log f, f'/f, (log f)'', margin) from (f, f', f'') of the weights divided by 2^k.
-
-    The ratios are derivative_ratios of the scaled values, the linear
-    values are those times 2^k, and log f is the log of the scaled f plus
-    k log 2. The order is that of ContinuousEvaluator.forms.
-    """
-    with np.errstate(divide="ignore"):
-        log_f = np.log(scaled[0]) + k * _LN2
-    return (*(np.ldexp(v, k) for v in scaled), log_f, *derivative_ratios(*scaled, M))
-
-
 @dataclass(frozen=True)
 class EvalResult:
     """Density value with first/second derivatives and their log-domain forms.
@@ -230,12 +200,11 @@ class EvalResult:
     (log f)'' = (f*f'' - f'^2)/f^2, so neither overflows nor underflows
     where it is finite. They and log_value are those of the unit-scaled
     mixture (unit_scaled), with log f shifted back, so they hold where the
-    unscaled f would underflow or f'' overflow. A discrete value comes from
-    discrete_forms: d1 and d2 are the unit-scaled results times 2^k, the
-    shift is k log 2, and the ratios are nan where the unit-scaled f is not
-    a normal double. A continuous one comes from ContinuousEvaluator.forms:
-    the linear values are those of its own alpha, and the log forms are
-    read off the posterior moments, finite wherever the posterior is.
+    unscaled f would underflow or f'' overflow. The six fields are the
+    first six forms of discrete_derivs_grid or ContinuousEvaluator.forms.
+    A discrete value's ratios are nan where the unit-scaled f is not a
+    normal double; a continuous one's log forms are read off the posterior
+    moments, finite wherever the posterior is.
     """
 
     value: float
@@ -319,15 +288,36 @@ def discrete_density_grid(mix: DiscreteMixture, x) -> np.ndarray:
     return _decasteljau([mix.weights[::-1]], x)[0]
 
 
-def discrete_derivs_grid(mix: DiscreteMixture, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g, g', g'') over an array of points, all by de Casteljau in one block loop."""
-    w = mix.weights
-    M = mix.M
+def discrete_derivs_grid(mix: DiscreteMixture, x):
+    """(f, f', f'', log f, f'/f, (log f)'', margin) over an array of points, in the order of ContinuousEvaluator.forms.
+
+    de Casteljau evaluates f, f' and f'' of the unit-scaled mixture, whose
+    weights are divided by 2^k with k = weight_exponent(mix), in one block
+    loop. The linear values are those times 2^k, past the double range
+    inf, and log f is the log of the scaled f plus k log 2. For the score
+    f'/f, (log f)'' = (f f'' - f'^2)/f^2 and the Eq. 10 margin [((M-1)/M)
+    f'^2 - f f'']/f^2, the scaled values are first divided, point by
+    point, by the power of two that puts f in [0.5, 1). That is exact, so
+    each ratio keeps its bits, while the products in it can no longer
+    overflow or underflow where the ratio is finite. Where the scaled f is
+    not a normal double (0, a subnormal with too few digits) all three
+    read nan. Every form has x's shape.
+    """
+    k = weight_exponent(mix)
+    w, M = np.ldexp(mix.weights, -k), mix.M
     coeff_sets = [w[::-1], (M * (w[:-1] - w[1:]))[::-1]]
     if M >= 2:
         coeff_sets.append((M * (M - 1) * (w[:-2] - 2.0 * w[1:-1] + w[2:]))[::-1])
-    g, d1, *d2 = _decasteljau(coeff_sets, x)
-    return g, d1, d2[0] if d2 else np.zeros_like(g)
+    f, d1, *d2 = _decasteljau(coeff_sets, x)
+    scaled = f, d1, d2[0] if d2 else np.zeros_like(f)
+    normal = np.isfinite(f) & (f >= _TINY)
+    e = np.frexp(np.where(normal, f, 1.0))[1]
+    fs, d1s, d2s = (np.where(normal, np.ldexp(v, -e), math.nan) for v in scaled)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_f = np.log(f) + k * _LN2
+        linear = [np.ldexp(v, k) for v in scaled]
+    curv, margin = fs * d2s - d1s * d1s, ((M - 1.0) / M) * d1s * d1s - fs * d2s
+    return (*linear, log_f, d1s / fs, curv / (fs * fs), margin / (fs * fs))
 
 
 def eval_density_discrete(mix: DiscreteMixture, x: float) -> float:
@@ -344,8 +334,7 @@ def eval_derivs_discrete(mix: DiscreteMixture, x: float) -> EvalResult:
     """Density and analytic first/second derivatives at x in (0, 1)."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"eval_derivs_discrete requires 0 < x < 1, got {x!r}")
-    scaled = [float(v) for v in discrete_derivs_grid(unit_scaled(mix), x)]
-    return EvalResult(*map(float, discrete_forms(scaled, weight_exponent(mix), mix.M)[:6]))
+    return EvalResult(*map(float, discrete_derivs_grid(mix, x)[:6]))
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +525,15 @@ def eval_derivs_continuous(mix: ContinuousMixture, x: float) -> EvalResult:
 
 
 def density_grid(mix, x) -> np.ndarray:
-    """Density over an array of x in [0, 1] for either mixture kind.
+    """Density of the unit-scaled mixture (unit_scaled) over an array of x in [0, 1], for either kind.
 
-    Endpoint values are the limits: (w_M, w_0) for discrete mixtures and 0
-    for continuous ones.
+    That is the mixture's density divided by one constant, so it neither
+    overflows nor underflows for the weights' scale alone. Endpoint values
+    are the limits: (w_M, w_0) of the scaled weights for discrete mixtures
+    and 0 for continuous ones.
     """
     x = np.asarray(x, dtype=float)
+    mix = unit_scaled(mix)
     if isinstance(mix, DiscreteMixture):
         return discrete_density_grid(mix, x)
     out = np.zeros(x.shape)
@@ -604,7 +596,7 @@ def sample(mix, count: int, seed: int, grid_points: int = 4096) -> np.ndarray:
     """Deterministic inverse-CDF draws from the normalized density.
 
     The CDF is tabulated on a uniform grid of `grid_points` points, from
-    the density of the unit-scaled mixture (unit_scaled), and inverted by
+    density_grid, the density of the unit-scaled mixture, and inverted by
     monotone linear interpolation, so the accuracy of the draws is bounded
     by the grid resolution. A table whose mass is not positive and finite
     raises DegenerateMixtureError. Identical seeds give identical output.
@@ -616,7 +608,7 @@ def sample(mix, count: int, seed: int, grid_points: int = 4096) -> np.ndarray:
     if mix.is_zero:
         raise DegenerateMixtureError("cannot sample the identically-zero mixture")
     xs = np.linspace(0.0, 1.0, grid_points)
-    dens = density_grid(unit_scaled(mix), xs)
+    dens = density_grid(mix, xs)
     increments = 0.5 * (dens[:-1] + dens[1:]) * np.diff(xs)
     cdf_tab = np.concatenate([[0.0], np.cumsum(increments)])
     if not (cdf_tab[-1] > 0.0 and math.isfinite(cdf_tab[-1])):

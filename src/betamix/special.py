@@ -1,32 +1,19 @@
-"""Generalized binomial coefficients, exact on integers and in log space on grids.
+"""Generalized binomial coefficients in log space on grids.
 
-int_binom_exact gives C(M, i) as an exact integer, zero outside 0 <= i <= M.
 The two grid functions work in log space, so orders up to ~1e4 never
 overflow an intermediate Gamma value: log_gen_binom_grid (continuous
 density tables) and log_abs_gen_binom_ext, its signed extension beyond the
 positive domain (the continuous lemma integrands). Both import scipy's
 gammaln on their first call, so importing betamix loads numpy only, and
-discrete densities, derivatives and certificates never load scipy.
+discrete densities, derivatives and certificates never load scipy. Exact
+integer binomials are built in lemmas, by one running product.
 """
-
-import math
 
 import numpy as np
 
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-def int_binom_exact(M: int, i: int) -> int:
-    """Exact binomial coefficient with the zero-extension convention.
-
-    Returns C(M, i) as an arbitrary-precision integer, and 0 whenever
-    i < 0 or i > M, so sums over shifted indices can run freely.
-    """
-    if i < 0 or i > M:
-        return 0
-    return math.comb(M, i)
 
 
 def log_gen_binom_grid(M: float, s) -> np.ndarray:

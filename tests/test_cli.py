@@ -296,6 +296,14 @@ def test_demo_sharpness(capsys):
     assert worst <= 1e-8
 
 
+def test_demo_sharpness_above_ratio_one_at_a_high_order(capsys):
+    # r^i overflowed from i = 309 at r = 10; the weights now peak at 1
+    assert main(["demo", "--M", "400", "--r", "10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert float(captured.out.rsplit("max_abs_margin=", 1)[1].split()[0]) <= 1e-8
+
+
 def test_demo_kernel_failure(capsys):
     assert main(["demo", "--M", "2", "--s", "-0.5"]) == 0
     text = capsys.readouterr().out

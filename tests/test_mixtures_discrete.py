@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -81,7 +82,7 @@ def test_reversal_symmetry():
         mix = DiscreteMixture(M, w)
         xs = rng.uniform(0.0, 1.0, 16)
         fwd = discrete_density_grid(mix, xs)
-        rev = discrete_density_grid(mix.reversed(), 1.0 - xs)
+        rev = discrete_density_grid(DiscreteMixture(M, w[::-1]), 1.0 - xs)
         np.testing.assert_allclose(fwd, rev, rtol=1e-12, atol=1e-300)
 
 
@@ -122,13 +123,13 @@ def test_blocked_decasteljau_matches_oneshot_bitwise(M, weights, top):
     ref = discrete_derivs_oneshot(weights, M, x)
     mix = DiscreteMixture(M, weights)
     for count in counts:
-        got = discrete_derivs_grid(mix, x[:count])
+        got = discrete_derivs_grid(mix, x[:count])[:3]
         for a, b in zip(got, ref):
             assert a.shape == (count,)
             assert np.array_equal(a, b[:count])
     assert np.array_equal(discrete_density_grid(mix, x[:top]), ref[0][:top])
     for point in (0.0, 1.0, 0.37):
-        got = discrete_derivs_grid(mix, np.float64(point))
+        got = discrete_derivs_grid(mix, np.float64(point))[:3]
         for a, b in zip(got, discrete_derivs_oneshot(weights, M, np.float64(point))):
             assert a.shape == ()
             assert np.array_equal(a, b)
@@ -170,7 +171,7 @@ def test_buffer_alignment_changes_no_value(monkeypatch, M, weights):
     ref = discrete_derivs_oneshot(weights, M, x)
     mix = DiscreteMixture(M, weights)
     aligned = {
-        count: (*discrete_derivs_grid(mix, x[:count]), discrete_density_grid(mix, x[:count])) for count in counts
+        count: (*discrete_derivs_grid(mix, x[:count])[:3], discrete_density_grid(mix, x[:count])) for count in counts
     }
     for count, got in aligned.items():
         for a, b in zip(got, (*ref, ref[0])):
@@ -179,7 +180,7 @@ def test_buffer_alignment_changes_no_value(monkeypatch, M, weights):
         carved = []
         monkeypatch.setattr(mixtures, "_line_buffers", _carve_past_a_line(shift, carved))
         for count in counts:
-            got = (*discrete_derivs_grid(mix, x[:count]), discrete_density_grid(mix, x[:count]))
+            got = (*discrete_derivs_grid(mix, x[:count])[:3], discrete_density_grid(mix, x[:count]))
             for a, b in zip(got, aligned[count]):
                 assert np.array_equal(a, b)
         assert carved and set(carved) == {shift}
@@ -207,16 +208,71 @@ def test_decasteljau_works_in_four_block_buffers():
     # kept across steps
     mix = DiscreteMixture(320, np.random.default_rng(18).uniform(0.0, 3.0, 321))
     x = np.random.default_rng(19).uniform(0.0, 1.0, 1088)
-    want = discrete_derivs_grid(mix, x)
+    want = discrete_derivs_grid(mix, x)[:3]
     tracemalloc.start()
     try:
-        got = discrete_derivs_grid(mix, x)
+        got = discrete_derivs_grid(mix, x)[:3]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     assert peak < 4 * mixtures._BLOCK_BYTES + 3 * 8 * x.size + 64 * 1024
+
+
+def test_derivs_grid_returns_the_seven_forms_in_x_shape():
+    # (f, f', f'', log f, f'/f, (log f)'', margin), the order of ContinuousEvaluator.forms
+    M = 12
+    w = np.random.default_rng(20).uniform(0.5, 3.0, M + 1)
+    mix = DiscreteMixture(M, w)
+    x = np.random.default_rng(21).uniform(0.05, 0.95, (3, 4))
+    forms = discrete_derivs_grid(mix, x)
+    assert len(forms) == 7 and all(v.shape == x.shape for v in forms)
+    f, d1, d2, log_f, score, logcurv, margin = forms
+    for a, b in zip((f, d1, d2), discrete_derivs_oneshot(w, M, x)):
+        assert np.array_equal(a, b)
+    np.testing.assert_allclose(log_f, np.log(f), rtol=1e-15)
+    np.testing.assert_allclose(score, d1 / f, rtol=1e-13)
+    scale = 1e-12 * np.max(score**2)
+    np.testing.assert_allclose(logcurv, (f * d2 - d1**2) / f**2, rtol=1e-12, atol=scale)
+    np.testing.assert_allclose(margin, ((M - 1) / M * d1**2 - f * d2) / f**2, rtol=1e-12, atol=scale)
+    assert all(v.shape == () for v in discrete_derivs_grid(mix, 0.3))
+
+
+_DYADIC_TAIL = np.array([1.0, 0.75, 0.5, 0.25, 3 * 2.0**-20, 2.0**-40, 5 * 2.0**-60])
+
+
+@pytest.mark.parametrize(
+    "unit, j",
+    [
+        (random_log_concave_weights(np.random.default_rng(22), 40), 900),
+        (random_log_concave_weights(np.random.default_rng(22), 40), 1022),
+        (random_log_concave_weights(np.random.default_rng(22), 40), -900),
+        # its last two weights are subnormal at 2^-1000, and still exact
+        (_DYADIC_TAIL, -1000),
+    ],
+    ids=["2^900", "2^1022", "2^-900", "subnormal-tail"],
+)
+def test_derivs_grid_forms_move_only_by_the_weight_scale(unit, j):
+    # weights that peak at 1, and the same weights times 2^j: every ratio
+    # keeps its bits, log f moves by j log 2, and f, f', f'' by exactly 2^j
+    # wherever that is a normal double (at 2^1022 some f' and f'' read inf)
+    M = unit.size - 1
+    scaled = np.ldexp(unit, j)
+    assert np.array_equal(np.ldexp(scaled, -j), unit)
+    x = np.linspace(0.02, 0.98, 49)
+    want = discrete_derivs_grid(DiscreteMixture(M, unit), x)
+    f, d1, d2, log_f, score, logcurv, margin = discrete_derivs_grid(DiscreteMixture(M, scaled), x)
+    for a, b in zip((score, logcurv, margin), want[4:]):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert np.all(np.isfinite(margin))
+    np.testing.assert_allclose(log_f, want[3] + j * math.log(2.0), rtol=1e-15)
+    with np.errstate(over="ignore"):
+        for a, b in zip((f, d1, d2), want[:3]):
+            expected = np.ldexp(b, j)
+            normal = np.isfinite(expected) & ((expected == 0.0) | (np.abs(expected) >= np.finfo(float).tiny))
+            assert np.array_equal(a[normal], expected[normal])
+            assert np.all(np.isinf(a[np.isinf(expected)]))
 
 
 def test_derivs_uniform_vanish():

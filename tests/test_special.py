@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from betamix import DomainError, int_binom_exact
+import math
+
+from betamix import DomainError
+from betamix.lemmas import _binomial_row
 from betamix.special import log_abs_gen_binom_ext, log_gen_binom_grid
 
 from oracles import pascal_triangle
@@ -89,26 +92,33 @@ def test_gen_binom_pascal_identity():
 def test_gen_binom_matches_exact_integers():
     for M in range(1, 61):
         i = np.arange(0, M + 1, max(1, M // 7))
-        want = [int_binom_exact(M, int(k)) for k in i]
+        want = [math.comb(M, int(k)) for k in i]
         np.testing.assert_allclose(_binom(float(M), i), want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("M, i, expected", [(3, 1, 3), (3, -1, 0), (3, 4, 0), (0, 0, 1)])
+# the exact binomials of the lemma layer: lemmas._binomial_row(m, u, length)
+# is [u_i C(m, i) for i < length], zero past m and for m < 0
+
+
+def _row(m, length):
+    return _binomial_row(m, [1] * length, length)
+
+
+@pytest.mark.parametrize("M, i, expected", [(3, 1, 3), (3, 4, 0), (0, 0, 1)])
 def test_int_binom_exact_small(M, i, expected):
-    assert int_binom_exact(M, i) == expected
+    assert _row(M, i + 1)[i] == expected
 
 
 def test_int_binom_exact_against_pascal():
     rows = pascal_triangle(60)
-    assert int_binom_exact(60, 30) == rows[60][30]
+    assert _row(60, 61)[30] == rows[60][30]
     for m in range(61):
-        for i in range(m + 1):
-            assert int_binom_exact(m, i) == rows[m][i]
+        assert _row(m, m + 3) == rows[m] + [0, 0]
 
 
 def test_int_binom_negative_order_is_zero():
-    assert int_binom_exact(-1, 0) == 0
-    assert int_binom_exact(-2, 3) == 0
+    assert _row(-1, 1) == [0]
+    assert _row(-2, 4) == [0, 0, 0, 0]
 
 
 def test_gen_binom_ext_matches_interior():

@@ -1,10 +1,11 @@
-"""The weight scale is taken out in one place.
+"""The weight scale is taken out inside the evaluators.
 
 Log-concavity, the Eq. 10 margin, f'/f and (log f)'' do not change when the
 weights are multiplied by a constant. Every log, ratio and midpoint check
-reads the unit-scaled mixture (mixtures.unit_scaled), and every ratio comes
-from mixtures.derivative_ratios, so a power-of-two weight scale leaves them
-bitwise unchanged and moves the linear values by exactly that power.
+reads the unit-scaled mixture (mixtures.unit_scaled), and every discrete
+ratio comes from mixtures.discrete_derivs_grid, so a power-of-two weight
+scale leaves them bitwise unchanged and moves the linear values by exactly
+that power.
 """
 
 import json

@@ -1,0 +1,47 @@
+"""Print the SHA-256 of every benchmark output, so two versions of the program can be compared byte for byte.
+
+    python tools/output_digests.py WORKDIR
+
+For seeds 1-3 this runs the seven cli-batch commands of perfbench/workloads.py,
+writing their files under WORKDIR/seed-N, and certifies every input of the
+discrete-certify and continuous-certify workloads, hashing each certificate's
+to_json as json.dumps(..., indent=2). One line per output, "<sha256>  <name>",
+then one digest of all those lines. The CLI headers hold the flags, the input
+path among them, so compare two versions on the same WORKDIR. The program is
+imported from ./src and the workloads from ./perfbench, which is only read.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def digests(workdir: Path):
+    """(name, sha256) of every output, in a fixed order."""
+    for seed in SEEDS:
+        for op in workloads.cli_batch(seed, str(workdir / f"seed-{seed}")).ops:
+            yield f"seed-{seed}/{op.name}", op.record(op.call())["sha256"]
+        for build in (workloads.discrete_certify, workloads.continuous_certify):
+            for op in build(seed, None).ops:
+                text = json.dumps(op.call().to_json(), indent=2)
+                yield f"seed-{seed}/{op.name}", hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> None:
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tools/output_digests.py WORKDIR")
+    lines = [f"{sha}  {name}" for name, sha in digests(Path(sys.argv[1]).resolve())]
+    print("\n".join(lines))
+    print(f"{hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}  all {len(lines)} outputs")
+
+
+if __name__ == "__main__":
+    main()
