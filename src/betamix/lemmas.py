@@ -28,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,15 +55,23 @@ _MAJORIZATION_TOL = 1e-10
 _MAX_LOG_STEP, _MAX_SEGMENTS = 1.0, 16
 
 
-@dataclass(frozen=True)
-class LemmaCase:
-    """One evaluated inequality instance: parameters plus both sides.
+# a continuous case holds when its margin is at least -CONTINUOUS_SLACK, an
+# absolute slack for the quadrature error of its two sides (Gauss-Kronrod
+# integrals, each gated by quadrature.REL_TOL); a discrete case is exact and
+# holds when its margin is at least 0
+CONTINUOUS_SLACK = 1e-7
 
-    window is q (continuous) or k (discrete). margin is oriented so the
-    inequality holds iff margin >= 0 (up to quadrature tolerance in the
-    continuous case; exactly in the discrete case). clipped records that
-    the requested q exceeded the widest window for which the integration
-    set stays inside its constraint strip and was reduced accordingly.
+
+class LemmaCase(NamedTuple):
+    """One evaluated inequality instance: parameters, both sides and the verdict.
+
+    window is q (continuous) or k (discrete). margin is sign * (lhs - rhs),
+    oriented so that the inequality holds iff margin >= 0. holds is set
+    where the case is built: margin >= 0 exactly on the integers of a
+    discrete case, margin >= -CONTINUOUS_SLACK for a continuous one.
+    clipped records that the requested q exceeded the widest window for
+    which the integration set stays inside its constraint strip and was
+    reduced accordingly (always False for a discrete case).
     """
 
     M: float
@@ -71,14 +80,9 @@ class LemmaCase:
     which: str
     lhs: float
     rhs: float
+    margin: float
+    holds: bool
     clipped: bool = False
-
-    @property
-    def margin(self):
-        return _ROW[self.which][2] * (self.lhs - self.rhs)
-
-    def holds(self, tol: float = 0.0) -> bool:
-        return self.margin >= -tol
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +207,10 @@ def _lemma2_pass(cases) -> list[LemmaCase]:
         worst = cases[live[np.argmax(gap.max(axis=0))]]
         check_gauss_kronrod(gap, "{3} integrand (M={0}, n={1}, q={2})".format(*worst))
         sides[:, live] = kronrod
-    return [LemmaCase(*case, lhs, rhs, clipped=window[2])
-            for case, window, lhs, rhs in zip(cases, windows, *sides.tolist())]
+    margin = np.array([_ROW[case[3]][2] for case in cases]) * (sides[0] - sides[1])
+    return [LemmaCase(*case, *values, window[2])
+            for case, window, *values in zip(cases, windows, *sides.tolist(), margin.tolist(),
+                                             (margin >= -CONTINUOUS_SLACK).tolist())]
 
 
 def lemma2_continuous_cases(cases) -> list[LemmaCase]:
@@ -219,7 +225,9 @@ def lemma2_continuous_cases(cases) -> list[LemmaCase]:
     np.add.reduceat. One check_gauss_kronrod call gates every integral of
     the pass, each gap measured on the Kronrod integral of |integrand| as
     in quadrature.kronrod_integral. A case's values do not depend on the
-    other cases in the list. An empty window reads 0 on both sides.
+    other cases in the list. An empty window reads 0 on both sides. Each
+    pass sets its cases' margins and verdicts (LemmaCase) in one array
+    operation each.
     """
     for M, n, q, which in cases:
         for name, value, floor in (("M", M, 1.0), ("q", q, 0.0), ("n", n, -2.0)):
@@ -274,14 +282,24 @@ def _lemma2_prefix_sums(M: int, n: int):
 
 
 def _lemma2_window(M: int, n: int, k: int, which: str, sums) -> LemmaCase:
-    """The case (M, n, k, which), its window k..n-k+c read off (M, n)'s _lemma2_prefix_sums."""
-    c, r, _ = _ROW[which]
-    lo, hi = (min(max(j, 0), n + 2) for j in (k + 1, n - k + c + 2))
-    return LemmaCase(M, n, k, which, sums[0][hi] - sums[0][lo], sums[1 + r][hi] - sums[1 + r][lo])
+    """The case (M, n, k, which), its window k..n-k+c read off (M, n)'s _lemma2_prefix_sums.
+
+    The sums' entry j covers the terms below index j - 1, so the window is
+    entries max(k + 1, 0) to min(n - k + c + 2, n + 2); k <= (n + 1) / 2
+    keeps the first at most the second. margin and holds are exact.
+    """
+    c, r, sign = _ROW[which]
+    lo, hi = max(k + 1, 0), min(n - k + c + 2, n + 2)
+    lhs, rhs = sums[0][hi] - sums[0][lo], sums[1 + r][hi] - sums[1 + r][lo]
+    margin = sign * (lhs - rhs)
+    return LemmaCase(M, n, k, which, lhs, rhs, margin, margin >= 0)
 
 
 def lemma2_discrete(M: int, n: int, k: int, which: str) -> LemmaCase:
-    """Exact-integer evaluation of one window-restricted binomial sum inequality."""
+    """Exact-integer evaluation of one window-restricted binomial sum inequality.
+
+    The case's sides and margin are Python ints; it holds iff the margin is >= 0.
+    """
     if not (isinstance(M, (int, np.integer)) and M >= 1):
         raise DomainError(f"lemma2_discrete requires a positive integer M, got {M!r}")
     if not (isinstance(n, (int, np.integer)) and n >= 0):
@@ -306,7 +324,8 @@ def discrete_lemma_sweep(max_M: int = 12) -> list[LemmaCase]:
     only ever arises from second derivatives, which need M >= 2); a
     smaller max_M, which would sweep nothing, raises ValueError. The exact
     terms of each (M, n) are summed once (_lemma2_prefix_sums) and every
-    window is read off those sums.
+    window is read off those sums, as lemma2_discrete reads it: each case
+    carries its integer sides and margin, and holds iff the margin is >= 0.
     """
     if max_M < _SWEEP_MIN_M:
         raise ValueError(f"the discrete sweep needs max_M >= {_SWEEP_MIN_M}, got {max_M!r}")
@@ -505,8 +524,9 @@ def continuous_lemma_sweep(count: int = 50, seed: int = 0) -> list[LemmaCase]:
 
     Draws M in (1, 20], n in (-2, 2M-2] and q in (0, 2M]; each draw is
     evaluated for all three inequalities (3 * count cases), all of them in
-    one lemma2_continuous_cases call at one panel per unit of s. A negative
-    count raises ValueError.
+    one lemma2_continuous_cases call at one panel per unit of s, so each
+    case is the one lemma2_continuous gives and holds iff its margin is at
+    least -CONTINUOUS_SLACK. A negative count raises ValueError.
     """
     if count < 0:
         raise ValueError(f"the continuous sweep needs count >= 0, got {count!r}")

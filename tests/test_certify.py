@@ -357,6 +357,20 @@ def test_sharpness_geometric(M, r):
     assert sharpness_check(M, r, 1024) <= 1e-8
 
 
+@pytest.mark.parametrize("M, r", [
+    (150, 0.01), (300, 0.1), (1000, 0.5), (400, 0.01), (400, 0.2), (1000, 2.0),
+    (60, 1000.0), (1000, 1 - 1e-3), (30, 1 + 1e-10),
+])
+def test_sharpness_within_its_relative_bound(M, r):
+    # the margin is a difference of terms of size (f'/f)^2, at most
+    # (M(1-r)/min(1, r))^2, plus the rounding of the weight differences, of
+    # size M^2 near r = 1; an absolute 1e-8 does not hold at these orders
+    # (M=150, r=0.01 reads 1.3e-7), this bound does with room (the largest
+    # ratio measured is 7e-15)
+    d = (1.0 - r) / min(1.0, r)
+    assert sharpness_check(M, r, 64 if M >= 400 else 1024) <= 1e-13 * M * M * (1.0 + d * d)
+
+
 def test_sharpness_rejects_trivial_ratio():
     with pytest.raises(DomainError):
         sharpness_check(10, 1.0)

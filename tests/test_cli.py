@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import betamix
 import betamix.cli
 from betamix.cli import build_parser, main
-from betamix.lemmas import LemmaCase
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -281,7 +280,11 @@ def test_lemmas_deterministic(tmp_path):
 
 def test_lemmas_negate_self_test(tmp_path, monkeypatch):
     # a sweep whose every case fails must make the command exit 1
-    monkeypatch.setattr(LemmaCase, "holds", lambda self, tol=0.0: False)
+    def failing(sweep):
+        return lambda *args, **kw: [case._replace(holds=False) for case in sweep(*args, **kw)]
+
+    for name in ("discrete_lemma_sweep", "continuous_lemma_sweep"):
+        monkeypatch.setattr(betamix.cli, name, failing(getattr(betamix.cli, name)))
     out = tmp_path / "neg.csv"
     assert main(["lemmas", "--M", "3", "--n", "2", "--out", str(out)]) == 1
     _, rows = _data_rows(out.read_text())
@@ -423,6 +426,29 @@ def test_eval_csv_streamed_in_chunks_writes_the_single_join_bytes(geometric_file
 def test_lemmas_csv_streamed_writes_the_single_join_bytes(tmp_path, capsys):
     table = _assert_csv_is_the_single_join(["lemmas", "--M", "4", "--n", "3"], tmp_path, capsys)
     assert {row[-1] for row in table["rows"]} == {True}
+
+
+def test_lemmas_writes_every_number_as_a_double(tmp_path):
+    # the exact integer sides of a discrete case are written as their nearest
+    # doubles, in JSON as floats (2.0, not 2) even past 2^63: C(68, 34) is
+    # about 2.8e19; the CSV of the same run holds their %.17g text
+    argv = ["lemmas", "--M", "35", "--n", "0"]
+    assert main(argv + ["--format", "json", "--out", str(tmp_path / "l.json")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "l.csv")]) == 0
+    rows = json.loads((tmp_path / "l.json").read_text())["rows"]
+    _, csv_rows = _data_rows((tmp_path / "l.csv").read_text())
+    cases = betamix.lemmas.discrete_lemma_sweep(max_M=35)
+    assert len(rows) == len(csv_rows) == len(cases)
+    assert max(c.lhs for c in cases) > 2**63
+    for j, (row, csv_row, case) in enumerate(zip(rows, csv_rows, cases)):
+        if j % 101 == 0:
+            assert betamix.lemmas.lemma2_discrete(case.M, case.n, case.window, case.which) == case
+        numbers = [row[i] for i in (0, 1, 2, 4, 5, 6)]
+        assert all(type(v) is float for v in numbers), row
+        assert numbers == [float(case[i]) for i in (0, 1, 2, 4, 5, 6)]
+        assert row[3] == case.which and row[7] is True
+        assert csv_row == ",".join(["%.17g" % v for v in numbers[:3]] + [case.which]
+                                   + ["%.17g" % v for v in numbers[3:]] + ["1"])
 
 
 # the writers against json.dumps and a per-cell {:.17g} join, on columns of

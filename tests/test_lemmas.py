@@ -117,7 +117,7 @@ def test_lemma2_continuous_spec_example():
     assert not case.clipped
     assert case.lhs == pytest.approx(1.06059847959621394, rel=1e-10)
     assert case.rhs == pytest.approx(0.63274481589958839053, rel=1e-10)
-    assert case.holds(0.0)
+    assert case.margin >= 0.0 and case.holds
 
 
 def test_lemma2_continuous_against_riemann():
@@ -166,8 +166,13 @@ def test_lemma2_continuous_domain():
 
 
 def test_lemma2_continuous_random_sweep_holds():
+    # each case's margin is oriented lhs - rhs, and it holds within the
+    # continuous slack of 1e-7
     for case in continuous_lemma_sweep(count=15, seed=7):
-        assert case.holds(1e-7), case
+        direction = -1 if case.which == "ineq5" else 1
+        assert case.margin == direction * (case.lhs - case.rhs)
+        assert case.holds == (case.margin >= -1e-7)
+        assert case.holds, case
 
 
 @pytest.mark.parametrize("seed, count", [(0, 30), (1, 30), (2, 30), (3, 200)])
@@ -258,7 +263,8 @@ def test_lemma2_discrete_against_explicit_sums():
                     assert (case.lhs, case.rhs) == (lhs, rhs), (M, n, k, which)
                     direction = -1 if which == "ineq2p2" else 1
                     assert case.margin == direction * (lhs - rhs)
-                    assert case.holds(0.0) or M == 1
+                    assert case.holds == (case.margin >= 0)
+                    assert case.holds or M == 1
 
 
 def test_discrete_sweep_windows_match_explicit_sums():
@@ -300,7 +306,7 @@ def test_discrete_sweep_all_hold_exactly():
     cases = discrete_lemma_sweep(max_M=8)
     assert cases
     for case in cases:
-        assert case.holds(0.0), case
+        assert case.holds and case.margin >= 0, case
 
 
 def test_discrete_sweep_full_range_vandermonde():
@@ -318,7 +324,7 @@ def test_lemma2_discrete_m1_middle_inequality_is_vacuously_broken():
     # which is why the exhaustive sweep starts at M = 2
     case = lemma2_discrete(1, 0, 0, "ineq2p2")
     assert case.lhs == 1 and case.rhs == 0
-    assert not case.holds(0.0)
+    assert case.margin == -1 and not case.holds
     assert all(c.M >= 2 for c in discrete_lemma_sweep(max_M=4))
 
 

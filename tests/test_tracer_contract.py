@@ -154,5 +154,9 @@ def test_tracer_counts_lemma_sweeps(spans, tmp_path):
         assert betamix.cli.main(["lemmas", "--M", "3", "--n", "2", "--out", str(tmp_path / "l.csv")]) == 0
     counts = tracer.counts
     assert counts["lemmas"] == {"discrete_cases": len(discrete), "continuous_cases": len(continuous)}
+    # the counts are the cases, one per data row written: a sweep whose
+    # len() counted anything else (say the columns of a table) fails here
+    rows = [line for line in (tmp_path / "l.csv").read_text().splitlines() if not line.startswith("#")][1:]
+    assert counts["lemmas"]["discrete_cases"] + counts["lemmas"]["continuous_cases"] == len(rows)
     assert counts["quadrature"] == {"panel_calls": 1, "rule_builds": 1, "nodes": nodes}
     assert counts["special"] == {"calls": 4, "points": 4 * nodes}

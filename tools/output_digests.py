@@ -5,7 +5,10 @@
 For seeds 1-3 this runs the seven cli-batch commands of perfbench/workloads.py,
 writing their files under WORKDIR/seed-N, and certifies every input of the
 discrete-certify and continuous-certify workloads, hashing each certificate's
-to_json as json.dumps(..., indent=2). One line per output, "<sha256>  <name>",
+to_json as json.dumps(..., indent=2). Then it runs the lemmas outputs that
+cli-batch never writes (EXTRA, under WORKDIR/extra): the JSON table of
+cli-batch's sweep, and the CSV and JSON of an exhaustive sweep to M = 35,
+whose exact sides pass 2^63. One line per output, "<sha256>  <name>",
 then one digest of all those lines. The CLI headers hold the flags, the input
 path among them, so compare two versions on the same WORKDIR. The program is
 imported from ./src and the workloads from ./perfbench, which is only read.
@@ -22,6 +25,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
+EXTRA = [
+    ("lemmas-json", ["lemmas", "--M", str(workloads.CLI_LEMMAS_M), "--n", str(workloads.CLI_LEMMAS_N),
+                     "--format", "json"], "lemmas.json"),
+    ("lemmas-M35-csv", ["lemmas", "--M", "35", "--n", "0"], "lemmas-M35.csv"),
+    ("lemmas-M35-json", ["lemmas", "--M", "35", "--n", "0", "--format", "json"], "lemmas-M35.json"),
+]
 
 
 def digests(workdir: Path):
@@ -33,6 +42,9 @@ def digests(workdir: Path):
             for op in build(seed, None).ops:
                 text = json.dumps(op.call().to_json(), indent=2)
                 yield f"seed-{seed}/{op.name}", hashlib.sha256(text.encode()).hexdigest()
+    (workdir / "extra").mkdir(parents=True, exist_ok=True)
+    for op in workloads._cli_ops(EXTRA, str(workdir / "extra")):
+        yield f"extra/{op.name}", op.record(op.call())["sha256"]
 
 
 def main() -> None:
