@@ -1,7 +1,9 @@
 """Command-line front end: evaluate, certify, sweep lemmas, demo, sample.
 
-Each command accepts only the flags it reads; defaults are in brackets, and
---out defaults to stdout:
+Each command accepts only the flags it reads, with one exception: sample
+still accepts --grid-points, which nothing reads (its draws are exact and
+use no grid) and its header leaves out. Defaults are in brackets, and --out
+defaults to stdout:
 
     eval     --input (required), --grid-points [1024], --eps [1e-6],
              --format [csv], --out
@@ -9,7 +11,7 @@ Each command accepts only the flags it reads; defaults are in brackets, and
              --tol [1e-9], --seed [0], --out
     lemmas   --M [12], --n [50], --seed [0], --format [csv], --out
     demo     --M (required), --r, --s, --grid-points [1024], --out
-    sample   --input (required), --n [100000], --grid-points [4096],
+    sample   --input (required), --n [100000], --grid-points (ignored),
              --seed [0], --out
 
 Data goes to stdout (or --out); diagnostics go to stderr. Every output file
@@ -368,18 +370,20 @@ def cmd_demo(args, mix, meta) -> int:
 
 
 def cmd_sample(args, mix, meta) -> int:
-    _write_rows(args, meta, [sample(mix, args.n, seed=args.seed, grid_points=args.grid_points)])
+    _write_rows(args, meta, [sample(mix, args.n, seed=args.seed)])
     return EXIT_OK
 
 
 class Command(NamedTuple):
     handler: Callable[..., int]
     help: str
-    # flag -> (type, or a tuple of choices; default, or REQUIRED)
+    # flag -> (type, or a tuple of choices; default, or REQUIRED or UNREAD)
     flags: dict
 
 
 REQUIRED = object()
+# a flag that is parsed and ignored, so that scripts passing it still run
+UNREAD = object()
 
 _HELP = {
     "input": "path to a mixture JSON file",
@@ -414,7 +418,7 @@ COMMANDS = {
         "grid-points": (int, 1024), "out": (str, None),
     }),
     "sample": Command(cmd_sample, "draw from the normalized density", {
-        "input": (str, REQUIRED), "n": (int, 100000), "grid-points": (int, 4096),
+        "input": (str, REQUIRED), "n": (int, 100000), "grid-points": (int, UNREAD),
         "seed": (int, 0), "out": (str, None),
     }),
 }
@@ -432,18 +436,23 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_parser = sub.add_parser(name, allow_abbrev=False, help=command.help)
         for flag, (kind, default) in command.flags.items():
             spec = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            spec["help"] = _HELP[flag]
             if default is REQUIRED:
                 spec["required"] = True
+            elif default is UNREAD:
+                spec["help"] = "accepted and ignored: nothing reads it"
             else:
                 spec["default"] = default
-            cmd_parser.add_argument("--" + flag, help=_HELP[flag], **spec)
+            cmd_parser.add_argument("--" + flag, **spec)
     return parser
 
 
 def _flag_string(args, flags) -> str:
-    # --out names the destination, not the computation; leaving it out keeps
-    # outputs byte-identical wherever they are written
-    values = [(flag, getattr(args, flag.replace("-", "_"))) for flag in flags if flag != "out"]
+    # --out names the destination, not the computation, and an UNREAD flag
+    # changes nothing; leaving them out keeps outputs byte-identical
+    # wherever they are written and whether or not the flag is passed
+    values = [(flag, getattr(args, flag.replace("-", "_")))
+              for flag, (_, default) in flags.items() if flag != "out" and default is not UNREAD]
     return " ".join(f"--{flag}={value}" for flag, value in values if value is not None)
 
 

@@ -21,13 +21,23 @@ def log_gen_binom_grid(M: float, s) -> np.ndarray:
 
     Values at the boundary points -1 and M+1 come out as -inf (the
     coefficient vanishes there in the limit), which exponentiates to 0.
-    Beyond them it is log |extension| (log_abs_gen_binom_ext).
+    Beyond them it is log |extension| (log_abs_gen_binom_ext). M may be an
+    array, one order per point, as a lemma pass gives it: each case's order
+    repeated over its nodes. log Gamma(M+1) is then evaluated once per run
+    of equal consecutive orders and repeated over the run, the same doubles
+    in a scan of M instead of the sort a search for distinct orders needs.
     """
     from scipy.special import gammaln
 
     s = np.asarray(s, dtype=float)
+    if np.ndim(M):
+        M = np.asarray(M, dtype=float)
+        starts = np.flatnonzero(np.diff(M.ravel(), prepend=np.nan))
+        log_top = np.repeat(gammaln(M.ravel()[starts] + 1.0), np.diff(starts, append=M.size)).reshape(M.shape)
+    else:
+        log_top = gammaln(M + 1.0)
     with np.errstate(invalid="ignore"):
-        return gammaln(M + 1.0) - gammaln(s + 1.0) - gammaln(M - s + 1.0)
+        return log_top - gammaln(s + 1.0) - gammaln(M - s + 1.0)
 
 
 def _recip_gamma_sign(z: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ from betamix.cli import build_parser, main
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
-# the flags each command reads; every other flag is rejected
+# the flags each command accepts, all of which it reads but sample's
+# --grid-points; every other flag is rejected
 COMMAND_FLAGS = {
     "eval": ["--input", "--grid-points", "--eps", "--format", "--out"],
     "certify": ["--input", "--grid-points", "--eps", "--tol", "--seed", "--out"],
@@ -358,9 +359,11 @@ def test_sample_deterministic_and_degenerate(uniform_file, zero_file, tmp_path, 
     assert all(0.0 < d < 1.0 for d in draws)
     assert main(["sample", "--input", zero_file, "--n", "10"]) == 4
     capsys.readouterr()
-    assert main(["sample", "--input", uniform_file, "--n", "3", "--grid-points", "1"]) == 2
-    captured = capsys.readouterr()
-    assert "grid_points" in captured.err and captured.out == ""
+    # --grid-points is parsed and read by nothing: any value writes the same bytes
+    for grid_points in ("1", "0", "16"):
+        assert main(["sample", "--input", uniform_file, "--n", "200", "--seed", "11",
+                     "--grid-points", grid_points, "--out", str(b)]) == 0
+        assert b.read_bytes() == a.read_bytes()
 
 
 def test_sample_ks_downstream(uniform_file, tmp_path):
@@ -382,7 +385,7 @@ def test_sample_streamed_in_chunks_writes_the_single_join_bytes(uniform_file, n,
     assert main(argv + ["--out", str(out)]) == 0
     data = out.read_bytes()
     header = data.decode().splitlines()[:3]
-    draws = betamix.sample(betamix.DiscreteMixture(2, [1.0, 1.0, 1.0]), n, seed=3, grid_points=64)
+    draws = betamix.sample(betamix.DiscreteMixture(2, [1.0, 1.0, 1.0]), n, seed=3)
     joined = "\n".join([*header, *map("{:.17g}".format, draws.tolist())]) + "\n"
     assert all(line.startswith("# ") for line in header)
     assert data == joined.encode()
@@ -738,8 +741,9 @@ def test_header_and_meta_list_exactly_the_command_flags(uniform_file, tmp_path):
             recorded, flags = _recorded_flags(text)
             assert recorded == name
         # every flag the command reads but --out, defaults included; demo's
-        # unset --r is left out
-        expected = [f for f in COMMAND_FLAGS[name] if f != "--out" and (name, f) != ("demo", "--r")]
+        # unset --r and sample's unread --grid-points are left out
+        unset = {("demo", "--r"), ("sample", "--grid-points")}
+        expected = [f for f in COMMAND_FLAGS[name] if f != "--out" and (name, f) not in unset]
         assert [f.split("=")[0] for f in flags] == expected
     for name, argv in (("eval", runs["eval"]), ("lemmas", runs["lemmas"])):
         assert main([name, *argv, "--format", "json", "--out", str(out)]) == 0
@@ -749,7 +753,7 @@ def test_header_and_meta_list_exactly_the_command_flags(uniform_file, tmp_path):
     main(["lemmas", "--M", "2", "--n", "1", "--out", str(out)])
     assert "# command: lemmas --M=2 --n=1 --seed=0 --format=csv\n" in out.read_text()
     main(["sample", "--input", uniform_file, "--n", "4", "--out", str(out)])
-    expected = f"# command: sample --input={uniform_file} --n=4 --grid-points=4096 --seed=0\n"
+    expected = f"# command: sample --input={uniform_file} --n=4 --seed=0\n"
     assert expected in out.read_text()
 
 
@@ -783,7 +787,9 @@ def test_docs_list_exactly_the_command_table():
             assert [flag for flag, _ in listed[name]] == list(command.flags), name
             for flag, text in listed[name]:
                 kind, default = command.flags[flag]
-                if default is betamix.cli.REQUIRED or default is None:
+                if default is betamix.cli.UNREAD:
+                    assert text == "ignored", (name, flag)
+                elif default is betamix.cli.REQUIRED or default is None:
                     assert text == ("required" if default is betamix.cli.REQUIRED else None), (name, flag)
                 else:
                     assert (str if isinstance(kind, tuple) else kind)(text) == default, (name, flag)

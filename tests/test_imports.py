@@ -1,5 +1,6 @@
-"""The import graph: importing betamix and running its discrete commands loads numpy only.
+"""The import graph: importing betamix and running its discrete commands and a continuous sample loads numpy only.
 
+Sampling draws a mixing index and a Beta variate and needs no gammaln.
 scipy is loaded on first use, by a continuous integral, the continuous lemma
 sweep or cdf, and fractions by the exact coefficient functions; decimal by
 neither. Each check runs in a fresh interpreter, whose sys.modules holds
@@ -46,6 +47,7 @@ for name, argv in (
     ("eval", ["eval", "--input", disc, "--grid-points", "16"]),
     ("certify", ["certify", "--input", disc, "--grid-points", "16"]),
     ("sample", ["sample", "--input", disc, "--n", "10", "--grid-points", "16"]),
+    ("sample-continuous", ["sample", "--input", cont, "--n", "10"]),
     ("demo", ["demo", "--M", "10", "--r", "2", "--grid-points", "16"]),
 ):
     codes[name] = main(argv + ["--out", os.path.join(tmp, name + ".out")])
@@ -81,7 +83,7 @@ def _run(tmp_path, then):
 def test_discrete_commands_never_load_scipy_and_first_use_does(tmp_path, then):
     report = _run(tmp_path, then)
     assert report["after_import"] == []
-    assert report["codes"] == {"eval": 0, "certify": 0, "sample": 0, "demo": 0}
+    assert report["codes"] == {"eval": 0, "certify": 0, "sample": 0, "sample-continuous": 0, "demo": 0}
     assert report["after_discrete"] == []
     assert report["exact_after_import"] == report["exact_after_discrete"] == []
     if then == "continuous-certify":

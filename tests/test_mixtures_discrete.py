@@ -413,13 +413,12 @@ def test_sample_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_sample_rejects_a_one_point_grid():
-    # one grid point leaves a 0/0 CDF table and no draw to interpolate
+def test_sample_rejects_a_nonpositive_count():
     mix = DiscreteMixture(2, [1.0, 2.0, 4.0])
-    for grid_points in (1, 0):
-        with pytest.raises(ValueError):
-            sample(mix, 3, seed=0, grid_points=grid_points)
-    assert np.all(sample(mix, 3, seed=0, grid_points=2) > 0.0)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count"):
+            sample(mix, count, seed=0)
+    assert np.all(sample(mix, 1, seed=0) > 0.0)
 
 
 def test_sample_spike_matches_beta_moment():
@@ -436,17 +435,11 @@ def test_sample_degenerate():
 
 
 def test_sample_subnormal_weights_draw_as_their_unit_scaled_mixture():
-    # 2^-1070 * g underflows to 0 at every grid point; sampling the
-    # unit-scaled mixture draws what its power-of-two multiple [1, 0, 0, 0] draws
+    # sampling the unit-scaled mixture draws what the power-of-two multiple
+    # [1, 0, 0, 0] of these weights draws
     tiny = sample(DiscreteMixture(3, [2.0**-1070, 0.0, 0.0, 0.0]), 1000, seed=5)
     unit = sample(DiscreteMixture(3, [1.0, 0.0, 0.0, 0.0]), 1000, seed=5)
     np.testing.assert_array_equal(tiny, unit)
-
-
-def test_sample_raises_where_the_grid_holds_no_mass():
-    # a two-point grid reads the density at 0 and 1 only, where x(1-x) vanishes
-    with pytest.raises(DegenerateMixtureError, match="no positive finite mass"):
-        sample(DiscreteMixture(2, [0.0, 1.0, 0.0]), 10, seed=0, grid_points=2)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,11 +20,13 @@ from betamix import (
     ContinuousMixture,
     DiscreteMixture,
     brute_force_logconcavity,
+    cdf,
     certify,
     eval_derivs_continuous,
     eval_derivs_discrete,
     margin_eq10,
     mixture_to_json,
+    normalization,
     random_concave_mixture,
     random_log_concave_weights,
     sample,
@@ -184,6 +187,26 @@ def test_power_of_two_weight_scale_changes_no_ratio(j, index, tmp_path):
     for name in ("f", "d1", "d2"):
         normal_equal(got[name], want[name])
     log_shifted(got["log_f"], want["log_f"])
+
+
+def test_normalization_and_cdf_are_finite_wherever_their_values_are():
+    # the sum of the weights overflowed for the discrete mixture; math.exp of
+    # alpha's peak for the continuous ones returned inf (709) and raised
+    # OverflowError (710)
+    disc = DiscreteMixture(3, [1e308] * 4)
+    assert normalization(disc) == 1e308
+    assert cdf(disc, 1.0) == pytest.approx(1e308, rel=1e-14)
+    # equal weights make the density the constant weight, so cdf(x) = 1e308 x
+    assert cdf(disc, 0.5) == pytest.approx(5e307, rel=1e-14)
+    for peak in (709.0, 710.0):
+        cont = ContinuousMixture(3.0, [0.0, 3.0], [peak, peak])
+        # integral alpha / (M+1) = 3 e^peak / 4; by symmetry half lies below 1/2
+        want = float(mpmath.mpf(0.75) * mpmath.exp(peak))
+        assert normalization(cont) == pytest.approx(want, rel=1e-12)
+        assert cdf(cont, 1.0) == pytest.approx(want, rel=1e-12)
+        assert cdf(cont, 0.5) == pytest.approx(want / 2.0, rel=1e-12)
+    # only a value past the double range reads inf, with no overflow warning
+    assert normalization(ContinuousMixture(3.0, [0.0, 3.0], [800.0, 800.0])) == math.inf
 
 
 # ---------------------------------------------------------------------------
