@@ -34,12 +34,7 @@ from .mixtures import (
     ContinuousMixture,
     DegenerateMixtureError,
     DiscreteMixture,
-    EvalResult,
     cdf,
-    eval_density_continuous,
-    eval_density_discrete,
-    eval_derivs_continuous,
-    eval_derivs_discrete,
     is_log_concave_weights,
     mixture_from_json,
     mixture_to_json,
@@ -55,7 +50,6 @@ __all__ = [
     "DegenerateMixtureError",
     "DiscreteMixture",
     "DomainError",
-    "EvalResult",
     "LemmaCase",
     "MajorizationInstance",
     "QuadratureError",
@@ -67,10 +61,6 @@ __all__ = [
     "continuous_lemma_sweep",
     "core_inequalities_discrete",
     "discrete_lemma_sweep",
-    "eval_density_continuous",
-    "eval_density_discrete",
-    "eval_derivs_continuous",
-    "eval_derivs_discrete",
     "find_kernel_failure",
     "is_log_concave_weights",
     "kernel_log_curvature",

@@ -10,14 +10,14 @@ scale-free in the weights. Where it is >= 0, (log f)'' = -margin -
 (f'/f)^2/M <= 0, so it is the one test a certificate applies: at every
 point of a grid, where the worst margin is recorded together with the
 largest log-curvature (log f)'', and at 64 random off-grid points, all
-from one evaluation. The margins are among the forms of the mixture as
-given that both engines return: a discrete one from
-mixtures.discrete_derivs_grid, formed on each point's power-of-two scale
-of de Casteljau's f, f' and f''; a continuous one straight from the
-posterior moments (ContinuousEvaluator.forms), so it is finite at every
-point, even where f underflows. Both engines evaluate the unit-scaled
-mixture, so the weights' scale changes a certificate at most by
-rounding. The chord test on f itself is left to
+from one evaluation. The margin and the log-curvature are the margin and
+log_d2 fields of the Forms tuple that both engines return: a discrete
+one from mixtures.discrete_derivs_grid, formed on each point's
+power-of-two scale of de Casteljau's f, f' and f''; a continuous one
+straight from the posterior moments (ContinuousEvaluator.forms), so it
+is finite at every point, even where f underflows. Both engines
+evaluate the unit-scaled mixture, so the weights' scale changes a
+certificate at most by rounding. The chord test on f itself is left to
 lemmas.brute_force_logconcavity, an oracle that reads density values
 only.
 """
@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .mixtures import ContinuousEvaluator, DiscreteMixture, discrete_derivs_grid
+from .mixtures import ContinuousEvaluator, DiscreteMixture, Forms, discrete_derivs_grid
 from .mixtures import discrete_density_grid  # noqa: F401  (perfbench/spans.py wraps this name here)
 from .special import DomainError
 
@@ -86,11 +86,11 @@ class ConcavityCertificate:
         return out | {"tool_version": __version__, "input": input_echo}
 
 
-def _ratios(mix, xs):
-    """(f'/f, (log f)'', margin) over xs, from one de Casteljau call or one moment pass."""
+def _forms(mix, xs) -> Forms:
+    """The Forms of either kind of mixture over xs, from one de Casteljau call or one moment pass."""
     if isinstance(mix, DiscreteMixture):
-        return discrete_derivs_grid(mix, xs)[4:]
-    return ContinuousEvaluator(mix).forms(xs)[4:]
+        return discrete_derivs_grid(mix, xs)
+    return ContinuousEvaluator(mix).forms(xs)
 
 
 def margin_eq10(mix, x: float) -> float:
@@ -104,7 +104,7 @@ def margin_eq10(mix, x: float) -> float:
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"margin_eq10 requires 0 < x < 1, got {x!r}")
-    return float(_ratios(mix, np.array([x]))[2][0])
+    return float(_forms(mix, x).margin)
 
 
 def check_eps(eps: float) -> None:
@@ -148,8 +148,8 @@ def certify(
         return ConcavityCertificate(VERDICT_DEGENERATE, grid_points, eps, tol, CRITERION_EQ10)
 
     pts = eps + (1.0 - 2.0 * eps) * np.random.default_rng(seed).random(_MIDPOINT_CHECKS)
-    _, logcurv, margins = _ratios(mix, np.concatenate([xs, pts]))
-    margins, off_grid = np.split(margins, [grid_points])
+    forms = _forms(mix, np.concatenate([xs, pts]))
+    margins, off_grid = np.split(forms.margin, [grid_points])
 
     # a discrete margin is nan where f underflowed, and those points are
     # counted as such; the worst point and the largest log-curvature are
@@ -159,7 +159,7 @@ def certify(
     if pool.size:
         i_worst = int(pool[np.argmin(margins[pool])])
         min_margin = float(margins[i_worst])
-        min_logcurv = float(np.max(logcurv[pool]))
+        min_logcurv = float(np.max(forms.log_d2[pool]))
         worst_x = float(xs[i_worst])
 
     bad = np.flatnonzero(off_grid < -tol)
@@ -208,7 +208,7 @@ def sharpness_check(M: int, r: float, grid_points: int = 1024) -> float:
     7.3e-15 of that scale; in absolute terms, M=150 and r=0.01 read 1.3e-7.
     The weights are built with the largest equal to 1, r^(i-M) for r > 1,
     so none overflows; the margins do not depend on that scale. They are
-    certify's, from _ratios on the grid of certify at eps = 1e-6, so
+    certify's, from _forms on the grid of certify at eps = 1e-6, so
     grid_points must be at least 3. Points where the density underflows
     carry no margin and are left out.
     """
@@ -218,7 +218,7 @@ def sharpness_check(M: int, r: float, grid_points: int = 1024) -> float:
         raise DomainError(f"sharpness_check needs r > 0, r != 1, got {r!r} (r=1 is the constant case)")
     i = np.arange(M + 1, dtype=float)
     mix = DiscreteMixture(int(M), float(r) ** (i - M if r > 1.0 else i))
-    margins = _ratios(mix, _grid(grid_points, 1e-6))[2]
+    margins = _forms(mix, _grid(grid_points, 1e-6)).margin
     return float(np.max(np.abs(margins), initial=0.0, where=np.isfinite(margins)))
 
 

@@ -313,8 +313,8 @@ def cmd_eval(args, mix, meta) -> int:
     check_eps(args.eps)
     xs = np.linspace(args.eps, 1.0 - args.eps, args.grid_points)
     forms = discrete_derivs_grid(mix, xs) if isinstance(mix, DiscreteMixture) else ContinuousEvaluator(mix).forms(xs)
-    f, d1, d2, log_f, _, log_d2, _ = forms
-    _write_table(args, meta, {"x": xs, "f": f, "d1": d1, "d2": d2, "log_f": log_f, "log_d2": log_d2})
+    _write_table(args, meta, {"x": xs, "f": forms.f, "d1": forms.d1, "d2": forms.d2,
+                              "log_f": forms.log_f, "log_d2": forms.log_d2})
     return EXIT_OK
 
 

@@ -30,12 +30,13 @@ instead of the exponent. Blocks of x are sized by the de Casteljau byte
 budget and share one buffer, and one einsum reduces each block against
 every Kronrod and Gauss weight row at once.
 
-The weight scale is taken out inside the evaluators. Both engines return
-the same seven forms of the mixture as given, (f, f', f'', log f, f'/f,
-(log f)'', margin): discrete_derivs_grid and ContinuousEvaluator.forms.
-Each evaluates the unit-scaled mixture (unit_scaled), whose discrete
-weights are divided by a power of two 2^k and whose continuous log alpha
-peaks at 0, so f, f' and f'' stay in range. The continuous tables are
+The weight scale is taken out inside the evaluators. Both engines,
+discrete_derivs_grid and ContinuousEvaluator.forms, return the same seven
+forms of the mixture as given, one Forms tuple with the fields f, d1, d2,
+log_f, log_d1 = f'/f, log_d2 = (log f)'' and the Eq. 10 margin. Each
+evaluates the unit-scaled mixture (unit_scaled), whose discrete weights
+are divided by a power of two 2^k and whose continuous log alpha peaks
+at 0, so f, f' and f'' stay in range. The continuous tables are
 built on it, and its peak joins each point's log scale, so continuous
 linear values are those of the mixture's own alpha, and log f and every
 ratio, read off the moments, are finite wherever the posterior is.
@@ -49,6 +50,7 @@ then one Beta variate (sample).
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,27 +195,26 @@ def unit_scaled(mix):
     return DiscreteMixture(mix.M, np.ldexp(mix.weights, -weight_exponent(mix)))
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Density value with first/second derivatives and their log-domain forms.
+class Forms(NamedTuple):
+    """The seven forms of the mixture that both engines return, each with x's shape.
 
-    log_d1 is the score (log f)' = f'/f and log_d2 the log-curvature
-    (log f)'' = (f*f'' - f'^2)/f^2, so neither overflows nor underflows
-    where it is finite. They and log_value are those of the unit-scaled
-    mixture (unit_scaled), with log f shifted back, so they hold where the
-    unscaled f would underflow or f'' overflow. The six fields are the
-    first six forms of discrete_derivs_grid or ContinuousEvaluator.forms.
-    A discrete value's ratios are nan where the unit-scaled f is not a
-    normal double; a continuous one's log forms are read off the posterior
+    f, d1 = f' and d2 = f'' are the mixture's own, inf past the double
+    range. log_f, the score log_d1 = (log f)' = f'/f, the log-curvature
+    log_d2 = (log f)'' = (f f'' - f'^2)/f^2 and the Eq. 10 margin [((M-1)/M)
+    f'^2 - f f'']/f^2 are formed on the unit-scaled mixture (unit_scaled),
+    with log f shifted back, so they hold where f would underflow or f''
+    overflow. A discrete mixture's ratios are nan where the unit-scaled f is
+    not a normal double; a continuous one's are read off the posterior
     moments, finite wherever the posterior is.
     """
 
-    value: float
-    d1: float
-    d2: float
-    log_value: float
-    log_d1: float
-    log_d2: float
+    f: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    log_f: np.ndarray
+    log_d1: np.ndarray
+    log_d2: np.ndarray
+    margin: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +290,8 @@ def discrete_density_grid(mix: DiscreteMixture, x) -> np.ndarray:
     return _decasteljau([mix.weights[::-1]], x)[0]
 
 
-def discrete_derivs_grid(mix: DiscreteMixture, x):
-    """(f, f', f'', log f, f'/f, (log f)'', margin) over an array of points, in the order of ContinuousEvaluator.forms.
+def discrete_derivs_grid(mix: DiscreteMixture, x) -> Forms:
+    """The Forms of a discrete mixture over an array of points.
 
     de Casteljau evaluates f, f' and f'' of the unit-scaled mixture, whose
     weights are divided by 2^k with k = weight_exponent(mix), in one block
@@ -302,7 +303,7 @@ def discrete_derivs_grid(mix: DiscreteMixture, x):
     each ratio keeps its bits, while the products in it can no longer
     overflow or underflow where the ratio is finite. Where the scaled f is
     not a normal double (0, a subnormal with too few digits) all three
-    read nan. Every form has x's shape.
+    read nan.
     """
     k = weight_exponent(mix)
     w, M = np.ldexp(mix.weights, -k), mix.M
@@ -318,24 +319,7 @@ def discrete_derivs_grid(mix: DiscreteMixture, x):
         log_f = np.log(f) + k * _LN2
         linear = [np.ldexp(v, k) for v in scaled]
     curv, margin = fs * d2s - d1s * d1s, ((M - 1.0) / M) * d1s * d1s - fs * d2s
-    return (*linear, log_f, d1s / fs, curv / (fs * fs), margin / (fs * fs))
-
-
-def eval_density_discrete(mix: DiscreteMixture, x: float) -> float:
-    """Density of a discrete mixture at a single x in [0, 1].
-
-    Exact at the endpoints: g(0) = w_M and g(1) = w_0.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"eval_density_discrete requires 0 <= x <= 1, got {x!r}")
-    return float(discrete_density_grid(mix, x))
-
-
-def eval_derivs_discrete(mix: DiscreteMixture, x: float) -> EvalResult:
-    """Density and analytic first/second derivatives at x in (0, 1)."""
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"eval_derivs_discrete requires 0 < x < 1, got {x!r}")
-    return EvalResult(*map(float, discrete_derivs_grid(mix, x)[:6]))
+    return Forms(*linear, log_f, d1s / fs, curv / (fs * fs), margin / (fs * fs))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +402,7 @@ class _KernelTable:
             var = z[:, 2] / mass - mu * mu
             gap = np.abs(mass[0] - mass[1]) / mass[0]
             gap = np.maximum(gap, np.abs(mu[0] - mu[1]) / self.M)
-            gap = np.maximum(gap, np.abs(var[0] - var[1]) / self.M**2)
+            gap = np.maximum(gap, np.abs(var[0] - var[1]) / (self.M * self.M))
         return np.array([top, mass[0], self.centre + mu[0], var[0]]), np.where(np.isfinite(top), gap, 0.0)
 
 
@@ -460,14 +444,13 @@ class ContinuousEvaluator:
         self.mix = mix
         self._tables: dict[int, _KernelTable] = {}
 
-    def forms(self, x):
-        """(f, f', f'', log f, f'/f, (log f)'', margin) over x in (0, 1), in one pass over each point's table.
+    def forms(self, x) -> Forms:
+        """The Forms of the mixture over x in (0, 1), in one pass over each point's table.
 
-        Each point reads _KernelTable.integrate on its own tier's table, and
-        every form has x's shape. f = exp(top) mass, 0 where top is not
-        finite, and log f = top + log(mass). With the posterior's mean m and
-        variance V, and t = x(1-x): d/dx log[(1-x)^s x^(M-s)] = (M(1-x) -
-        s)/t, so f'/f = (M(1-x) - m)/t, and the Eq. 10 margin [((M-1)/M)
+        Each point reads _KernelTable.integrate on its own tier's table. f =
+        exp(top) mass, 0 where top is not finite, and log f = top +
+        log(mass). With the posterior's mean m and variance V, and t =
+        x(1-x): d/dx log[(1-x)^s x^(M-s)] = (M(1-x) - s)/t, so f'/f = (M(1-x) - m)/t, and the Eq. 10 margin [((M-1)/M)
         f'^2 - f f'']/f^2 is [m(M-m)/M - V]/t^2. Then (log f)'' = -margin -
         (f'/f)^2/M, and f' and f'' are f (f'/f) and f ((f'/f)^2 + (log
         f)''), 0 where f is. No ratio reads f, so each is finite where f
@@ -495,30 +478,16 @@ class ContinuousEvaluator:
             logcurv = -margin - score * score / M
             d1 = np.where(f > 0.0, f * score, 0.0)
             d2 = np.where(f > 0.0, f * (score * score + logcurv), 0.0)
-            return f, d1, d2, log_f, score, logcurv, margin
+            return Forms(f, d1, d2, log_f, score, logcurv, margin)
 
     def density(self, x) -> np.ndarray:
-        return self.forms(x)[0]
+        return self.forms(x).f
 
     def d1(self, x) -> np.ndarray:
-        return self.forms(x)[1]
+        return self.forms(x).d1
 
     def d2(self, x) -> np.ndarray:
-        return self.forms(x)[2]
-
-
-def eval_density_continuous(mix: ContinuousMixture, x: float) -> float:
-    """Continuous-mixture density at a single x in (0, 1), by quadrature."""
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"eval_density_continuous requires 0 < x < 1, got {x!r}")
-    return float(ContinuousEvaluator(mix).density(np.array([x]))[0])
-
-
-def eval_derivs_continuous(mix: ContinuousMixture, x: float) -> EvalResult:
-    """Density plus analytic f', f'' at x in (0, 1)."""
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"eval_derivs_continuous requires 0 < x < 1, got {x!r}")
-    return EvalResult(*map(float, ContinuousEvaluator(mix).forms(x)[:6]))
+        return self.forms(x).d2
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from betamix import (
     continuous_lemma_sweep,
     core_inequalities_discrete,
     discrete_lemma_sweep,
-    eval_density_discrete,
     find_kernel_failure,
     kernel_log_curvature,
     random_concave_mixture,
@@ -79,9 +78,9 @@ def test_criterion_03_discrete_certification_at_scale():
 
 def test_criterion_04_hypothesis_necessity():
     mix = DiscreteMixture(2, [1.0, 0.01, 1.0])
-    assert eval_density_discrete(mix, 0.25) == pytest.approx(0.62875, abs=1e-15)
-    assert eval_density_discrete(mix, 0.75) == pytest.approx(0.62875, abs=1e-15)
-    assert eval_density_discrete(mix, 0.5) == pytest.approx(0.505, abs=1e-15)
+    assert float(discrete_density_grid(mix, 0.25)) == pytest.approx(0.62875, abs=1e-15)
+    assert float(discrete_density_grid(mix, 0.75)) == pytest.approx(0.62875, abs=1e-15)
+    assert float(discrete_density_grid(mix, 0.5)) == pytest.approx(0.505, abs=1e-15)
     assert 0.62875**2 > 0.505**2
     cert = certify(mix)
     assert cert.verdict == "violated"

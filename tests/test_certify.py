@@ -11,7 +11,6 @@ from betamix import (
     DiscreteMixture,
     DomainError,
     certify,
-    eval_density_discrete,
     find_kernel_failure,
     kernel_log_curvature,
     margin_eq10,
@@ -21,6 +20,7 @@ from betamix import (
     sharpness_check,
 )
 from betamix.cli import main
+from betamix.mixtures import discrete_density_grid
 
 from oracles import continuous_derivs_quad
 
@@ -58,8 +58,8 @@ def test_certify_uniform():
 def test_certify_known_violation():
     # g(0.25) g(0.75) = 0.62875^2 > g(0.5)^2 = 0.505^2
     mix = DiscreteMixture(2, [1.0, 0.01, 1.0])
-    assert eval_density_discrete(mix, 0.25) == pytest.approx(0.62875, abs=1e-15)
-    assert eval_density_discrete(mix, 0.5) == pytest.approx(0.505, abs=1e-15)
+    assert float(discrete_density_grid(mix, 0.25)) == pytest.approx(0.62875, abs=1e-15)
+    assert float(discrete_density_grid(mix, 0.5)) == pytest.approx(0.505, abs=1e-15)
     cert = certify(mix)
     assert cert.verdict == "violated"
     assert abs(cert.worst_x - 0.5) < 0.05
@@ -82,14 +82,14 @@ def test_certify_witness_margin_is_margin_eq10(mix, monkeypatch):
     # the witness is margin_eq10 at that x, bit for bit
     module = sys.modules["betamix.certify"]
     seen = []
-    original = module._ratios
+    original = module._forms
 
     def recording(mixture, xs):
         out = original(mixture, xs)
-        seen.append((xs, out[2]))
+        seen.append((xs, out.margin))
         return out
 
-    monkeypatch.setattr(module, "_ratios", recording)
+    monkeypatch.setattr(module, "_forms", recording)
     cert = certify(mix, grid_points=64)
     [(xs, margins)] = seen
     assert cert.verdict == "violated" and cert.midpoint_failures > 0

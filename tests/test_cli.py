@@ -251,6 +251,21 @@ def test_eval_large_order_continuous_input(tmp_path):
     assert len(rows) == 1024
 
 
+@pytest.mark.parametrize("command", ["eval", "certify"])
+def test_continuous_order_past_the_square_root_of_the_double_range_is_an_evaluation_failure(command, tmp_path):
+    # M^2 overflows at M = 1e300; the quadrature gap reads nan there, and the
+    # process fails evaluation (exit 3), not with a traceback and exit 1
+    path = tmp_path / "huge-order.json"
+    path.write_text(json.dumps({"M": 1e300, "knots": [0, 1e300], "log_alpha": [0, 0]}))
+    src = os.path.join(os.path.dirname(PERFBENCH), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "betamix.cli", command, "--input", str(path), "--grid-points", "16"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+    )
+    assert proc.returncode == 3
+    assert "betamix: evaluation failure" in proc.stderr
+
+
 def test_lemmas_pass_and_row_count(tmp_path):
     out = tmp_path / "lemmas.csv"
     code = main(["lemmas", "--M", "5", "--n", "4", "--out", str(out)])

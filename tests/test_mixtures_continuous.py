@@ -8,11 +8,8 @@ import pytest
 from betamix import (
     ContinuousMixture,
     DiscreteMixture,
-    DomainError,
     cdf,
     certify,
-    eval_density_continuous,
-    eval_derivs_continuous,
     is_log_concave_weights,
     mixture_from_json,
     mixture_to_json,
@@ -54,12 +51,12 @@ def flat_mixture(M=2.0):
 
 def test_flat_mixing_frozen_value():
     # integral_0^2 C(2,s) * 0.25 ds, frozen from a 30-digit quadrature
-    v = eval_density_continuous(flat_mixture(), 0.5)
+    v = float(ContinuousEvaluator(flat_mixture()).forms(0.5).f)
     assert v == pytest.approx(0.81519570563115379181, rel=1e-12)
-    assert eval_density_continuous(flat_mixture(), 0.25) == pytest.approx(
+    assert float(ContinuousEvaluator(flat_mixture()).forms(0.25).f) == pytest.approx(
         0.71937248153625242279, rel=1e-12
     )
-    assert eval_density_continuous(flat_mixture(), 0.9) == pytest.approx(
+    assert float(ContinuousEvaluator(flat_mixture()).forms(0.9).f) == pytest.approx(
         0.53818267485120302906, rel=1e-12
     )
 
@@ -71,7 +68,7 @@ def test_density_against_riemann_oracle():
     alpha = piecewise_linear_log_alpha(mix.knots, mix.log_alpha, s)
     for x in (0.2, 0.55, 0.9):
         ref = float(np.mean(alpha * binom_ext_oracle(3.0, s) * (1 - x) ** s * x ** (3.0 - s)) * 3.0)
-        assert eval_density_continuous(mix, x) == pytest.approx(ref, rel=1e-7)
+        assert float(ContinuousEvaluator(mix).forms(x).f) == pytest.approx(ref, rel=1e-7)
 
 
 def test_delta_limit_single_bump():
@@ -87,7 +84,7 @@ def test_delta_limit_single_bump():
             [0.0, 1.0 - w, 1.0, 1.0 + w, 2.0],
             [-60.0, peak - drop, peak, peak - drop, -60.0],
         )
-        errors.append(abs(eval_density_continuous(mix, x) - target))
+        errors.append(abs(float(ContinuousEvaluator(mix).forms(x).f) - target))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 1e-3
 
@@ -95,7 +92,7 @@ def test_delta_limit_single_bump():
 def test_zero_mixture_density():
     mix = ContinuousMixture(2.0, [0.0, 2.0], [NEG_INF, NEG_INF])
     assert mix.is_zero
-    assert eval_density_continuous(mix, 0.5) == 0.0
+    assert float(ContinuousEvaluator(mix).forms(0.5).f) == 0.0
 
 
 def test_partial_dead_zone():
@@ -106,7 +103,7 @@ def test_partial_dead_zone():
     s = 2.0 + (np.arange(n) + 0.5) / n
     x = 0.45
     ref = float(np.mean(binom_ext_oracle(3.0, s) * (1 - x) ** s * x ** (3.0 - s)))
-    assert eval_density_continuous(mix, x) == pytest.approx(ref, rel=1e-9)
+    assert float(ContinuousEvaluator(mix).forms(x).f) == pytest.approx(ref, rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -133,8 +130,8 @@ def test_flat_mixing_derivative_is_boundary_only():
     # reduces to the two boundary strips; finite differences confirm.
     mix = flat_mixture(3.0)
     for x in (0.3, 0.7):
-        res = eval_derivs_continuous(mix, x)
-        fd = central_d1(lambda t: eval_density_continuous(mix, t), x)
+        res = ContinuousEvaluator(mix).forms(x)
+        fd = central_d1(lambda t: float(ContinuousEvaluator(mix).forms(t).f), x)
         assert res.d1 == pytest.approx(fd, rel=1e-6)
 
 
@@ -144,8 +141,8 @@ def test_log_linear_mixing_derivatives():
     M = 4.0
     mix = ContinuousMixture(M, [0.0, M], [0.0, M * math.log(r)])
     for x in (0.25, 0.6):
-        res = eval_derivs_continuous(mix, x)
-        g = lambda t: eval_density_continuous(mix, t)
+        res = ContinuousEvaluator(mix).forms(x)
+        g = lambda t: float(ContinuousEvaluator(mix).forms(t).f)
         assert res.d1 == pytest.approx(central_d1(g, x), rel=1e-6)
         assert res.d2 == pytest.approx(central_d2(g, x), rel=1e-5)
 
@@ -215,8 +212,8 @@ def test_derivatives_against_quad_oracle_near_endpoints(mix):
         assert f[i] == pytest.approx(rf, rel=1e-12)
         assert abs(d1[i] - r1) <= 1e-11 * rf * M / t
         assert abs(d2[i] - r2) <= 1e-11 * rf * M * M / (t * t)
-        res = eval_derivs_continuous(mix, float(x))
-        assert (res.value, res.d1, res.d2) == (f[i], d1[i], d2[i])
+        res = ContinuousEvaluator(mix).forms(float(x))
+        assert (res.f, res.d1, res.d2) == (f[i], d1[i], d2[i])
 
 
 def test_derivs_at_order_at_most_two():
@@ -227,8 +224,8 @@ def test_derivs_at_order_at_most_two():
     f, d1, d2 = ev.forms(xs)[:3]
     assert np.all(f > 0.0) and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
     np.testing.assert_array_equal(ev.d2(xs), d2)
-    res = eval_derivs_continuous(mix, 0.5)
-    assert (res.value, res.d1, res.d2) == (f[1], d1[1], d2[1])
+    res = ContinuousEvaluator(mix).forms(0.5)
+    assert (res.f, res.d1, res.d2) == (f[1], d1[1], d2[1])
 
 
 def test_evaluator_takes_a_scalar_x():
@@ -242,12 +239,27 @@ def test_evaluator_takes_a_scalar_x():
         assert g == w[0]
 
 
-def test_eval_domain_checks():
-    mix = flat_mixture()
-    with pytest.raises(DomainError):
-        eval_density_continuous(mix, 0.0)
-    with pytest.raises(DomainError):
-        eval_density_continuous(mix, 1.0)
+def test_both_engines_return_the_named_forms(tmp_path):
+    # one Forms tuple from either engine; a scalar x gives 0-d fields, and
+    # eval's columns are the fields of the same name, bit for bit
+    discrete = DiscreteMixture(5, [1.0, 3.0, 4.0, 3.5, 2.0, 0.5])
+    continuous = ContinuousMixture(4.0, [0.0, 1.5, 4.0], [0.0, 0.4, -0.8])
+    engines = [(discrete, lambda x: mixtures.discrete_derivs_grid(discrete, x)),
+               (continuous, ContinuousEvaluator(continuous).forms)]
+    for mix, forms in engines:
+        one = forms(0.37)
+        assert type(one) is mixtures.Forms
+        assert one._fields == ("f", "d1", "d2", "log_f", "log_d1", "log_d2", "margin")
+        assert all(np.shape(v) == () for v in one)
+        path, out = tmp_path / "mix.json", tmp_path / "eval.csv"
+        path.write_text(json.dumps(mixture_to_json(mix)))
+        assert main(["eval", "--input", str(path), "--grid-points", "16", "--out", str(out)]) == 0
+        names, *rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+        x, *columns = np.array(rows, dtype=float).T
+        assert names == ["x", "f", "d1", "d2", "log_f", "log_d2"]
+        grid = forms(x)
+        for name, column in zip(names[1:], columns):
+            np.testing.assert_array_equal(column, getattr(grid, name))
 
 
 def test_normalization_flat():
@@ -288,11 +300,11 @@ def test_tiny_x_resolved_by_its_tilt_tier():
     mix = ContinuousMixture(3.0, [0.0, 3.0], [0.0, 0.0])
     x = 1e-100
     rf, r1, r2 = continuous_derivs_quad(mix.M, mix.knots, mix.log_alpha, x)
-    res = eval_derivs_continuous(mix, x)
-    assert res.value == pytest.approx(rf, rel=1e-12)
+    res = ContinuousEvaluator(mix).forms(x)
+    assert res.f == pytest.approx(rf, rel=1e-12)
     assert abs(res.d1 - r1) <= 1e-11 * rf * mix.M / x
     assert abs(res.d2 - r2) <= 1e-11 * rf * mix.M**2 / x**2
-    assert eval_density_continuous(mix, x) == res.value
+    assert ContinuousEvaluator(mix).forms(np.array([x])).f[0] == res.f
 
 
 def test_quadrature_failure_surfaces(tmp_path, capsys):
@@ -401,8 +413,8 @@ def test_large_order_second_derivative_matches_oracle_near_one():
     x = float(xs[np.argmin(np.abs(xs - 0.98))])
     t = x * (1.0 - x)
     rf, r1, r2 = continuous_derivs_quad(mix.M, mix.knots, mix.log_alpha, x)
-    res = eval_derivs_continuous(mix, x)
-    assert res.value == pytest.approx(rf, rel=1e-12)
+    res = ContinuousEvaluator(mix).forms(x)
+    assert res.f == pytest.approx(rf, rel=1e-12)
     assert abs(res.d1 - r1) <= 1e-11 * rf * mix.M / t
     assert abs(res.d2 - r2) <= 1e-11 * rf * mix.M**2 / t**2
 
@@ -416,7 +428,7 @@ def test_narrow_bump_passes_gauss_kronrod_check():
         2.0, [0.0, 1.0 - w, 1.0, 1.0 + w, 2.0], [-60.0, peak - drop, peak, peak - drop, -60.0]
     )
     ref = continuous_derivs_quad(mix.M, mix.knots, mix.log_alpha, x)[0]
-    assert eval_density_continuous(mix, x) == pytest.approx(ref, rel=1e-12)
+    assert float(ContinuousEvaluator(mix).forms(x).f) == pytest.approx(ref, rel=1e-12)
     # certify raises QuadratureError if any integral fails its check
     assert certify(mix, grid_points=64).notes == ()
 
@@ -509,9 +521,9 @@ def test_derivs_batch_across_tiers_equals_per_point():
     for i, x in enumerate(xs):
         one = ContinuousEvaluator(mix).forms(xs[i : i + 1])[:3]
         np.testing.assert_array_equal(np.ravel(one), [f[i], d1[i], d2[i]])
-        res = eval_derivs_continuous(mix, float(x))
-        assert (res.value, res.d1, res.d2) == (f[i], d1[i], d2[i])
-        assert eval_density_continuous(mix, float(x)) == dens[i]
+        res = ContinuousEvaluator(mix).forms(float(x))
+        assert (res.f, res.d1, res.d2) == (f[i], d1[i], d2[i])
+        assert res.f == dens[i]
 
 
 @pytest.mark.parametrize("M", [1.25, 12.0, 64.0, 200.0])

@@ -7,10 +7,7 @@ import pytest
 from betamix import (
     DegenerateMixtureError,
     DiscreteMixture,
-    DomainError,
     cdf,
-    eval_density_discrete,
-    eval_derivs_discrete,
     normalization,
     random_log_concave_weights,
     sample,
@@ -31,35 +28,27 @@ from oracles import (
 
 def test_uniform_weights_binomial_identity():
     mix = DiscreteMixture(2, [1.0, 1.0, 1.0])
-    assert eval_density_discrete(mix, 0.37) == pytest.approx(1.0, abs=1e-15)
+    assert float(discrete_density_grid(mix, 0.37)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_geometric_weights_closed_form():
     # r=2 weights give (r + (1-r)x)^M = (2 - x)^2
     mix = DiscreteMixture(2, [1.0, 2.0, 4.0])
-    assert eval_density_discrete(mix, 0.5) == pytest.approx(2.25, abs=1e-15)
+    assert float(discrete_density_grid(mix, 0.5)) == pytest.approx(2.25, abs=1e-15)
     xs = np.linspace(0.0, 1.0, 41)
     np.testing.assert_allclose(discrete_density_grid(mix, xs), (2.0 - xs) ** 2, rtol=1e-14)
 
 
 def test_single_bernstein_term():
     mix = DiscreteMixture(2, [0.0, 1.0, 0.0])
-    assert eval_density_discrete(mix, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert float(discrete_density_grid(mix, 0.5)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_endpoints_exact():
     w = np.array([0.3, 1.7, 0.0, 2.5])
     mix = DiscreteMixture(3, w)
-    assert eval_density_discrete(mix, 0.0) == w[-1]
-    assert eval_density_discrete(mix, 1.0) == w[0]
-
-
-def test_density_domain():
-    mix = DiscreteMixture(1, [1.0, 1.0])
-    with pytest.raises(DomainError):
-        eval_density_discrete(mix, -0.1)
-    with pytest.raises(DomainError):
-        eval_derivs_discrete(mix, 1.0)
+    assert float(discrete_density_grid(mix, 0.0)) == w[-1]
+    assert float(discrete_density_grid(mix, 1.0)) == w[0]
 
 
 def test_against_direct_summation_oracle():
@@ -69,7 +58,7 @@ def test_against_direct_summation_oracle():
         w = rng.uniform(0.0, 5.0, M + 1)
         mix = DiscreteMixture(M, w)
         x = rng.uniform(0.0, 1.0)
-        assert eval_density_discrete(mix, x) == pytest.approx(
+        assert float(discrete_density_grid(mix, x)) == pytest.approx(
             direct_bernstein_sum(w, M, x), rel=1e-12, abs=1e-12
         )
 
@@ -278,7 +267,7 @@ def test_derivs_grid_forms_move_only_by_the_weight_scale(unit, j):
 def test_derivs_uniform_vanish():
     mix = DiscreteMixture(2, [1.0, 1.0, 1.0])
     for x in (0.1, 0.5, 0.9):
-        res = eval_derivs_discrete(mix, x)
+        res = discrete_derivs_grid(mix, x)
         assert res.d1 == pytest.approx(0.0, abs=1e-15)
         assert res.d2 == pytest.approx(0.0, abs=1e-15)
 
@@ -287,14 +276,14 @@ def test_derivs_geometric_curvature_identity():
     # g * g'' == ((M-1)/M) * g'^2 for geometric weights
     mix = DiscreteMixture(2, [1.0, 2.0, 4.0])
     for x in (0.15, 0.5, 0.85):
-        res = eval_derivs_discrete(mix, x)
-        assert res.value * res.d2 == pytest.approx(0.5 * res.d1**2, rel=1e-13)
+        res = discrete_derivs_grid(mix, x)
+        assert res.f * res.d2 == pytest.approx(0.5 * res.d1**2, rel=1e-13)
 
 
 def test_derivs_against_finite_differences_example():
     mix = DiscreteMixture(3, [1.0, 5.0, 2.0, 1.0])
-    g = lambda t: eval_density_discrete(mix, t)
-    res = eval_derivs_discrete(mix, 0.3)
+    g = lambda t: float(discrete_density_grid(mix, t))
+    res = discrete_derivs_grid(mix, 0.3)
     assert res.d1 == pytest.approx(central_d1(g, 0.3), rel=1e-6)
     assert res.d2 == pytest.approx(central_d2(g, 0.3), rel=1e-6)
 
@@ -307,9 +296,9 @@ def test_derivative_consistency_random():
         w = random_log_concave_weights(rng, M) if rng.random() < 0.5 else rng.uniform(0.1, 2.0, M + 1)
         mix = DiscreteMixture(M, w)
         x = rng.uniform(0.01, 0.99)
-        g = lambda t: eval_density_discrete(mix, t)
-        res = eval_derivs_discrete(mix, x)
-        f = res.value
+        g = lambda t: float(discrete_density_grid(mix, t))
+        res = discrete_derivs_grid(mix, x)
+        f = res.f
         fd1 = central_d1(g, x)
         fd2 = central_d2(g, x)
         assert abs(res.d1 - fd1) <= 1e-5 * max(abs(fd1), M * f)
@@ -318,11 +307,11 @@ def test_derivative_consistency_random():
 
 def test_eval_result_log_fields():
     mix = DiscreteMixture(2, [1.0, 2.0, 4.0])
-    res = eval_derivs_discrete(mix, 0.3)
-    assert res.log_value == pytest.approx(np.log(res.value))
-    assert res.log_d1 == pytest.approx(res.d1 / res.value)
+    res = discrete_derivs_grid(mix, 0.3)
+    assert res.log_f == pytest.approx(np.log(res.f))
+    assert res.log_d1 == pytest.approx(res.d1 / res.f)
     assert res.log_d2 == pytest.approx(
-        (res.value * res.d2 - res.d1**2) / res.value**2
+        (res.f * res.d2 - res.d1**2) / res.f**2
     )
 
 
@@ -337,18 +326,18 @@ def test_eval_result_log_fields():
     ids=["e200-M400", "two-pow-M1000"],
 )
 def test_eval_result_log_curvature_at_large_orders(M, weights, x, exact):
-    res = eval_derivs_discrete(DiscreteMixture(M, weights), x)
+    res = discrete_derivs_grid(DiscreteMixture(M, weights), x)
     assert res.log_d2 == pytest.approx(exact(x), rel=1e-10)
-    assert res.log_d1 == pytest.approx(res.d1 / res.value, rel=1e-14)
-    assert res.log_value == pytest.approx(np.log(res.value), rel=1e-14)
+    assert res.log_d1 == pytest.approx(res.d1 / res.f, rel=1e-14)
+    assert res.log_f == pytest.approx(np.log(res.f), rel=1e-14)
 
 
 def test_zero_mixture_is_legal():
     mix = DiscreteMixture(2, [0.0, 0.0, 0.0])
     assert mix.is_zero
-    assert eval_density_discrete(mix, 0.4) == 0.0
-    res = eval_derivs_discrete(mix, 0.4)
-    assert np.isneginf(res.log_value)
+    assert float(discrete_density_grid(mix, 0.4)) == 0.0
+    res = discrete_derivs_grid(mix, 0.4)
+    assert np.isneginf(res.log_f)
     assert np.isnan(res.log_d1)
 
 

@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from betamix import ContinuousMixture, certify, eval_derivs_continuous, margin_eq10, mixture_to_json
+from betamix import ContinuousMixture, certify, margin_eq10, mixture_to_json
 from betamix import mixtures
 from betamix.cli import main
 from betamix.mixtures import ContinuousEvaluator
@@ -87,10 +87,10 @@ def test_eval_log_columns_are_finite_where_f_underflows(tmp_path):
     assert len(rows) == 256 and all(None not in row for row in rows)
     np.testing.assert_array_equal(np.array(rows, dtype=float), table)
     # f underflows at x = 0.05, but its log forms match the 30-digit oracle
-    res = eval_derivs_continuous(mix, 0.05)
-    assert res.value == 0.0
+    res = ContinuousEvaluator(mix).forms(0.05)
+    assert res.f == 0.0
     log_f, score, _, logcurv, _ = _oracle_forms(2000, 0.01, 0.5, 0.05)
-    assert res.log_value == pytest.approx(log_f, rel=1e-14)
+    assert res.log_f == pytest.approx(log_f, rel=1e-14)
     assert res.log_d1 == pytest.approx(score, rel=1e-12)
     assert res.log_d2 == pytest.approx(logcurv, rel=1e-11)
 
@@ -108,8 +108,8 @@ def test_continuous_eval_builds_each_tier_table_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(mixtures, "_density_table", counting)
     huge = ContinuousMixture(2.0, [0.0, 2.0], [700.0, 700.0])
-    res = eval_derivs_continuous(huge, 1e-6)
-    assert math.isfinite(res.log_value) and res.d2 == -math.inf
+    res = ContinuousEvaluator(huge).forms(1e-6)
+    assert math.isfinite(res.log_f) and res.d2 == -math.inf
     assert len(built) == 1
     built.clear()
     path = tmp_path / "huge.json"

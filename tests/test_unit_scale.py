@@ -22,8 +22,6 @@ from betamix import (
     brute_force_logconcavity,
     cdf,
     certify,
-    eval_derivs_continuous,
-    eval_derivs_discrete,
     margin_eq10,
     mixture_to_json,
     normalization,
@@ -32,6 +30,7 @@ from betamix import (
     sample,
 )
 from betamix.cli import main
+from betamix.mixtures import ContinuousEvaluator, discrete_derivs_grid
 
 _E200 = np.eye(401)[200]
 
@@ -83,8 +82,8 @@ def test_eval_of_huge_weights_keeps_f_second_derivative_finite(tmp_path):
     # M(M-1) times the second weight difference overflows at weight 1e305
     # unless the weights are scaled first; f'' itself is 4.08e293 at x = 0.3
     big = DiscreteMixture(400, 1e305 * _E200)
-    res = eval_derivs_discrete(big, 0.3)
-    unit = eval_derivs_discrete(DiscreteMixture(400, _E200), 0.3)
+    res = discrete_derivs_grid(big, 0.3)
+    unit = discrete_derivs_grid(DiscreteMixture(400, _E200), 0.3)
     assert res.d2 == pytest.approx(1e305 * unit.d2, rel=1e-12)
     assert res.log_d2 == pytest.approx(_e200_curvature(0.3), rel=1e-12)
     cols = _eval_columns(tmp_path, big, 8)
@@ -98,11 +97,11 @@ def test_log_forms_of_subnormal_densities_are_finite(tmp_path):
     # at weight 1e-305, f(0.3) is about 3e-322, a subnormal; its log forms
     # come from the unit-scaled weights, where f is normal
     tiny = DiscreteMixture(400, 1e-305 * _E200)
-    res = eval_derivs_discrete(tiny, 0.3)
-    unit = eval_derivs_discrete(DiscreteMixture(400, _E200), 0.3)
+    res = discrete_derivs_grid(tiny, 0.3)
+    unit = discrete_derivs_grid(DiscreteMixture(400, _E200), 0.3)
     assert res.log_d2 == pytest.approx(_e200_curvature(0.3), rel=1e-12)
     assert res.log_d1 == pytest.approx(unit.log_d1, rel=1e-12)
-    assert res.log_value == pytest.approx(unit.log_value + math.log(1e-305), rel=1e-14)
+    assert res.log_f == pytest.approx(unit.log_f + math.log(1e-305), rel=1e-14)
     cols = _eval_columns(tmp_path, tiny, 8)
     live = np.isfinite(cols["log_f"])
     assert live.sum() == 6
@@ -117,11 +116,11 @@ def test_continuous_eval_log_forms_come_from_the_unit_scaled_mixture(tmp_path):
     unit = ContinuousMixture(2.0, [0.0, 2.0], [0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res, want = eval_derivs_continuous(huge, 1e-6), eval_derivs_continuous(unit, 1e-6)
+        res, want = ContinuousEvaluator(huge).forms(1e-6), ContinuousEvaluator(unit).forms(1e-6)
         assert res.d2 == -math.inf
         assert res.log_d2 == want.log_d2 == pytest.approx(-7.3171793050533e10, rel=1e-12)
         assert res.log_d1 == want.log_d1
-        assert res.log_value == pytest.approx(want.log_value + 700.0, rel=1e-15)
+        assert res.log_f == pytest.approx(want.log_f + 700.0, rel=1e-15)
         tables = {}
         for name, mix in (("huge", huge), ("unit", unit)):
             path = tmp_path / f"{name}.json"
@@ -176,12 +175,12 @@ def test_power_of_two_weight_scale_changes_no_ratio(j, index, tmp_path):
         assert np.all(np.abs(got[live] - shifted) <= 4.0 * np.spacing(np.abs(shifted)))
 
     for x in (0.05, 0.3, 0.5, 0.77, 0.999):
-        a, b = eval_derivs_discrete(scaled, x), eval_derivs_discrete(unit, x)
+        a, b = discrete_derivs_grid(scaled, x), discrete_derivs_grid(unit, x)
         assert repr((a.log_d1, a.log_d2)) == repr((b.log_d1, b.log_d2))
         assert repr(margin_eq10(scaled, x)) == repr(margin_eq10(unit, x))
-        for got, want in ((a.value, b.value), (a.d1, b.d1), (a.d2, b.d2)):
+        for got, want in ((a.f, b.f), (a.d1, b.d1), (a.d2, b.d2)):
             normal_equal(np.array([got]), np.array([want]))
-        log_shifted(np.array([a.log_value]), np.array([b.log_value]))
+        log_shifted(np.array([a.log_f]), np.array([b.log_f]))
     got, want = _eval_columns(tmp_path, scaled, 64, "scaled"), _eval_columns(tmp_path, unit, 64, "unit")
     np.testing.assert_array_equal(got["log_d2"], want["log_d2"])
     for name in ("f", "d1", "d2"):
@@ -224,9 +223,9 @@ def test_margin_eq10_at_the_worst_point_is_the_certificate_margin():
         assert repr(margin_eq10(mix, cert.worst_x)) == repr(cert.min_margin_eq10)
 
 
-def test_eval_derivs_log_curvature_is_the_eval_cell(tmp_path):
+def test_discrete_derivs_log_curvature_is_the_eval_cell(tmp_path):
     rng = np.random.default_rng(10)
     mix = DiscreteMixture(80, 0.01 * random_log_concave_weights(rng, 80))
     cols = _eval_columns(tmp_path, mix, 16)
     for x, cell in zip(cols["x"][1:-1], cols["log_d2"][1:-1]):
-        assert repr(eval_derivs_discrete(mix, float(x)).log_d2) == repr(float(cell))
+        assert repr(float(discrete_derivs_grid(mix, float(x)).log_d2)) == repr(float(cell))
