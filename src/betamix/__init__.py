@@ -18,7 +18,6 @@ from .certify import (
 )
 from .lemmas import (
     LemmaCase,
-    MajorizationInstance,
     brute_force_logconcavity,
     check_majorization,
     coefficient_inequality_12,
@@ -51,7 +50,6 @@ __all__ = [
     "DiscreteMixture",
     "DomainError",
     "LemmaCase",
-    "MajorizationInstance",
     "QuadratureError",
     "brute_force_logconcavity",
     "cdf",

@@ -25,7 +25,6 @@ draws its own (M, n, q)).
 """
 
 import warnings
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple
@@ -33,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mixtures import ContinuousMixture, DiscreteMixture, below_chord, density_grid, is_log_concave_weights
-from .quadrature import check_gauss_kronrod, panel_nodes
+from .quadrature import check_gauss_kronrod, kronrod_integral, panel_nodes
 from .special import DomainError, log_abs_gen_binom_ext
 
 # Lemma 2, one row per inequality: (continuous name, discrete name, c, r,
@@ -89,64 +88,42 @@ class LemmaCase(NamedTuple):
 # majorization
 
 
-@dataclass(frozen=True)
-class MajorizationInstance:
-    """Tabulated quadruple (a, b, u, v) for the majorization hypothesis.
+def check_majorization(a, b, u, v, m: float | None = None) -> dict:
+    """Verify the majorization hypotheses and conclusion numerically for the quadruple (a, b, u, v).
 
-    With m set, the arrays sample the functions on a uniform grid over
-    [0, m] and integrals are trapezoid sums; with m=None they are plain
-    finite sequences and integrals are plain sums.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    m: float | None = None
-
-    def __post_init__(self):
-        arrays = [np.asarray(arr, dtype=float) for arr in (self.a, self.b, self.u, self.v)]
-        n = arrays[0].shape[0]
-        if any(arr.ndim != 1 or arr.shape[0] != n for arr in arrays):
-            raise ValueError("a, b, u, v must be 1-D arrays of equal length")
-        if n < 2 and self.m is not None:
-            raise ValueError("continuous tabulation needs at least two grid points")
-        if self.m is not None and not self.m > 0.0:
-            raise ValueError("domain length m must be positive")
-        for name, arr in zip("abuv", arrays):
-            object.__setattr__(self, name, arr)
-
-    def integration_weights(self) -> np.ndarray:
-        if self.m is None:
-            return np.ones_like(self.a)
-        h = self.m / (self.a.shape[0] - 1)
-        w = np.full(self.a.shape[0], h)
-        w[0] = w[-1] = 0.5 * h
-        return w
-
-
-def check_majorization(inst: MajorizationInstance) -> dict:
-    """Verify the majorization hypotheses and conclusion numerically.
-
-    Hypotheses: a decreasing, a >= b >= 0, u and v nonnegative, and the
-    running (weighted) sums of u dominate those of v. Conclusion:
+    With m set, the four equal-length 1-D arrays sample functions on a
+    uniform grid over [0, m], at least two points, and integrals are
+    trapezoid sums; with m=None they are plain finite sequences and
+    integrals are plain sums. Any other shape, or m <= 0, raises
+    ValueError. Hypotheses: a decreasing, a >= b >= 0, u and v nonnegative,
+    and the running (weighted) sums of u dominate those of v. Conclusion:
     sum(a*u) >= sum(b*v) in the same weighting. Whenever hypotheses_ok is
     reported the conclusion is guaranteed up to rounding (relative slack
     _MAJORIZATION_TOL).
     """
-    w = inst.integration_weights()
-    scale = max(1.0, float(np.max(np.abs(inst.a))), float(np.max(np.abs(inst.u))),
-                float(np.max(np.abs(inst.v))))
+    a, b, u, v = (np.asarray(arr, dtype=float) for arr in (a, b, u, v))
+    n = a.size
+    if any(arr.ndim != 1 or arr.shape[0] != n for arr in (a, b, u, v)):
+        raise ValueError("a, b, u, v must be 1-D arrays of equal length")
+    w = np.ones(n)
+    if m is not None:
+        if n < 2:
+            raise ValueError("continuous tabulation needs at least two grid points")
+        if not m > 0.0:
+            raise ValueError("domain length m must be positive")
+        w *= m / (n - 1)
+        w[[0, -1]] *= 0.5
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(u))), float(np.max(np.abs(v))))
     slack = _MAJORIZATION_TOL * scale
-    nonneg = all(bool(np.all(arr >= -slack)) for arr in (inst.a, inst.b, inst.u, inst.v))
-    a_decreasing = bool(np.all(np.diff(inst.a) <= slack))
-    a_dominates_b = bool(np.all(inst.a >= inst.b - slack))
-    run_u = np.cumsum(w * inst.u)
-    run_v = np.cumsum(w * inst.v)
+    nonneg = all(bool(np.all(arr >= -slack)) for arr in (a, b, u, v))
+    a_decreasing = bool(np.all(np.diff(a) <= slack))
+    a_dominates_b = bool(np.all(a >= b - slack))
+    run_u = np.cumsum(w * u)
+    run_v = np.cumsum(w * v)
     running_ok = bool(np.all(run_u >= run_v - slack * np.maximum(1.0, np.abs(run_v))))
     hypotheses_ok = nonneg and a_decreasing and a_dominates_b and running_ok
-    lhs = float(np.dot(w, inst.a * inst.u))
-    rhs = float(np.dot(w, inst.b * inst.v))
+    lhs = float(np.dot(w, a * u))
+    rhs = float(np.dot(w, b * v))
     conclusion_scale = max(1.0, abs(lhs), abs(rhs))
     return {
         "hypotheses_ok": hypotheses_ok,
@@ -199,11 +176,7 @@ def _lemma2_pass(cases) -> list[LemmaCase]:
         M, n, r = np.repeat([(cases[i][0], cases[i][1], _ROW[cases[i][3]][1]) for i in live], nodes, axis=0).T
         ext = [log_abs_gen_binom_ext(m, t) for m, t in ((M - 1.0, s), (M - 1.0, n - s), (M, s + r), (M - 2.0, n - s - r))]
         f = np.stack([a[1] * b[1] * np.exp(a[0] + b[0]) for a, b in (ext[:2], ext[2:])])
-        # an overflowed integrand leaves a nan gap, which the gate fails
-        with np.errstate(invalid="ignore"):
-            kronrod, gauss, scale = (np.add.reduceat(w * v, np.cumsum(nodes) - nodes, axis=1)
-                                     for w, v in ((wk, f), (wg, f), (wk, abs(f))))
-            gap = abs(kronrod - gauss) / np.where(scale > 0.0, scale, 1.0)
+        kronrod, gap = kronrod_integral(wk, wg, f, np.cumsum(nodes) - nodes)
         worst = cases[live[np.argmax(gap.max(axis=0))]]
         check_gauss_kronrod(gap, "{3} integrand (M={0}, n={1}, q={2})".format(*worst))
         sides[:, live] = kronrod
@@ -221,13 +194,13 @@ def lemma2_continuous_cases(cases) -> list[LemmaCase]:
     panel_nodes call, whose breakpoints cut each window from the next by a
     point of -inf log value; four log_abs_gen_binom_ext calls give lhs
     C(M-1, s) C(M-1, n-s) and rhs C(M, s+r) C(M-2, n-s-r) at every node,
-    and each case's Kronrod and Gauss sums are read off with
-    np.add.reduceat. One check_gauss_kronrod call gates every integral of
-    the pass, each gap measured on the Kronrod integral of |integrand| as
-    in quadrature.kronrod_integral. A case's values do not depend on the
-    other cases in the list. An empty window reads 0 on both sides. Each
-    pass sets its cases' margins and verdicts (LemmaCase) in one array
-    operation each.
+    and one quadrature.kronrod_integral call integrates both sides of
+    every case over its run of nodes. One check_gauss_kronrod call gates
+    every integral of the pass, each gap measured on the Kronrod integral
+    of |integrand|, and names the case of the largest. A case's values do
+    not depend on the other cases in the list. An empty window reads 0 on
+    both sides. Each pass sets its cases' margins and verdicts (LemmaCase)
+    in one array operation each.
     """
     for M, n, q, which in cases:
         for name, value, floor in (("M", M, 1.0), ("q", q, 0.0), ("n", n, -2.0)):

@@ -513,43 +513,42 @@ def density_grid(mix, x) -> np.ndarray:
     return out
 
 
-def normalization(mix) -> float:
-    """Total mass of the density over [0, 1].
+def _alpha_intervals(unit: ContinuousMixture):
+    """(start, span, D, mass) of each knot interval where the unit-scaled alpha lives.
 
-    Exactly sum(weights)/(M+1) for discrete mixtures (each Beta kernel
-    integrates to 1/(M+1)); the quadrature analog, integral(alpha)/(M+1),
-    for continuous ones. Callers divide by this to get a probability
-    density. Formed as _scaled_integral does, so a value within the double
-    range comes back finite.
+    Measured from the interval's end where alpha is larger (start), at the
+    fraction t of its length L = |span| (span runs towards the other end),
+    alpha is e^l e^(-D t), with l the larger and D >= 0 the difference of
+    its two log values, so its mass is L e^l (1 - e^-D)/D (L e^l at D = 0).
+    """
+    la = unit.log_alpha
+    i = np.flatnonzero(np.isfinite(la[:-1]) & np.isfinite(la[1:]))
+    rise = la[i + 1] > la[i]
+    near, far = np.where(rise, i + 1, i), np.where(rise, i, i + 1)
+    start, span, D = unit.knots[near], unit.knots[far] - unit.knots[near], la[near] - la[far]
+    mass = np.abs(span) * np.exp(la[near]) * np.divide(-np.expm1(-D), D, out=np.ones_like(D), where=D > 0.0)
+    return start, span, D, mass
+
+
+def normalization(mix) -> float:
+    """Total mass of the density over [0, 1], in closed form.
+
+    Each Beta kernel integrates to 1/(M+1), so the mass is sum(weights)/(M+1)
+    for a discrete mixture and integral(alpha)/(M+1) for a continuous one,
+    whose alpha integrates exactly over each interval (_alpha_intervals).
+    Callers divide by this to get a probability density. Both are formed on
+    the unit-scaled mixture (unit_scaled) with the scale put back last (2^k,
+    or alpha's peak added to the log before one exponential), so a value
+    within the double range comes back finite, and only one past it reads
+    inf.
     """
     if mix.is_zero:
         raise DegenerateMixtureError("normalization of the identically-zero mixture")
-    return _scaled_integral(mix, "normalization")
-
-
-def _scaled_integral(mix, what: str, factor=None) -> float:
-    """The weights' sum, or integral alpha(s) ds, with each term times factor(s), divided by M+1.
-
-    factor defaults to 1. The sum or integral is formed on the unit-scaled
-    mixture (unit_scaled) and its scale is put back last: a discrete value
-    is multiplied by 2^k (np.ldexp), and a continuous one, the Kronrod
-    value checked by quadrature.kronrod_integral, has alpha's peak added to
-    its log before one exponential. So a value within the double range
-    comes back finite, and only one past it reads inf. alpha = 0
-    everywhere leaves no nodes and gives 0.
-    """
-    M = mix.M
-    with np.errstate(over="ignore", divide="ignore"):
+    unit, M = unit_scaled(mix), mix.M
+    with np.errstate(over="ignore"):
         if isinstance(mix, DiscreteMixture):
-            k = weight_exponent(mix)
-            w = np.ldexp(mix.weights, -k)
-            total = np.sum(w) if factor is None else np.dot(w, factor(np.arange(M + 1.0)))
-            return float(np.ldexp(total / (M + 1), k))
-        unit = unit_scaled(mix)
-        s, wk, wg = panel_nodes(unit.knots, unit.log_alpha)
-        alpha = np.exp(np.interp(s, unit.knots, unit.log_alpha))
-        total = kronrod_integral(wk, wg, alpha if factor is None else alpha * factor(s), what)
-        return float(np.exp(_alpha_peak(mix) + np.log(total / (M + 1.0))))
+            return float(np.ldexp(np.sum(unit.weights) / (M + 1), weight_exponent(mix)))
+        return float(np.exp(_alpha_peak(mix) + np.log(np.sum(_alpha_intervals(unit)[3]) / (M + 1.0))))
 
 
 def cdf(mix, x: float) -> float:
@@ -558,17 +557,29 @@ def cdf(mix, x: float) -> float:
     Each kernel integrates in closed form: the integral over [0, x] of
     C(M, s) (1-t)^s t^(M-s) dt is I_x(M-s+1, s+1)/(M+1), with I the
     regularized incomplete Beta function. So the discrete CDF is an exact
-    sum, and the continuous one a single quadrature over s, each formed by
-    _scaled_integral.
+    sum, and the continuous one a single quadrature over s, the Kronrod
+    value of quadrature.kronrod_integral gated by its Gauss-Kronrod gap.
+    Either is formed on the unit-scaled mixture (unit_scaled) with its scale
+    put back last, as normalization is. The identically-zero mixture gives
+    0.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"cdf requires 0 <= x <= 1, got {x!r}")
-    if x == 0.0:
+    if x == 0.0 or mix.is_zero:
         return 0.0
     from scipy.special import betainc
 
-    M = mix.M
-    return _scaled_integral(mix, "cdf", lambda s: betainc(M - s + 1.0, s + 1.0, x))
+    unit, M = unit_scaled(mix), mix.M
+    with np.errstate(over="ignore", divide="ignore"):
+        if isinstance(mix, DiscreteMixture):
+            s = np.arange(M + 1.0)
+            total = np.dot(unit.weights, betainc(M - s + 1.0, s + 1.0, x))
+            return float(np.ldexp(total / (M + 1), weight_exponent(mix)))
+        s, wk, wg = panel_nodes(unit.knots, unit.log_alpha)
+        alpha = np.exp(np.interp(s, unit.knots, unit.log_alpha))
+        (total,), gap = kronrod_integral(wk, wg, alpha * betainc(M - s + 1.0, s + 1.0, x))
+        check_gauss_kronrod(gap, "cdf")
+        return float(np.exp(_alpha_peak(mix) + np.log(total / (M + 1.0))))
 
 
 # Draws per chunk of sample. A chunk's uniforms, indices and Beta parameters
@@ -593,11 +604,10 @@ def sample(mix, count: int, seed: int) -> np.ndarray:
     cumulative weights. A continuous s takes a knot interval where alpha
     lives the same way, by the intervals' masses, and a position in it from
     a second uniform v. Measured from the interval's end where alpha is
-    larger, at the fraction t of its length L, alpha is e^l e^(-D t), with
-    l the larger and D >= 0 the difference of its two log values, so its
-    mass is L e^l (1 - e^-D)/D (L e^l at D = 0), and its CDF in t inverts
-    to t = -log1p(v expm1(-D))/D (t = v at D = 0), which stays finite for D
-    in the thousands, where it reads -log(1 - v)/D. Draws are made
+    larger, at the fraction t of its length, alpha is e^l e^(-D t)
+    (_alpha_intervals), and its CDF in t inverts to t = -log1p(v
+    expm1(-D))/D (t = v at D = 0), which stays finite for D in the
+    thousands, where it reads -log(1 - v)/D. Draws are made
     _SAMPLE_CHUNK at a time into one output array. No density is evaluated.
     """
     if count < 1:
@@ -609,12 +619,7 @@ def sample(mix, count: int, seed: int) -> np.ndarray:
     if discrete:
         mass = unit.weights
     else:
-        la = unit.log_alpha
-        i = np.flatnonzero(np.isfinite(la[:-1]) & np.isfinite(la[1:]))
-        rise = la[i + 1] > la[i]
-        near, far = np.where(rise, i + 1, i), np.where(rise, i, i + 1)
-        start, span, D = unit.knots[near], unit.knots[far] - unit.knots[near], la[near] - la[far]
-        mass = np.abs(span) * np.exp(la[near]) * np.divide(-np.expm1(-D), D, out=np.ones_like(D), where=D > 0.0)
+        start, span, D, mass = _alpha_intervals(unit)
     cum = np.cumsum(mass)
     rng = np.random.default_rng(seed)
     out = np.empty(count)

@@ -50,11 +50,12 @@ _WG = (
 
 
 # Panels per unit length of the integration variable where the caller knows
-# nothing else about the integrand (the mixing-function integrals behind
-# normalization and cdf). The density at a point x sets its own floor from
-# the x-tilt of its kernel instead (see mixtures.ContinuousEvaluator), and
-# the lemma integrands, which have no tilt, take one panel per unit (see
-# lemmas.lemma2_continuous_cases).
+# nothing else about the integrand (the mixing-function integral behind cdf,
+# whose betainc factor moves with s). The density at a point x sets its own
+# floor from the x-tilt of its kernel instead (see
+# mixtures.ContinuousEvaluator), and the lemma integrands, which have no
+# tilt, take one panel per unit (see lemmas.lemma2_continuous_cases).
+# normalization integrates alpha in closed form and lays out no panels.
 PANELS_PER_UNIT = 8
 # Largest drop of the log integrand's linear part across one panel: an
 # interval whose log values differ by d gets at least d / LOG_DROP_PER_PANEL
@@ -67,6 +68,12 @@ LOG_DROP_CAP = 800.0
 # Largest allowed gap between the Kronrod and the embedded Gauss value,
 # measured on the integral's own scale (see check_gauss_kronrod).
 REL_TOL = 1e-10
+# Most nodes one panel_nodes call lays out; a layout past it raises
+# QuadratureError before anything is allocated. 2^27 nodes hold 1 GiB per
+# array. The tilt cap allows at most 200 panels of 21 nodes per unit of s,
+# 21 * 200 * M nodes rounded up per knot interval (1.26e8 at M = 30 000),
+# so every tier still fits at M <= 30 000.
+MAX_NODES = 1 << 27
 
 
 class QuadratureError(RuntimeError):
@@ -118,7 +125,9 @@ def panel_nodes(
     either end (where the integrand vanishes), gets no panels. Panel j of
     [a, b] starts at j * (b - a) / n + a and the last ends at b, the edges
     np.linspace(a, b, n + 1) gives. Returns flat (nodes, kronrod weights,
-    gauss weights) arrays.
+    gauss weights) arrays. A layout of more than MAX_NODES nodes raises
+    QuadratureError; the counts are formed as floats and checked before
+    any cast or allocation.
     """
     t, wk, wg = reference_rule()
     bps = np.asarray(breakpoints, dtype=float)
@@ -132,7 +141,11 @@ def panel_nodes(
         # absorbs; two -inf values give nan on a segment that gets no panels
         with np.errstate(over="ignore", invalid="ignore"):
             drops = np.diff(lv)
-    counts = live * np.maximum(np.ceil((b - a) * per_unit).astype(int), log_drop_panels(drops))
+    counts = live * np.maximum(np.ceil((b - a) * per_unit), log_drop_panels(drops))
+    nodes = t.size * float(np.sum(counts))
+    if not nodes <= MAX_NODES:
+        raise QuadratureError(f"{nodes:.3g} quadrature nodes exceed the limit of {MAX_NODES}")
+    counts = counts.astype(int)
     seg = np.repeat(np.arange(a.size), counts)
     j = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
     step = (b - a)[seg] / counts[seg]
@@ -156,13 +169,20 @@ def check_gauss_kronrod(gap, what: str) -> None:
         )
 
 
-def kronrod_integral(wk, wg, values, what: str) -> float:
-    """Kronrod value of one integral from its integrand's values at the nodes.
+def kronrod_integral(wk, wg, values, starts=(0,)) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values of integrals over runs of nodes, with the Gauss-Kronrod gap of each.
 
-    Its gap is measured on the Kronrod integral of |integrand|, as QUADPACK
-    does, and is 0 for an integrand that is 0 at every node.
+    values holds the integrand at the nodes along its last axis, one
+    integrand per row of any leading axes; each run of nodes begins at an
+    index in starts and ends where the next begins (one run over all nodes
+    by default). The Kronrod sum, the Gauss sum and the Kronrod integral of
+    |integrand| are formed by np.add.reduceat. A gap is measured on that
+    integral of |integrand|, as QUADPACK does, and is 0 for an integrand
+    that is 0 at every node of its run; an overflowed integrand gives a nan
+    gap, which check_gauss_kronrod fails. Returns (values, gaps), each with
+    one entry per run along the last axis.
     """
-    kronrod = float(np.dot(wk, values))
-    scale = float(np.dot(wk, np.abs(values)))
-    check_gauss_kronrod(abs(kronrod - float(np.dot(wg, values))) / scale if scale else 0.0, what)
-    return kronrod
+    with np.errstate(invalid="ignore"):
+        kronrod, gauss, scale = (np.add.reduceat(w * v, starts, axis=-1)
+                                 for w, v in ((wk, values), (wg, values), (wk, np.abs(values))))
+        return kronrod, np.abs(kronrod - gauss) / np.where(scale > 0.0, scale, 1.0)

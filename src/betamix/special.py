@@ -3,10 +3,11 @@
 The two grid functions work in log space, so orders up to ~1e4 never
 overflow an intermediate Gamma value: log_gen_binom_grid (continuous
 density tables) and log_abs_gen_binom_ext, its signed extension beyond the
-positive domain (the continuous lemma integrands). Both import scipy's
-gammaln on their first call, so importing betamix loads numpy only, and
-discrete densities, derivatives and certificates never load scipy. Exact
-integer binomials are built in lemmas, by one running product.
+positive domain (the continuous lemma integrands), whose sign is scipy's
+gammasgn. Both import scipy on their first call, so importing betamix loads
+numpy only, and discrete densities, derivatives and certificates never
+load scipy. Exact integer binomials are built in lemmas, by one running
+product.
 """
 
 import numpy as np
@@ -40,19 +41,6 @@ def log_gen_binom_grid(M: float, s) -> np.ndarray:
         return log_top - gammaln(s + 1.0) - gammaln(M - s + 1.0)
 
 
-def _recip_gamma_sign(z: np.ndarray) -> np.ndarray:
-    """Sign of 1/Gamma(z), elementwise. Arbitrary (+1) at the zeros."""
-    z = np.asarray(z, dtype=float)
-    sign = np.ones(z.shape)
-    neg = z < 0.0
-    if np.any(neg):
-        # Gamma alternates sign between consecutive negative integers:
-        # negative on (-1,0), positive on (-2,-1), and so on.
-        flip = (np.floor(-z[neg]).astype(np.int64) % 2) == 0
-        sign[neg] = np.where(flip, -1.0, 1.0)
-    return sign
-
-
 def log_abs_gen_binom_ext(M: float, s) -> tuple[np.ndarray, np.ndarray]:
     """Signed log of the generalized binomial's extension beyond -1 < s < M+1.
 
@@ -62,10 +50,14 @@ def log_abs_gen_binom_ext(M: float, s) -> tuple[np.ndarray, np.ndarray]:
     ..., and alternates sign in between. Requires M > -1; M may be an array
     that broadcasts against s, one order per point.
 
-    Returns (log_abs, sign) with log_abs = -inf where the value is 0.
+    Returns (log_abs, sign). Between the zeros sign is +1 or -1, that of
+    Gamma(s+1) Gamma(M-s+1), from scipy's gammasgn. At a zero log_abs is
+    -inf and sign is finite (gammasgn's nan at a pole reads 0).
     """
+    from scipy.special import gammasgn
+
     if not np.all(M > -1.0):
         raise DomainError(f"extended binomial requires order M > -1, got {M!r}")
     s = np.asarray(s, dtype=float)
     # gammaln is +inf at the poles of Gamma, so log_gen_binom_grid is already -inf there
-    return log_gen_binom_grid(M, s), _recip_gamma_sign(s + 1.0) * _recip_gamma_sign(M - s + 1.0)
+    return log_gen_binom_grid(M, s), np.nan_to_num(gammasgn(s + 1.0) * gammasgn(M - s + 1.0))

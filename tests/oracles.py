@@ -165,7 +165,9 @@ def continuous_derivs_quad(M, knots, log_alpha, x):
     The integrand alpha(s) C(M,s) (1-x)^s x^(M-s) is differentiated in x
     under the integral sign: d/dx multiplies it by u = (M-s)/x - s/(1-x)
     and d2/dx2 by u^2 - (M-s)/x^2 - s/(1-x)^2. Each active knot interval
-    is integrated separately, after a common shift of the log integrand.
+    is integrated separately, after a shift of the log integrand by its
+    largest value on that interval, and cut where the derivative factor
+    changes sign.
     """
     from scipy.integrate import quad
 
@@ -180,9 +182,10 @@ def continuous_derivs_quad(M, knots, log_alpha, x):
         return (la + (lb - la) * (s - a) / (b - a) + gammaln(M + 1.0) - gammaln(s + 1.0)
                 - gammaln(M - s + 1.0) + s * l1x + (M - s) * lx)
 
-    shift = max(
-        float(np.max(log_integrand(np.linspace(a, b, 513), a, b, la, lb))) for a, b, la, lb in segments
-    )
+    # each interval is integrated on its own scale, so none of its values is
+    # subnormal, and scaled back to the largest
+    shifts = [float(np.max(log_integrand(np.linspace(a, b, 513), a, b, la, lb))) for a, b, la, lb in segments]
+    shift = max(shifts)
 
     def u(s):
         return (M - s) / x - s / (1.0 - x)
@@ -190,13 +193,27 @@ def continuous_derivs_quad(M, knots, log_alpha, x):
     def u2_du(s):
         return u(s) ** 2 - (M - s) / x**2 - s / (1.0 - x) ** 2
 
-    totals = np.zeros(3)
-    for a, b, la, lb in segments:
-        def base(s):
-            return math.exp(log_integrand(s, a, b, la, lb) - shift)
+    # each factor as a polynomial in s, highest power first: u = A - B s
+    A, B = M / x, 1.0 / (x * (1.0 - x))
+    factors = (
+        (lambda s: 1.0, [1.0]),
+        (u, [-B, A]),
+        (u2_du, [B * B, -2.0 * A * B + 1.0 / x**2 - 1.0 / (1.0 - x) ** 2, A * A - M / x**2]),
+    )
 
-        for j, factor in enumerate((lambda s: 1.0, u, u2_du)):
-            totals[j] += quad(lambda s: base(s) * factor(s), a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+    totals = np.zeros(3)
+    for (a, b, la, lb), shift_j in zip(segments, shifts):
+        def base(s):
+            return math.exp(log_integrand(s, a, b, la, lb) - shift_j)
+
+        for j, (factor, coeffs) in enumerate(factors):
+            # cut at the factor's sign changes, so that no piece's integral
+            # cancels below the relative accuracy quad is asked for
+            roots = np.roots(coeffs)
+            cuts = [a, *sorted(float(r.real) for r in roots if r.imag == 0.0 and a < r.real < b), b]
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                value = quad(lambda s: base(s) * factor(s), lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+                totals[j] += math.exp(shift_j - shift) * value
     return tuple(math.exp(shift) * totals)
 
 

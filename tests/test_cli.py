@@ -251,19 +251,38 @@ def test_eval_large_order_continuous_input(tmp_path):
     assert len(rows) == 1024
 
 
-@pytest.mark.parametrize("command", ["eval", "certify"])
-def test_continuous_order_past_the_square_root_of_the_double_range_is_an_evaluation_failure(command, tmp_path):
-    # M^2 overflows at M = 1e300; the quadrature gap reads nan there, and the
-    # process fails evaluation (exit 3), not with a traceback and exit 1
+def _run_continuous(tmp_path, M, command):
+    """Run one command on {"M": M, "knots": [0, M], "log_alpha": [0, 0]} in a fresh interpreter."""
     path = tmp_path / "huge-order.json"
-    path.write_text(json.dumps({"M": 1e300, "knots": [0, 1e300], "log_alpha": [0, 0]}))
+    path.write_text(json.dumps({"M": M, "knots": [0, M], "log_alpha": [0, 0]}))
     src = os.path.join(os.path.dirname(PERFBENCH), "src")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "betamix.cli", command, "--input", str(path), "--grid-points", "16"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
     )
+
+
+@pytest.mark.parametrize("command", ["eval", "certify"])
+def test_continuous_order_past_the_square_root_of_the_double_range_is_an_evaluation_failure(command, tmp_path):
+    # M^2 overflows at M = 1e300, and the layout would take about 1e303
+    # nodes: the process fails evaluation (exit 3), not with a traceback and
+    # exit 1
+    proc = _run_continuous(tmp_path, 1e300, command)
     assert proc.returncode == 3
     assert "betamix: evaluation failure" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("M", [1e18, 1e19])
+@pytest.mark.parametrize("command", ["eval", "certify"])
+def test_continuous_order_past_the_node_limit_is_an_evaluation_failure(command, M, tmp_path):
+    # one panel per unit of s would lay out 21 M nodes, past
+    # quadrature.MAX_NODES; the count is checked as a float (a cast to int
+    # is invalid past M = 9.2e18) before anything is allocated
+    proc = _run_continuous(tmp_path, M, command)
+    assert proc.returncode == 3
+    assert "quadrature nodes exceed the limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_lemmas_pass_and_row_count(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from betamix import (
     DiscreteMixture,
     DomainError,
-    MajorizationInstance,
     QuadratureError,
     brute_force_logconcavity,
     certify,
@@ -41,16 +40,14 @@ from oracles import (
 
 
 def test_majorization_identical_sides():
-    inst = MajorizationInstance([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 0.5, 1.0], [2.0, 0.5, 1.0])
-    out = check_majorization(inst)
+    out = check_majorization([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 0.5, 1.0], [2.0, 0.5, 1.0])
     assert out["hypotheses_ok"]
     assert out["conclusion_ok"]
     assert out["lhs"] == pytest.approx(out["rhs"])
 
 
 def test_majorization_hand_example():
-    inst = MajorizationInstance([3.0, 2.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0])
-    out = check_majorization(inst)
+    out = check_majorization([3.0, 2.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0])
     assert out["hypotheses_ok"]
     assert out["conclusion_ok"]
     assert out["lhs"] == pytest.approx(6.0)
@@ -59,9 +56,30 @@ def test_majorization_hand_example():
 
 def test_majorization_reports_broken_hypotheses():
     # running sums of v exceed those of u up front
-    inst = MajorizationInstance([3.0, 2.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0])
-    out = check_majorization(inst)
+    out = check_majorization([3.0, 2.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0])
     assert not out["hypotheses_ok"]
+
+
+@pytest.mark.parametrize("arrays", [
+    ([[3.0, 2.0]], [[1.0, 1.0]], [[1.0, 1.0]], [[1.0, 1.0]]),
+    ([3.0, 2.0, 1.0], [1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0]),
+], ids=["not-1d", "unequal-lengths"])
+def test_majorization_rejects_arrays_of_other_shapes(arrays):
+    with pytest.raises(ValueError, match="1-D arrays of equal length"):
+        check_majorization(*arrays)
+
+
+def test_majorization_tabulation_needs_two_points():
+    with pytest.raises(ValueError, match="at least two grid points"):
+        check_majorization([1.0], [1.0], [1.0], [1.0], m=1.0)
+    # a plain sequence of one term is legal
+    assert check_majorization([1.0], [1.0], [1.0], [1.0])["conclusion_ok"]
+
+
+@pytest.mark.parametrize("m", [0.0, -1.0])
+def test_majorization_tabulation_needs_a_positive_length(m):
+    with pytest.raises(ValueError, match="m must be positive"):
+        check_majorization([3.0, 2.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], m=m)
 
 
 def _random_instance(rng, continuous):
@@ -80,7 +98,7 @@ def _random_instance(rng, continuous):
             v[i + 1] += move * rng.uniform(0.0, 1.0)
         v[-1] *= rng.uniform(0.0, 1.0)
     m = float(rng.uniform(0.5, 4.0)) if continuous else None
-    return MajorizationInstance(a, b, u, v, m=m)
+    return a, b, u, v, m
 
 
 def test_majorization_fuzz_never_contradicts():
@@ -89,7 +107,7 @@ def test_majorization_fuzz_never_contradicts():
     seen_ok = 0
     for i in range(1000):
         inst = _random_instance(rng, continuous=bool(i % 2))
-        out = check_majorization(inst)
+        out = check_majorization(*inst)
         if out["hypotheses_ok"]:
             seen_ok += 1
             assert out["conclusion_ok"], inst

@@ -17,7 +17,7 @@ from betamix import (
     random_concave_mixture,
     sample,
 )
-from betamix import mixtures
+from betamix import mixtures, quadrature
 from betamix.cli import main
 from betamix.mixtures import ContinuousEvaluator, _tilt_tiers, discrete_density_grid
 from betamix.quadrature import (
@@ -294,6 +294,22 @@ def test_cdf_of_zero_mixture_is_zero():
         assert cdf(mix, x) == 0.0
 
 
+def test_cdf_past_the_node_limit_raises_quadrature_error():
+    # 8 panels per unit of s over [0, 1e18]: the count is checked before
+    # anything is allocated, where numpy raised ValueError (array too big)
+    with pytest.raises(QuadratureError, match="quadrature nodes exceed the limit"):
+        cdf(ContinuousMixture(1e18, [0.0, 1e18], [0.0, 0.0]), 0.5)
+
+
+def test_panel_layout_up_to_the_node_limit(monkeypatch):
+    # [0, 1] at 8 panels per unit is 8 * 21 = 168 nodes
+    monkeypatch.setattr(quadrature, "MAX_NODES", 168)
+    assert panel_nodes([0.0, 1.0])[0].size == 168
+    monkeypatch.setattr(quadrature, "MAX_NODES", 167)
+    with pytest.raises(QuadratureError, match="168 quadrature nodes exceed the limit of 167"):
+        panel_nodes([0.0, 1.0])
+
+
 def test_tiny_x_resolved_by_its_tilt_tier():
     # at x = 1e-100 the factor x^(M-s) tilts the integrand by 230 per unit of
     # s; the point reads a table of 58 panels per unit, which resolves it
@@ -335,15 +351,31 @@ def test_kronrod_integral_gap_on_the_scale_of_the_absolute_integrand():
     s, wk, wg = panel_nodes([0.0, 1.0])
     # an integrand whose integral cancels to about 0 is judged on the
     # integral of its absolute value, so its Kronrod value passes
-    assert abs(kronrod_integral(wk, wg, np.sin(2.0 * np.pi * s), "sine")) <= 1e-15
+    (value,), gap = kronrod_integral(wk, wg, np.sin(2.0 * np.pi * s))
+    assert abs(value) <= 1e-15
+    check_gauss_kronrod(gap, "sine")
     for scale in (1e-300, 1.0, 1e300):
-        assert kronrod_integral(wk, wg, scale * np.exp(s), "exp") == pytest.approx(
-            scale * (math.e - 1.0), rel=1e-14
-        )
-    assert kronrod_integral(wk, wg, np.zeros_like(s), "zero") == 0.0
+        (value,), gap = kronrod_integral(wk, wg, scale * np.exp(s))
+        assert value == pytest.approx(scale * (math.e - 1.0), rel=1e-14)
+        check_gauss_kronrod(gap, "exp")
+    assert tuple(kronrod_integral(wk, wg, np.zeros_like(s))) == (0.0, 0.0)
     # inf - inf: the gap is nan, and fails
-    with pytest.raises(QuadratureError), np.errstate(invalid="ignore"):
-        kronrod_integral(wk, wg, np.full_like(s, np.inf), "overflowed integrand")
+    with pytest.raises(QuadratureError):
+        check_gauss_kronrod(kronrod_integral(wk, wg, np.full_like(s, np.inf))[1], "overflowed integrand")
+
+
+def test_kronrod_integral_over_runs_is_each_run_alone():
+    # runs of nodes, and rows of integrands, are integrated independently
+    s, wk, wg = panel_nodes([0.0, 1.0, 3.0])
+    first = np.flatnonzero(s > 1.0)[0]
+    values = np.stack([np.exp(s), np.cos(s)])
+    runs, gaps = kronrod_integral(wk, wg, values, [0, first])
+    assert runs.shape == gaps.shape == (2, 2)
+    for lo, hi, col in ((0, first, 0), (first, s.size, 1)):
+        alone, gap = kronrod_integral(wk[lo:hi], wg[lo:hi], values[:, lo:hi])
+        np.testing.assert_array_equal(runs[:, col], alone[:, 0])
+        np.testing.assert_array_equal(gaps[:, col], gap[:, 0])
+    np.testing.assert_allclose(runs[0], [math.e - 1.0, math.exp(3.0) - math.e], rtol=1e-14)
 
 
 # An M = 200 mixture whose f'' cancels near x = 0.98 down from terms of scale

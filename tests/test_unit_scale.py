@@ -206,6 +206,14 @@ def test_normalization_and_cdf_are_finite_wherever_their_values_are():
         assert cdf(cont, 0.5) == pytest.approx(want / 2.0, rel=1e-12)
     # only a value past the double range reads inf, with no overflow warning
     assert normalization(ContinuousMixture(3.0, [0.0, 3.0], [800.0, 800.0])) == math.inf
+    # alpha integrates in closed form over each interval, (1 - e^-D)/D times
+    # its length and larger value: a log drop of 3000 or 1e6 across one
+    # interval (where a quadrature failed its Gauss-Kronrod gate) and an
+    # order of 1e18 (where one needed 2e19 nodes)
+    assert normalization(ContinuousMixture(3.0, [0.0, 3.0], [0.0, -3000.0])) == pytest.approx(2.5e-4, rel=1e-15)
+    mix = ContinuousMixture(3.0, [0.0, 1.0, 3.0], [0.0, -1e6, -1e6 - 1.0])
+    assert normalization(mix) == pytest.approx(2.5e-7, rel=1e-15)
+    assert normalization(ContinuousMixture(1e18, [0.0, 1e18], [0.0, 0.0])) == 1e18 / (1e18 + 1.0)
 
 
 # ---------------------------------------------------------------------------
