@@ -16,19 +16,19 @@ function alpha(s) = exp(l(s)) with l piecewise linear on a knot grid over
 [0, M] and alpha = 0 outside. All integrals are evaluated in log space and
 recombined by max-shifted exponentiation, on panels that split at every
 knot, laid out over the whole knot grid in one call: the intervals where
-alpha vanishes get none. Each x reads the coarsest table that resolves
-the tilt of its kernel in s, in one moment pass, the only continuous
-integration: at fixed x the normalized integrand is a posterior over s,
-whose mass, mean m and variance V give, with t = x(1-x), log f, the score
-f'/f = (M(1-x) - m)/t, the Eq. 10 margin [m(M-m)/M - V]/t^2 and the
-log-curvature (log f)'' = -margin - (f'/f)^2/M, so one exponentiation
-serves them all; f is the mass on each point's scale, f' is f times the
-score, and f'' is f times (f'/f)^2 + (log f)''. The density alone is a
-slice of that pass. The kernel's log is l(s) + log C(M, s) + s tilt, with
-tilt = log(1-x) - log x, plus M log x, which joins each point's scale
-instead of the exponent. Blocks of x are sized by the de Casteljau byte
-budget and share one buffer, and one einsum reduces each block against
-every Kronrod and Gauss weight row at once.
+alpha vanishes get none. Each x is integrated on the coarsest table whose
+Gauss-Kronrod gap passes, climbing from one panel per unit of s, with one
+moment pass per table it reads, the only continuous integration: at fixed x
+the normalized integrand is a posterior over s, whose mass, mean m and
+variance V give, with t = x(1-x), log f, the score f'/f = (M(1-x) - m)/t,
+the Eq. 10 margin [m(M-m)/M - V]/t^2 and the log-curvature (log f)'' =
+-margin - (f'/f)^2/M, so one exponentiation serves them all; f is the mass
+on each point's scale, f' is f times the score, and f'' is f times (f'/f)^2
++ (log f)''. The density alone is a slice of that pass. The kernel's log is
+l(s) + log C(M, s) + s tilt, with tilt = log(1-x) - log x, plus M log x,
+which joins each point's scale instead of the exponent. Blocks of x are
+sized by the de Casteljau byte budget and share one buffer, and one einsum
+reduces each block against every Kronrod and Gauss weight row at once.
 
 The weight scale is taken out inside the evaluators. Both engines,
 discrete_derivs_grid and ContinuousEvaluator.forms, return the same seven
@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import check_gauss_kronrod, kronrod_integral, log_drop_panels, panel_nodes
+from .quadrature import PANELS_PER_UNIT, REL_TOL, check_gauss_kronrod, kronrod_integral, panel_ladder, panel_nodes
 from .special import DomainError, log_gen_binom_grid
 from .special import log_abs_gen_binom_ext  # noqa: F401  (perfbench/spans.py wraps this name here)
 
@@ -327,26 +327,29 @@ def discrete_derivs_grid(mix: DiscreteMixture, x) -> Forms:
 
 
 class _KernelTable:
-    """Quadrature nodes plus the x-independent part of the density integrand.
+    """Quadrature nodes plus the x-independent part of the density integrand, for one tier.
 
-    The integrand is exp(peak + log_k(s) + s tilt) x^M with log_k = log
-    alpha + log C(M, s) for the unit-scaled alpha, whose log peaks at 0,
-    peak the log alpha that unit_scaled took out, and tilt = log(1-x) - log
-    x; the nodes cover only the knot intervals where alpha does not vanish,
-    so log_k is finite at every one. wk and wg are the Kronrod and the
-    embedded Gauss weights of the same nodes. At fixed x, the integrand
-    normalized to mass one is a posterior over the mixing index s, and s is
-    centred on the middle of the node range before its moments are formed,
-    so the variance is not a difference of two large numbers. integrate
-    forms the posterior's mass, mean and variance at every x, walking x in
-    blocks of _BLOCK_BYTES, the de Casteljau budget, through one buffer per
-    call.
+    The integrand is exp(peak + log_k(s) + s tilt) x^M with log_k = log alpha +
+    log C(M, s) for the unit-scaled alpha, whose log peaks at 0, peak the
+    log alpha that unit_scaled took out, and tilt = log(1-x) - log x. The
+    nodes are panel_nodes' over the knot grid of the unit-scaled mixture at
+    per_unit panels per unit of s, and cover only the knot intervals where
+    alpha does not vanish, so log_k is finite at every one. wk and wg are
+    the Kronrod and the embedded Gauss weights of the same nodes. At fixed
+    x, the integrand normalized to mass one is a posterior over the mixing
+    index s, and s is centred on the middle of the node range before its
+    moments are formed, so the variance is not a difference of two large
+    numbers. integrate forms the posterior's mass, mean and variance at
+    every x, walking x in blocks of _BLOCK_BYTES, the de Casteljau budget,
+    through one buffer per call.
     """
 
     __slots__ = ("s", "wk", "wg", "log_k", "M", "peak", "centre")
 
-    def __init__(self, s, wk, wg, log_k, M, peak):
-        self.s, self.wk, self.wg, self.log_k, self.M, self.peak = s, wk, wg, log_k, M, peak
+    def __init__(self, unit: ContinuousMixture, peak: float, per_unit: int):
+        s, self.wk, self.wg = panel_nodes(unit.knots, unit.log_alpha, per_unit)
+        self.s, self.log_k = s, np.interp(s, unit.knots, unit.log_alpha) + log_gen_binom_grid(unit.M, s)
+        self.M, self.peak = unit.M, peak
         self.centre = 0.5 * (s.min() + s.max()) if s.size else 0.0
 
     def integrate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,48 +409,35 @@ class _KernelTable:
         return np.array([top, mass[0], self.centre + mu[0], var[0]]), np.where(np.isfinite(top), gap, 0.0)
 
 
-def _density_table(mix: ContinuousMixture, per_unit: int) -> _KernelTable:
-    """The kernel table of one tier, on the unit-scaled alpha, with alpha's peak kept for each point's scale."""
-    unit = unit_scaled(mix)
-    s, wk, wg = panel_nodes(unit.knots, unit.log_alpha, per_unit)
-    log_k = np.interp(s, unit.knots, unit.log_alpha) + log_gen_binom_grid(mix.M, s)
-    return _KernelTable(s, wk, wg, log_k, mix.M, _alpha_peak(mix))
-
-
-def _tilt_tiers(x: np.ndarray) -> np.ndarray:
-    """Panels per unit of s that resolve the kernel (1-x)^s x^(M-s) at each x.
-
-    Its log moves by the tilt log x - log(1-x) per unit of s. At x = 0 or 1
-    the tilt is infinite, and the point reads the capped tier.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return log_drop_panels(np.log(x) - np.log1p(-x))
-
-
 class ContinuousEvaluator:
     """Reusable evaluator for one continuous mixture.
 
-    Each x is integrated on the coarsest density table that resolves its
-    kernel (1-x)^s x^(M-s), whose log moves by the tilt |log x - log(1-x)|
-    per unit of s: per knot interval, at least log_drop_panels(tilt) G10/K21
-    panels per unit length, and at least as many as the drop of log alpha
-    across the interval needs (see quadrature.panel_nodes). Most of (0, 1)
-    reads one panel per unit. A tier's table is built the first time a
-    point needs it and kept, and a point's value depends on that point
-    alone, not on the others evaluated with it. Every evaluation returns
-    Kronrod values, after checking each point's Gauss-Kronrod gap on the
-    scales of _KernelTable.integrate; a gap above quadrature.REL_TOL raises
-    QuadratureError.
+    Each x is integrated on the first density table of quadrature.panel_ladder
+    (1, 2, 4, ..., 200 G10/K21 panels per unit of s) whose Gauss-Kronrod gap,
+    on the scales of _KernelTable.integrate, is at most quadrature.REL_TOL;
+    per knot interval a table also has at least as many panels as the drop
+    of log alpha across it needs (see quadrature.panel_nodes). Most of (0, 1)
+    stops at one panel per unit; a point whose kernel (1-x)^s x^(M-s) tilts
+    steeply in s, near 0 or 1, climbs further. The mixture is unit-scaled
+    once, when the evaluator is made. A tier's table is built the first time
+    a point climbs to it and kept, and since a point's tiers follow from its
+    own gaps alone, its value depends on that point alone, not on the others
+    evaluated with it. Every evaluation returns Kronrod values; a gap still
+    above quadrature.REL_TOL at the top tier raises QuadratureError.
     """
 
     def __init__(self, mix: ContinuousMixture):
         self.mix = mix
+        self._unit, self._peak = unit_scaled(mix), _alpha_peak(mix)
         self._tables: dict[int, _KernelTable] = {}
 
     def forms(self, x) -> Forms:
-        """The Forms of the mixture over x in (0, 1), in one pass over each point's table.
+        """The Forms of the mixture over x in (0, 1), in one pass over each tier's table.
 
-        Each point reads _KernelTable.integrate on its own tier's table. f =
+        Every point is integrated on the first tier's table, and the points
+        whose gap is not at most quadrature.REL_TOL (nan included) again on
+        each next tier of the ladder, until none is left or the top tier has
+        been read; a point keeps the values of the last tier it read. f =
         exp(top) mass, 0 where top is not finite, and log f = top +
         log(mass). With the posterior's mean m and variance V, and t =
         x(1-x): d/dx log[(1-x)^s x^(M-s)] = (M(1-x) - s)/t, so f'/f = (M(1-x) - m)/t, and the Eq. 10 margin [((M-1)/M)
@@ -458,14 +448,16 @@ class ContinuousEvaluator:
         """
         x = np.asarray(x, dtype=float)
         xr = x.ravel()
-        tiers = _tilt_tiers(xr)
         rows = np.empty((4, xr.size))
         gap = np.empty(xr.size)
-        for tier in np.unique(tiers).tolist():
+        climbing = np.arange(xr.size)
+        for tier in panel_ladder(1):
+            if not climbing.size:
+                break
             if tier not in self._tables:
-                self._tables[tier] = _density_table(self.mix, tier)
-            group = np.flatnonzero(tiers == tier)
-            rows[:, group], gap[group] = self._tables[tier].integrate(xr[group])
+                self._tables[tier] = _KernelTable(self._unit, self._peak, tier)
+            rows[:, climbing], gap[climbing] = self._tables[tier].integrate(xr[climbing])
+            climbing = climbing[~(gap[climbing] <= REL_TOL)]
         check_gauss_kronrod(gap, "density and derivatives")
         top, mass, mean, var = rows.reshape((4,) + x.shape)
         M = self.mix.M
@@ -556,12 +548,14 @@ def cdf(mix, x: float) -> float:
 
     Each kernel integrates in closed form: the integral over [0, x] of
     C(M, s) (1-t)^s t^(M-s) dt is I_x(M-s+1, s+1)/(M+1), with I the
-    regularized incomplete Beta function. So the discrete CDF is an exact
-    sum, and the continuous one a single quadrature over s, the Kronrod
-    value of quadrature.kronrod_integral gated by its Gauss-Kronrod gap.
-    Either is formed on the unit-scaled mixture (unit_scaled) with its scale
-    put back last, as normalization is. The identically-zero mixture gives
-    0.
+    regularized incomplete Beta function. So the discrete CDF is an exact sum, and the
+    continuous one a single quadrature over s, the Kronrod value of
+    quadrature.kronrod_integral gated by its Gauss-Kronrod gap. It climbs
+    quadrature.panel_ladder from PANELS_PER_UNIT panels per unit of s until
+    that gap is at most quadrature.REL_TOL; past the top tier the gap raises
+    QuadratureError. Either is formed on the unit-scaled mixture
+    (unit_scaled) with its scale put back last, as normalization is. The
+    identically-zero mixture gives 0.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"cdf requires 0 <= x <= 1, got {x!r}")
@@ -575,9 +569,12 @@ def cdf(mix, x: float) -> float:
             s = np.arange(M + 1.0)
             total = np.dot(unit.weights, betainc(M - s + 1.0, s + 1.0, x))
             return float(np.ldexp(total / (M + 1), weight_exponent(mix)))
-        s, wk, wg = panel_nodes(unit.knots, unit.log_alpha)
-        alpha = np.exp(np.interp(s, unit.knots, unit.log_alpha))
-        (total,), gap = kronrod_integral(wk, wg, alpha * betainc(M - s + 1.0, s + 1.0, x))
+        for per_unit in panel_ladder(PANELS_PER_UNIT):
+            s, wk, wg = panel_nodes(unit.knots, unit.log_alpha, per_unit)
+            alpha = np.exp(np.interp(s, unit.knots, unit.log_alpha))
+            (total,), gap = kronrod_integral(wk, wg, alpha * betainc(M - s + 1.0, s + 1.0, x))
+            if gap[0] <= REL_TOL:
+                break
         check_gauss_kronrod(gap, "cdf")
         return float(np.exp(_alpha_peak(mix) + np.log(total / (M + 1.0))))
 

@@ -50,29 +50,31 @@ _WG = (
 
 
 # Panels per unit length of the integration variable where the caller knows
-# nothing else about the integrand (the mixing-function integral behind cdf,
-# whose betainc factor moves with s). The density at a point x sets its own
-# floor from the x-tilt of its kernel instead (see
-# mixtures.ContinuousEvaluator), and the lemma integrands, which have no
-# tilt, take one panel per unit (see lemmas.lemma2_continuous_cases).
-# normalization integrates alpha in closed form and lays out no panels.
+# nothing else about the integrand: the floor of cdf's ladder (see
+# panel_ladder), whose integrand carries a betainc factor that moves with s.
+# The density at a point x starts its ladder at one panel per unit, and the
+# lemma integrands, which have no tilt, take one panel per unit (see
+# lemmas.lemma2_continuous_cases). normalization integrates alpha in closed
+# form and lays out no panels.
 PANELS_PER_UNIT = 8
 # Largest drop of the log integrand's linear part across one panel: an
 # interval whose log values differ by d gets at least d / LOG_DROP_PER_PANEL
 # panels, so no panel spans more than a factor e^4 of the mixing function.
 LOG_DROP_PER_PANEL = 4.0
 # Log drops are capped near the usable range of a double (about e^-745 to
-# e^709), which bounds the slope term at 200 panels per interval, and a
-# tilt per unit length at 200 panels per unit.
+# e^709), which bounds the slope term at 200 panels per interval and tops
+# panel_ladder at 200 panels per unit, which still gives a panel per factor
+# e^4 to the x-tilt of the density kernel: at most about 745 per unit of s,
+# at the smallest positive double.
 LOG_DROP_CAP = 800.0
 # Largest allowed gap between the Kronrod and the embedded Gauss value,
 # measured on the integral's own scale (see check_gauss_kronrod).
 REL_TOL = 1e-10
 # Most nodes one panel_nodes call lays out; a layout past it raises
 # QuadratureError before anything is allocated. 2^27 nodes hold 1 GiB per
-# array. The tilt cap allows at most 200 panels of 21 nodes per unit of s,
-# 21 * 200 * M nodes rounded up per knot interval (1.26e8 at M = 30 000),
-# so every tier still fits at M <= 30 000.
+# array. The top of panel_ladder lays out at most 200 panels of 21 nodes
+# per unit of s, 21 * 200 * M nodes rounded up per knot interval (1.26e8 at
+# M = 30 000), so every tier still fits at M <= 30 000.
 MAX_NODES = 1 << 27
 
 
@@ -98,14 +100,18 @@ def reference_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, wk, wg
 
 
-def log_drop_panels(drop) -> np.ndarray:
-    """Panels that cut a log drop, or each of an array of them, into steps of LOG_DROP_PER_PANEL.
+def panel_ladder(floor: int) -> list[int]:
+    """Panels per unit length that an integral climbs until its Gauss-Kronrod gap passes.
 
-    At least one. The drop is capped at LOG_DROP_CAP, so an infinite (or nan)
-    drop reads the cap.
+    floor, doubling at each step, up to the panels that panel_nodes gives
+    a capped log drop, LOG_DROP_CAP / LOG_DROP_PER_PANEL = 200: 1, 2, 4,
+    ..., 128, 200 from a floor of 1. A caller integrates on the first tier,
+    then again on the next only where the gap is not at most REL_TOL, and
+    check_gauss_kronrod judges the gaps it is left with, so an integrand
+    that the top tier does not resolve still raises QuadratureError.
     """
-    capped = np.fmin(np.abs(drop), LOG_DROP_CAP)
-    return np.maximum(1, np.ceil(capped / LOG_DROP_PER_PANEL)).astype(int)
+    cap = int(np.ceil(LOG_DROP_CAP / LOG_DROP_PER_PANEL))
+    return [min(floor << k, cap) for k in range(((cap - 1) // floor).bit_length() + 1)]
 
 
 def panel_nodes(
@@ -113,9 +119,9 @@ def panel_nodes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Composite nodes and weights over consecutive segments of `breakpoints`.
 
-    A segment [a, b] is split into max(ceil(per_unit * (b - a)),
-    log_drop_panels(l_b - l_a)) equal panels, each carrying a copy of the
-    reference rule, where l_a and l_b are the entries of `log_values` (the
+    A segment [a, b] is split into max(ceil(per_unit * (b - a)), ceil(min(|l_b
+    - l_a|, LOG_DROP_CAP) / LOG_DROP_PER_PANEL)) equal panels, each carrying
+    a copy of the reference rule, where l_a and l_b are the entries of `log_values` (the
     log of the integrand's varying factor at each breakpoint; omitted, only
     the length counts). per_unit is the floor for a log integrand that moves
     by up to per_unit * LOG_DROP_PER_PANEL per unit length for a reason the
@@ -138,10 +144,11 @@ def panel_nodes(
         lv = np.asarray(log_values, dtype=float)
         live &= np.isfinite(lv[:-1]) & np.isfinite(lv[1:])
         # a difference of two huge log values overflows to inf, which the cap
-        # absorbs; two -inf values give nan on a segment that gets no panels
+        # absorbs; two -inf values give nan, which fmin also reads as the cap,
+        # on a segment that gets no panels
         with np.errstate(over="ignore", invalid="ignore"):
-            drops = np.diff(lv)
-    counts = live * np.maximum(np.ceil((b - a) * per_unit), log_drop_panels(drops))
+            drops = np.fmin(np.abs(np.diff(lv)), LOG_DROP_CAP)
+    counts = live * np.maximum(np.ceil((b - a) * per_unit), np.ceil(drops / LOG_DROP_PER_PANEL))
     nodes = t.size * float(np.sum(counts))
     if not nodes <= MAX_NODES:
         raise QuadratureError(f"{nodes:.3g} quadrature nodes exceed the limit of {MAX_NODES}")

@@ -19,7 +19,7 @@ from betamix import (
 )
 from betamix import mixtures, quadrature
 from betamix.cli import main
-from betamix.mixtures import ContinuousEvaluator, _tilt_tiers, discrete_density_grid
+from betamix.mixtures import ContinuousEvaluator, discrete_density_grid
 from betamix.quadrature import (
     LOG_DROP_CAP,
     LOG_DROP_PER_PANEL,
@@ -27,9 +27,12 @@ from betamix.quadrature import (
     QuadratureError,
     check_gauss_kronrod,
     kronrod_integral,
+    panel_ladder,
     panel_nodes,
     reference_rule,
 )
+
+from ladder import LadderLog
 
 from oracles import (
     binom_ext_oracle,
@@ -294,6 +297,24 @@ def test_cdf_of_zero_mixture_is_zero():
         assert cdf(mix, x) == 0.0
 
 
+def test_cdf_climbs_the_ladder_until_its_gap_passes(monkeypatch):
+    # alpha = e^(-1000 s) on [0, 3]: the log drop of 3000 is capped at 200
+    # panels, so the gap fails until 128 panels per unit lay out 384 panels
+    tiers = []
+    original = mixtures.panel_nodes
+
+    def recording(breakpoints, log_values=None, per_unit=PANELS_PER_UNIT):
+        tiers.append(per_unit)
+        return original(breakpoints, log_values, per_unit)
+
+    monkeypatch.setattr(mixtures, "panel_nodes", recording)
+    # integral of alpha(s) I_0.5(4 - s, s + 1) ds / 4 by mpmath at 30 digits
+    assert cdf(ContinuousMixture(3.0, [0.0, 3.0], [0.0, -3000.0]), 0.5) == pytest.approx(
+        1.56603176594754520552e-05, rel=1e-13
+    )
+    assert tiers == [8, 16, 32, 64, 128]
+
+
 def test_cdf_past_the_node_limit_raises_quadrature_error():
     # 8 panels per unit of s over [0, 1e18]: the count is checked before
     # anything is allocated, where numpy raised ValueError (array too big)
@@ -310,9 +331,9 @@ def test_panel_layout_up_to_the_node_limit(monkeypatch):
         panel_nodes([0.0, 1.0])
 
 
-def test_tiny_x_resolved_by_its_tilt_tier():
+def test_tiny_x_resolved_up_the_ladder():
     # at x = 1e-100 the factor x^(M-s) tilts the integrand by 230 per unit of
-    # s; the point reads a table of 58 panels per unit, which resolves it
+    # s; the point climbs to the table of 32 panels per unit, which resolves it
     mix = ContinuousMixture(3.0, [0.0, 3.0], [0.0, 0.0])
     x = 1e-100
     rf, r1, r2 = continuous_derivs_quad(mix.M, mix.knots, mix.log_alpha, x)
@@ -397,21 +418,25 @@ def test_gauss_kronrod_gate_does_not_depend_on_the_mixing_scale(c):
         assert np.all(np.abs(got - math.exp(c) * want) <= 1e-12 * math.exp(c) * scale)
 
 
-def test_byte_sized_blocks_keep_each_point_independent():
+def test_byte_sized_blocks_keep_each_point_independent(monkeypatch):
     # the M = 200 tier tables take 15, 7 and 3 points per block of
-    # mixtures._BLOCK_BYTES; 64 shuffled points fill several blocks of tiers
-    # 1, 2 and 4, and each point's values are those it has on its own
+    # mixtures._BLOCK_BYTES; 80 shuffled points fill several blocks of tier
+    # 1, and the 16 below 1e-9, which fail it, several blocks of tiers 2 and
+    # 4; each point's values are those it has on its own
     mix = ContinuousMixture(200.0, M200_KNOTS, M200_LOG_ALPHA)
     edges = np.geomspace(4e-4, 1.5e-2, 8), np.geomspace(2e-7, 5e-6, 8)
-    xs = np.concatenate([np.linspace(0.03, 0.97, 32), *edges, *(1.0 - e for e in edges)])
+    tiny = np.geomspace(1e-30, 1e-10, 16)
+    xs = np.concatenate([np.linspace(0.03, 0.97, 32), *edges, *(1.0 - e for e in edges), tiny])
     xs = np.random.default_rng(19).permutation(xs)
-    tiers = _tilt_tiers(xs)
-    assert {1, 2, 4} <= set(tiers.tolist())
+    log = LadderLog(monkeypatch)
     ev = ContinuousEvaluator(mix)
     f, d1, d2 = ev.forms(xs)[:3]
-    for tier, table in ev._tables.items():
-        per_block = mixtures._BLOCK_BYTES // (8 * table.s.size)
-        assert 1 < per_block < np.count_nonzero(tiers == tier) - 1
+    assert log.climbs_only_on_failure()
+    assert {1, 2, 4} <= set(log.tiers_built)
+    for (tier, x, _), (built, table) in zip(log.steps, log.built):
+        assert tier == built
+        if tier <= 4:
+            assert 1 < mixtures._BLOCK_BYTES // (8 * table.s.size) < x.size - 1
     for i, x in enumerate(xs):
         np.testing.assert_array_equal(np.ravel(ev.forms(xs[i : i + 1])[:3]), [f[i], d1[i], d2[i]])
     np.testing.assert_array_equal(ev.density(xs), f)
@@ -526,29 +551,33 @@ def _tier_edge(tilt):
     return 1.0 / (1.0 + math.exp(tilt))
 
 
-def test_tilt_tiers_follow_the_kernel_tilt():
-    xs = np.array([0.5, 0.1, 1e-3, 1e-5, 1e-6, 1e-8, 1e-100, 0.0, 1.0, 1.0 - 1e-6])
+def test_ladder_tiers_a_point_visits(monkeypatch):
     cap = math.ceil(LOG_DROP_CAP / LOG_DROP_PER_PANEL)
-    assert _tilt_tiers(xs).tolist() == [1, 1, 2, 3, 4, 5, 58, cap, cap, 4]
-    for tilt in (4.0, 8.0, 12.0):
-        x = _tier_edge(tilt)
-        tier = round(tilt / LOG_DROP_PER_PANEL)
-        inside = np.array([x * (1.0 + 1e-9), 1.0 - x * (1.0 + 1e-9)])
-        outside = np.array([x * (1.0 - 1e-9), 1.0 - x * (1.0 - 1e-9)])
-        assert _tilt_tiers(inside).tolist() == [tier, tier]
-        assert _tilt_tiers(outside).tolist() == [tier + 1, tier + 1]
+    assert panel_ladder(1) == [1, 2, 4, 8, 16, 32, 64, 128, cap]
+    assert panel_ladder(PANELS_PER_UNIT) == [8, 16, 32, 64, 128, cap]
+    assert panel_ladder(cap) == [cap]
+    # at M = 3, x = 0.5 stops on the first tier, and x = 1e-100, whose
+    # kernel tilts by 230 per unit of s, climbs to 32 panels per unit
+    mix = ContinuousMixture(3.0, [0.0, 3.0], [0.0, 0.0])
+    for x, tiers in ((0.5, [1]), (1e-100, [1, 2, 4, 8, 16, 32])):
+        log = LadderLog(monkeypatch)
+        ContinuousEvaluator(mix).forms(x)
+        assert [tier for tier, _, _ in log.steps] == log.tiers_built == tiers
+        assert log.climbs_only_on_failure()
     # a tier is a per-unit floor of the panel count; the log drop still counts
     size = reference_rule()[0].size
     assert panel_nodes([0.0, 0.5, 2.0], per_unit=1)[0].size == size * (1 + 2)
     assert panel_nodes([0.0, 0.5, 2.0], [0.0, -1.0, 99.0], per_unit=3)[0].size == size * (2 + 25)
 
 
-def test_derivs_batch_across_tiers_equals_per_point():
+def test_derivs_batch_across_tiers_equals_per_point(monkeypatch):
     mix = ContinuousMixture(6.5, [0.0, 1.0, 4.0, 6.5], [-0.5, 0.3, 0.1, -1.2])
     xs = np.array([0.5, 1e-8, 0.3, 1e-100, 2e-3, 1.0 - 1e-5, 1e-6, 0.97, 1.0 - 1e-8, 4e-4])
-    assert set(_tilt_tiers(xs).tolist()) >= {1, 2, 3, 4, 5}
+    log = LadderLog(monkeypatch)
     ev = ContinuousEvaluator(mix)
     f, d1, d2 = ev.forms(xs)[:3]
+    # 1 - 1e-8 stops on the second tier and 1e-100 climbs to the sixth
+    assert log.climbs_only_on_failure() and log.tiers_built == [1, 2, 4, 8, 16, 32]
     dens = ev.density(xs)
     for i, x in enumerate(xs):
         one = ContinuousEvaluator(mix).forms(xs[i : i + 1])[:3]
@@ -560,7 +589,8 @@ def test_derivs_batch_across_tiers_equals_per_point():
 
 @pytest.mark.parametrize("M", [1.25, 12.0, 64.0, 200.0])
 def test_tier_edges_against_quad_oracle(M):
-    # just inside and just past each tier edge, on both sides of 1/2
+    # just inside and just past the x where the kernel's tilt |log x -
+    # log(1-x)| crosses 4, 8 and 12, on both sides of 1/2
     mix = random_concave_mixture(np.random.default_rng([11, int(4 * M)]), M)
     xs = np.array([
         side(_tier_edge(tilt) * (1.0 + rel))
@@ -578,21 +608,19 @@ def test_tier_edges_against_quad_oracle(M):
 
 
 def test_evaluator_builds_each_tier_table_once(monkeypatch):
-    built = []
-    original = mixtures._density_table
-
-    def counting(mix, per_unit):
-        built.append(per_unit)
-        return original(mix, per_unit)
-
-    monkeypatch.setattr(mixtures, "_density_table", counting)
+    # each tier's table is built at most once per evaluator, the first time a
+    # point's gap fails on the tier below, and read again by later calls
+    log = LadderLog(monkeypatch)
     mix = ContinuousMixture(3.0, [0.0, 1.5, 3.0], [0.0, 0.5, -1.0])
     ev = ContinuousEvaluator(mix)
-    assert built == []
+    assert log.built == []
     ev.forms(np.array([0.5, 1e-6, 0.4]))
-    ev.density(np.array([0.2, 1e-6, 1e-3]))
-    ev.forms(np.array([0.6, 1.0 - 1e-3, 1e-3, 1e-6]))
-    assert built == [1, 4, 2]
+    assert log.tiers_built == [1]
+    ev.density(np.array([0.2, 1e-30, 1e-3]))
+    ev.forms(np.array([0.6, 1.0 - 1e-3, 1e-100, 1e-3, 1e-6]))
+    assert log.tiers_built == [1, 2, 4, 8, 16, 32]
+    assert [len(climb) for climb in log.climbs()] == [1, 4, 6]
+    assert log.climbs_only_on_failure()
 
 
 def test_discrete_continuous_agreement():

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from betamix import ContinuousMixture, certify, margin_eq10, mixture_to_json
-from betamix import mixtures
 from betamix.cli import main
 from betamix.mixtures import ContinuousEvaluator
 
+from ladder import LadderLog
 from oracles import posterior_moments_mp
 
 
@@ -95,36 +95,50 @@ def test_eval_log_columns_are_finite_where_f_underflows(tmp_path):
     assert res.log_d2 == pytest.approx(logcurv, rel=1e-11)
 
 
+@pytest.mark.parametrize("x", [1e-100, 1e-30, 1e-10])
+def test_tiny_x_forms_against_the_posterior_moment_oracle(x):
+    # flat alpha at M = 3: the points climb to 32, 8 and 2 panels per unit
+    # of s; f, log f, f'/f, (log f)'' and the margin were measured within
+    # 7.6e-14 of 40-digit moments, f at x = 1e-100 the farthest
+    mix = ContinuousMixture(3.0, [0.0, 3.0], [0.0, 0.0])
+    log_f, m, V = posterior_moments_mp(mix.M, mix.knots, mix.log_alpha, x, dps=30)
+    with mpmath.workdps(30):
+        M, xm = mpmath.mpf(mix.M), mpmath.mpf(x)
+        t = xm * (1 - xm)
+        score = (M * (1 - xm) - m) / t
+        margin = (m * (M - m) / M - V) / t**2
+        want = (mpmath.exp(log_f), log_f, score, -margin - score**2 / M, margin)
+    res = ContinuousEvaluator(mix).forms(x)
+    got = (res.f, res.log_f, res.log_d1, res.log_d2, res.margin)
+    for g, w in zip(got, want):
+        assert float(g) == pytest.approx(float(w), rel=3e-13)
+
+
 def test_continuous_eval_builds_each_tier_table_once(monkeypatch, tmp_path):
     # alpha = e^700 is taken to its unit scale where the tables are built,
     # and its peak joins each point's log scale, so one set of tables gives
-    # the linear values and the log forms alike
-    built = []
-    original = mixtures._density_table
-
-    def counting(mix, per_unit):
-        built.append(per_unit)
-        return original(mix, per_unit)
-
-    monkeypatch.setattr(mixtures, "_density_table", counting)
+    # the linear values and the log forms alike; each tier's table is built
+    # at most once, and only for points whose gap failed on the tier below
+    log = LadderLog(monkeypatch)
     huge = ContinuousMixture(2.0, [0.0, 2.0], [700.0, 700.0])
     res = ContinuousEvaluator(huge).forms(1e-6)
     assert math.isfinite(res.log_f) and res.d2 == -math.inf
-    assert len(built) == 1
-    built.clear()
+    assert len(log.built) == 1
+    log = LadderLog(monkeypatch)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(mixture_to_json(huge)))
     assert main(["eval", "--input", str(path), "--grid-points", "64", "--out", str(tmp_path / "e.csv")]) == 0
-    assert len(built) == len(set(built)) == len(set(mixtures._tilt_tiers(np.linspace(1e-6, 1.0 - 1e-6, 64))))
+    assert len(log.built) == len(set(log.tiers_built)) and len(log.climbs()) == 1
+    assert log.climbs_only_on_failure()
 
 
 def test_continuous_certify_makes_one_moment_pass(monkeypatch):
     # the grid and the 64 off-grid points go through one forms call, with no
-    # density call, and each tier table is built once; the margin at the
-    # off-grid points is read off the moments, so it is finite where f
-    # underflows
-    calls, built = [], []
-    forms, density, table = ContinuousEvaluator.forms, ContinuousEvaluator.density, mixtures._density_table
+    # density call, and each tier table is built at most once, only for the
+    # points whose gap failed on the tier below; the margin at the off-grid
+    # points is read off the moments, so it is finite where f underflows
+    calls = []
+    forms, density = ContinuousEvaluator.forms, ContinuousEvaluator.density
 
     def recording_forms(self, x):
         out = forms(self, x)
@@ -135,18 +149,15 @@ def test_continuous_certify_makes_one_moment_pass(monkeypatch):
         calls.append(("density", np.asarray(x), None))
         return density(self, x)
 
-    def counting_table(mix, per_unit):
-        built.append(per_unit)
-        return table(mix, per_unit)
-
     monkeypatch.setattr(ContinuousEvaluator, "forms", recording_forms)
     monkeypatch.setattr(ContinuousEvaluator, "density", recording_density)
-    monkeypatch.setattr(mixtures, "_density_table", counting_table)
+    log = LadderLog(monkeypatch)
     cert = certify(_gaussian_alpha(2000, 0.01, 0.5), grid_points=256)
     assert cert.verdict == "certified" and (cert.midpoint_checks, cert.midpoint_failures) == (64, 0)
     [(name, x, (f, *_, margin))] = calls
     assert name == "forms" and x.size == 256 + 64
     np.testing.assert_array_equal(x[:256], np.linspace(1e-6, 1.0 - 1e-6, 256))
-    assert len(built) == len(set(built)) == len(set(mixtures._tilt_tiers(x).tolist()))
+    assert len(log.built) == len(set(log.tiers_built)) and len(log.climbs()) == 1
+    assert log.climbs_only_on_failure()
     assert np.count_nonzero(f[256:] == 0.0) > 0
     assert np.all(np.isfinite(margin[256:]))

@@ -15,6 +15,8 @@ import betamix
 import betamix.cli
 from betamix import ContinuousMixture, DiscreteMixture, lemmas, mixtures, quadrature
 
+from ladder import LadderLog
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
@@ -89,23 +91,21 @@ def test_tracer_wraps_cli_commands(spans, tmp_path):
 
 def test_tracer_counts_one_panel_call_per_continuous_table(spans, monkeypatch):
     # a -inf knot splits alpha into two runs, [0, 2] and [3, 6]; each tier
-    # table is still built by one panel_nodes call over the whole knot grid
+    # table is still built by one panel_nodes call over the whole knot grid.
+    # x = 1e-100 fails the first tier, so the evaluator climbs past it
     knots = [0.0, 1.0, 2.0, 2.5, 3.0, 6.0]
     mix = ContinuousMixture(6.0, knots, [0.0, 0.4, -0.5, float("-inf"), -1.0, -2.5])
     plain = betamix.certify(mix, grid_points=64)
-    tables = []
-    original = mixtures._density_table
-
-    def recording(mix, per_unit):
-        tables.append(original(mix, per_unit))
-        return tables[-1]
-
-    monkeypatch.setattr(mixtures, "_density_table", recording)
+    tiny = mixtures.ContinuousEvaluator(mix).forms(1e-100)
+    log = LadderLog(monkeypatch)
     tracer = spans.Tracer()
     with tracer.installed():
         traced = betamix.certify(mix, grid_points=64)
+        np.testing.assert_array_equal(mixtures.ContinuousEvaluator(mix).forms(1e-100), tiny)
     assert traced == plain
+    tables = [table for _, table in log.built]
     assert len(tables) >= 2
+    assert log.climbs_only_on_failure() and log.tiers_built.count(1) == 2
     assert tracer.counts["quadrature"] == {
         "panel_calls": len(tables),
         "rule_builds": len(tables),
