@@ -167,10 +167,9 @@ def _lemma2_pass(cases) -> list[LemmaCase]:
     sides = np.zeros((2, len(cases)))
     if live:
         lo, hi = np.array([windows[i][:2] for i in live]).T
-        # one panel per unit: the lemma integrands have no x-tilt for
-        # quadrature.PANELS_PER_UNIT to cover, and the gate below judges each integral
-        s, wk, wg = panel_nodes(np.stack([lo, hi, hi], axis=1).ravel(), np.tile([0.0, 0.0, -np.inf], len(live)),
-                                per_unit=1)
+        # one panel per unit, the first tier of quadrature.panel_ladder: the lemma
+        # integrands have no x-tilt, and the gate below judges each integral
+        s, wk, wg = panel_nodes(np.stack([lo, hi, hi], axis=1).ravel(), np.tile([0.0, 0.0, -np.inf], len(live)))
         nodes = np.ceil(hi - lo).astype(int)
         nodes *= s.size // nodes.sum()
         M, n, r = np.repeat([(cases[i][0], cases[i][1], _ROW[cases[i][3]][1]) for i in live], nodes, axis=0).T

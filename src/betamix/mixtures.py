@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import PANELS_PER_UNIT, REL_TOL, check_gauss_kronrod, kronrod_integral, panel_ladder, panel_nodes
+from .quadrature import REL_TOL, check_gauss_kronrod, kronrod_integral, panel_ladder, panel_nodes
 from .special import DomainError, log_gen_binom_grid
 from .special import log_abs_gen_binom_ext  # noqa: F401  (perfbench/spans.py wraps this name here)
 
@@ -451,7 +451,7 @@ class ContinuousEvaluator:
         rows = np.empty((4, xr.size))
         gap = np.empty(xr.size)
         climbing = np.arange(xr.size)
-        for tier in panel_ladder(1):
+        for tier in panel_ladder():
             if not climbing.size:
                 break
             if tier not in self._tables:
@@ -487,22 +487,18 @@ class ContinuousEvaluator:
 
 
 def density_grid(mix, x) -> np.ndarray:
-    """Density of the unit-scaled mixture (unit_scaled) over an array of x in [0, 1], for either kind.
+    """Density of the unit-scaled mixture (unit_scaled) over an array of x, for either kind.
 
     That is the mixture's density divided by one constant, so it neither
-    overflows nor underflows for the weights' scale alone. Endpoint values
-    are the limits: (w_M, w_0) of the scaled weights for discrete mixtures
-    and 0 for continuous ones.
+    overflows nor underflows for the weights' scale alone. A discrete
+    mixture takes x in [0, 1], where de Casteljau gives the endpoint limits
+    (w_M, w_0) of the scaled weights; a continuous one takes x in (0, 1),
+    as ContinuousEvaluator.forms does.
     """
-    x = np.asarray(x, dtype=float)
     mix = unit_scaled(mix)
     if isinstance(mix, DiscreteMixture):
         return discrete_density_grid(mix, x)
-    out = np.zeros(x.shape)
-    interior = (x > 0.0) & (x < 1.0)
-    if np.any(interior):
-        out[interior] = ContinuousEvaluator(mix).density(x[interior])
-    return out
+    return ContinuousEvaluator(mix).density(x)
 
 
 def _alpha_intervals(unit: ContinuousMixture):
@@ -551,10 +547,17 @@ def cdf(mix, x: float) -> float:
     regularized incomplete Beta function. So the discrete CDF is an exact sum, and the
     continuous one a single quadrature over s, the Kronrod value of
     quadrature.kronrod_integral gated by its Gauss-Kronrod gap. It climbs
-    quadrature.panel_ladder from PANELS_PER_UNIT panels per unit of s until
-    that gap is at most quadrature.REL_TOL; past the top tier the gap raises
-    QuadratureError. Either is formed on the unit-scaled mixture
-    (unit_scaled) with its scale put back last, as normalization is. The
+    quadrature.panel_ladder from one panel per unit of s until that gap is
+    at most quadrature.REL_TOL, and skips a tier whose layout has as many
+    nodes as the last one integrated: a knot interval's panel count never
+    falls as the tier grows, so an equal total is the same layout. Either
+    is formed on the unit-scaled mixture (unit_scaled) with its scale put
+    back last, as normalization is. A gap still failing at the top tier
+    raises QuadratureError. The gap is judged only where the value is at
+    least the smallest normal double: a smaller one comes from a subnormal
+    unit-scaled integrand, whose sums keep only a few digits on any tier,
+    so it is returned from the first tier that gives it, and may fall short
+    of the true value, as scipy's betainc reads 0 below about 1e-308. The
     identically-zero mixture gives 0.
     """
     if not 0.0 <= x <= 1.0:
@@ -569,14 +572,18 @@ def cdf(mix, x: float) -> float:
             s = np.arange(M + 1.0)
             total = np.dot(unit.weights, betainc(M - s + 1.0, s + 1.0, x))
             return float(np.ldexp(total / (M + 1), weight_exponent(mix)))
-        for per_unit in panel_ladder(PANELS_PER_UNIT):
+        last = -1
+        for per_unit in panel_ladder():
             s, wk, wg = panel_nodes(unit.knots, unit.log_alpha, per_unit)
+            if s.size == last:
+                continue
+            last = s.size
             alpha = np.exp(np.interp(s, unit.knots, unit.log_alpha))
             (total,), gap = kronrod_integral(wk, wg, alpha * betainc(M - s + 1.0, s + 1.0, x))
-            if gap[0] <= REL_TOL:
-                break
+            value = float(np.exp(_alpha_peak(mix) + np.log(total / (M + 1.0))))
+            if gap[0] <= REL_TOL or value < np.finfo(float).tiny:
+                return value
         check_gauss_kronrod(gap, "cdf")
-        return float(np.exp(_alpha_peak(mix) + np.log(total / (M + 1.0))))
 
 
 # Draws per chunk of sample. A chunk's uniforms, indices and Beta parameters

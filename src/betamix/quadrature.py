@@ -49,14 +49,6 @@ _WG = (
 )
 
 
-# Panels per unit length of the integration variable where the caller knows
-# nothing else about the integrand: the floor of cdf's ladder (see
-# panel_ladder), whose integrand carries a betainc factor that moves with s.
-# The density at a point x starts its ladder at one panel per unit, and the
-# lemma integrands, which have no tilt, take one panel per unit (see
-# lemmas.lemma2_continuous_cases). normalization integrates alpha in closed
-# form and lays out no panels.
-PANELS_PER_UNIT = 8
 # Largest drop of the log integrand's linear part across one panel: an
 # interval whose log values differ by d gets at least d / LOG_DROP_PER_PANEL
 # panels, so no panel spans more than a factor e^4 of the mixing function.
@@ -100,32 +92,31 @@ def reference_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, wk, wg
 
 
-def panel_ladder(floor: int) -> list[int]:
+def panel_ladder() -> list[int]:
     """Panels per unit length that an integral climbs until its Gauss-Kronrod gap passes.
 
-    floor, doubling at each step, up to the panels that panel_nodes gives
-    a capped log drop, LOG_DROP_CAP / LOG_DROP_PER_PANEL = 200: 1, 2, 4,
-    ..., 128, 200 from a floor of 1. A caller integrates on the first tier,
+    One panel per unit, doubling at each step, up to the panels that
+    panel_nodes gives a capped log drop, LOG_DROP_CAP / LOG_DROP_PER_PANEL
+    = 200: 1, 2, 4, ..., 128, 200. A caller integrates on the first tier,
     then again on the next only where the gap is not at most REL_TOL, and
     check_gauss_kronrod judges the gaps it is left with, so an integrand
     that the top tier does not resolve still raises QuadratureError.
     """
     cap = int(np.ceil(LOG_DROP_CAP / LOG_DROP_PER_PANEL))
-    return [min(floor << k, cap) for k in range(((cap - 1) // floor).bit_length() + 1)]
+    return [min(1 << k, cap) for k in range((cap - 1).bit_length() + 1)]
 
 
-def panel_nodes(
-    breakpoints, log_values=None, per_unit: int = PANELS_PER_UNIT
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def panel_nodes(breakpoints, log_values=None, per_unit: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Composite nodes and weights over consecutive segments of `breakpoints`.
 
     A segment [a, b] is split into max(ceil(per_unit * (b - a)), ceil(min(|l_b
     - l_a|, LOG_DROP_CAP) / LOG_DROP_PER_PANEL)) equal panels, each carrying
     a copy of the reference rule, where l_a and l_b are the entries of `log_values` (the
     log of the integrand's varying factor at each breakpoint; omitted, only
-    the length counts). per_unit is the floor for a log integrand that moves
-    by up to per_unit * LOG_DROP_PER_PANEL per unit length for a reason the
-    breakpoints do not show, such as the x-tilt of the density kernel. So a
+    the length counts). per_unit, a tier of panel_ladder, covers a log
+    integrand that moves by up to per_unit * LOG_DROP_PER_PANEL per unit
+    length for a reason the breakpoints do not show, such as the x-tilt of
+    the density kernel or cdf's betainc factor. So a
     steep mixing function gets panels fine enough for its own slope, with no
     setting to tune. A segment of zero length, or with a -inf log value at
     either end (where the integrand vanishes), gets no panels. Panel j of

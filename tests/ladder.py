@@ -12,7 +12,7 @@ import numpy as np
 from betamix import mixtures
 from betamix.quadrature import REL_TOL, panel_ladder
 
-LADDER = panel_ladder(1)
+LADDER = panel_ladder()
 
 
 class LadderLog:

@@ -23,7 +23,6 @@ from betamix.mixtures import ContinuousEvaluator, discrete_density_grid
 from betamix.quadrature import (
     LOG_DROP_CAP,
     LOG_DROP_PER_PANEL,
-    PANELS_PER_UNIT,
     QuadratureError,
     check_gauss_kronrod,
     kronrod_integral,
@@ -299,24 +298,55 @@ def test_cdf_of_zero_mixture_is_zero():
 
 def test_cdf_climbs_the_ladder_until_its_gap_passes(monkeypatch):
     # alpha = e^(-1000 s) on [0, 3]: the log drop of 3000 is capped at 200
-    # panels, so the gap fails until 128 panels per unit lay out 384 panels
-    tiers = []
-    original = mixtures.panel_nodes
+    # panels, the layout of every tier up to 64 panels per unit, which is
+    # integrated once; the gap fails until 128 panels per unit lay out 384
+    tiers, panels = [], []
+    lay_out, integrate = mixtures.panel_nodes, mixtures.kronrod_integral
 
-    def recording(breakpoints, log_values=None, per_unit=PANELS_PER_UNIT):
+    def recording_nodes(breakpoints, log_values=None, per_unit=1):
         tiers.append(per_unit)
-        return original(breakpoints, log_values, per_unit)
+        return lay_out(breakpoints, log_values, per_unit)
 
-    monkeypatch.setattr(mixtures, "panel_nodes", recording)
+    def recording_integral(wk, wg, values):
+        panels.append(wk.size // reference_rule()[0].size)
+        return integrate(wk, wg, values)
+
+    monkeypatch.setattr(mixtures, "panel_nodes", recording_nodes)
+    monkeypatch.setattr(mixtures, "kronrod_integral", recording_integral)
     # integral of alpha(s) I_0.5(4 - s, s + 1) ds / 4 by mpmath at 30 digits
     assert cdf(ContinuousMixture(3.0, [0.0, 3.0], [0.0, -3000.0]), 0.5) == pytest.approx(
         1.56603176594754520552e-05, rel=1e-13
     )
-    assert tiers == [8, 16, 32, 64, 128]
+    assert tiers == [1, 2, 4, 8, 16, 32, 64, 128]
+    assert panels == [200, 384]
+
+
+@pytest.mark.parametrize(
+    "mix, x, ref",
+    [
+        # 30-digit mpmath; alpha * I_x is subnormal wherever it lives, and
+        # the gap reads 7.1e-3 on every tier
+        (ContinuousMixture(300.0, [0.0, 60.0, 300.0], [-50.0, 0.0, -800.0]), 0.01, 8.5397208033539279144e-321),
+        # scipy's betainc reads 0 below about 1e-308 (betainc(271, 31, 0.05)
+        # = 0 against 1.09e-312), so float64 falls short of 4.886e-315 here
+        (ContinuousMixture(300.0, [0.0, 30.0, 300.0], [-50.0, 0.0, -1600.0]), 0.05, None),
+    ],
+    ids=["subnormal-integrand", "betainc-underflow"],
+)
+def test_cdf_below_the_normal_range_is_returned_unjudged(mix, x, ref):
+    value = cdf(mix, x)
+    assert 0.0 < value < np.finfo(float).tiny
+    if ref is not None:
+        assert value == pytest.approx(ref, rel=4e-4)
+    # the same integrand with alpha scaled by e^700 has a normal value, and
+    # its gap fails the gate
+    shifted = ContinuousMixture(mix.M, mix.knots, mix.log_alpha + 700.0)
+    with pytest.raises(QuadratureError):
+        cdf(shifted, x)
 
 
 def test_cdf_past_the_node_limit_raises_quadrature_error():
-    # 8 panels per unit of s over [0, 1e18]: the count is checked before
+    # one panel per unit of s over [0, 1e18]: the count is checked before
     # anything is allocated, where numpy raised ValueError (array too big)
     with pytest.raises(QuadratureError, match="quadrature nodes exceed the limit"):
         cdf(ContinuousMixture(1e18, [0.0, 1e18], [0.0, 0.0]), 0.5)
@@ -325,10 +355,10 @@ def test_cdf_past_the_node_limit_raises_quadrature_error():
 def test_panel_layout_up_to_the_node_limit(monkeypatch):
     # [0, 1] at 8 panels per unit is 8 * 21 = 168 nodes
     monkeypatch.setattr(quadrature, "MAX_NODES", 168)
-    assert panel_nodes([0.0, 1.0])[0].size == 168
+    assert panel_nodes([0.0, 1.0], per_unit=8)[0].size == 168
     monkeypatch.setattr(quadrature, "MAX_NODES", 167)
     with pytest.raises(QuadratureError, match="168 quadrature nodes exceed the limit of 167"):
-        panel_nodes([0.0, 1.0])
+        panel_nodes([0.0, 1.0], per_unit=8)
 
 
 def test_tiny_x_resolved_up_the_ladder():
@@ -492,13 +522,13 @@ def test_narrow_bump_passes_gauss_kronrod_check():
 
 def test_panel_count_follows_length_and_capped_log_drop():
     size = reference_rule()[0].size
-    assert panel_nodes([0.0, 0.5, 2.0])[0].size == size * (4 + 12)
-    assert panel_nodes([0.0, 0.5, 2.0], [0.0, -1.0, 99.0])[0].size == size * (4 + 25)
+    assert panel_nodes([0.0, 0.5, 2.0], per_unit=8)[0].size == size * (4 + 12)
+    assert panel_nodes([0.0, 0.5, 2.0], [0.0, -1.0, 99.0], per_unit=8)[0].size == size * (4 + 25)
     # |log drop| = 1e6 over an interval of length 2: ceil(8 * 2) + 200 bounds it
     for drop in (1e6, 1e300, -1e300):
-        n_panels = panel_nodes([0.0, 2.0], [0.0, drop])[0].size // size
-        assert n_panels == LOG_DROP_CAP / LOG_DROP_PER_PANEL <= math.ceil(PANELS_PER_UNIT * 2.0) + 200
-    assert panel_nodes([0.0, 2.0], [1e308, -1e308])[0].size == size * 200
+        n_panels = panel_nodes([0.0, 2.0], [0.0, drop], per_unit=8)[0].size // size
+        assert n_panels == LOG_DROP_CAP / LOG_DROP_PER_PANEL <= math.ceil(8 * 2.0) + 200
+    assert panel_nodes([0.0, 2.0], [1e308, -1e308], per_unit=8)[0].size == size * 200
 
 
 # knot grids with -inf knots (alone and in pairs), zero-length segments and
@@ -552,10 +582,7 @@ def _tier_edge(tilt):
 
 
 def test_ladder_tiers_a_point_visits(monkeypatch):
-    cap = math.ceil(LOG_DROP_CAP / LOG_DROP_PER_PANEL)
-    assert panel_ladder(1) == [1, 2, 4, 8, 16, 32, 64, 128, cap]
-    assert panel_ladder(PANELS_PER_UNIT) == [8, 16, 32, 64, 128, cap]
-    assert panel_ladder(cap) == [cap]
+    assert panel_ladder() == [1, 2, 4, 8, 16, 32, 64, 128, 200]
     # at M = 3, x = 0.5 stops on the first tier, and x = 1e-100, whose
     # kernel tilts by 230 per unit of s, climbs to 32 panels per unit
     mix = ContinuousMixture(3.0, [0.0, 3.0], [0.0, 0.0])
