@@ -20,8 +20,18 @@ evaluate the unit-scaled mixture, so the weights' scale changes a
 certificate at most by rounding. The chord test on f itself is left to
 lemmas.brute_force_logconcavity, an oracle that reads density values
 only.
+
+What a certificate reads is formed no more often than it changes. The grid
+and the off-grid points of an integer seed (int or numpy integer) are
+formed once per (grid_points, eps, seed) and kept, read-only, for the last
+_ABSCISSAE_KEPT triples (_abscissae); any other seed draws afresh on every
+call. A continuous mixture's live-knot mask is formed once, when the
+mixture is made; alpha's peak and the unit-scaled mixture once per
+evaluation, and each density table (ContinuousEvaluator) once per tier it
+reaches. Nothing is kept across calls for a mixture.
 """
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -38,6 +48,8 @@ VERDICT_DEGENERATE = "degenerate-zero"
 CRITERION_EQ10 = "curvature-margin"
 
 _MIDPOINT_CHECKS = 64
+# (grid_points, eps, seed) triples whose abscissae certify keeps
+_ABSCISSAE_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -121,6 +133,19 @@ def _grid(grid_points: int, eps: float) -> np.ndarray:
     return np.linspace(eps, 1.0 - eps, grid_points)
 
 
+@functools.lru_cache(maxsize=_ABSCISSAE_KEPT, typed=True)
+def _abscissae(grid_points: int, eps: float, seed) -> np.ndarray:
+    """certify's grid followed by its _MIDPOINT_CHECKS random points of [eps, 1 - eps] drawn from seed, read-only.
+
+    Kept for the last _ABSCISSAE_KEPT argument triples; certify calls it so
+    only for an integer seed, and _abscissae.__wrapped__ for any other.
+    """
+    pts = eps + (1.0 - 2.0 * eps) * np.random.default_rng(seed).random(_MIDPOINT_CHECKS)
+    xs = np.concatenate([_grid(grid_points, eps), pts])
+    xs.flags.writeable = False
+    return xs
+
+
 def certify(
     mix,
     grid_points: int = 1024,
@@ -132,8 +157,11 @@ def certify(
 
     Evaluates the curvature margin and the log-curvature on a uniform grid
     (_grid), and the margin at _MIDPOINT_CHECKS random points of [eps,
-    1-eps] drawn from seed, all from one evaluation of f, f' and f''. tol
-    must be finite and at least 0. "certified" means no margin below -tol
+    1-eps] drawn from seed, all from one evaluation of f, f' and f''. An
+    integer seed's points, with the grid's, are formed once per
+    (grid_points, eps, seed) and kept (_abscissae); any other seed, such as
+    a Generator, draws afresh on every call. tol must be finite and at
+    least 0. "certified" means no margin below -tol
     was found, on the grid or off it, at this resolution and tolerance.
     Discrete points where the density underflowed carry no margin and are
     counted in a note, grid and off-grid points apart; a continuous margin
@@ -141,15 +169,17 @@ def certify(
     Gauss-Kronrod check raises QuadratureError, so no certificate rests on
     it.
     """
-    xs = _grid(grid_points, eps)
+    kept = isinstance(seed, (int, np.integer))
+    xs = _abscissae(grid_points, eps, seed) if kept else _grid(grid_points, eps)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and at least 0, got {tol!r}")
     if mix.is_zero:
         return ConcavityCertificate(VERDICT_DEGENERATE, grid_points, eps, tol, CRITERION_EQ10)
 
-    pts = eps + (1.0 - 2.0 * eps) * np.random.default_rng(seed).random(_MIDPOINT_CHECKS)
-    forms = _forms(mix, np.concatenate([xs, pts]))
-    margins, off_grid = np.split(forms.margin, [grid_points])
+    if not kept:
+        xs = _abscissae.__wrapped__(grid_points, eps, seed)
+    forms = _forms(mix, xs)
+    margins, off_grid = forms.margin[:grid_points], forms.margin[grid_points:]
 
     # a discrete margin is nan where f underflowed, and those points are
     # counted as such; the worst point and the largest log-curvature are
@@ -157,9 +187,9 @@ def certify(
     pool = np.flatnonzero(np.isfinite(margins))
     min_margin, min_logcurv, worst_x = None, math.nan, math.nan
     if pool.size:
-        i_worst = int(pool[np.argmin(margins[pool])])
+        i_worst = int(pool[margins[pool].argmin()])
         min_margin = float(margins[i_worst])
-        min_logcurv = float(np.max(forms.log_d2[pool]))
+        min_logcurv = float(forms.log_d2[pool].max())
         worst_x = float(xs[i_worst])
 
     bad = np.flatnonzero(off_grid < -tol)
@@ -190,7 +220,7 @@ def certify(
         worst_x=worst_x,
         midpoint_checks=checked,
         midpoint_failures=int(bad.size),
-        witness=float(pts[bad[0]]) if bad.size else None,
+        witness=float(xs[grid_points + bad[0]]) if bad.size else None,
         notes=tuple(notes),
     )
 

@@ -46,6 +46,17 @@ back by 2^k and shifts log f by k log 2. density_grid, which the
 brute-force midpoint oracle reads, is the density of the unit-scaled
 mixture. The sampler evaluates no density: it draws the mixing index and
 then one Beta variate (sample).
+
+What does not change within an evaluation is formed once. A continuous
+mixture's live-knot mask is formed when the mixture is made, read-only;
+is_zero, live_knots, alpha's peak (_alpha_peak), the live intervals
+(_alpha_intervals) and sample read it. alpha's peak is taken once per
+ContinuousEvaluator, which builds the unit-scaled twin from it without
+repeating the checks the mixture passed. A density table's nodes, weights,
+log kernel and centre are built once per tier per evaluator, the first
+time a point climbs to it; its six weight rows and its block buffer once
+per integrate call; the exponent, its row max and the einsum once per
+block of x.
 """
 
 import math
@@ -140,22 +151,28 @@ class ContinuousMixture:
         knots = knots.copy()
         knots[0] = 0.0
         knots[-1] = M
-        la = la.copy()
         knots.flags.writeable = False
-        la.flags.writeable = False
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "log_alpha", la)
+        self._set(M, knots, la.copy())
+
+    def _set(self, M: float, knots: np.ndarray, la: np.ndarray) -> None:
+        """Store checked fields, with log_alpha made read-only and the live-knot mask formed from it."""
+        finite = np.isfinite(la)
+        interval = finite[:-1] & finite[1:]
+        live = np.concatenate([interval, [False]]) | np.concatenate([[False], interval])
+        la.flags.writeable = live.flags.writeable = False
+        for name, value in (("M", M), ("knots", knots), ("log_alpha", la), ("_live", live)):
+            object.__setattr__(self, name, value)
 
     def live_knots(self) -> np.ndarray:
-        """Boolean mask, per knot, of the knots beside an interval where alpha is not identically 0."""
-        finite = np.isfinite(self.log_alpha)
-        interval = finite[:-1] & finite[1:]
-        return np.concatenate([interval, [False]]) | np.concatenate([[False], interval])
+        """Read-only boolean mask, per knot, of the knots beside an interval where alpha is not identically 0.
+
+        Formed once, when the mixture is made.
+        """
+        return self._live
 
     @property
     def is_zero(self) -> bool:
-        return not bool(np.any(self.live_knots()))
+        return not self._live.any()
 
 
 def weight_exponent(mix: DiscreteMixture) -> int:
@@ -176,7 +193,20 @@ def _alpha_peak(mix: ContinuousMixture) -> float:
     l is linear between knots, so over the intervals where alpha lives it
     peaks at one of their ends, the knots that live_knots marks.
     """
-    return float(np.max(mix.log_alpha[mix.live_knots()], initial=_NEG_INF))
+    return float(mix.log_alpha[mix._live].max(initial=_NEG_INF))
+
+
+def _unit_continuous(mix: ContinuousMixture, top: float) -> ContinuousMixture:
+    """The unit-scaled twin of mix, whose peak (_alpha_peak) is top; mix itself if top is 0 or -inf.
+
+    The twin's log alpha is lowered by top, and it is made without repeating
+    the checks that mix passed.
+    """
+    if not (math.isfinite(top) and top != 0.0):
+        return mix
+    twin = object.__new__(ContinuousMixture)
+    twin._set(mix.M, mix.knots, mix.log_alpha - top)
+    return twin
 
 
 def unit_scaled(mix):
@@ -190,8 +220,7 @@ def unit_scaled(mix):
     log f is log of the scaled f plus k log 2.
     """
     if not isinstance(mix, DiscreteMixture):
-        top = _alpha_peak(mix)
-        return ContinuousMixture(mix.M, mix.knots, mix.log_alpha - top) if np.isfinite(top) and top != 0.0 else mix
+        return _unit_continuous(mix, _alpha_peak(mix))
     return DiscreteMixture(mix.M, np.ldexp(mix.weights, -weight_exponent(mix)))
 
 
@@ -337,11 +366,12 @@ class _KernelTable:
     alpha does not vanish, so log_k is finite at every one. wk and wg are
     the Kronrod and the embedded Gauss weights of the same nodes. At fixed
     x, the integrand normalized to mass one is a posterior over the mixing
-    index s, and s is centred on the middle of the node range before its
-    moments are formed, so the variance is not a difference of two large
-    numbers. integrate forms the posterior's mass, mean and variance at
-    every x, walking x in blocks of _BLOCK_BYTES, the de Casteljau budget,
-    through one buffer per call.
+    index s, and s is centred on the middle of the node range, halfway
+    between the first and the last node (they ascend), before its moments
+    are formed, so the variance is not a difference of two large numbers.
+    integrate forms the posterior's mass, mean and variance at every x,
+    walking x in blocks of _BLOCK_BYTES, the de Casteljau budget, through
+    one buffer per call.
     """
 
     __slots__ = ("s", "wk", "wg", "log_k", "M", "peak", "centre")
@@ -350,7 +380,7 @@ class _KernelTable:
         s, self.wk, self.wg = panel_nodes(unit.knots, unit.log_alpha, per_unit)
         self.s, self.log_k = s, np.interp(s, unit.knots, unit.log_alpha) + log_gen_binom_grid(unit.M, s)
         self.M, self.peak = unit.M, peak
-        self.centre = 0.5 * (s.min() + s.max()) if s.size else 0.0
+        self.centre = 0.5 * (s[0] + s[-1]) if s.size else 0.0
 
     def integrate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Kronrod results over an array of x in (0, 1), with their Gauss-Kronrod gap at each x.
@@ -373,7 +403,9 @@ class _KernelTable:
         scale, so defined where f underflows), its mean relative to M and
         its variance relative to M^2: the scales that bound f, f' and f''
         relative to f, f M/t and f M^2/t^2, with t = x(1-x). It is 0 where
-        the integrand vanishes at every node.
+        the integrand vanishes at every node, where the moments are nan:
+        ContinuousEvaluator.forms calls this under its np.errstate, so they
+        raise no warning.
         """
         # Kronrod sums in z[0], Gauss sums in z[1], each point's on its own scale exp(top)
         z = np.zeros((2, 3, x.size))
@@ -394,19 +426,21 @@ class _KernelTable:
                 b = buf[: x.size - lo]
                 np.multiply(tilt[sl, None], self.s, out=b)
                 b += self.log_k
-                top[sl] = np.max(b, axis=1)
-                b -= np.where(np.isfinite(top[sl]), top[sl], 0.0)[:, None]
+                row_max = top[sl] = b.max(axis=1)
+                b -= np.where(np.isfinite(row_max), row_max, 0.0)[:, None]
                 np.exp(b, out=b)
                 z[..., sl] = np.einsum("jk,rk->rj", b, rows).reshape(2, 3, -1)
             top += self.peak + self.M * log_x
+        # mass, mean and variance about the centre, in place; nan where the mass is 0
         mass = z[:, 0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mu = z[:, 1] / mass
-            var = z[:, 2] / mass - mu * mu
-            gap = np.abs(mass[0] - mass[1]) / mass[0]
-            gap = np.maximum(gap, np.abs(mu[0] - mu[1]) / self.M)
-            gap = np.maximum(gap, np.abs(var[0] - var[1]) / (self.M * self.M))
-        return np.array([top, mass[0], self.centre + mu[0], var[0]]), np.where(np.isfinite(top), gap, 0.0)
+        z[:, 1:] /= mass[:, None]
+        z[:, 2] -= z[:, 1] * z[:, 1]
+        gap = np.abs(z[0] - z[1])
+        gap[0] /= mass[0]
+        gap[1] /= self.M
+        gap[2] /= self.M * self.M
+        z[0, 1] += self.centre
+        return np.array([top, *z[0]]), np.where(np.isfinite(top), gap.max(axis=0), 0.0)
 
 
 class ContinuousEvaluator:
@@ -418,17 +452,21 @@ class ContinuousEvaluator:
     per knot interval a table also has at least as many panels as the drop
     of log alpha across it needs (see quadrature.panel_nodes). Most of (0, 1)
     stops at one panel per unit; a point whose kernel (1-x)^s x^(M-s) tilts
-    steeply in s, near 0 or 1, climbs further. The mixture is unit-scaled
-    once, when the evaluator is made. A tier's table is built the first time
-    a point climbs to it and kept, and since a point's tiers follow from its
-    own gaps alone, its value depends on that point alone, not on the others
-    evaluated with it. Every evaluation returns Kronrod values; a gap still
-    above quadrature.REL_TOL at the top tier raises QuadratureError.
+    steeply in s, near 0 or 1, climbs further. alpha's peak is taken and the
+    mixture unit-scaled once, when the evaluator is made. A tier's table is
+    built the first time a point climbs to it and kept; where it has as many
+    nodes as the tier below, it is that layout again (a knot interval's
+    panel count never falls as the tier grows), so the tier keeps the table
+    below and is skipped, as cdf skips it. Since a point's tiers follow from
+    its own gaps alone, its value depends on that point alone, not on the
+    others evaluated with it. Every evaluation returns Kronrod values; a gap
+    still above quadrature.REL_TOL at the top tier raises QuadratureError.
     """
 
     def __init__(self, mix: ContinuousMixture):
         self.mix = mix
-        self._unit, self._peak = unit_scaled(mix), _alpha_peak(mix)
+        self._peak = _alpha_peak(mix)
+        self._unit = _unit_continuous(mix, self._peak)
         self._tables: dict[int, _KernelTable] = {}
 
     def forms(self, x) -> Forms:
@@ -436,40 +474,55 @@ class ContinuousEvaluator:
 
         Every point is integrated on the first tier's table, and the points
         whose gap is not at most quadrature.REL_TOL (nan included) again on
-        each next tier of the ladder, until none is left or the top tier has
-        been read; a point keeps the values of the last tier it read. f =
-        exp(top) mass, 0 where top is not finite, and log f = top +
-        log(mass). With the posterior's mean m and variance V, and t =
-        x(1-x): d/dx log[(1-x)^s x^(M-s)] = (M(1-x) - s)/t, so f'/f = (M(1-x) - m)/t, and the Eq. 10 margin [((M-1)/M)
-        f'^2 - f f'']/f^2 is [m(M-m)/M - V]/t^2. Then (log f)'' = -margin -
-        (f'/f)^2/M, and f' and f'' are f (f'/f) and f ((f'/f)^2 + (log
-        f)''), 0 where f is. No ratio reads f, so each is finite where f
-        underflows; past the double range f' and f'' read inf.
+        each next tier of the ladder whose layout differs from the last one
+        read, until none is left or the top tier has been reached; a point
+        keeps the values of the last tier it read. f = exp(top) mass, 0
+        where top is not finite, and log f = top + log(mass). With the
+        posterior's mean m and variance V, and t = x(1-x): d/dx log[(1-x)^s
+        x^(M-s)] = (M(1-x) - s)/t, so f'/f = (M(1-x) - m)/t, and the Eq. 10
+        margin [((M-1)/M) f'^2 - f f'']/f^2 is [m(M-m)/M - V]/t^2. Then
+        (log f)'' = -margin - (f'/f)^2/M, and f' and f'' are f (f'/f) and
+        f ((f'/f)^2 + (log f)''), 0 where f is. No ratio reads f, so each is
+        finite where f underflows; past the double range f' and f'' read
+        inf.
         """
         x = np.asarray(x, dtype=float)
         xr = x.ravel()
         rows = np.empty((4, xr.size))
         gap = np.empty(xr.size)
         climbing = np.arange(xr.size)
-        for tier in panel_ladder():
-            if not climbing.size:
-                break
-            if tier not in self._tables:
-                self._tables[tier] = _KernelTable(self._unit, self._peak, tier)
-            rows[:, climbing], gap[climbing] = self._tables[tier].integrate(xr[climbing])
-            climbing = climbing[~(gap[climbing] <= REL_TOL)]
-        check_gauss_kronrod(gap, "density and derivatives")
-        top, mass, mean, var = rows.reshape((4,) + x.shape)
-        M = self.mix.M
-        t = x * (1.0 - x)
+        last = None
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for tier in panel_ladder():
+                if not climbing.size:
+                    break
+                table = self._tables.get(tier)
+                if table is None:
+                    table = _KernelTable(self._unit, self._peak, tier)
+                    # a knot interval's panel count never falls as the tier
+                    # grows, so an equal node total is the same layout
+                    if last is not None and table.s.size == last.s.size:
+                        table = last
+                    self._tables[tier] = table
+                if table is last:
+                    continue
+                rows[:, climbing], gap[climbing] = table.integrate(xr[climbing])
+                climbing = climbing[~(gap[climbing] <= REL_TOL)]
+                last = table
+            check_gauss_kronrod(gap, "density and derivatives")
+            top, mass, mean, var = rows.reshape((4,) + x.shape)
+            M = self.mix.M
+            omx = 1.0 - x
+            t = x * omx
             f = np.where(np.isfinite(top), np.exp(top) * mass, 0.0)
             log_f = top + np.log(mass)
-            score = (M * (1.0 - x) - mean) / t
+            score = (M * omx - mean) / t
             margin = (mean * (M - mean) / M - var) / (t * t)
-            logcurv = -margin - score * score / M
-            d1 = np.where(f > 0.0, f * score, 0.0)
-            d2 = np.where(f > 0.0, f * (score * score + logcurv), 0.0)
+            square = score * score
+            logcurv = -margin - square / M
+            positive = f > 0.0
+            d1 = np.where(positive, f * score, 0.0)
+            d2 = np.where(positive, f * (square + logcurv), 0.0)
             return Forms(f, d1, d2, log_f, score, logcurv, margin)
 
     def density(self, x) -> np.ndarray:
@@ -509,8 +562,9 @@ def _alpha_intervals(unit: ContinuousMixture):
     alpha is e^l e^(-D t), with l the larger and D >= 0 the difference of
     its two log values, so its mass is L e^l (1 - e^-D)/D (L e^l at D = 0).
     """
-    la = unit.log_alpha
-    i = np.flatnonzero(np.isfinite(la[:-1]) & np.isfinite(la[1:]))
+    la, live = unit.log_alpha, unit._live
+    # an interval lives exactly where both its knots do: a -inf knot is never live
+    i = np.flatnonzero(live[:-1] & live[1:])
     rise = la[i + 1] > la[i]
     near, far = np.where(rise, i + 1, i), np.where(rise, i, i + 1)
     start, span, D = unit.knots[near], unit.knots[far] - unit.knots[near], la[near] - la[far]
@@ -532,11 +586,12 @@ def normalization(mix) -> float:
     """
     if mix.is_zero:
         raise DegenerateMixtureError("normalization of the identically-zero mixture")
-    unit, M = unit_scaled(mix), mix.M
+    M = mix.M
     with np.errstate(over="ignore"):
         if isinstance(mix, DiscreteMixture):
-            return float(np.ldexp(np.sum(unit.weights) / (M + 1), weight_exponent(mix)))
-        return float(np.exp(_alpha_peak(mix) + np.log(np.sum(_alpha_intervals(unit)[3]) / (M + 1.0))))
+            return float(np.ldexp(np.sum(unit_scaled(mix).weights) / (M + 1), weight_exponent(mix)))
+        top = _alpha_peak(mix)
+        return float(np.exp(top + np.log(np.sum(_alpha_intervals(_unit_continuous(mix, top))[3]) / (M + 1.0))))
 
 
 def cdf(mix, x: float) -> float:
@@ -566,13 +621,14 @@ def cdf(mix, x: float) -> float:
         return 0.0
     from scipy.special import betainc
 
-    unit, M = unit_scaled(mix), mix.M
+    M = mix.M
     with np.errstate(over="ignore", divide="ignore"):
         if isinstance(mix, DiscreteMixture):
             s = np.arange(M + 1.0)
-            total = np.dot(unit.weights, betainc(M - s + 1.0, s + 1.0, x))
+            total = np.dot(unit_scaled(mix).weights, betainc(M - s + 1.0, s + 1.0, x))
             return float(np.ldexp(total / (M + 1), weight_exponent(mix)))
-        last = -1
+        top = _alpha_peak(mix)
+        unit, last = _unit_continuous(mix, top), -1
         for per_unit in panel_ladder():
             s, wk, wg = panel_nodes(unit.knots, unit.log_alpha, per_unit)
             if s.size == last:
@@ -580,7 +636,7 @@ def cdf(mix, x: float) -> float:
             last = s.size
             alpha = np.exp(np.interp(s, unit.knots, unit.log_alpha))
             (total,), gap = kronrod_integral(wk, wg, alpha * betainc(M - s + 1.0, s + 1.0, x))
-            value = float(np.exp(_alpha_peak(mix) + np.log(total / (M + 1.0))))
+            value = float(np.exp(top + np.log(total / (M + 1.0))))
             if gap[0] <= REL_TOL or value < np.finfo(float).tiny:
                 return value
         check_gauss_kronrod(gap, "cdf")

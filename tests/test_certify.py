@@ -274,6 +274,62 @@ def test_certify_deterministic():
     assert a == b
 
 
+def _recorded_abscissae(monkeypatch):
+    """The points certify evaluates, one array per call, recorded at its _forms."""
+    module = sys.modules["betamix.certify"]
+    seen, original = [], module._forms
+
+    def recording(mixture, xs):
+        seen.append(xs)
+        return original(mixture, xs)
+
+    monkeypatch.setattr(module, "_forms", recording)
+    return seen
+
+
+def test_certify_keeps_an_integer_seeds_points_read_only(monkeypatch):
+    # an integer seed's grid and off-grid points are formed once per
+    # (grid_points, eps, seed) and shared by every call, so none may write to
+    # them; the live-knot mask, formed once per mixture, is read-only too
+    seen = _recorded_abscissae(monkeypatch)
+    mix = ContinuousMixture(3.0, [0.0, 1.5, 3.0], [0.0, -0.5, float("-inf")])
+    assert certify(mix, grid_points=48, seed=7) == certify(mix, grid_points=48, seed=7)
+    first, second = seen
+    assert first is second and first.size == 48 + 64
+    with pytest.raises(ValueError):
+        first[0] = 0.5
+    certify(mix, grid_points=48, seed=8)
+    assert seen[2] is not first
+    assert np.array_equal(seen[2][:48], first[:48]) and not np.array_equal(seen[2][48:], first[48:])
+    live = mix.live_knots()
+    assert live is mix.live_knots() and list(live) == [True, True, False]
+    with pytest.raises(ValueError):
+        live[2] = True
+
+
+def test_certify_draws_afresh_from_a_generator_seed(monkeypatch):
+    # a Generator is not kept: each call draws its own off-grid points from it
+    seen = _recorded_abscissae(monkeypatch)
+    mix = ContinuousMixture(3.0, [0.0, 1.5, 3.0], [3.0, -6.0, 3.0])
+    rng = np.random.default_rng(5)
+    first, second = certify(mix, grid_points=64, seed=rng), certify(mix, grid_points=64, seed=rng)
+    assert first.midpoint_failures > 0 and second.midpoint_failures > 0
+    assert not np.array_equal(seen[0][64:], seen[1][64:])
+    assert first.witness != second.witness
+    rng = np.random.default_rng(5)
+    for cert in (first, second):
+        pts = 1e-6 + (1.0 - 2e-6) * rng.random(64)
+        assert cert.witness in pts
+
+
+def test_certify_numpy_integer_seed_equals_int():
+    mix = ContinuousMixture(3.0, [0.0, 1.5, 3.0], [3.0, -6.0, 3.0])
+    for seed in (0, 11):
+        want = certify(mix, grid_points=64, seed=seed)
+        assert certify(mix, grid_points=64, seed=np.int64(seed)) == want
+        assert certify(mix, grid_points=64, seed=np.uint32(seed)) == want
+
+
 def test_certify_reversal_invariance():
     rng = np.random.default_rng(101)
     for _ in range(10):

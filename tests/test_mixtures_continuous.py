@@ -597,6 +597,28 @@ def test_ladder_tiers_a_point_visits(monkeypatch):
     assert panel_nodes([0.0, 0.5, 2.0], [0.0, -1.0, 99.0], per_unit=3)[0].size == size * (2 + 25)
 
 
+def test_forms_skips_a_tier_that_repeats_the_last_layout(monkeypatch):
+    # alpha drops by 3000 across [0, 3], capped at 800, so every tier up to
+    # 64 panels per unit lays out the same 200 panels (4200 nodes): x = 0.5
+    # fails them all, integrates that layout once and then 128 panels per
+    # unit, and a later call builds nothing and reads the same two tables
+    mix = ContinuousMixture(3.0, [0.0, 3.0], [0.0, -3000.0])
+    log = LadderLog(monkeypatch)
+    ev = ContinuousEvaluator(mix)
+    skipped = ev.forms(0.5)
+    assert [(tier, table.s.size) for (tier, _, _), table in zip(log.steps, log.read)] == [(1, 4200), (128, 8064)]
+    assert log.tiers_built == [1, 2, 4, 8, 16, 32, 64, 128]
+    ev.forms(np.array([0.5, 0.3]))
+    assert [tier for tier, _, _ in log.steps] == [1, 128, 1, 128] and len(log.built) == 8
+    assert log.climbs_only_on_failure()
+    # a climb that reads every tier, each from a table of its own, gives the same bits
+    full = ContinuousEvaluator(mix)
+    full._tables = {tier: mixtures._KernelTable(full._unit, full._peak, tier) for tier in panel_ladder()}
+    log.steps.clear()
+    assert [v.tobytes() for v in full.forms(0.5)] == [v.tobytes() for v in skipped]
+    assert [tier for tier, _, _ in log.steps] == [1, 2, 4, 8, 16, 32, 64, 128]
+
+
 def test_derivs_batch_across_tiers_equals_per_point(monkeypatch):
     mix = ContinuousMixture(6.5, [0.0, 1.0, 4.0, 6.5], [-0.5, 0.3, 0.1, -1.2])
     xs = np.array([0.5, 1e-8, 0.3, 1e-100, 2e-3, 1.0 - 1e-5, 1e-6, 0.97, 1.0 - 1e-8, 4e-4])
