@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mixtures import ContinuousMixture, DiscreteMixture, below_chord, density_grid, is_log_concave_weights
-from .quadrature import check_gauss_kronrod, kronrod_integral, panel_nodes
+from .quadrature import PANEL_NODES, check_gauss_kronrod, kronrod_integral, panel_counts, panel_nodes
 from .special import DomainError, log_abs_gen_binom_ext
 
 # Lemma 2, one row per inequality: (continuous name, discrete name, c, r,
@@ -168,10 +168,12 @@ def _lemma2_pass(cases) -> list[LemmaCase]:
     if live:
         lo, hi = np.array([windows[i][:2] for i in live]).T
         # one panel per unit, the first tier of quadrature.panel_ladder: the lemma
-        # integrands have no x-tilt, and the gate below judges each integral
-        s, wk, wg = panel_nodes(np.stack([lo, hi, hi], axis=1).ravel(), np.tile([0.0, 0.0, -np.inf], len(live)))
-        nodes = np.ceil(hi - lo).astype(int)
-        nodes *= s.size // nodes.sum()
+        # integrands have no x-tilt, and the gate below judges each integral;
+        # window i is segment 3i, and its node run follows from its panels
+        breakpoints = np.stack([lo, hi, hi], axis=1).ravel()
+        counts = panel_counts(breakpoints, np.tile([0.0, 0.0, -np.inf], len(live)))
+        s, wk, wg = panel_nodes(breakpoints, counts)
+        nodes = PANEL_NODES * counts[::3]
         M, n, r = np.repeat([(cases[i][0], cases[i][1], _ROW[cases[i][3]][1]) for i in live], nodes, axis=0).T
         ext = [log_abs_gen_binom_ext(m, t) for m, t in ((M - 1.0, s), (M - 1.0, n - s), (M, s + r), (M - 2.0, n - s - r))]
         f = np.stack([a[1] * b[1] * np.exp(a[0] + b[0]) for a, b in (ext[:2], ext[2:])])
@@ -189,17 +191,18 @@ def lemma2_continuous_cases(cases) -> list[LemmaCase]:
     """Evaluate a list of (M, n, q, which) integral inequalities in array passes.
 
     Each pass takes up to _CASES_PER_PASS cases. Every live window gets
-    ceil(hi - lo) Gauss-Kronrod panels, one per unit of s, from a single
-    panel_nodes call, whose breakpoints cut each window from the next by a
-    point of -inf log value; four log_abs_gen_binom_ext calls give lhs
-    C(M-1, s) C(M-1, n-s) and rhs C(M, s+r) C(M-2, n-s-r) at every node,
-    and one quadrature.kronrod_integral call integrates both sides of
-    every case over its run of nodes. One check_gauss_kronrod call gates
-    every integral of the pass, each gap measured on the Kronrod integral
-    of |integrand|, and names the case of the largest. A case's values do
-    not depend on the other cases in the list. An empty window reads 0 on
-    both sides. Each pass sets its cases' margins and verdicts (LemmaCase)
-    in one array operation each.
+    Gauss-Kronrod panels at one per unit of s, counted by
+    quadrature.panel_counts and laid out by a single panel_nodes call, whose
+    breakpoints cut each window from the next by a point of -inf log value,
+    and its run of nodes is read off its count; four log_abs_gen_binom_ext
+    calls give lhs C(M-1, s) C(M-1, n-s) and rhs C(M, s+r) C(M-2, n-s-r) at
+    every node, and one quadrature.kronrod_integral call integrates both
+    sides of every case over its run of nodes. One check_gauss_kronrod call
+    gates every integral of the pass, each gap measured on the Kronrod
+    integral of |integrand|, and names the case of the largest. A case's
+    values do not depend on the other cases in the list. An empty window
+    reads 0 on both sides. Each pass sets its cases' margins and verdicts
+    (LemmaCase) in one array operation each.
     """
     for M, n, q, which in cases:
         for name, value, floor in (("M", M, 1.0), ("q", q, 0.0), ("n", n, -2.0)):

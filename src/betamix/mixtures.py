@@ -53,10 +53,10 @@ is_zero, live_knots, alpha's peak (_alpha_peak), the live intervals
 (_alpha_intervals) and sample read it. alpha's peak is taken once per
 ContinuousEvaluator, which builds the unit-scaled twin from it without
 repeating the checks the mixture passed. A density table's nodes, weights,
-log kernel and centre are built once per tier per evaluator, the first
-time a point climbs to it; its six weight rows and its block buffer once
-per integrate call; the exponent, its row max and the einsum once per
-block of x.
+log kernel and centre are built once per forms call, for a layout (see
+_layouts) that some point climbs to; its six weight rows and its block
+buffer once per integrate call; the exponent, its row max and the einsum
+once per block of x.
 """
 
 import math
@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import REL_TOL, check_gauss_kronrod, kronrod_integral, panel_ladder, panel_nodes
+from .quadrature import REL_TOL, check_gauss_kronrod, kronrod_integral, panel_counts, panel_ladder, panel_nodes
 from .special import DomainError, log_gen_binom_grid
 from .special import log_abs_gen_binom_ext  # noqa: F401  (perfbench/spans.py wraps this name here)
 
@@ -355,16 +355,36 @@ def discrete_derivs_grid(mix: DiscreteMixture, x) -> Forms:
 # continuous evaluation
 
 
+def _layouts(unit: ContinuousMixture):
+    """The panel layouts an integral over s against the unit-scaled alpha climbs: (nodes, kronrod, gauss weights).
+
+    This is the ladder rule of every such integral. Each tier of
+    quadrature.panel_ladder has its panels per knot interval formed once,
+    by quadrature.panel_counts. A tier whose counts equal those of the last
+    layout yielded would lay out the same nodes and weights, so it is
+    skipped; any other is laid out by quadrature.panel_nodes over the whole
+    knot grid, where the intervals on which alpha vanishes get no panels. A
+    caller integrates on the first layout and takes the next only for what
+    failed its Gauss-Kronrod gap, so no layout is built that is not read.
+    """
+    last = None
+    for tier in panel_ladder():
+        counts = panel_counts(unit.knots, unit.log_alpha, tier)
+        if last is None or not np.array_equal(counts, last):
+            last = counts
+            yield panel_nodes(unit.knots, counts)
+
+
 class _KernelTable:
-    """Quadrature nodes plus the x-independent part of the density integrand, for one tier.
+    """Quadrature nodes plus the x-independent part of the density integrand, for one layout.
 
     The integrand is exp(peak + log_k(s) + s tilt) x^M with log_k = log alpha +
     log C(M, s) for the unit-scaled alpha, whose log peaks at 0, peak the
     log alpha that unit_scaled took out, and tilt = log(1-x) - log x. The
-    nodes are panel_nodes' over the knot grid of the unit-scaled mixture at
-    per_unit panels per unit of s, and cover only the knot intervals where
-    alpha does not vanish, so log_k is finite at every one. wk and wg are
-    the Kronrod and the embedded Gauss weights of the same nodes. At fixed
+    nodes s, with Kronrod weights wk and embedded Gauss weights wg, are a
+    layout of _layouts over the knot grid of the unit-scaled mixture, and
+    cover only the knot intervals where alpha does not vanish, so log_k is
+    finite at every one. At fixed
     x, the integrand normalized to mass one is a posterior over the mixing
     index s, and s is centred on the middle of the node range, halfway
     between the first and the last node (they ascend), before its moments
@@ -376,9 +396,9 @@ class _KernelTable:
 
     __slots__ = ("s", "wk", "wg", "log_k", "M", "peak", "centre")
 
-    def __init__(self, unit: ContinuousMixture, peak: float, per_unit: int):
-        s, self.wk, self.wg = panel_nodes(unit.knots, unit.log_alpha, per_unit)
-        self.s, self.log_k = s, np.interp(s, unit.knots, unit.log_alpha) + log_gen_binom_grid(unit.M, s)
+    def __init__(self, unit: ContinuousMixture, peak: float, s, wk, wg):
+        self.s, self.wk, self.wg = s, wk, wg
+        self.log_k = np.interp(s, unit.knots, unit.log_alpha) + log_gen_binom_grid(unit.M, s)
         self.M, self.peak = unit.M, peak
         self.centre = 0.5 * (s[0] + s[-1]) if s.size else 0.0
 
@@ -446,37 +466,33 @@ class _KernelTable:
 class ContinuousEvaluator:
     """Reusable evaluator for one continuous mixture.
 
-    Each x is integrated on the first density table of quadrature.panel_ladder
-    (1, 2, 4, ..., 200 G10/K21 panels per unit of s) whose Gauss-Kronrod gap,
-    on the scales of _KernelTable.integrate, is at most quadrature.REL_TOL;
-    per knot interval a table also has at least as many panels as the drop
-    of log alpha across it needs (see quadrature.panel_nodes). Most of (0, 1)
+    Each x is integrated on the density table of each layout of _layouts
+    in turn (1, 2, 4, ..., 200 G10/K21 panels per unit of s, and per knot
+    interval at least as many panels as the drop of log alpha across it
+    needs) until its Gauss-Kronrod gap, on the scales of
+    _KernelTable.integrate, is at most quadrature.REL_TOL. Most of (0, 1)
     stops at one panel per unit; a point whose kernel (1-x)^s x^(M-s) tilts
     steeply in s, near 0 or 1, climbs further. alpha's peak is taken and the
-    mixture unit-scaled once, when the evaluator is made. A tier's table is
-    built the first time a point climbs to it and kept; where it has as many
-    nodes as the tier below, it is that layout again (a knot interval's
-    panel count never falls as the tier grows), so the tier keeps the table
-    below and is skipped, as cdf skips it. Since a point's tiers follow from
-    its own gaps alone, its value depends on that point alone, not on the
-    others evaluated with it. Every evaluation returns Kronrod values; a gap
-    still above quadrature.REL_TOL at the top tier raises QuadratureError.
+    mixture unit-scaled once, when the evaluator is made. Since a point's
+    layouts follow from its own gaps alone, its value depends on that point
+    alone, not on the others evaluated with it. Every evaluation returns
+    Kronrod values; a gap still above quadrature.REL_TOL on the last layout
+    raises QuadratureError.
     """
 
     def __init__(self, mix: ContinuousMixture):
         self.mix = mix
         self._peak = _alpha_peak(mix)
         self._unit = _unit_continuous(mix, self._peak)
-        self._tables: dict[int, _KernelTable] = {}
 
     def forms(self, x) -> Forms:
-        """The Forms of the mixture over x in (0, 1), in one pass over each tier's table.
+        """The Forms of the mixture over x in (0, 1), in one pass over the table of each layout read.
 
-        Every point is integrated on the first tier's table, and the points
-        whose gap is not at most quadrature.REL_TOL (nan included) again on
-        each next tier of the ladder whose layout differs from the last one
-        read, until none is left or the top tier has been reached; a point
-        keeps the values of the last tier it read. f = exp(top) mass, 0
+        Every point is integrated on the table of the first layout of
+        _layouts, and the points whose gap is not at most
+        quadrature.REL_TOL (nan included) again on the table of each next
+        one, built only then, until none is left or the layouts end; a point
+        keeps the values of the last table it read. f = exp(top) mass, 0
         where top is not finite, and log f = top + log(mass). With the
         posterior's mean m and variance V, and t = x(1-x): d/dx log[(1-x)^s
         x^(M-s)] = (M(1-x) - s)/t, so f'/f = (M(1-x) - m)/t, and the Eq. 10
@@ -491,24 +507,12 @@ class ContinuousEvaluator:
         rows = np.empty((4, xr.size))
         gap = np.empty(xr.size)
         climbing = np.arange(xr.size)
-        last = None
+        layouts = _layouts(self._unit)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for tier in panel_ladder():
-                if not climbing.size:
-                    break
-                table = self._tables.get(tier)
-                if table is None:
-                    table = _KernelTable(self._unit, self._peak, tier)
-                    # a knot interval's panel count never falls as the tier
-                    # grows, so an equal node total is the same layout
-                    if last is not None and table.s.size == last.s.size:
-                        table = last
-                    self._tables[tier] = table
-                if table is last:
-                    continue
+            while climbing.size and (layout := next(layouts, None)):
+                table = _KernelTable(self._unit, self._peak, *layout)
                 rows[:, climbing], gap[climbing] = table.integrate(xr[climbing])
                 climbing = climbing[~(gap[climbing] <= REL_TOL)]
-                last = table
             check_gauss_kronrod(gap, "density and derivatives")
             top, mass, mean, var = rows.reshape((4,) + x.shape)
             M = self.mix.M
@@ -602,18 +606,16 @@ def cdf(mix, x: float) -> float:
     regularized incomplete Beta function. So the discrete CDF is an exact sum, and the
     continuous one a single quadrature over s, the Kronrod value of
     quadrature.kronrod_integral gated by its Gauss-Kronrod gap. It climbs
-    quadrature.panel_ladder from one panel per unit of s until that gap is
-    at most quadrature.REL_TOL, and skips a tier whose layout has as many
-    nodes as the last one integrated: a knot interval's panel count never
-    falls as the tier grows, so an equal total is the same layout. Either
-    is formed on the unit-scaled mixture (unit_scaled) with its scale put
-    back last, as normalization is. A gap still failing at the top tier
-    raises QuadratureError. The gap is judged only where the value is at
-    least the smallest normal double: a smaller one comes from a subnormal
-    unit-scaled integrand, whose sums keep only a few digits on any tier,
-    so it is returned from the first tier that gives it, and may fall short
-    of the true value, as scipy's betainc reads 0 below about 1e-308. The
-    identically-zero mixture gives 0.
+    the layouts of _layouts from one panel per unit of s until that gap is
+    at most quadrature.REL_TOL. Either is formed on the unit-scaled mixture
+    (unit_scaled) with its scale put back last, as normalization is. A gap
+    still failing on the last layout raises QuadratureError. The gap is
+    judged only where the value is at least the smallest normal double: a
+    smaller one comes from a subnormal unit-scaled integrand, whose sums
+    keep only a few digits on any tier, so it is returned from the first
+    tier that gives it, and may fall short of the true value, as scipy's
+    betainc reads 0 below about 1e-308. The identically-zero mixture gives
+    0.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"cdf requires 0 <= x <= 1, got {x!r}")
@@ -628,12 +630,8 @@ def cdf(mix, x: float) -> float:
             total = np.dot(unit_scaled(mix).weights, betainc(M - s + 1.0, s + 1.0, x))
             return float(np.ldexp(total / (M + 1), weight_exponent(mix)))
         top = _alpha_peak(mix)
-        unit, last = _unit_continuous(mix, top), -1
-        for per_unit in panel_ladder():
-            s, wk, wg = panel_nodes(unit.knots, unit.log_alpha, per_unit)
-            if s.size == last:
-                continue
-            last = s.size
+        unit = _unit_continuous(mix, top)
+        for s, wk, wg in _layouts(unit):
             alpha = np.exp(np.interp(s, unit.knots, unit.log_alpha))
             (total,), gap = kronrod_integral(wk, wg, alpha * betainc(M - s + 1.0, s + 1.0, x))
             value = float(np.exp(top + np.log(total / (M + 1.0))))

@@ -47,6 +47,8 @@ _WG = (
     0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
+# nodes of one panel: the K21 abscissae on both sides of 0
+PANEL_NODES = 2 * len(_XK) - 1
 
 
 # Largest drop of the log integrand's linear part across one panel: an
@@ -62,8 +64,8 @@ LOG_DROP_CAP = 800.0
 # Largest allowed gap between the Kronrod and the embedded Gauss value,
 # measured on the integral's own scale (see check_gauss_kronrod).
 REL_TOL = 1e-10
-# Most nodes one panel_nodes call lays out; a layout past it raises
-# QuadratureError before anything is allocated. 2^27 nodes hold 1 GiB per
+# Most nodes one layout holds; panel_counts raises QuadratureError for a
+# layout past it, before anything is allocated. 2^27 nodes hold 1 GiB per
 # array. The top of panel_ladder lays out at most 200 panels of 21 nodes
 # per unit of s, 21 * 200 * M nodes rounded up per knot interval (1.26e8 at
 # M = 30 000), so every tier still fits at M <= 30 000.
@@ -96,7 +98,7 @@ def panel_ladder() -> list[int]:
     """Panels per unit length that an integral climbs until its Gauss-Kronrod gap passes.
 
     One panel per unit, doubling at each step, up to the panels that
-    panel_nodes gives a capped log drop, LOG_DROP_CAP / LOG_DROP_PER_PANEL
+    panel_counts gives a capped log drop, LOG_DROP_CAP / LOG_DROP_PER_PANEL
     = 200: 1, 2, 4, ..., 128, 200. A caller integrates on the first tier,
     then again on the next only where the gap is not at most REL_TOL, and
     check_gauss_kronrod judges the gaps it is left with, so an integrand
@@ -106,27 +108,23 @@ def panel_ladder() -> list[int]:
     return [min(1 << k, cap) for k in range((cap - 1).bit_length() + 1)]
 
 
-def panel_nodes(breakpoints, log_values=None, per_unit: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite nodes and weights over consecutive segments of `breakpoints`.
+def panel_counts(breakpoints, log_values=None, per_unit: int = 1) -> np.ndarray:
+    """Panels on each segment between consecutive `breakpoints`, the layout panel_nodes builds.
 
-    A segment [a, b] is split into max(ceil(per_unit * (b - a)), ceil(min(|l_b
-    - l_a|, LOG_DROP_CAP) / LOG_DROP_PER_PANEL)) equal panels, each carrying
-    a copy of the reference rule, where l_a and l_b are the entries of `log_values` (the
-    log of the integrand's varying factor at each breakpoint; omitted, only
-    the length counts). per_unit, a tier of panel_ladder, covers a log
-    integrand that moves by up to per_unit * LOG_DROP_PER_PANEL per unit
-    length for a reason the breakpoints do not show, such as the x-tilt of
-    the density kernel or cdf's betainc factor. So a
-    steep mixing function gets panels fine enough for its own slope, with no
-    setting to tune. A segment of zero length, or with a -inf log value at
-    either end (where the integrand vanishes), gets no panels. Panel j of
-    [a, b] starts at j * (b - a) / n + a and the last ends at b, the edges
-    np.linspace(a, b, n + 1) gives. Returns flat (nodes, kronrod weights,
-    gauss weights) arrays. A layout of more than MAX_NODES nodes raises
+    A segment [a, b] gets max(ceil(per_unit * (b - a)), ceil(min(|l_b -
+    l_a|, LOG_DROP_CAP) / LOG_DROP_PER_PANEL)) equal panels, where l_a and
+    l_b are the entries of `log_values` (the log of the integrand's varying
+    factor at each breakpoint; omitted, only the length counts). per_unit,
+    a tier of panel_ladder, covers a log integrand that moves by up to
+    per_unit * LOG_DROP_PER_PANEL per unit length for a reason the
+    breakpoints do not show, such as the x-tilt of the density kernel or
+    cdf's betainc factor. So a steep mixing function gets panels fine
+    enough for its own slope, with no setting to tune. A segment of zero
+    length, or with a -inf log value at either end (where the integrand
+    vanishes), gets none. A layout of more than MAX_NODES nodes raises
     QuadratureError; the counts are formed as floats and checked before
-    any cast or allocation.
+    they are cast to the returned integers.
     """
-    t, wk, wg = reference_rule()
     bps = np.asarray(breakpoints, dtype=float)
     a, b = bps[:-1], bps[1:]
     live = b > a
@@ -140,10 +138,23 @@ def panel_nodes(breakpoints, log_values=None, per_unit: int = 1) -> tuple[np.nda
         with np.errstate(over="ignore", invalid="ignore"):
             drops = np.fmin(np.abs(np.diff(lv)), LOG_DROP_CAP)
     counts = live * np.maximum(np.ceil((b - a) * per_unit), np.ceil(drops / LOG_DROP_PER_PANEL))
-    nodes = t.size * float(np.sum(counts))
+    nodes = PANEL_NODES * float(np.sum(counts))
     if not nodes <= MAX_NODES:
         raise QuadratureError(f"{nodes:.3g} quadrature nodes exceed the limit of {MAX_NODES}")
-    counts = counts.astype(int)
+    return counts.astype(int)
+
+
+def panel_nodes(breakpoints, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite nodes and weights over consecutive segments of `breakpoints`, with counts[i] panels on segment i.
+
+    counts are panel_counts' for the same breakpoints, and each panel
+    carries a copy of the reference rule. Panel j of [a, b] starts at j *
+    (b - a) / n + a and the last ends at b, the edges np.linspace(a, b, n +
+    1) gives. Returns flat (nodes, kronrod weights, gauss weights) arrays.
+    """
+    t, wk, wg = reference_rule()
+    bps = np.asarray(breakpoints, dtype=float)
+    a, b = bps[:-1], bps[1:]
     seg = np.repeat(np.arange(a.size), counts)
     j = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
     step = (b - a)[seg] / counts[seg]

@@ -26,12 +26,13 @@ from betamix.quadrature import (
     QuadratureError,
     check_gauss_kronrod,
     kronrod_integral,
+    panel_counts,
     panel_ladder,
     panel_nodes,
     reference_rule,
 )
 
-from ladder import LadderLog
+from ladder import LadderLog, same_layout, tier_layout
 
 from oracles import (
     binom_ext_oracle,
@@ -45,6 +46,18 @@ from oracles import (
 )
 
 NEG_INF = float("-inf")
+# alpha = e^(-1000 s) on [0, 3]: the log drop of 3000 is capped at 800, so
+# every tier up to 64 panels per unit lays out the same 200 panels
+STEEP = ContinuousMixture(3.0, [0.0, 3.0], [0.0, -3000.0])
+
+
+def lay_out(breakpoints, log_values=None, per_unit=1):
+    return panel_nodes(breakpoints, panel_counts(breakpoints, log_values, per_unit))
+
+
+def every_tier(unit):
+    # every tier of the ladder, each laid out by a panel_nodes call of its own
+    return (tier_layout(unit, tier) for tier in panel_ladder())
 
 
 def flat_mixture(M=2.0):
@@ -297,28 +310,36 @@ def test_cdf_of_zero_mixture_is_zero():
 
 
 def test_cdf_climbs_the_ladder_until_its_gap_passes(monkeypatch):
-    # alpha = e^(-1000 s) on [0, 3]: the log drop of 3000 is capped at 200
-    # panels, the layout of every tier up to 64 panels per unit, which is
-    # integrated once; the gap fails until 128 panels per unit lay out 384
-    tiers, panels = [], []
-    lay_out, integrate = mixtures.panel_nodes, mixtures.kronrod_integral
+    # STEEP lays out 200 panels on every tier up to 64 panels per unit, and
+    # that layout is laid out and integrated once; the gap fails until 128
+    # panels per unit lay out 384
+    tier, tiers, panels = [None], [], []
+    count, nodes, integrate = mixtures.panel_counts, mixtures.panel_nodes, mixtures.kronrod_integral
 
-    def recording_nodes(breakpoints, log_values=None, per_unit=1):
-        tiers.append(per_unit)
-        return lay_out(breakpoints, log_values, per_unit)
+    def recording_counts(breakpoints, log_values=None, per_unit=1):
+        tier[0] = per_unit
+        return count(breakpoints, log_values, per_unit)
+
+    def recording_nodes(breakpoints, counts):
+        tiers.append(tier[0])
+        return nodes(breakpoints, counts)
 
     def recording_integral(wk, wg, values):
         panels.append(wk.size // reference_rule()[0].size)
         return integrate(wk, wg, values)
 
+    monkeypatch.setattr(mixtures, "panel_counts", recording_counts)
     monkeypatch.setattr(mixtures, "panel_nodes", recording_nodes)
     monkeypatch.setattr(mixtures, "kronrod_integral", recording_integral)
     # integral of alpha(s) I_0.5(4 - s, s + 1) ds / 4 by mpmath at 30 digits
-    assert cdf(ContinuousMixture(3.0, [0.0, 3.0], [0.0, -3000.0]), 0.5) == pytest.approx(
-        1.56603176594754520552e-05, rel=1e-13
-    )
-    assert tiers == [1, 2, 4, 8, 16, 32, 64, 128]
+    value = cdf(STEEP, 0.5)
+    assert value == pytest.approx(1.56603176594754520552e-05, rel=1e-13)
+    assert tiers == [1, 128]
     assert panels == [200, 384]
+    # a climb that reads every tier, each laid out on its own, gives the same bits
+    monkeypatch.setattr(mixtures, "_layouts", every_tier)
+    assert cdf(STEEP, 0.5).hex() == value.hex()
+    assert panels == [200, 384] + [200] * 7 + [384]
 
 
 @pytest.mark.parametrize(
@@ -355,10 +376,10 @@ def test_cdf_past_the_node_limit_raises_quadrature_error():
 def test_panel_layout_up_to_the_node_limit(monkeypatch):
     # [0, 1] at 8 panels per unit is 8 * 21 = 168 nodes
     monkeypatch.setattr(quadrature, "MAX_NODES", 168)
-    assert panel_nodes([0.0, 1.0], per_unit=8)[0].size == 168
+    assert lay_out([0.0, 1.0], per_unit=8)[0].size == 168
     monkeypatch.setattr(quadrature, "MAX_NODES", 167)
     with pytest.raises(QuadratureError, match="168 quadrature nodes exceed the limit of 167"):
-        panel_nodes([0.0, 1.0], per_unit=8)
+        panel_counts([0.0, 1.0], per_unit=8)
 
 
 def test_tiny_x_resolved_up_the_ladder():
@@ -399,7 +420,7 @@ def test_gauss_kronrod_check_fails_a_nan_gap():
 
 
 def test_kronrod_integral_gap_on_the_scale_of_the_absolute_integrand():
-    s, wk, wg = panel_nodes([0.0, 1.0])
+    s, wk, wg = lay_out([0.0, 1.0])
     # an integrand whose integral cancels to about 0 is judged on the
     # integral of its absolute value, so its Kronrod value passes
     (value,), gap = kronrod_integral(wk, wg, np.sin(2.0 * np.pi * s))
@@ -417,7 +438,7 @@ def test_kronrod_integral_gap_on_the_scale_of_the_absolute_integrand():
 
 def test_kronrod_integral_over_runs_is_each_run_alone():
     # runs of nodes, and rows of integrands, are integrated independently
-    s, wk, wg = panel_nodes([0.0, 1.0, 3.0])
+    s, wk, wg = lay_out([0.0, 1.0, 3.0])
     first = np.flatnonzero(s > 1.0)[0]
     values = np.stack([np.exp(s), np.cos(s)])
     runs, gaps = kronrod_integral(wk, wg, values, [0, first])
@@ -473,24 +494,28 @@ def test_byte_sized_blocks_keep_each_point_independent(monkeypatch):
 
 
 def test_kernel_integration_works_in_one_block_buffer():
-    # M = 2000, log alpha a concave parabola on 9 knots: each table row holds
-    # 42 000 nodes; once the table is built, forms over 256 points holds
-    # one block buffer of at most _BLOCK_BYTES, the six stacked weight rows,
-    # the centred nodes and a few arrays of one value per point
+    # M = 2000, log alpha a concave parabola on 9 knots: the first table's
+    # rows hold 42 000 nodes, and every one of 256 points passes on it. The
+    # table is built outside the traced window, as forms builds it; its
+    # integrate call then holds one block buffer of at most _BLOCK_BYTES,
+    # the six stacked weight rows, the centred nodes and a few arrays of one
+    # value per point
     M = 2000.0
     knots = np.linspace(0.0, M, 9)
     mix = ContinuousMixture(M, knots, -3.0 * ((knots - 0.4 * M) / (0.3 * M)) ** 2)
     ev = ContinuousEvaluator(mix)
     xs = np.linspace(0.05, 0.95, 256)
-    want = ev.forms(xs)[:3]
-    (table,) = ev._tables.values()
+    table = mixtures._KernelTable(ev._unit, ev._peak, *next(mixtures._layouts(ev._unit)))
+    assert table.s.size == 42_000
     tracemalloc.start()
     try:
-        got = ev.forms(xs)[:3]
+        rows, gap = table.integrate(xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    np.testing.assert_array_equal(got, want)
+    assert np.all(gap <= quadrature.REL_TOL)
+    f = ev.forms(xs).f
+    np.testing.assert_array_equal(np.where(np.isfinite(rows[0]), np.exp(rows[0]) * rows[1], 0.0), f)
     assert peak < mixtures._BLOCK_BYTES + (6 + 1) * 8 * table.s.size + 64 * 1024
 
 
@@ -522,13 +547,14 @@ def test_narrow_bump_passes_gauss_kronrod_check():
 
 def test_panel_count_follows_length_and_capped_log_drop():
     size = reference_rule()[0].size
-    assert panel_nodes([0.0, 0.5, 2.0], per_unit=8)[0].size == size * (4 + 12)
-    assert panel_nodes([0.0, 0.5, 2.0], [0.0, -1.0, 99.0], per_unit=8)[0].size == size * (4 + 25)
+    assert panel_counts([0.0, 0.5, 2.0], per_unit=8).tolist() == [4, 12]
+    assert panel_counts([0.0, 0.5, 2.0], [0.0, -1.0, 99.0], per_unit=8).tolist() == [4, 25]
+    assert lay_out([0.0, 0.5, 2.0], [0.0, -1.0, 99.0], per_unit=8)[0].size == size * (4 + 25)
     # |log drop| = 1e6 over an interval of length 2: ceil(8 * 2) + 200 bounds it
     for drop in (1e6, 1e300, -1e300):
-        n_panels = panel_nodes([0.0, 2.0], [0.0, drop], per_unit=8)[0].size // size
+        (n_panels,) = panel_counts([0.0, 2.0], [0.0, drop], per_unit=8)
         assert n_panels == LOG_DROP_CAP / LOG_DROP_PER_PANEL <= math.ceil(8 * 2.0) + 200
-    assert panel_nodes([0.0, 2.0], [1e308, -1e308], per_unit=8)[0].size == size * 200
+    assert panel_counts([0.0, 2.0], [1e308, -1e308], per_unit=8).tolist() == [200]
 
 
 # knot grids with -inf knots (alone and in pairs), zero-length segments and
@@ -556,7 +582,7 @@ def test_panel_nodes_match_the_per_interval_builder(per_unit):
     rng = np.random.default_rng(per_unit)
     grids = PANEL_GRIDS + [_random_panel_grid(rng) for _ in range(20)]
     for knots, log_alpha in grids:
-        got = panel_nodes(knots, log_alpha, per_unit)
+        got = lay_out(knots, log_alpha, per_unit)
         want = panel_nodes_per_interval(reference_rule(), knots, log_alpha, per_unit)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w, strict=True)
@@ -569,9 +595,9 @@ def test_panel_nodes_whole_grid_equals_concatenated_runs():
         knots, log_alpha = np.asarray(knots), np.asarray(log_alpha)
         finite = np.flatnonzero(np.isfinite(log_alpha))
         cuts = np.flatnonzero(np.diff(finite) > 1) + 1
-        runs = [panel_nodes(knots[r[0] : r[-1] + 1], log_alpha[r[0] : r[-1] + 1], 3)
+        runs = [lay_out(knots[r[0] : r[-1] + 1], log_alpha[r[0] : r[-1] + 1], 3)
                 for r in np.split(finite, cuts) if r.size > 1]
-        whole = panel_nodes(knots, log_alpha, 3)
+        whole = lay_out(knots, log_alpha, 3)
         for column, part in zip(whole, zip(*runs) if runs else [[np.empty(0)]] * 3):
             np.testing.assert_array_equal(column, np.concatenate(part), strict=True)
 
@@ -592,31 +618,53 @@ def test_ladder_tiers_a_point_visits(monkeypatch):
         assert [tier for tier, _, _ in log.steps] == log.tiers_built == tiers
         assert log.climbs_only_on_failure()
     # a tier is a per-unit floor of the panel count; the log drop still counts
-    size = reference_rule()[0].size
-    assert panel_nodes([0.0, 0.5, 2.0], per_unit=1)[0].size == size * (1 + 2)
-    assert panel_nodes([0.0, 0.5, 2.0], [0.0, -1.0, 99.0], per_unit=3)[0].size == size * (2 + 25)
+    assert panel_counts([0.0, 0.5, 2.0], per_unit=1).tolist() == [1, 2]
+    assert panel_counts([0.0, 0.5, 2.0], [0.0, -1.0, 99.0], per_unit=3).tolist() == [2, 25]
 
 
 def test_forms_skips_a_tier_that_repeats_the_last_layout(monkeypatch):
-    # alpha drops by 3000 across [0, 3], capped at 800, so every tier up to
-    # 64 panels per unit lays out the same 200 panels (4200 nodes): x = 0.5
-    # fails them all, integrates that layout once and then 128 panels per
-    # unit, and a later call builds nothing and reads the same two tables
-    mix = ContinuousMixture(3.0, [0.0, 3.0], [0.0, -3000.0])
+    # STEEP lays out the same 200 panels (4200 nodes) on every tier up to 64
+    # panels per unit: x = 0.5 fails that layout and passes on 128 panels
+    # per unit, so two tables are built, each read once
     log = LadderLog(monkeypatch)
-    ev = ContinuousEvaluator(mix)
-    skipped = ev.forms(0.5)
+    skipped = ContinuousEvaluator(STEEP).forms(0.5)
     assert [(tier, table.s.size) for (tier, _, _), table in zip(log.steps, log.read)] == [(1, 4200), (128, 8064)]
-    assert log.tiers_built == [1, 2, 4, 8, 16, 32, 64, 128]
-    ev.forms(np.array([0.5, 0.3]))
-    assert [tier for tier, _, _ in log.steps] == [1, 128, 1, 128] and len(log.built) == 8
+    assert log.tiers_built == [1, 128]
     assert log.climbs_only_on_failure()
-    # a climb that reads every tier, each from a table of its own, gives the same bits
-    full = ContinuousEvaluator(mix)
-    full._tables = {tier: mixtures._KernelTable(full._unit, full._peak, tier) for tier in panel_ladder()}
-    log.steps.clear()
-    assert [v.tobytes() for v in full.forms(0.5)] == [v.tobytes() for v in skipped]
-    assert [tier for tier, _, _ in log.steps] == [1, 2, 4, 8, 16, 32, 64, 128]
+    # a climb that reads every tier, each laid out on its own, gives the same bits
+    monkeypatch.setattr(mixtures, "_layouts", every_tier)
+    full = ContinuousEvaluator(STEEP).forms(0.5)
+    assert [v.tobytes() for v in full] == [v.tobytes() for v in skipped]
+    assert [table.s.size for table in log.read[2:]] == [4200] * 7 + [8064]
+
+
+def test_layouts_skip_only_a_tier_that_repeats_the_last_layout():
+    # each tier _layouts skips lays out, by a panel_nodes call of its own,
+    # the nodes and weights of the last layout yielded, bit for bit, and each
+    # layout yielded differs from the one before. STEEP repeats its first
+    # layout up to 64 panels per unit, a -inf knot splits alpha into two
+    # runs, and random concave log alphas, times 1 and times 300, have
+    # intervals of every length, set by their length or by their log drop
+    rng = np.random.default_rng(38)
+    mixes = [STEEP, ContinuousMixture(6.0, [0.0, 1.0, 2.0, 2.5, 3.0, 6.0], [0.0, 0.4, -0.5, NEG_INF, -1.0, -2.5])]
+    for M in (1.25, 3.0, 12.0, 64.0):
+        for _ in range(3):
+            mix = random_concave_mixture(rng, M)
+            mixes += [mix, ContinuousMixture(M, mix.knots, 300.0 * mix.log_alpha)]
+    skips = 0
+    for mix in mixes:
+        unit = mixtures.unit_scaled(mix)
+        yielded = mixtures._layouts(unit)
+        last = None
+        for tier in panel_ladder():
+            own = tier_layout(unit, tier)
+            if last is not None and same_layout(own, last):
+                skips += 1
+                continue
+            last = next(yielded)
+            assert same_layout(own, last), (mix, tier)
+        assert next(yielded, None) is None
+    assert skips >= 6
 
 
 def test_derivs_batch_across_tiers_equals_per_point(monkeypatch):
@@ -657,18 +705,16 @@ def test_tier_edges_against_quad_oracle(M):
 
 
 def test_evaluator_builds_each_tier_table_once(monkeypatch):
-    # each tier's table is built at most once per evaluator, the first time a
-    # point's gap fails on the tier below, and read again by later calls
+    # one forms call builds the table of each layout it climbs to once, the
+    # first time a point's gap fails on the layout below, and reads it once,
+    # for just the points that failed; nothing is built before the call
     log = LadderLog(monkeypatch)
     mix = ContinuousMixture(3.0, [0.0, 1.5, 3.0], [0.0, 0.5, -1.0])
     ev = ContinuousEvaluator(mix)
     assert log.built == []
-    ev.forms(np.array([0.5, 1e-6, 0.4]))
-    assert log.tiers_built == [1]
-    ev.density(np.array([0.2, 1e-30, 1e-3]))
-    ev.forms(np.array([0.6, 1.0 - 1e-3, 1e-100, 1e-3, 1e-6]))
+    ev.forms(np.array([0.5, 1e-6, 0.4, 0.2, 1e-30, 1e-3, 0.6, 1.0 - 1e-3, 1e-100]))
     assert log.tiers_built == [1, 2, 4, 8, 16, 32]
-    assert [len(climb) for climb in log.climbs()] == [1, 4, 6]
+    assert [x.size for _, x, _ in log.steps] == [9, 2, 2, 2, 1, 1]
     assert log.climbs_only_on_failure()
 
 

@@ -117,8 +117,9 @@ def test_tiny_x_forms_against_the_posterior_moment_oracle(x):
 def test_continuous_eval_builds_each_tier_table_once(monkeypatch, tmp_path):
     # alpha = e^700 is taken to its unit scale where the tables are built,
     # and its peak joins each point's log scale, so one set of tables gives
-    # the linear values and the log forms alike; each tier's table is built
-    # at most once, and only for points whose gap failed on the tier below
+    # the linear values and the log forms alike; one forms call, alone or
+    # under eval, builds each layout's table at most once, and only for
+    # points whose gap failed on the layout below
     log = LadderLog(monkeypatch)
     huge = ContinuousMixture(2.0, [0.0, 2.0], [700.0, 700.0])
     res = ContinuousEvaluator(huge).forms(1e-6)
@@ -134,8 +135,8 @@ def test_continuous_eval_builds_each_tier_table_once(monkeypatch, tmp_path):
 
 def test_continuous_certify_makes_one_moment_pass(monkeypatch):
     # the grid and the 64 off-grid points go through one forms call, with no
-    # density call, and each tier table is built at most once, only for the
-    # points whose gap failed on the tier below; the margin at the off-grid
+    # density call, and each layout's table is built at most once, only for
+    # the points whose gap failed on the layout below; the margin at the off-grid
     # points is read off the moments, so it is finite where f underflows
     calls = []
     forms, density = ContinuousEvaluator.forms, ContinuousEvaluator.density

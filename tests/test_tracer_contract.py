@@ -90,9 +90,10 @@ def test_tracer_wraps_cli_commands(spans, tmp_path):
 
 
 def test_tracer_counts_one_panel_call_per_continuous_table(spans, monkeypatch):
-    # a -inf knot splits alpha into two runs, [0, 2] and [3, 6]; each tier
-    # table is still built by one panel_nodes call over the whole knot grid.
-    # x = 1e-100 fails the first tier, so the evaluator climbs past it
+    # a -inf knot splits alpha into two runs, [0, 2] and [3, 6]; each
+    # layout's table is still built by one panel_nodes call over the whole
+    # knot grid, and no layout is laid out that no table reads. x = 1e-100
+    # fails the first tier, so the evaluator climbs past it
     knots = [0.0, 1.0, 2.0, 2.5, 3.0, 6.0]
     mix = ContinuousMixture(6.0, knots, [0.0, 0.4, -0.5, float("-inf"), -1.0, -2.5])
     plain = betamix.certify(mix, grid_points=64)
@@ -147,7 +148,7 @@ def test_tracer_counts_lemma_sweeps(spans, tmp_path):
     discrete = lemmas.discrete_lemma_sweep(max_M=3)
     continuous = lemmas.continuous_lemma_sweep(count=2, seed=0)
     windows = [lemmas._window_interval(c.M, c.n, c.window, c.which)[:2] for c in continuous]
-    nodes = sum(quadrature.panel_nodes([lo, hi], per_unit=1)[0].size for lo, hi in windows if lo < hi)
+    nodes = sum(quadrature.PANEL_NODES * int(quadrature.panel_counts([lo, hi])[0]) for lo, hi in windows if lo < hi)
     assert nodes
     tracer = spans.Tracer()
     with tracer.installed():
