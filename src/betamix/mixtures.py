@@ -27,8 +27,11 @@ on each point's scale, f' is f times the score, and f'' is f times (f'/f)^2
 + (log f)''. The density alone is a slice of that pass. The kernel's log is
 l(s) + log C(M, s) + s tilt, with tilt = log(1-x) - log x, plus M log x,
 which joins each point's scale instead of the exponent. Blocks of x are
-sized by the de Casteljau byte budget and share one buffer, and one einsum
-reduces each block against every Kronrod and Gauss weight row at once.
+sized by the de Casteljau byte budget and share one buffer. Each point's
+sums are BLAS dot products of its own exponentiated row against every
+Kronrod and Gauss weight row, over fixed chunks of nodes (_DOT_CHUNK) short
+enough that BLAS never splits one across threads, so their bits depend on
+neither the other points nor the BLAS thread count.
 
 The weight scale is taken out inside the evaluators. Both engines,
 discrete_derivs_grid and ContinuousEvaluator.forms, return the same seven
@@ -55,8 +58,8 @@ ContinuousEvaluator, which builds the unit-scaled twin from it without
 repeating the checks the mixture passed. A density table's nodes, weights,
 log kernel and centre are built once per forms call, for a layout (see
 _layouts) that some point climbs to; its six weight rows and its block
-buffer once per integrate call; the exponent, its row max and the einsum
-once per block of x.
+buffer once per integrate call; the exponent and its row max once per
+block of x, and its dot products once per chunk of nodes.
 """
 
 import math
@@ -375,6 +378,15 @@ def _layouts(unit: ContinuousMixture):
             yield panel_nodes(unit.knots, counts)
 
 
+# The moment sums of _KernelTable.integrate are BLAS dot products (np.vecdot)
+# over fixed chunks of at most this many nodes, the partials added in chunk
+# order. OpenBLAS 0.3 splits a double dot across threads past 10 000 values
+# (10 000 gave the same bits at 1 and 2 threads, 10 010 did not), so no
+# chunk is split, and a sum's bits do not depend on the BLAS thread count.
+# A dot's several accumulators also round less than one running sum does.
+_DOT_CHUNK = 4096
+
+
 class _KernelTable:
     """Quadrature nodes plus the x-independent part of the density integrand, for one layout.
 
@@ -414,11 +426,14 @@ class _KernelTable:
         x, where row max is the exponent's largest value at that x. x is
         walked in blocks of as many points as fill _BLOCK_BYTES, the de
         Casteljau budget, in one buffer reused by every block: the exponent
-        is formed, shifted by its row max and exponentiated in place, and one
-        einsum reduces it against the stacked Kronrod and Gauss rows, the
-        weights times 1, ds and ds^2. Each sum runs over one row of the
-        buffer, in the same order whatever the block, so a point's value
-        depends on that point alone. The gap is the largest Kronrod-Gauss
+        is formed, shifted by its row max and exponentiated in place, and
+        each point's row is dotted (np.vecdot) with the stacked Kronrod and
+        Gauss rows, the weights times 1, ds and ds^2. Each sum reads that
+        point's row alone, over the same node chunks of _DOT_CHUNK whatever
+        the block, their partials added in chunk order, so a point's value
+        depends on that point alone; the chunks keep every dot below the
+        length at which BLAS splits it across threads, so it does not depend
+        on the thread count either. The gap is the largest Kronrod-Gauss
         distance of the posterior's mass relative to itself (on its own
         scale, so defined where f underflows), its mean relative to M and
         its variance relative to M^2: the scales that bound f, f' and f''
@@ -438,7 +453,7 @@ class _KernelTable:
             ds = self.s - self.centre
             np.multiply(rows[:, 0], ds, out=rows[:, 1])
             np.multiply(rows[:, 1], ds, out=rows[:, 2])
-            rows = rows.reshape(6, -1)
+            rows, zr = rows.reshape(6, -1), z.reshape(6, -1)
             size = max(1, min(x.size, _BLOCK_BYTES // (8 * self.s.size)))
             buf = np.empty((size, self.s.size))
             for lo in range(0, x.size, size):
@@ -449,7 +464,8 @@ class _KernelTable:
                 row_max = top[sl] = b.max(axis=1)
                 b -= np.where(np.isfinite(row_max), row_max, 0.0)[:, None]
                 np.exp(b, out=b)
-                z[..., sl] = np.einsum("jk,rk->rj", b, rows).reshape(2, 3, -1)
+                for c in range(0, self.s.size, _DOT_CHUNK):
+                    zr[:, sl] += np.vecdot(b[:, c : c + _DOT_CHUNK], rows[:, None, c : c + _DOT_CHUNK])
             top += self.peak + self.M * log_x
         # mass, mean and variance about the centre, in place; nan where the mass is 0
         mass = z[:, 0]

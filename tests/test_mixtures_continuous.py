@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -491,6 +494,36 @@ def test_byte_sized_blocks_keep_each_point_independent(monkeypatch):
     for i, x in enumerate(xs):
         np.testing.assert_array_equal(np.ravel(ev.forms(xs[i : i + 1])[:3]), [f[i], d1[i], d2[i]])
     np.testing.assert_array_equal(ev.density(xs), f)
+
+
+_THREADS_SCRIPT = """
+import hashlib, numpy as np
+from betamix import ContinuousMixture
+from betamix.mixtures import ContinuousEvaluator
+M = 1000.0
+knots = np.linspace(0.0, M, 9)
+mix = ContinuousMixture(M, knots, -3.0 * ((knots - 0.4 * M) / (0.3 * M)) ** 2)
+forms = ContinuousEvaluator(mix).forms(np.linspace(1e-6, 1.0 - 1e-6, 1024))
+print(hashlib.sha256(np.array(forms).tobytes()).hexdigest())
+"""
+
+
+def test_moment_sums_do_not_depend_on_the_blas_thread_count():
+    # at M = 1000 the first table has 21 000 nodes, several dot chunks; a
+    # single dot over all of them is split across threads by OpenBLAS (past
+    # 10 000 values) and reads other bits at 2 threads than at 1
+    M = 1000.0
+    knots = np.linspace(0.0, M, 9)
+    ev = ContinuousEvaluator(ContinuousMixture(M, knots, -3.0 * ((knots - 0.4 * M) / (0.3 * M)) ** 2))
+    assert next(mixtures._layouts(ev._unit))[0].size == 21_000 > 2 * mixtures._DOT_CHUNK
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_kernel_integration_works_in_one_block_buffer():

@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from betamix import ContinuousMixture, certify, margin_eq10, mixture_to_json
+from betamix import ContinuousMixture, certify, margin_eq10, mixture_to_json, random_concave_mixture
 from betamix.cli import main
 from betamix.mixtures import ContinuousEvaluator
 
@@ -93,6 +93,56 @@ def test_eval_log_columns_are_finite_where_f_underflows(tmp_path):
     assert res.log_f == pytest.approx(log_f, rel=1e-14)
     assert res.log_d1 == pytest.approx(score, rel=1e-12)
     assert res.log_d2 == pytest.approx(logcurv, rel=1e-11)
+
+
+# Stored 40-digit posterior moments (m, V) at stated points, each from
+# oracles.posterior_moments_mp(M, knots, log_alpha, x, dps=40) and printed
+# by mpmath.nstr(v, 40) inside mpmath.workdps(40). The mixtures: "flat",
+# alpha = 1 on [0, 2] at the worst_x of test_certify's alpha-scale test;
+# "draw k", random_concave_mixture(np.random.default_rng(k), m_range=(2.5,
+# 12.0)) at its certify worst_x (grid 1024), its M stored to catch a
+# changed draw; "gauss", 9 equally spaced knots on [0, 1000] with log alpha
+# = -3((s - 0.4M)/(0.3M))^2, at the worst_x where a single-accumulator sum
+# read -9.45e-7 (ROADMAP item 2). The bound is on the margin's own scale
+# m(M-m)/(M t^2), in units of eps. Dot products over node chunks measured
+# at most 2.4 eps at the small orders and 3411 eps at M = 1000; an einsum
+# moment pass measured 10.5 and 123 158 eps.
+STORED_MOMENTS = [
+    ("flat", 2.0, 0.49206350793650794,
+     "1.008789932953613571288258300567835903018", "0.2768341864519153688663316243360548659424", 8),
+    ("draw 1", 7.137694565347561, 0.5425219090909091,
+     "1.971511024139031389632615817992079898192", "1.054904362623322605449550684695279713098", 8),
+    ("draw 2", 9.514684724631493, 0.3362662121212121,
+     "3.503220227198808633510985857149944832027", "2.141439155107294706575174248834620744319", 8),
+    ("draw 3", 11.186332912135569, 0.44183784848484847,
+     "3.06260699566592257739884221874685430794", "2.08411048016246891902384431877486478614", 8),
+    ("draw 4", 3.0409669970625073, 0.5034213030303031,
+     "1.906130704556546243857496781453646004126", "0.4238918941557630155565040453217818155427", 8),
+    ("gauss", 1000.0, 0.9696960303030303,
+     "30.97218014258346317757463668285585755293", "30.01290419979421483034992721877545720044", 10_000),
+]
+
+
+def _stored_mixture(name, M):
+    if name == "flat":
+        return ContinuousMixture(2.0, [0.0, 2.0], [0.0, 0.0])
+    if name == "gauss":
+        knots = np.linspace(0.0, M, 9)
+        return ContinuousMixture(M, knots, -3.0 * ((knots - 0.4 * M) / (0.3 * M)) ** 2)
+    mix = random_concave_mixture(np.random.default_rng(int(name.split()[1])), m_range=(2.5, 12.0))
+    assert mix.M == M, "the draw changed: recompute its stored moments"
+    return mix
+
+
+@pytest.mark.parametrize("name, M, x, m, V, bound", STORED_MOMENTS, ids=[p[0] for p in STORED_MOMENTS])
+def test_margin_against_stored_40_digit_moments(name, M, x, m, V, bound):
+    got = ContinuousEvaluator(_stored_mixture(name, M)).forms(x).margin
+    with mpmath.workdps(40):
+        M, x, m, V = (mpmath.mpf(v) for v in (M, x, m, V))
+        t = x * (1 - x)
+        want, scale = (m * (M - m) / M - V) / t**2, m * (M - m) / M / t**2
+        err = float(abs(mpmath.mpf(float(got)) - want) / scale)
+    assert err <= bound * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("x", [1e-100, 1e-30, 1e-10])

@@ -13,6 +13,11 @@ order 2000 (large_order_inputs). One line per output, "<sha256>  <name>",
 then one digest of all those lines. The CLI headers hold the flags, the input
 path among them, so compare two versions on the same WORKDIR. The program is
 imported from ./src and the workloads from ./perfbench, which is only read.
+
+The continuous certificates sum their moments by BLAS dot products, whose
+rounding depends on the BLAS build (its kernel for the CPU, not its thread
+count), so numpy's version and its BLAS's name and version go to stderr:
+compare digests only between runs that print the same line there.
 """
 
 import hashlib
@@ -77,9 +82,16 @@ def digests(workdir: Path):
         yield f"extra/{op.name}", op.record(op.call())["sha256"]
 
 
+def blas_line() -> str:
+    """numpy's version and the name and version of the BLAS it was built with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+
+
 def main() -> None:
     if len(sys.argv) != 2:
         sys.exit("usage: python tools/output_digests.py WORKDIR")
+    print(blas_line(), file=sys.stderr)
     lines = [f"{sha}  {name}" for name, sha in digests(Path(sys.argv[1]).resolve())]
     print("\n".join(lines))
     print(f"{hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}  all {len(lines)} outputs")
