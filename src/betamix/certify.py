@@ -27,9 +27,9 @@ formed once per (grid_points, eps, seed) and kept, read-only, for the last
 _ABSCISSAE_KEPT triples (_abscissae); any other seed draws afresh on every
 call. A continuous mixture's live-knot mask is formed once, when the
 mixture is made; alpha's peak and the unit-scaled mixture once per
-evaluation, and a density table (ContinuousEvaluator) only for each
-distinct panel layout that a point climbs to. Nothing is kept across calls
-for a mixture.
+evaluation, and one moment pass (mixtures._moments) only for each distinct
+panel layout that a point climbs to. Nothing is kept across calls for a
+mixture.
 """
 
 import functools

@@ -23,8 +23,9 @@ number is the %.17g text of its double; where that text is fixed notation
 (_g17_cells) instead of one decimal conversion per cell.
 
 Exit codes: 0 success/certified, 1 violated or failed sweep cases,
-2 malformed input or arguments, 3 evaluation/quadrature failure,
-4 degenerate (identically zero) mixture.
+2 malformed input (JSON nested past the decoder's recursion limit
+included) or arguments, 3 evaluation/quadrature failure, 4 degenerate
+(identically zero) mixture.
 """
 
 import argparse
@@ -480,7 +481,7 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"betamix: evaluation failure: {exc}", file=sys.stderr)
         return EXIT_EVAL
-    except (DomainError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (DomainError, ValueError, OSError, RecursionError) as exc:
         print(f"betamix: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

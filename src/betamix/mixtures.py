@@ -16,22 +16,23 @@ function alpha(s) = exp(l(s)) with l piecewise linear on a knot grid over
 [0, M] and alpha = 0 outside. All integrals are evaluated in log space and
 recombined by max-shifted exponentiation, on panels that split at every
 knot, laid out over the whole knot grid in one call: the intervals where
-alpha vanishes get none. Each x is integrated on the coarsest table whose
+alpha vanishes get none. Each x is integrated on the coarsest layout whose
 Gauss-Kronrod gap passes, climbing from one panel per unit of s, with one
-moment pass per table it reads, the only continuous integration: at fixed x
-the normalized integrand is a posterior over s, whose mass, mean m and
-variance V give, with t = x(1-x), log f, the score f'/f = (M(1-x) - m)/t,
-the Eq. 10 margin [m(M-m)/M - V]/t^2 and the log-curvature (log f)'' =
--margin - (f'/f)^2/M, so one exponentiation serves them all; f is the mass
-on each point's scale, f' is f times the score, and f'' is f times (f'/f)^2
-+ (log f)''. The density alone is a slice of that pass. The kernel's log is
-l(s) + log C(M, s) + s tilt, with tilt = log(1-x) - log x, plus M log x,
-which joins each point's scale instead of the exponent. Blocks of x are
-sized by the de Casteljau byte budget and share one buffer. Each point's
-sums are BLAS dot products of its own exponentiated row against every
-Kronrod and Gauss weight row, over fixed chunks of nodes (_DOT_CHUNK) short
-enough that BLAS never splits one across threads, so their bits depend on
-neither the other points nor the BLAS thread count.
+moment pass (_moments) per layout it reads, the only continuous
+integration: at fixed x the normalized integrand is a posterior over s,
+whose mass, mean m and variance V give, with t = x(1-x), log f, the score
+f'/f = (M(1-x) - m)/t, the Eq. 10 margin [m(M-m)/M - V]/t^2 and the
+log-curvature (log f)'' = -margin - (f'/f)^2/M, so one exponentiation
+serves them all; f is the mass on each point's scale, f' is f times the
+score, and f'' is f times (f'/f)^2 + (log f)''. The density alone is a
+slice of that pass. The kernel's log is l(s) + log C(M, s) + s tilt, with
+tilt = log(1-x) - log x, plus M log x, which joins each point's scale
+instead of the exponent. Blocks of x are sized by the de Casteljau byte
+budget and share one buffer. Each point's sums are BLAS dot products of
+its own exponentiated row against every Kronrod and Gauss weight row, over
+fixed chunks of nodes (_DOT_CHUNK) short enough that BLAS never splits one
+across threads, so their bits depend on neither the other points nor the
+BLAS thread count.
 
 The weight scale is taken out inside the evaluators. Both engines,
 discrete_derivs_grid and ContinuousEvaluator.forms, return the same seven
@@ -39,8 +40,8 @@ forms of the mixture as given, one Forms tuple with the fields f, d1, d2,
 log_f, log_d1 = f'/f, log_d2 = (log f)'' and the Eq. 10 margin. Each
 evaluates the unit-scaled mixture (unit_scaled), whose discrete weights
 are divided by a power of two 2^k and whose continuous log alpha peaks
-at 0, so f, f' and f'' stay in range. The continuous tables are
-built on it, and its peak joins each point's log scale, so continuous
+at 0, so f, f' and f'' stay in range. The continuous moments are
+formed on it, and its peak joins each point's log scale, so continuous
 linear values are those of the mixture's own alpha, and log f and every
 ratio, read off the moments, are finite wherever the posterior is.
 discrete_derivs_grid forms the score, (log f)'' and margin on each point's
@@ -55,11 +56,11 @@ mixture's live-knot mask is formed when the mixture is made, read-only;
 is_zero, live_knots, alpha's peak (_alpha_peak), the live intervals
 (_alpha_intervals) and sample read it. alpha's peak is taken once per
 ContinuousEvaluator, which builds the unit-scaled twin from it without
-repeating the checks the mixture passed. A density table's nodes, weights,
-log kernel and centre are built once per forms call, for a layout (see
-_layouts) that some point climbs to; its six weight rows and its block
-buffer once per integrate call; the exponent and its row max once per
-block of x, and its dot products once per chunk of nodes.
+repeating the checks the mixture passed. One _moments call forms a
+layout's log kernel, centre, six weight rows and block buffer, and forms
+makes one for each layout (see _layouts) that some point climbs to; the
+exponent and its row max are formed once per block of x, and its dot
+products once per chunk of nodes.
 """
 
 import math
@@ -126,6 +127,8 @@ class ContinuousMixture:
     and on any interval with a -inf endpoint (a -inf knot value pulls the
     whole adjacent interval down to zero in the limit). So alpha lives on
     the intervals with two finite ends, and live_knots marks their ends.
+    End knots within 1e-12 max(1, M) of 0 and M are put at 0 and M, and the
+    grid must increase strictly once they are.
     """
 
     M: float
@@ -144,8 +147,6 @@ class ContinuousMixture:
             raise ValueError("log_alpha must have one entry per knot")
         if not np.all(np.isfinite(knots)):
             raise ValueError("knots must be finite")
-        if np.any(np.diff(knots) <= 0.0):
-            raise ValueError("knots must be strictly increasing")
         scale = max(1.0, abs(M))
         if abs(knots[0]) > 1e-12 * scale or abs(knots[-1] - M) > 1e-12 * scale:
             raise ValueError("knot grid must start at 0 and end at M")
@@ -154,6 +155,8 @@ class ContinuousMixture:
         knots = knots.copy()
         knots[0] = 0.0
         knots[-1] = M
+        if np.any(np.diff(knots) <= 0.0):
+            raise ValueError("knots must be strictly increasing once their ends are put at 0 and M")
         knots.flags.writeable = False
         self._set(M, knots, la.copy())
 
@@ -260,8 +263,7 @@ class Forms(NamedTuple):
 # a discrete certify pass, 256 KiB and 512 KiB measured alike, 1 MiB two
 # fifths slower, and 128 KiB a seventh slower, its narrower blocks paying
 # the per-step call cost more often. A fixed column count is slow at low
-# orders. _KernelTable.integrate sizes its one exponent buffer by the same
-# budget.
+# orders. _moments sizes its one exponent buffer by the same budget.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -378,115 +380,105 @@ def _layouts(unit: ContinuousMixture):
             yield panel_nodes(unit.knots, counts)
 
 
-# The moment sums of _KernelTable.integrate are BLAS dot products (np.vecdot)
-# over fixed chunks of at most this many nodes, the partials added in chunk
-# order. OpenBLAS 0.3 splits a double dot across threads past 10 000 values
+# The moment sums of _moments are BLAS dot products (np.vecdot) over fixed
+# chunks of at most this many nodes, the partials added in chunk order.
+# OpenBLAS 0.3 splits a double dot across threads past 10 000 values
 # (10 000 gave the same bits at 1 and 2 threads, 10 010 did not), so no
 # chunk is split, and a sum's bits do not depend on the BLAS thread count.
 # A dot's several accumulators also round less than one running sum does.
 _DOT_CHUNK = 4096
 
 
-class _KernelTable:
-    """Quadrature nodes plus the x-independent part of the density integrand, for one layout.
+def _moments(unit: ContinuousMixture, peak: float, s, wk, wg, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod moments of the density integrand on one layout over an array of x in (0, 1), with their gap at each x.
 
-    The integrand is exp(peak + log_k(s) + s tilt) x^M with log_k = log alpha +
-    log C(M, s) for the unit-scaled alpha, whose log peaks at 0, peak the
-    log alpha that unit_scaled took out, and tilt = log(1-x) - log x. The
-    nodes s, with Kronrod weights wk and embedded Gauss weights wg, are a
-    layout of _layouts over the knot grid of the unit-scaled mixture, and
-    cover only the knot intervals where alpha does not vanish, so log_k is
-    finite at every one. At fixed
-    x, the integrand normalized to mass one is a posterior over the mixing
-    index s, and s is centred on the middle of the node range, halfway
-    between the first and the last node (they ascend), before its moments
-    are formed, so the variance is not a difference of two large numbers.
-    integrate forms the posterior's mass, mean and variance at every x,
-    walking x in blocks of _BLOCK_BYTES, the de Casteljau budget, through
-    one buffer per call.
+    The integrand is exp(peak + log_k(s) + s tilt) x^M with log_k = log alpha
+    + log C(M, s) for the unit-scaled alpha (unit), whose log peaks at 0,
+    peak the log alpha that unit_scaled took out, and tilt = log(1-x) - log
+    x. The nodes s, with Kronrod weights wk and embedded Gauss weights wg,
+    are a layout of _layouts over unit's knot grid, and cover only the knot
+    intervals where alpha does not vanish, so log_k is finite at every one.
+    At fixed x, the integrand normalized to mass one is a posterior over the
+    mixing index s, and s is centred on the middle of the node range,
+    halfway between the first and the last node (they ascend), before its
+    moments are formed, so the variance is not a difference of two large
+    numbers. One call forms log_k and the centre, then the six weight rows,
+    the Kronrod and Gauss weights times 1, ds and ds^2 with ds the centred
+    nodes, then walks x in blocks.
+
+    The results are the rows (top, mass, mean, var): each point's log scale
+    top, the posterior's mass on that scale, so that f = exp(top) mass and
+    log f = top + log(mass), and the mean and variance of the posterior over
+    s at each x. The x-only factor x^M and alpha's peak leave the exponent,
+    log_k + s tilt, and join each point's scale: top = row max + peak + M
+    log x, where row max is the exponent's largest value at that x. x is
+    walked in blocks of as many points as fill _BLOCK_BYTES, the de
+    Casteljau budget, in one buffer reused by every block: the exponent is
+    formed, shifted by its row max and exponentiated in place, and each
+    point's row is dotted (np.vecdot) with the six weight rows. Each sum
+    reads that point's row alone, over the same node chunks of _DOT_CHUNK
+    whatever the block, their partials added in chunk order, so a point's
+    value depends on that point alone; the chunks keep every dot below the
+    length at which BLAS splits it across threads, so it does not depend on
+    the thread count either. A call holds, besides arrays of one value per
+    point, the weight rows and log_k (7 values per node) and the block
+    buffer, at most _BLOCK_BYTES while one row of nodes fits in it (up to
+    65 536 nodes) and one row past that. The gap is the largest
+    Kronrod-Gauss distance of the posterior's mass relative to itself (on
+    its own scale, so defined where f underflows), its mean relative to M
+    and its variance relative to M^2: the scales that bound f, f' and f''
+    relative to f, f M/t and f M^2/t^2, with t = x(1-x). It is 0 where the
+    integrand vanishes at every node, where the moments are nan:
+    ContinuousEvaluator.forms calls this under its np.errstate, so they
+    raise no warning.
     """
-
-    __slots__ = ("s", "wk", "wg", "log_k", "M", "peak", "centre")
-
-    def __init__(self, unit: ContinuousMixture, peak: float, s, wk, wg):
-        self.s, self.wk, self.wg = s, wk, wg
-        self.log_k = np.interp(s, unit.knots, unit.log_alpha) + log_gen_binom_grid(unit.M, s)
-        self.M, self.peak = unit.M, peak
-        self.centre = 0.5 * (s[0] + s[-1]) if s.size else 0.0
-
-    def integrate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Kronrod results over an array of x in (0, 1), with their Gauss-Kronrod gap at each x.
-
-        The results are the rows (top, mass, mean, var): each point's log
-        scale top, the posterior's mass on that scale, so that f = exp(top)
-        mass and log f = top + log(mass), and the mean and variance of the
-        posterior over s at each x. The x-only factor x^M of the kernel and
-        alpha's peak leave the exponent, log_k + s tilt with tilt = log(1-x)
-        - log x, and join each point's scale: top = row max + peak + M log
-        x, where row max is the exponent's largest value at that x. x is
-        walked in blocks of as many points as fill _BLOCK_BYTES, the de
-        Casteljau budget, in one buffer reused by every block: the exponent
-        is formed, shifted by its row max and exponentiated in place, and
-        each point's row is dotted (np.vecdot) with the stacked Kronrod and
-        Gauss rows, the weights times 1, ds and ds^2. Each sum reads that
-        point's row alone, over the same node chunks of _DOT_CHUNK whatever
-        the block, their partials added in chunk order, so a point's value
-        depends on that point alone; the chunks keep every dot below the
-        length at which BLAS splits it across threads, so it does not depend
-        on the thread count either. The gap is the largest Kronrod-Gauss
-        distance of the posterior's mass relative to itself (on its own
-        scale, so defined where f underflows), its mean relative to M and
-        its variance relative to M^2: the scales that bound f, f' and f''
-        relative to f, f M/t and f M^2/t^2, with t = x(1-x). It is 0 where
-        the integrand vanishes at every node, where the moments are nan:
-        ContinuousEvaluator.forms calls this under its np.errstate, so they
-        raise no warning.
-        """
-        # Kronrod sums in z[0], Gauss sums in z[1], each point's on its own scale exp(top)
-        z = np.zeros((2, 3, x.size))
-        top = np.full(x.size, _NEG_INF)
-        if self.s.size:
-            log_x = np.log(x)
-            tilt = np.log1p(-x) - log_x
-            rows = np.empty((2, 3, self.s.size))
-            rows[:, 0] = self.wk, self.wg
-            ds = self.s - self.centre
-            np.multiply(rows[:, 0], ds, out=rows[:, 1])
-            np.multiply(rows[:, 1], ds, out=rows[:, 2])
-            rows, zr = rows.reshape(6, -1), z.reshape(6, -1)
-            size = max(1, min(x.size, _BLOCK_BYTES // (8 * self.s.size)))
-            buf = np.empty((size, self.s.size))
-            for lo in range(0, x.size, size):
-                sl = slice(lo, lo + size)
-                b = buf[: x.size - lo]
-                np.multiply(tilt[sl, None], self.s, out=b)
-                b += self.log_k
-                row_max = top[sl] = b.max(axis=1)
-                b -= np.where(np.isfinite(row_max), row_max, 0.0)[:, None]
-                np.exp(b, out=b)
-                for c in range(0, self.s.size, _DOT_CHUNK):
-                    zr[:, sl] += np.vecdot(b[:, c : c + _DOT_CHUNK], rows[:, None, c : c + _DOT_CHUNK])
-            top += self.peak + self.M * log_x
-        # mass, mean and variance about the centre, in place; nan where the mass is 0
-        mass = z[:, 0]
-        z[:, 1:] /= mass[:, None]
-        z[:, 2] -= z[:, 1] * z[:, 1]
-        gap = np.abs(z[0] - z[1])
-        gap[0] /= mass[0]
-        gap[1] /= self.M
-        gap[2] /= self.M * self.M
-        z[0, 1] += self.centre
-        return np.array([top, *z[0]]), np.where(np.isfinite(top), gap.max(axis=0), 0.0)
+    log_k = np.interp(s, unit.knots, unit.log_alpha) + log_gen_binom_grid(unit.M, s)
+    centre = 0.5 * (s[0] + s[-1]) if s.size else 0.0
+    # Kronrod sums in z[0], Gauss sums in z[1], each point's on its own scale exp(top)
+    z = np.zeros((2, 3, x.size))
+    top = np.full(x.size, _NEG_INF)
+    if s.size:
+        log_x = np.log(x)
+        tilt = np.log1p(-x) - log_x
+        rows = np.empty((2, 3, s.size))
+        rows[:, 0] = wk, wg
+        rows[:, 2] = s - centre
+        np.multiply(rows[:, 0], rows[:, 2], out=rows[:, 1])
+        rows[:, 2] *= rows[:, 1]
+        rows, zr = rows.reshape(6, -1), z.reshape(6, -1)
+        size = max(1, min(x.size, _BLOCK_BYTES // (8 * s.size)))
+        buf = np.empty((size, s.size))
+        for lo in range(0, x.size, size):
+            sl = slice(lo, lo + size)
+            b = buf[: x.size - lo]
+            np.multiply(tilt[sl, None], s, out=b)
+            b += log_k
+            row_max = top[sl] = b.max(axis=1)
+            b -= np.where(np.isfinite(row_max), row_max, 0.0)[:, None]
+            np.exp(b, out=b)
+            for c in range(0, s.size, _DOT_CHUNK):
+                zr[:, sl] += np.vecdot(b[:, c : c + _DOT_CHUNK], rows[:, None, c : c + _DOT_CHUNK])
+        top += peak + unit.M * log_x
+    # mass, mean and variance about the centre, in place; nan where the mass is 0
+    mass = z[:, 0]
+    z[:, 1:] /= mass[:, None]
+    z[:, 2] -= z[:, 1] * z[:, 1]
+    gap = np.abs(z[0] - z[1])
+    gap[0] /= mass[0]
+    gap[1] /= unit.M
+    gap[2] /= unit.M * unit.M
+    z[0, 1] += centre
+    return np.array([top, *z[0]]), np.where(np.isfinite(top), gap.max(axis=0), 0.0)
 
 
 class ContinuousEvaluator:
     """Reusable evaluator for one continuous mixture.
 
-    Each x is integrated on the density table of each layout of _layouts
-    in turn (1, 2, 4, ..., 200 G10/K21 panels per unit of s, and per knot
-    interval at least as many panels as the drop of log alpha across it
-    needs) until its Gauss-Kronrod gap, on the scales of
-    _KernelTable.integrate, is at most quadrature.REL_TOL. Most of (0, 1)
+    Each x is integrated by _moments on each layout of _layouts in turn
+    (1, 2, 4, ..., 200 G10/K21 panels per unit of s, and per knot interval
+    at least as many panels as the drop of log alpha across it needs) until
+    its Gauss-Kronrod gap, on the scales of _moments, is at most
+    quadrature.REL_TOL. Most of (0, 1)
     stops at one panel per unit; a point whose kernel (1-x)^s x^(M-s) tilts
     steeply in s, near 0 or 1, climbs further. alpha's peak is taken and the
     mixture unit-scaled once, when the evaluator is made. Since a point's
@@ -502,13 +494,13 @@ class ContinuousEvaluator:
         self._unit = _unit_continuous(mix, self._peak)
 
     def forms(self, x) -> Forms:
-        """The Forms of the mixture over x in (0, 1), in one pass over the table of each layout read.
+        """The Forms of the mixture over x in (0, 1), in one _moments call for each layout read.
 
-        Every point is integrated on the table of the first layout of
-        _layouts, and the points whose gap is not at most
-        quadrature.REL_TOL (nan included) again on the table of each next
-        one, built only then, until none is left or the layouts end; a point
-        keeps the values of the last table it read. f = exp(top) mass, 0
+        Every point is integrated on the first layout of _layouts, and the
+        points whose gap is not at most quadrature.REL_TOL (nan included)
+        again on each next one, laid out only then, until none is left or
+        the layouts end; a point keeps the values of the last layout it
+        read. f = exp(top) mass, 0
         where top is not finite, and log f = top + log(mass). With the
         posterior's mean m and variance V, and t = x(1-x): d/dx log[(1-x)^s
         x^(M-s)] = (M(1-x) - s)/t, so f'/f = (M(1-x) - m)/t, and the Eq. 10
@@ -526,8 +518,7 @@ class ContinuousEvaluator:
         layouts = _layouts(self._unit)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             while climbing.size and (layout := next(layouts, None)):
-                table = _KernelTable(self._unit, self._peak, *layout)
-                rows[:, climbing], gap[climbing] = table.integrate(xr[climbing])
+                rows[:, climbing], gap[climbing] = _moments(self._unit, self._peak, *layout, xr[climbing])
                 climbing = climbing[~(gap[climbing] <= REL_TOL)]
             check_gauss_kronrod(gap, "density and derivatives")
             top, mass, mean, var = rows.reshape((4,) + x.shape)

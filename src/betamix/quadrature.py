@@ -168,7 +168,7 @@ def check_gauss_kronrod(gap, what: str) -> None:
     """Raise QuadratureError unless every gap is at most REL_TOL.
 
     A gap is the Kronrod-Gauss distance of one integral on that integral's
-    own scale: kronrod_integral's, or those of mixtures._KernelTable.integrate.
+    own scale: kronrod_integral's, or those of mixtures._moments.
     A nan gap fails.
     """
     worst = float(np.max(gap, initial=0.0))

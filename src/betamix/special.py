@@ -1,10 +1,10 @@
 """Generalized binomial coefficients in log space on grids.
 
 The two grid functions work in log space, so orders up to ~1e4 never
-overflow an intermediate Gamma value: log_gen_binom_grid (continuous
-density tables) and log_abs_gen_binom_ext, its signed extension beyond the
-positive domain (the continuous lemma integrands), whose sign is scipy's
-gammasgn. Both import scipy on their first call, so importing betamix loads
+overflow an intermediate Gamma value: log_gen_binom_grid (the log kernel
+of a continuous moment pass) and log_abs_gen_binom_ext, its signed
+extension beyond the positive domain (the continuous lemma integrands),
+whose sign is scipy's gammasgn. Both import scipy on their first call, so importing betamix loads
 numpy only, and discrete densities, derivatives and certificates never
 load scipy. Exact integer binomials are built in lemmas, by one running
 product.

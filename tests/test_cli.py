@@ -115,11 +115,13 @@ def test_eval_malformed_json(tmp_path, capsys):
         '{"M": 2, "weights": [1, {"a": 1}, 1]}',
         '{"M": 2, "weights": {"a": 1}}',
         pytest.param('{"M": 2, "weights": [1, 1' + "0" * 400 + ', 1]}', id="weight-of-401-digits"),
+        pytest.param("[" * 200_000 + "]" * 200_000, id="arrays-nested-200000-deep"),
     ],
 )
 def test_certify_malformed_mixture_files_exit_2(tmp_path, text, capsys):
     # each used to crash with a traceback (exit 1, which reads "violated"),
-    # certify a NaN knot as degenerate, or be accepted
+    # certify a NaN knot as degenerate, or be accepted; the nested arrays
+    # exceed the JSON decoder's recursion limit
     path = tmp_path / "bad.json"
     path.write_text(text)
     out = tmp_path / "cert.json"

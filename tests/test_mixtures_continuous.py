@@ -486,11 +486,10 @@ def test_byte_sized_blocks_keep_each_point_independent(monkeypatch):
     ev = ContinuousEvaluator(mix)
     f, d1, d2 = ev.forms(xs)[:3]
     assert log.climbs_only_on_failure()
-    assert {1, 2, 4} <= set(log.tiers_built)
-    for (tier, x, _), (built, table) in zip(log.steps, log.built):
-        assert tier == built
+    assert {1, 2, 4} <= set(log.tiers)
+    for (tier, x, _), nodes in zip(log.steps, log.nodes):
         if tier <= 4:
-            assert 1 < mixtures._BLOCK_BYTES // (8 * table.s.size) < x.size - 1
+            assert 1 < mixtures._BLOCK_BYTES // (8 * nodes) < x.size - 1
     for i, x in enumerate(xs):
         np.testing.assert_array_equal(np.ravel(ev.forms(xs[i : i + 1])[:3]), [f[i], d1[i], d2[i]])
     np.testing.assert_array_equal(ev.density(xs), f)
@@ -527,29 +526,31 @@ def test_moment_sums_do_not_depend_on_the_blas_thread_count():
 
 
 def test_kernel_integration_works_in_one_block_buffer():
-    # M = 2000, log alpha a concave parabola on 9 knots: the first table's
-    # rows hold 42 000 nodes, and every one of 256 points passes on it. The
-    # table is built outside the traced window, as forms builds it; its
-    # integrate call then holds one block buffer of at most _BLOCK_BYTES,
-    # the six stacked weight rows, the centred nodes and a few arrays of one
-    # value per point
+    # M = 2000, log alpha a concave parabola on 9 knots: the first layout
+    # holds 42 000 nodes, and every one of 256 points passes on it. The
+    # layout is laid out outside the traced window, as forms lays it out,
+    # and forms runs first, so scipy.special is imported before it; the
+    # whole _moments call, its log kernel included, then holds one block
+    # buffer of at most _BLOCK_BYTES (a row of 42 000 nodes fits in it),
+    # the six stacked weight rows, the log kernel and a few arrays of one
+    # value per point, and no centred-node array besides the rows
     M = 2000.0
     knots = np.linspace(0.0, M, 9)
     mix = ContinuousMixture(M, knots, -3.0 * ((knots - 0.4 * M) / (0.3 * M)) ** 2)
     ev = ContinuousEvaluator(mix)
     xs = np.linspace(0.05, 0.95, 256)
-    table = mixtures._KernelTable(ev._unit, ev._peak, *next(mixtures._layouts(ev._unit)))
-    assert table.s.size == 42_000
+    f = ev.forms(xs).f
+    layout = next(mixtures._layouts(ev._unit))
+    assert layout[0].size == 42_000
     tracemalloc.start()
     try:
-        rows, gap = table.integrate(xs)
+        rows, gap = mixtures._moments(ev._unit, ev._peak, *layout, xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.all(gap <= quadrature.REL_TOL)
-    f = ev.forms(xs).f
     np.testing.assert_array_equal(np.where(np.isfinite(rows[0]), np.exp(rows[0]) * rows[1], 0.0), f)
-    assert peak < mixtures._BLOCK_BYTES + (6 + 1) * 8 * table.s.size + 64 * 1024
+    assert peak < mixtures._BLOCK_BYTES + (6 + 1) * 8 * layout[0].size + 64 * 1024
 
 
 def test_large_order_second_derivative_matches_oracle_near_one():
@@ -648,7 +649,7 @@ def test_ladder_tiers_a_point_visits(monkeypatch):
     for x, tiers in ((0.5, [1]), (1e-100, [1, 2, 4, 8, 16, 32])):
         log = LadderLog(monkeypatch)
         ContinuousEvaluator(mix).forms(x)
-        assert [tier for tier, _, _ in log.steps] == log.tiers_built == tiers
+        assert log.tiers == tiers
         assert log.climbs_only_on_failure()
     # a tier is a per-unit floor of the panel count; the log drop still counts
     assert panel_counts([0.0, 0.5, 2.0], per_unit=1).tolist() == [1, 2]
@@ -658,17 +659,16 @@ def test_ladder_tiers_a_point_visits(monkeypatch):
 def test_forms_skips_a_tier_that_repeats_the_last_layout(monkeypatch):
     # STEEP lays out the same 200 panels (4200 nodes) on every tier up to 64
     # panels per unit: x = 0.5 fails that layout and passes on 128 panels
-    # per unit, so two tables are built, each read once
+    # per unit, so two layouts are integrated, each once
     log = LadderLog(monkeypatch)
     skipped = ContinuousEvaluator(STEEP).forms(0.5)
-    assert [(tier, table.s.size) for (tier, _, _), table in zip(log.steps, log.read)] == [(1, 4200), (128, 8064)]
-    assert log.tiers_built == [1, 128]
+    assert list(zip(log.tiers, log.nodes)) == [(1, 4200), (128, 8064)]
     assert log.climbs_only_on_failure()
     # a climb that reads every tier, each laid out on its own, gives the same bits
     monkeypatch.setattr(mixtures, "_layouts", every_tier)
     full = ContinuousEvaluator(STEEP).forms(0.5)
     assert [v.tobytes() for v in full] == [v.tobytes() for v in skipped]
-    assert [table.s.size for table in log.read[2:]] == [4200] * 7 + [8064]
+    assert log.nodes[2:] == [4200] * 7 + [8064]
 
 
 def test_layouts_skip_only_a_tier_that_repeats_the_last_layout():
@@ -707,7 +707,7 @@ def test_derivs_batch_across_tiers_equals_per_point(monkeypatch):
     ev = ContinuousEvaluator(mix)
     f, d1, d2 = ev.forms(xs)[:3]
     # 1 - 1e-8 stops on the second tier and 1e-100 climbs to the sixth
-    assert log.climbs_only_on_failure() and log.tiers_built == [1, 2, 4, 8, 16, 32]
+    assert log.climbs_only_on_failure() and log.tiers == [1, 2, 4, 8, 16, 32]
     dens = ev.density(xs)
     for i, x in enumerate(xs):
         one = ContinuousEvaluator(mix).forms(xs[i : i + 1])[:3]
@@ -738,15 +738,15 @@ def test_tier_edges_against_quad_oracle(M):
 
 
 def test_evaluator_builds_each_tier_table_once(monkeypatch):
-    # one forms call builds the table of each layout it climbs to once, the
-    # first time a point's gap fails on the layout below, and reads it once,
-    # for just the points that failed; nothing is built before the call
+    # one forms call integrates on each layout it climbs to once, the first
+    # time a point's gap fails on the layout below, for just the points that
+    # failed; nothing is integrated before the call
     log = LadderLog(monkeypatch)
     mix = ContinuousMixture(3.0, [0.0, 1.5, 3.0], [0.0, 0.5, -1.0])
     ev = ContinuousEvaluator(mix)
-    assert log.built == []
+    assert log.calls == []
     ev.forms(np.array([0.5, 1e-6, 0.4, 0.2, 1e-30, 1e-3, 0.6, 1.0 - 1e-3, 1e-100]))
-    assert log.tiers_built == [1, 2, 4, 8, 16, 32]
+    assert log.tiers == [1, 2, 4, 8, 16, 32]
     assert [x.size for _, x, _ in log.steps] == [9, 2, 2, 2, 1, 1]
     assert log.climbs_only_on_failure()
 
@@ -838,6 +838,9 @@ def test_json_rejects_malformed(obj):
         (2.0, [0.0, 1.0, 1.0, 2.0], [0.0, 0.0, 0.0, 0.0]),  # strictly increasing
         (2.0, [0.0, 2.0], [0.0, np.inf]),       # +inf forbidden
         (2.0, [0.0, 2.0], [0.0]),               # length mismatch
+        # ends within 1e-12 M of 0 and M, put there, then out of order
+        (3.0, [0.0, 3.0 + 1e-12, 3.0 + 2e-12], [0.0, 0.0, 0.0]),
+        (3.0, [-2e-12, -1e-12, 3.0], [0.0, 0.0, 0.0]),
     ],
 )
 def test_invalid_construction(M, knots, log_alpha):

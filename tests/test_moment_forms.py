@@ -165,27 +165,27 @@ def test_tiny_x_forms_against_the_posterior_moment_oracle(x):
 
 
 def test_continuous_eval_builds_each_tier_table_once(monkeypatch, tmp_path):
-    # alpha = e^700 is taken to its unit scale where the tables are built,
-    # and its peak joins each point's log scale, so one set of tables gives
-    # the linear values and the log forms alike; one forms call, alone or
-    # under eval, builds each layout's table at most once, and only for
-    # points whose gap failed on the layout below
+    # alpha = e^700 is taken to its unit scale where the moments are formed,
+    # and its peak joins each point's log scale, so one moment pass per
+    # layout gives the linear values and the log forms alike; one forms
+    # call, alone or under eval, integrates on each layout at most once,
+    # and only for points whose gap failed on the layout below
     log = LadderLog(monkeypatch)
     huge = ContinuousMixture(2.0, [0.0, 2.0], [700.0, 700.0])
     res = ContinuousEvaluator(huge).forms(1e-6)
     assert math.isfinite(res.log_f) and res.d2 == -math.inf
-    assert len(log.built) == 1
+    assert len(log.calls) == 1
     log = LadderLog(monkeypatch)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(mixture_to_json(huge)))
     assert main(["eval", "--input", str(path), "--grid-points", "64", "--out", str(tmp_path / "e.csv")]) == 0
-    assert len(log.built) == len(set(log.tiers_built)) and len(log.climbs()) == 1
+    assert len(log.tiers) == len(set(log.tiers)) and len(log.climbs()) == 1
     assert log.climbs_only_on_failure()
 
 
 def test_continuous_certify_makes_one_moment_pass(monkeypatch):
     # the grid and the 64 off-grid points go through one forms call, with no
-    # density call, and each layout's table is built at most once, only for
+    # density call, and each layout is integrated on at most once, only for
     # the points whose gap failed on the layout below; the margin at the off-grid
     # points is read off the moments, so it is finite where f underflows
     calls = []
@@ -208,7 +208,7 @@ def test_continuous_certify_makes_one_moment_pass(monkeypatch):
     [(name, x, (f, *_, margin))] = calls
     assert name == "forms" and x.size == 256 + 64
     np.testing.assert_array_equal(x[:256], np.linspace(1e-6, 1.0 - 1e-6, 256))
-    assert len(log.built) == len(set(log.tiers_built)) and len(log.climbs()) == 1
+    assert len(log.tiers) == len(set(log.tiers)) and len(log.climbs()) == 1
     assert log.climbs_only_on_failure()
     assert np.count_nonzero(f[256:] == 0.0) > 0
     assert np.all(np.isfinite(margin[256:]))

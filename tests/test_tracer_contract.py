@@ -91,8 +91,8 @@ def test_tracer_wraps_cli_commands(spans, tmp_path):
 
 def test_tracer_counts_one_panel_call_per_continuous_table(spans, monkeypatch):
     # a -inf knot splits alpha into two runs, [0, 2] and [3, 6]; each
-    # layout's table is still built by one panel_nodes call over the whole
-    # knot grid, and no layout is laid out that no table reads. x = 1e-100
+    # layout is still laid out by one panel_nodes call over the whole knot
+    # grid, and none is laid out that no moment pass reads. x = 1e-100
     # fails the first tier, so the evaluator climbs past it
     knots = [0.0, 1.0, 2.0, 2.5, 3.0, 6.0]
     mix = ContinuousMixture(6.0, knots, [0.0, 0.4, -0.5, float("-inf"), -1.0, -2.5])
@@ -104,13 +104,12 @@ def test_tracer_counts_one_panel_call_per_continuous_table(spans, monkeypatch):
         traced = betamix.certify(mix, grid_points=64)
         np.testing.assert_array_equal(mixtures.ContinuousEvaluator(mix).forms(1e-100), tiny)
     assert traced == plain
-    tables = [table for _, table in log.built]
-    assert len(tables) >= 2
-    assert log.climbs_only_on_failure() and log.tiers_built.count(1) == 2
+    assert len(log.calls) >= 2
+    assert log.climbs_only_on_failure() and log.tiers.count(1) == 2
     assert tracer.counts["quadrature"] == {
-        "panel_calls": len(tables),
-        "rule_builds": len(tables),
-        "nodes": sum(table.s.size for table in tables),
+        "panel_calls": len(log.calls),
+        "rule_builds": len(log.calls),
+        "nodes": sum(log.nodes),
     }
 
 
